@@ -8,7 +8,7 @@ the command line via ``qdiscord sweep``.
 import numpy as np
 
 from qdiscord import lu_state
-from qdiscord.correlations import _ce_direct_arrays
+from qdiscord.correlations import conditional_entropy_direct
 from qdiscord.qmat import partial_trace_b, von_neumann_entropy
 
 rho = lu_state()
@@ -18,7 +18,7 @@ n_theta, n_phi = 96, 192
 thetas = np.linspace(0.0, np.pi, n_theta)
 phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
 tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-objective = sa - _ce_direct_arrays(rho, tt, pp)
+objective = sa - conditional_entropy_direct(rho, tt, pp)
 
 out = "landscape.csv"
 with open(out, "w", encoding="utf-8") as fh:

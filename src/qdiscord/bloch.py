@@ -22,6 +22,7 @@ from .qmat import I2, PAULIS, dagger
 
 #: Outcome probabilities below this are degenerate (measurement pinned to a
 #: zero-probability branch); scalar APIs raise, vector paths zero the branch.
+#: It is the one such guard of both discord paths.
 DEGENERATE_TOL = 1e-14
 
 
@@ -52,7 +53,9 @@ class AffineChannel:
     c: np.ndarray
 
     def __call__(self, r):
-        return self.eta @ np.asarray(r, dtype=float) + self.c
+        """Image of a Bloch vector, or of an array of them along axis 0."""
+        r = np.asarray(r, dtype=float)
+        return (self.eta @ r.reshape(3, -1)).reshape(r.shape) + np.reshape(self.c, (3,) + (1,) * (r.ndim - 1))
 
 
 def affine_from_kraus(kraus):
@@ -92,7 +95,7 @@ def conditional_bloch_in(gamma, theta, phi):
         raise DegenerateOutcomeError(
             f"outcome probability {min(p1, p2):.3e} below {DEGENERATE_TOL:.0e}"
         )
-    s, t = _conditional_bloch_arrays(gamma, np.asarray(theta, float), np.asarray(phi, float))
+    s, t = conditional_directions(gamma, theta, phi)
     return s.reshape(3), t.reshape(3)
 
 
@@ -105,35 +108,24 @@ def conditional_purities(ch, gamma, theta, phi):
     return sp, tp, p1, p2
 
 
-def _conditional_bloch_arrays(gamma, theta, phi):
+def conditional_directions(gamma, theta, phi):
     """Vectorized (s, t) directions, shape (3, ...); no degeneracy guard.
 
-    The conditional amplitudes carry exp(-i phi) when the measurement vector
-    carries exp(+i phi), so the y components rotate against the measurement
-    azimuth; this is what keeps the channel path equal to the direct
-    projection at the same angles.
+    Outcome probabilities below :data:`DEGENERATE_TOL` are clamped in the
+    denominators instead.  The conditional amplitudes carry exp(-i phi) when
+    the measurement vector carries exp(+i phi), so the y components rotate
+    against the measurement azimuth; this is what keeps the channel path
+    equal to the direct projection at the same angles.
     """
     sg, cg = np.sin(gamma), np.cos(gamma)
+    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
     st, ct = np.sin(theta), np.cos(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-    dp = 1.0 + cg * ct
-    dm = 1.0 - cg * ct
-    dp = np.where(np.abs(dp) < DEGENERATE_TOL, DEGENERATE_TOL, dp)
-    dm = np.where(np.abs(dm) < DEGENERATE_TOL, DEGENERATE_TOL, dm)
+    dp = np.maximum(1.0 + cg * ct, DEGENERATE_TOL)
+    dm = np.maximum(1.0 - cg * ct, DEGENERATE_TOL)
     s = np.stack([sg * st * cp / dp, -sg * st * sp / dp, (cg + ct) / dp])
     t = np.stack([-sg * st * cp / dm, sg * st * sp / dm, (cg - ct) / dm])
     return s, t
-
-
-def _purities_arrays(eta, c, gamma, theta, phi):
-    """Vectorized (s', t', p1, p2) over angle arrays."""
-    s, t = _conditional_bloch_arrays(gamma, theta, phi)
-    sv = np.tensordot(eta, s, axes=(1, 0)) + c.reshape((3,) + (1,) * (s.ndim - 1))
-    tv = np.tensordot(eta, t, axes=(1, 0)) + c.reshape((3,) + (1,) * (t.ndim - 1))
-    sp = np.sqrt(np.sum(sv * sv, axis=0))
-    tp = np.sqrt(np.sum(tv * tv, axis=0))
-    x = np.cos(theta) * np.cos(gamma)
-    return sp, tp, 0.5 * (1.0 + x), 0.5 * (1.0 - x)
 
 
 # measurement-direction helpers ------------------------------------------------
@@ -178,31 +170,33 @@ def normalize_angles(theta, phi):
 
     The pairs (theta, phi) and (pi - theta, phi + pi) label the same
     measurement with outcomes swapped; the canonical member has
-    theta in [0, pi/2] (and phi in [0, pi) when theta = pi/2).
+    theta in [0, pi/2] (and phi in [0, pi) when theta = pi/2).  Arrays fold
+    elementwise; scalars come back as floats.
     """
-    theta = float(theta) % (2 * np.pi)
-    phi = float(phi)
-    if theta > np.pi:
-        theta = 2 * np.pi - theta
-        phi += np.pi
-    if theta > np.pi / 2 + 1e-12:
-        theta = np.pi - theta
-        phi += np.pi
-    phi %= 2 * np.pi
-    if abs(theta - np.pi / 2) <= 1e-12:
-        phi %= np.pi
-    if theta <= 1e-15:
-        phi = 0.0
+    theta = np.asarray(theta, float) % (2 * np.pi)
+    phi = np.asarray(phi, float)
+    over = theta > np.pi
+    theta = np.where(over, 2 * np.pi - theta, theta)
+    flip = theta > np.pi / 2 + 1e-12
+    theta = np.where(flip, np.pi - theta, theta)
+    phi = (phi + np.pi * over + np.pi * flip) % (2 * np.pi)
+    phi = np.where(np.abs(theta - np.pi / 2) <= 1e-12, phi % np.pi, phi)
+    phi = np.where(theta <= 1e-15, 0.0, phi)
+    if theta.ndim == 0:
+        return float(theta), float(phi)
     return theta, phi
 
 
 def measurement_distance(a1, a2):
     """Angle between two projective measurements, folding the outcome swap.
 
-    Arguments are (theta, phi) pairs; the result is in [0, pi/2].  The
+    Arguments are (theta, phi) pairs, of scalars or of arrays that broadcast
+    together; the result is in [0, pi/2], a float for scalars.  The
     chord/arcsin form stays accurate near zero separation.
     """
-    n1 = angles_to_direction(*a1)
-    n2 = angles_to_direction(*a2)
-    chord = min(np.linalg.norm(n1 - n2), np.linalg.norm(n1 + n2))
-    return float(2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)))
+    t1, p1, t2, p2 = np.broadcast_arrays(*a1, *a2)
+    n1 = angles_to_direction(t1, p1)
+    n2 = angles_to_direction(t2, p2)
+    chord = np.minimum(np.linalg.norm(n1 - n2, axis=0), np.linalg.norm(n1 + n2, axis=0))
+    dist = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
+    return float(dist) if dist.ndim == 0 else dist

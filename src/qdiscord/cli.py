@@ -4,8 +4,8 @@ Subcommands: ``discord`` (correlations of a state), ``stationary``
 (stationary points of the measured objective), ``sweep`` (CSV landscape of
 the objective) and ``channel`` (the extracted channel data).
 
-Exit codes: 0 success, 2 invalid state input, 3 requested method not
-applicable (without ``--fallback``), 1 internal error.
+Exit codes: 0 success, 2 invalid state input or usage error, 3 requested
+method not applicable (without ``--fallback``), 1 internal error.
 """
 
 from __future__ import annotations
@@ -37,10 +37,12 @@ def _add_state_arguments(p):
 
 def _parse_grid(text):
     try:
-        a, b = text.lower().split("x")
-        return int(a), int(b)
+        a, b = (int(v) for v in text.lower().split("x"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must look like 64x128, got {text!r}")
+    if min(a, b) < 1:
+        raise argparse.ArgumentTypeError(f"grid sizes must be at least 1, got {text!r}")
+    return a, b
 
 
 def build_parser():
@@ -64,7 +66,7 @@ def build_parser():
         action="store_true",
         help="fall back to the stationary solver when the method is not applicable",
     )
-    p.set_defaults(func=cmd_discord)
+    p.set_defaults(func=cmd_discord, usage_error=p.error)
 
     p = sub.add_parser("stationary", help="list stationary points of the objective")
     _add_state_arguments(p)
@@ -147,7 +149,7 @@ def cmd_sweep(args, out):
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    ce = correlations._ce_direct_arrays(rho, tt, pp)
+    ce = correlations.conditional_entropy_direct(rho, tt, pp)
 
     lines = ["theta,phi,cond_entropy,objective"]
     for i in range(n_theta):
@@ -197,6 +199,12 @@ def cmd_channel(args, out):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "discord" and args.method == "oracle":
+        (n_theta, n_phi), (min_theta, min_phi) = args.grid, correlations.ORACLE_MIN_GRID
+        if n_theta < min_theta or n_phi < min_phi:
+            args.usage_error(
+                f"argument --grid: the oracle needs at least {min_theta}x{min_phi}, got {n_theta}x{n_phi}"
+            )
     try:
         return args.func(args, sys.stdout)
     except (ValueError, OSError) as exc:

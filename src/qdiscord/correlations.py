@@ -15,7 +15,8 @@ evaluation paths are kept deliberately separate:
 
 The maximization itself also runs twice: a damped-Newton search for the
 stationary points of J on the channel path, and a brute-force grid oracle
-with golden-section refinement on the direct path.
+with a zoom refinement (a small patch of angles around the best point,
+shrunk round by round) on the direct path.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .qmat import (
 LN2 = np.log(2.0)
 #: Purities this close to 1 are clamped inside logarithms.
 SATURATION_CLAMP = 1e-12
-#: Zero-probability guard for outcome contributions.
-PROB_TOL = 1e-14
 #: Scaled gradient norm required of a reported stationary point.
 STATIONARY_TOL = 1e-7
 #: Newton convergence threshold on the raw gradient norm.
@@ -46,6 +45,13 @@ NEWTON_TOL = 1e-10
 MERGE_TOL = 1e-5
 #: Angular slack when classifying a root as polar/equatorial.
 CLASSIFY_TOL = 1e-6
+#: Smallest (n_theta, n_phi) grid the oracle accepts.
+ORACLE_MIN_GRID = (64, 128)
+#: Oracle zoom: points per axis of the patch, rounds, and the factor by
+#: which the patch shrinks (to the spacing of its own points).
+ZOOM_POINTS = 7
+ZOOM_ROUNDS = 24
+ZOOM_SHRINK = 2.0 / (ZOOM_POINTS - 1)
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
@@ -95,6 +101,20 @@ def mutual_information(rho):
 
 
 # ---------------------------------------------------------------------------
+# helpers shared by both paths
+# ---------------------------------------------------------------------------
+
+def _scalar_or_array(x):
+    """A float for a 0-d result, the array itself otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _weighted_entropy(p, purity):
+    """p H2((1 + purity)/2), zero for outcomes below the degeneracy guard."""
+    return np.where(p > bloch.DEGENERATE_TOL, p * binary_entropy_arr((1.0 + purity) / 2.0), 0.0)
+
+
+# ---------------------------------------------------------------------------
 # channel path
 # ---------------------------------------------------------------------------
 
@@ -105,20 +125,21 @@ def output_marginal_entropy(ch, gamma):
 
 
 def conditional_entropy_channel(ch, gamma, theta, phi):
-    """sum_j p_j S(rho_j) evaluated through the affine channel form."""
-    return float(_ce_channel_arrays(ch.eta, ch.c, gamma, np.asarray(theta, float), np.asarray(phi, float)))
+    """sum_j p_j S(rho_j) evaluated through the affine channel form.
+
+    Angle arrays of one shape give an array of values.
+    """
+    s, t = bloch.conditional_directions(gamma, theta, phi)
+    p1, p2 = bloch.conditional_probabilities(gamma, np.asarray(theta, float))
+    sv, tv = ch(s), ch(t)
+    sp = np.sqrt(np.sum(sv * sv, axis=0))
+    tp = np.sqrt(np.sum(tv * tv, axis=0))
+    return _scalar_or_array(_weighted_entropy(p1, sp) + _weighted_entropy(p2, tp))
 
 
 def objective_channel(ch, gamma, theta, phi):
     """J(theta, phi) on the channel path."""
     return output_marginal_entropy(ch, gamma) - conditional_entropy_channel(ch, gamma, theta, phi)
-
-
-def _ce_channel_arrays(eta, c, gamma, th, ph):
-    sp, tp, p1, p2 = bloch._purities_arrays(eta, c, gamma, th, ph)
-    hs = binary_entropy_arr((1.0 + sp) / 2.0)
-    ht = binary_entropy_arr((1.0 + tp) / 2.0)
-    return np.where(p1 > PROB_TOL, p1 * hs, 0.0) + np.where(p2 > PROB_TOL, p2 * ht, 0.0)
 
 
 def _half_log_ratio(x):
@@ -142,63 +163,39 @@ def grad_objective(ch, gamma, theta, phi):
 
     Purities are clamped at 1 - 1e-12 inside the logarithms, so the value is
     finite (and still ~0 where it should vanish) even for a channel that
-    keeps the conditional states pure.
+    keeps the conditional states pure.  Angle arrays of one shape give a
+    pair of arrays.
     """
-    gt, gp = _grad_arrays(ch.eta, ch.c, gamma, np.asarray(theta, float), np.asarray(phi, float))
-    return float(gt), float(gp)
-
-
-def _grad_arrays(eta, c, gamma, th, ph):
+    th, ph = np.asarray(theta, float), np.asarray(phi, float)
     sg, cg = np.sin(gamma), np.cos(gamma)
     st, ct = np.sin(th), np.cos(th)
     cp, sp = np.cos(ph), np.sin(ph)
-    dp = 1.0 + cg * ct
-    dm = 1.0 - cg * ct
-    dp = np.where(np.abs(dp) < PROB_TOL, PROB_TOL, dp)
-    dm = np.where(np.abs(dm) < PROB_TOL, PROB_TOL, dm)
+    s, t = bloch.conditional_directions(gamma, th, ph)
+    p1, p2 = bloch.conditional_probabilities(gamma, th)
+    dp = np.maximum(2.0 * p1, bloch.DEGENERATE_TOL)
+    dm = np.maximum(2.0 * p2, bloch.DEGENERATE_TOL)
 
-    # y components rotate against the measurement azimuth (exp(-i phi) on
-    # the conditional amplitudes); see bloch._conditional_bloch_arrays
-    s = np.stack([sg * st * cp / dp, -sg * st * sp / dp, (cg + ct) / dp])
-    t = np.stack([-sg * st * cp / dm, sg * st * sp / dm, (cg - ct) / dm])
-    ds_dth = np.stack(
-        [
-            sg * cp * (ct + cg) / dp**2,
-            -sg * sp * (ct + cg) / dp**2,
-            -(sg**2) * st / dp**2,
-        ]
-    )
-    dt_dth = np.stack(
-        [
-            -sg * cp * (ct - cg) / dm**2,
-            sg * sp * (ct - cg) / dm**2,
-            (sg**2) * st / dm**2,
-        ]
-    )
-    ds_dph = np.stack([-sg * st * sp / dp, -sg * st * cp / dp, np.zeros_like(dp)])
-    dt_dph = np.stack([sg * st * sp / dm, sg * st * cp / dm, np.zeros_like(dm)])
-
-    cvec = np.asarray(c, float).reshape((3,) + (1,) * (s.ndim - 1))
+    dp2, dm2, cps, cms = dp**2, dm**2, ct + cg, ct - cg
+    ds_dth = np.stack([sg * cp * cps / dp2, -sg * sp * cps / dp2, -(sg**2) * st / dp2])
+    dt_dth = np.stack([-sg * cp * cms / dm2, sg * sp * cms / dm2, (sg**2) * st / dm2])
+    # rotating the azimuth turns both directions about z: d/dphi = (y, -x, 0)
+    ds_dph = np.stack([s[1], -s[0], np.zeros_like(dp)])
+    dt_dph = np.stack([t[1], -t[0], np.zeros_like(dm)])
 
     def image(v):
-        return np.tensordot(eta, v, axes=(1, 0))
+        return (ch.eta @ v.reshape(3, -1)).reshape(v.shape)
 
-    sv = image(s) + cvec
-    tv = image(t) + cvec
-    spn = np.sqrt(np.sum(sv * sv, axis=0))
-    tpn = np.sqrt(np.sum(tv * tv, axis=0))
+    def dot(a, b):
+        return np.add.reduce(a * b, axis=0)
 
-    p1 = dp / 2.0
-    p2 = dm / 2.0
-    dp1 = -st * cg / 2.0
-
+    sv, tv = ch(s), ch(t)
+    spn = np.sqrt(dot(sv, sv))
+    tpn = np.sqrt(dot(tv, tv))
     rs = _log_ratio_over_x(spn)
     rt = _log_ratio_over_x(tpn)
     hs = binary_entropy_arr((1.0 + spn) / 2.0)
     ht = binary_entropy_arr((1.0 + tpn) / 2.0)
-
-    def dot(a, b):
-        return np.sum(a * b, axis=0)
+    dp1 = -st * cg / 2.0
 
     g_th = (
         -dp1 * (hs - ht)
@@ -206,12 +203,7 @@ def _grad_arrays(eta, c, gamma, th, ph):
         + p2 * rt * dot(tv, image(dt_dth))
     )
     g_ph = p1 * rs * dot(sv, image(ds_dph)) + p2 * rt * dot(tv, image(dt_dph))
-    return g_th, g_ph
-
-
-def _scaled_grad_norm(eta, c, gamma, theta, phi):
-    gt, gp = _grad_arrays(eta, c, gamma, np.asarray(theta, float), np.asarray(phi, float))
-    return float(np.hypot(gt, np.sin(theta) * gp))
+    return _scalar_or_array(g_th), _scalar_or_array(g_ph)
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +215,11 @@ def conditional_entropy_direct(rho, theta, phi):
 
     The measurement acts on qubit b in the original basis; the channel
     decomposition is never consulted.  Outcomes with probability below
-    1e-14 contribute zero.
+    1e-14 contribute zero.  Angle arrays broadcast together and give an
+    array of values.
     """
-    rho = np.asarray(rho, dtype=complex)
-    return float(_ce_direct_arrays(rho, np.asarray(theta, float), np.asarray(phi, float)))
-
-
-def _ce_direct_arrays(rho, th, ph):
     r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    th, ph = np.asarray(theta, float), np.asarray(phi, float)
     chh = np.cos(th / 2.0)
     shh = np.sin(th / 2.0)
     e = np.exp(1j * ph)
@@ -245,20 +234,78 @@ def _ce_direct_arrays(rho, th, ph):
     b01 = (r[0, 0, 1, 0] + r[0, 1, 1, 1]) - a01
     b11 = (r[1, 0, 1, 0] + r[1, 1, 1, 1]) - a11
 
-    def weighted_entropy(x00, x01, x11):
+    def branch(x00, x01, x11):
         p = np.real(x00 + x11)
         det = np.real(x00 * x11 - x01 * np.conj(x01))
-        safe = np.where(p > PROB_TOL, p, 1.0)
-        purity = np.sqrt(np.clip(1.0 - 4.0 * det / (safe * safe), 0.0, 1.0))
-        s = binary_entropy_arr((1.0 + purity) / 2.0)
-        return np.where(p > PROB_TOL, p * s, 0.0)
+        safe = np.where(p > bloch.DEGENERATE_TOL, p, 1.0)
+        return _weighted_entropy(p, np.sqrt(np.clip(1.0 - 4.0 * det / (safe * safe), 0.0, 1.0)))
 
-    return weighted_entropy(a00, a01, a11) + weighted_entropy(b00, b01, b11)
+    return _scalar_or_array(branch(a00, a01, a11) + branch(b00, b01, b11))
 
 
 # ---------------------------------------------------------------------------
 # stationary-point search
 # ---------------------------------------------------------------------------
+
+def _bisect_roots(f, x, fx):
+    """Roots of f on the grid x, where fx = f(x): every sign change between
+    neighbours, all bisected at once to machine precision, and every grid
+    point but the last where f is exactly zero.  Sorted."""
+    exact = x[:-1][fx[:-1] == 0.0]
+    k = np.flatnonzero(fx[:-1] * fx[1:] < 0.0)
+    lo, hi, flo = x[k], x[k + 1], fx[k]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        left = flo * fm <= 0.0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    return np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
+
+
+def _classify(theta):
+    if theta < CLASSIFY_TOL:
+        return ASYMMETRIC
+    if abs(theta - np.pi / 2) < CLASSIFY_TOL:
+        return SYMMETRIC
+    return STATE_DEPENDENT
+
+
+def _merge(ch, gamma, sa, theta, phi, kept=()):
+    """``kept`` followed by the stationary points at the roots (theta, phi).
+
+    Roots are folded to canonical angles and verified to scaled gradient
+    norm below STATIONARY_TOL.  A root within MERGE_TOL (measurement
+    distance) of a point in ``kept`` is dropped; of roots within MERGE_TOL of
+    each other, the best converged (smallest gradient norm) is kept.  The
+    survivors come in (theta, phi) order, classified by their polar angle;
+    ``sa`` is S(rho_a).
+    """
+    th, ph = bloch.normalize_angles(np.asarray(theta, float), np.asarray(phi, float))
+    order = np.lexsort((ph, th))
+    th, ph = th[order], ph[order]
+    gt, gp = grad_objective(ch, gamma, th, ph)
+    gn = np.hypot(gt, np.sin(th) * gp)
+    free = gn < STATIONARY_TOL
+    for q in kept:
+        free &= bloch.measurement_distance((q.theta, q.phi), (th, ph)) >= MERGE_TOL
+    take = []
+    for i in np.argsort(gn, kind="stable"):
+        if not free[i]:
+            continue
+        take.append(i)
+        # folded polar angles differ by no more than the measurement
+        # distance, so only roots within MERGE_TOL in theta can be absorbed
+        lo, hi = np.searchsorted(th, [th[i] - MERGE_TOL, th[i] + MERGE_TOL])
+        free[lo:hi] &= bloch.measurement_distance((th[i], ph[i]), (th[lo:hi], ph[lo:hi])) >= MERGE_TOL
+    take.sort()
+    obj = sa - conditional_entropy_channel(ch, gamma, th[take], ph[take])
+    return list(kept) + [
+        StationaryPoint(float(th[i]), float(ph[i]), float(o), float(gn[i]), _classify(th[i]))
+        for i, o in zip(take, obj)
+    ]
+
 
 def universal_candidates(ch, gamma):
     """The stationary settings that exist for every state.
@@ -267,68 +314,35 @@ def universal_candidates(ch, gamma):
     theta = pi/2 at every azimuth where dJ/dphi vanishes, each verified with
     scaled gradient norm below 1e-7.
     """
-    eta, c = ch.eta, ch.c
     sa = output_marginal_entropy(ch, gamma)
-    pts = []
 
     # polar candidate: dJ/dphi vanishes identically at theta = 0, while the
-    # theta derivative there is A cos(phi) + B sin(phi); pick its zero
-    ga, _ = _grad_arrays(eta, c, gamma, np.array(0.0), np.array(0.0))
-    gb, _ = _grad_arrays(eta, c, gamma, np.array(0.0), np.array(np.pi / 2))
-    a, b = float(ga), float(gb)
-    if np.hypot(a, b) < 1e-11:
-        phi0 = 0.0
-    else:
-        phi0 = float(np.arctan2(-a, b)) % np.pi
-    obj0 = sa - float(_ce_channel_arrays(eta, c, gamma, np.array(0.0), np.array(phi0)))
-    pts.append(
-        StationaryPoint(0.0, phi0, obj0, _scaled_grad_norm(eta, c, gamma, 0.0, phi0), ASYMMETRIC)
-    )
+    # theta derivative there is A cos(phi) + B sin(phi); pick its zero.  The
+    # azimuth is kept as found: folding would reset it to 0.
+    (a, b), _ = grad_objective(ch, gamma, np.zeros(2), np.array([0.0, np.pi / 2]))
+    phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
+    g0, _ = grad_objective(ch, gamma, 0.0, phi0)
+    obj0 = sa - conditional_entropy_channel(ch, gamma, 0.0, phi0)
+    polar = StationaryPoint(0.0, phi0, obj0, abs(g0), ASYMMETRIC)
 
     # equatorial candidates: zeros of dJ/dphi along theta = pi/2
-    half_pi = np.pi / 2
+    def dphi(phi):
+        return grad_objective(ch, gamma, np.full_like(phi, np.pi / 2), phi)[1]
+
     phis = np.linspace(0.0, np.pi, 1441)
-    _, gph = _grad_arrays(eta, c, gamma, np.full_like(phis, half_pi), phis)
-    if np.max(np.abs(gph)) < 1e-12:
-        roots = [0.0]
-    else:
-        roots = []
-        for i in range(len(phis) - 1):
-            lo, hi = phis[i], phis[i + 1]
-            flo, fhi = gph[i], gph[i + 1]
-            if flo == 0.0:
-                roots.append(float(lo))
-                continue
-            if flo * fhi < 0.0:
-                for _ in range(64):
-                    mid = 0.5 * (lo + hi)
-                    fm = float(_grad_arrays(eta, c, gamma, np.array(half_pi), np.array(mid))[1])
-                    if flo * fm <= 0.0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                roots.append(0.5 * (lo + hi))
-    seen = []
-    for phib in roots:
-        phib %= np.pi
-        if any(min(abs(phib - q), np.pi - abs(phib - q)) < 1e-8 for q in seen):
-            continue
-        seen.append(phib)
-        gn = _scaled_grad_norm(eta, c, gamma, half_pi, phib)
-        if gn < STATIONARY_TOL:
-            obj = sa - float(_ce_channel_arrays(eta, c, gamma, np.array(half_pi), np.array(phib)))
-            pts.append(StationaryPoint(half_pi, phib, obj, gn, SYMMETRIC))
-    return pts
+    g = dphi(phis)
+    roots = np.zeros(1) if np.max(np.abs(g)) < 1e-12 else _bisect_roots(dphi, phis, g)
+    return _merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
 
-def _newton_batch(eta, c, gamma, th0, ph0, max_iter=100, h=1e-6):
+def _newton_batch(ch, gamma, th0, ph0, max_iter=100, h=1e-6):
     """Damped Newton on the gradient, run on all start points at once."""
     th = np.asarray(th0, float).copy()
     ph = np.asarray(ph0, float).copy()
     alive = np.ones(th.shape, bool)
 
     def grad(t, p):
-        return _grad_arrays(eta, c, gamma, t, p)
+        return grad_objective(ch, gamma, t, p)
 
     for _ in range(max_iter):
         g0, g1 = grad(th, ph)
@@ -373,15 +387,7 @@ def _newton_batch(eta, c, gamma, th0, ph0, max_iter=100, h=1e-6):
     return th[keep], ph[keep]
 
 
-def _classify(theta):
-    if theta < CLASSIFY_TOL:
-        return ASYMMETRIC
-    if abs(theta - np.pi / 2) < CLASSIFY_TOL:
-        return SYMMETRIC
-    return STATE_DEPENDENT
-
-
-def _stationary_points_1d(eta, c, gamma, sa):
+def _stationary_points_1d(ch, gamma, sa):
     """Roots when J does not depend on phi (stationary circles in phi).
 
     Each circle is reported once, at phi = 0.  The outcome-swap symmetry
@@ -389,33 +395,13 @@ def _stationary_points_1d(eta, c, gamma, sa):
     (0, pi/2) only.
     """
 
-    def g(theta):
-        return float(_grad_arrays(eta, c, gamma, np.asarray(theta, float), np.zeros(np.shape(theta)))[0])
+    def dtheta(theta):
+        return grad_objective(ch, gamma, theta, np.zeros_like(theta))[0]
 
-    def point(theta):
-        obj = sa - float(_ce_channel_arrays(eta, c, gamma, np.array(theta), np.array(0.0)))
-        gn = _scaled_grad_norm(eta, c, gamma, theta, 0.0)
-        return StationaryPoint(theta, 0.0, obj, gn, _classify(theta))
-
-    pts = [point(0.0), point(np.pi / 2)]
     thetas = np.linspace(0.0, np.pi / 2, 2001)[1:-1]
-    vals = _grad_arrays(eta, c, gamma, thetas, np.zeros_like(thetas))[0]
-    for i in range(len(thetas) - 1):
-        lo, hi, flo, fhi = thetas[i], thetas[i + 1], vals[i], vals[i + 1]
-        if flo == 0.0 or flo * fhi >= 0.0:
-            continue
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            fm = g(mid)
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        root = 0.5 * (lo + hi)
-        if min(abs(root - q.theta) for q in pts) > MERGE_TOL:
-            q = point(root)
-            if q.grad_norm < STATIONARY_TOL:
-                pts.append(q)
+    roots = _bisect_roots(dtheta, thetas, dtheta(thetas))
+    pts = _merge(ch, gamma, sa, np.array([0.0, np.pi / 2]), np.zeros(2))
+    pts = _merge(ch, gamma, sa, roots, np.zeros_like(roots), pts)
     pts.sort(key=lambda q: (-q.objective, q.theta, q.phi))
     return pts
 
@@ -434,41 +420,23 @@ def find_stationary_points(ch, gamma, n_theta=24, n_phi=48):
     phi-independent objective (xy-isotropic channel, where stationary points
     form circles) reports each circle once at phi = 0.
     """
-    eta, c = ch.eta, ch.c
     sa = output_marginal_entropy(ch, gamma)
 
     th_scan, ph_scan = np.meshgrid(
         np.linspace(0.0, np.pi, 49), np.linspace(0.0, 2 * np.pi, 96, endpoint=False), indexing="ij"
     )
-    ce_scan = _ce_channel_arrays(eta, c, gamma, th_scan, ph_scan)
+    ce_scan = conditional_entropy_channel(ch, gamma, th_scan, ph_scan)
     if float(np.ptp(ce_scan)) < 1e-12:
         obj = sa - float(ce_scan.mean())
         return [StationaryPoint(np.pi / 2, 0.0, obj, 0.0, SYMMETRIC)]
     if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11:
-        return _stationary_points_1d(eta, c, gamma, sa)
-
-    pts = universal_candidates(ch, gamma)
+        return _stationary_points_1d(ch, gamma, sa)
 
     t0 = (np.arange(n_theta) + 0.5) * (np.pi / 2) / n_theta
     p0 = np.arange(n_phi) * (2 * np.pi) / n_phi
     tt, pp = np.meshgrid(t0, p0, indexing="ij")
-    rth, rph = _newton_batch(eta, c, gamma, tt.ravel(), pp.ravel())
-
-    roots = sorted(
-        {
-            (round(t / MERGE_TOL), round(p / MERGE_TOL)): (t, p)
-            for t, p in (bloch.normalize_angles(a, b) for a, b in zip(rth, rph))
-        }.values()
-    )
-    for t, p in roots:
-        if any(bloch.measurement_distance((t, p), (q.theta, q.phi)) < MERGE_TOL for q in pts):
-            continue
-        gn = _scaled_grad_norm(eta, c, gamma, t, p)
-        if gn >= STATIONARY_TOL:
-            continue
-        obj = sa - float(_ce_channel_arrays(eta, c, gamma, np.array(t), np.array(p)))
-        pts.append(StationaryPoint(t, p, obj, gn, _classify(t)))
-
+    rth, rph = _newton_batch(ch, gamma, tt.ravel(), pp.ravel())
+    pts = _merge(ch, gamma, sa, rth, rph, universal_candidates(ch, gamma))
     pts.sort(key=lambda q: (-q.objective, q.theta, q.phi))
     return pts
 
@@ -477,40 +445,17 @@ def find_stationary_points(ch, gamma, n_theta=24, n_phi=48):
 # grid oracle
 # ---------------------------------------------------------------------------
 
-def _golden_min(f, lo, hi, x0, f0, iters=25):
-    """Golden-section minimize on [lo, hi]; never worse than (x0, f0)."""
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x0, f0)
-    for x, fx in ((x1, f1), (x2, f2)):
-        if fx < best_f:
-            best_x, best_f = x, fx
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = f(x1)
-            if f1 < best_f:
-                best_x, best_f = x1, f1
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = f(x2)
-            if f2 < best_f:
-                best_x, best_f = x2, f2
-    return best_x, best_f, b - a
-
-
 def grid_oracle(rho, n_theta=64, n_phi=128):
     """Brute-force maximization of J over the measurement angles.
 
     Evaluates the direct-projection objective on an n_theta x n_phi grid
-    (theta in [0, pi], phi in [0, 2 pi)) and polishes the best cell with
-    alternating golden-section line searches (40 rounds).  Deterministic;
-    ties resolve to the smallest theta, then the smallest phi.
+    (theta in [0, pi], phi in [0, 2 pi)) and zooms in on the best cell: each
+    round evaluates a 7 x 7 patch around the incumbent, one grid cell wide
+    at first, clipped to theta in [0, pi].  The patch shrinks to the
+    spacing of its own points while the incumbent stays inside it, and only
+    moves with the incumbent when that lands on its edge, where the maximum
+    may lie beyond.  Deterministic, and never below the grid maximum; ties
+    resolve to the smallest theta, then the smallest phi.
 
     Returns
     -------
@@ -518,7 +463,7 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
         The classical correlation and the optimal angles in the original
         basis, canonically folded.
     """
-    if n_theta < 64 or n_phi < 128:
+    if n_theta < ORACLE_MIN_GRID[0] or n_phi < ORACLE_MIN_GRID[1]:
         raise ValueError("grid oracle resolution must be at least 64 x 128")
     rho = check_density_matrix(rho)
     sa = von_neumann_entropy(partial_trace_b(rho))
@@ -526,30 +471,23 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
     th = np.linspace(0.0, np.pi, n_theta)
     ph = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     tt, pp = np.meshgrid(th, ph, indexing="ij")
-    ce = _ce_direct_arrays(rho, tt, pp)
+    ce = conditional_entropy_direct(rho, tt, pp)
     k = int(np.argmin(ce))
-    t, p = float(tt.flat[k]), float(pp.flat[k])
-    fv = float(ce.flat[k])
+    t, p, fv = float(tt.flat[k]), float(pp.flat[k]), float(ce.flat[k])
 
-    # brackets shrink only as fast as the point stops moving, so the zigzag
-    # progress of coordinate descent across coupled axes is not cut off
-    wt = np.pi / (n_theta - 1)
-    wp = 2 * np.pi / n_phi
-    for r in range(40):
-        if r % 2 == 0:
-            lo, hi = max(0.0, t - wt), min(np.pi, t + wt)
-            t_new, fv, _ = _golden_min(
-                lambda x: float(_ce_direct_arrays(rho, np.array(x), np.array(p))), lo, hi, t, fv
-            )
-            wt = max(4.0 * abs(t_new - t), 0.25 * wt, 1e-10)
-            t = t_new
-        else:
-            lo, hi = p - wp, p + wp
-            p_new, fv, _ = _golden_min(
-                lambda x: float(_ce_direct_arrays(rho, np.array(t), np.array(x))), lo, hi, p, fv
-            )
-            wp = max(4.0 * abs(p_new - p), 0.25 * wp, 1e-10)
-            p = p_new
+    wt, wp = np.pi / (n_theta - 1), 2 * np.pi / n_phi
+    steps = np.linspace(-1.0, 1.0, ZOOM_POINTS)
+    for _ in range(ZOOM_ROUNDS):
+        pt = np.clip(t + wt * steps, 0.0, np.pi)
+        pq = p + wp * steps
+        ce = conditional_entropy_direct(rho, pt[:, None], pq[None, :])
+        i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
+        edge = False
+        if ce[i, j] < fv:
+            t, p, fv = float(pt[i]), float(pq[j]), float(ce[i, j])
+            edge = j in (0, ZOOM_POINTS - 1) or (i in (0, ZOOM_POINTS - 1) and 0.0 < t < np.pi)
+        if not edge:
+            wt, wp = wt * ZOOM_SHRINK, wp * ZOOM_SHRINK
 
     t, p = bloch.normalize_angles(t, p)
     return sa - fv, (t, p)
@@ -580,10 +518,14 @@ def discord(rho, method="stationary", oracle_resolution=(64, 128)):
     decomposition.
     """
     rho = check_density_matrix(rho)
-    info = mutual_information(rho)
+    singular = np.linalg.eigvalsh(partial_trace_a(rho)).min() <= choi.RANK_TOL
+    if method == "xstate_analytic" and not singular:
+        from .xstate import analytic_discord_x
 
-    bvals = np.linalg.eigvalsh(partial_trace_a(rho))
-    if bvals.min() <= choi.RANK_TOL:
+        return analytic_discord_x(rho)
+
+    info = mutual_information(rho)
+    if singular:
         return DiscordReport(
             mutual_info=info,
             classical_corr=info,
@@ -608,10 +550,5 @@ def discord(rho, method="stationary", oracle_resolution=(64, 128)):
         )
         theta, phi = bloch.fold_angles(d.basis_rotation, best.theta, best.phi)
         return DiscordReport(info, best.objective, info - best.objective, theta, phi, method, pts)
-
-    if method == "xstate_analytic":
-        from .xstate import analytic_discord_x
-
-        return analytic_discord_x(rho)
 
     raise ValueError(f"unknown method {method!r}")

@@ -27,7 +27,7 @@ from .correlations import (
     SYMMETRIC,
     DiscordReport,
     StationaryPoint,
-    _scaled_grad_norm,
+    grad_objective,
     mutual_information,
     output_marginal_entropy,
 )
@@ -203,25 +203,15 @@ def analytic_discord_x(rho):
         + binary_entropy(min(1.0, (1.0 + t_pol) / 2.0))
     )
 
-    eta, c = ch.eta, ch.c
     # the conditional direction rotates against the measurement azimuth, so
     # the objective peaks at the reflection of the f-maximizing azimuth
     phi_eq = (-params.phi_star) % np.pi
+    th = np.array([np.pi / 2, 0.0])
+    gt, gp = grad_objective(ch, d.gamma, th, np.array([phi_eq, 0.0]))
+    gn = np.hypot(gt, np.sin(th) * gp)
     candidates = [
-        StationaryPoint(
-            np.pi / 2,
-            phi_eq,
-            obj_eq,
-            _scaled_grad_norm(eta, c, d.gamma, np.pi / 2, phi_eq),
-            SYMMETRIC,
-        ),
-        StationaryPoint(
-            0.0,
-            0.0,
-            obj_pol,
-            _scaled_grad_norm(eta, c, d.gamma, 0.0, 0.0),
-            ASYMMETRIC,
-        ),
+        StationaryPoint(np.pi / 2, phi_eq, obj_eq, float(gn[0]), SYMMETRIC),
+        StationaryPoint(0.0, 0.0, obj_pol, float(gn[1]), ASYMMETRIC),
     ]
     candidates.sort(key=lambda q: (-q.objective, q.theta, q.phi))
     best = candidates[0]

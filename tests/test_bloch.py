@@ -229,3 +229,17 @@ def test_fold_angles_preserves_projection_statistics():
 def test_measurement_distance_folding():
     assert measurement_distance((0.3, 1.0), (np.pi - 0.3, 1.0 + np.pi)) < 1e-12
     assert abs(measurement_distance((0.0, 0.0), (np.pi / 2, 0.0)) - np.pi / 2) < 1e-12
+
+
+def test_angle_helpers_accept_arrays():
+    rng = np.random.default_rng(10)
+    th = rng.uniform(-1.0, 2 * np.pi + 1.0, 50)
+    ph = rng.uniform(-1.0, 2 * np.pi + 1.0, 50)
+    th[:3] = [0.0, np.pi / 2, np.pi]
+    ft, fp = normalize_angles(th, ph)
+    assert ft.shape == fp.shape == (50,)
+    for k in range(50):
+        assert (ft[k], fp[k]) == normalize_angles(th[k], ph[k])
+    dist = measurement_distance((th[0], ph[0]), (th, ph))
+    for k in range(50):
+        assert abs(dist[k] - measurement_distance((th[0], ph[0]), (th[k], ph[k]))) < 1e-15

@@ -212,3 +212,34 @@ def test_channel_singular_marginal(capsys, tmp_path):
 def test_state_and_file_mutually_exclusive(capsys):
     with pytest.raises(SystemExit):
         main(["discord", "--state", "lu", "--file", "x.dm"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("discord", "--state", "lu", "--method", "oracle", "--grid", "32x64"),
+        ("sweep", "--state", "lu", "--grid", "0x5"),
+        ("sweep", "--state", "lu", "--grid", "5x-1"),
+    ],
+)
+def test_bad_grid_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err
+    assert "invalid state" not in err
+
+
+def test_stationary_method_ignores_oracle_grid(capsys):
+    code, out, _ = run(capsys, "discord", "--state", "lu", "--grid", "32x64")
+    assert code == 0
+    assert "method: stationary" in out
+
+
+def test_sweep_small_grid(capsys):
+    code, out, _ = run(capsys, "sweep", "--state", "lu", "--grid", "1x3")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 + 3
+    assert all(l.startswith("0,") for l in lines[1:])

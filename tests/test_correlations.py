@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,9 @@ from qdiscord.bloch import affine_from_kraus
 from qdiscord.choi import KrausSet, decompose, rotate_b
 from qdiscord.correlations import (
     ASYMMETRIC,
+    MERGE_TOL,
     STATE_DEPENDENT,
+    STATIONARY_TOL,
     SYMMETRIC,
     conditional_entropy_channel,
     conditional_entropy_direct,
@@ -314,3 +318,57 @@ def test_stationary_report_angles_original_frame():
     rep = discord(rho, method="stationary")
     _, (to, po) = grid_oracle(rho, 128, 256)
     assert bloch.measurement_distance((rep.theta, rep.phi), (to, po)) < 1e-4
+
+
+def near_singular_state(eps):
+    base = np.kron(np.diag([0.6, 0.4]), np.diag([1.0, 0.0])).astype(complex)
+    return (1 - eps) * base + eps * random_state(7)
+
+
+def test_near_singular_stationary_is_fast_and_agrees_with_oracle():
+    # at eps = 1e-5 the absolute Newton tolerance admits ~1150 spurious roots,
+    # all of which go through the merge
+    rho = near_singular_state(1e-5)
+    t0 = time.perf_counter()
+    rep = discord(rho, method="stationary")
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 3.0
+    assert abs(rep.discord - discord(rho, method="oracle").discord) < 1e-6
+    # the merged points are verified and pairwise distinct
+    pts = rep.stationary_points
+    assert len(pts) > 100
+    assert max(q.grad_norm for q in pts) < STATIONARY_TOL
+    th, ph = np.array([q.theta for q in pts]), np.array([q.phi for q in pts])
+    for k in range(len(pts) - 1):
+        assert bloch.measurement_distance((th[k], ph[k]), (th[k + 1 :], ph[k + 1 :])).min() >= MERGE_TOL
+
+
+@pytest.mark.parametrize(
+    "rho", [lu_state(), random_state(3), bell_diagonal(0.7, -0.5, 0.3), near_singular_state(1e-4)]
+)
+def test_grid_oracle_value_at_returned_angles(rho):
+    corr, (th, ph) = grid_oracle(rho)
+    sa = von_neumann_entropy(partial_trace_b(rho))
+    assert abs(sa - conditional_entropy_direct(rho, th, ph) - corr) < 1e-12
+    tt, pp = np.meshgrid(
+        np.linspace(0.0, np.pi, 64), np.linspace(0.0, 2 * np.pi, 128, endpoint=False), indexing="ij"
+    )
+    assert corr >= sa - conditional_entropy_direct(rho, tt, pp).min()
+
+
+def test_conditional_entropies_and_gradient_accept_arrays():
+    rho = random_state(4)
+    d = decompose(rho)
+    ch = affine_from_kraus(d.kraus)
+    rng = np.random.default_rng(12)
+    th, ph = rng.uniform(0, np.pi, (3, 4)), rng.uniform(0, 2 * np.pi, (3, 4))
+    ce_ch = conditional_entropy_channel(ch, d.gamma, th, ph)
+    ce_dir = conditional_entropy_direct(rho, th, ph)
+    gt, gp = grad_objective(ch, d.gamma, th, ph)
+    assert ce_ch.shape == ce_dir.shape == gt.shape == gp.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        assert isinstance(conditional_entropy_channel(ch, d.gamma, th[idx], ph[idx]), float)
+        assert abs(ce_ch[idx] - conditional_entropy_channel(ch, d.gamma, th[idx], ph[idx])) < 1e-15
+        assert abs(ce_dir[idx] - conditional_entropy_direct(rho, th[idx], ph[idx])) < 1e-15
+        g = grad_objective(ch, d.gamma, th[idx], ph[idx])
+        assert abs(gt[idx] - g[0]) < 1e-14 and abs(gp[idx] - g[1]) < 1e-14
