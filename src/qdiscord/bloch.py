@@ -79,7 +79,12 @@ def affine_from_kraus(kraus):
 
 def conditional_probabilities(gamma, theta):
     """Outcome probabilities ( (1+cos th cos g)/2, (1-cos th cos g)/2 )."""
-    x = np.cos(theta) * np.cos(gamma)
+    return _probabilities(np.cos(theta), np.cos(gamma))
+
+
+def _probabilities(ct, cg):
+    """Outcome probabilities from cos theta and cos gamma."""
+    x = ct * cg
     return 0.5 * (1.0 + x), 0.5 * (1.0 - x)
 
 
@@ -90,12 +95,11 @@ def conditional_bloch_in(gamma, theta, phi):
     outcome probability vanishes (theta ~ 0 together with gamma ~ 0), where
     the corresponding direction is undefined.
     """
-    p1, p2 = conditional_probabilities(gamma, theta)
+    p1, p2, s, t = conditional_outcomes(gamma, *angle_trig(theta, phi))
     if min(p1, p2) < DEGENERATE_TOL:
         raise DegenerateOutcomeError(
             f"outcome probability {min(p1, p2):.3e} below {DEGENERATE_TOL:.0e}"
         )
-    s, t = conditional_directions(gamma, theta, phi)
     return s.reshape(3), t.reshape(3)
 
 
@@ -108,24 +112,31 @@ def conditional_purities(ch, gamma, theta, phi):
     return sp, tp, p1, p2
 
 
-def conditional_directions(gamma, theta, phi):
-    """Vectorized (s, t) directions, shape (3, ...); no degeneracy guard.
+def angle_trig(theta, phi):
+    """(sin theta, cos theta, cos phi, sin phi) of angle arrays: the
+    arguments of :func:`conditional_outcomes`."""
+    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
+    return np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)
 
+
+def conditional_outcomes(gamma, st, ct, cp, sp):
+    """Vectorized probabilities and directions (p1, p2, s, t) of the two
+    outcomes, s and t of shape (3, ...); no degeneracy guard.
+
+    The measurement angles enter through their sines and cosines (see
+    :func:`angle_trig`), so a caller that needs them too computes them once.
     Outcome probabilities below :data:`DEGENERATE_TOL` are clamped in the
-    denominators instead.  The conditional amplitudes carry exp(-i phi) when
-    the measurement vector carries exp(+i phi), so the y components rotate
-    against the measurement azimuth; this is what keeps the channel path
-    equal to the direct projection at the same angles.
+    denominators of s and t.  The conditional amplitudes carry exp(-i phi)
+    when the measurement vector carries exp(+i phi), so the y components
+    rotate against the measurement azimuth; this is what keeps the channel
+    path equal to the direct projection at the same angles.
     """
     sg, cg = np.sin(gamma), np.cos(gamma)
-    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
-    st, ct = np.sin(theta), np.cos(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
     dp = np.maximum(1.0 + cg * ct, DEGENERATE_TOL)
     dm = np.maximum(1.0 - cg * ct, DEGENERATE_TOL)
     s = np.stack([sg * st * cp / dp, -sg * st * sp / dp, (cg + ct) / dp])
     t = np.stack([-sg * st * cp / dm, sg * st * sp / dm, (cg - ct) / dm])
-    return s, t
+    return _probabilities(ct, cg) + (s, t)
 
 
 # measurement-direction helpers ------------------------------------------------

@@ -41,6 +41,15 @@ SATURATION_CLAMP = 1e-12
 STATIONARY_TOL = 1e-7
 #: Newton convergence threshold on the raw gradient norm.
 NEWTON_TOL = 1e-10
+#: Newton starts per axis: theta in (0, pi/2), phi in [0, 2 pi).
+NEWTON_GRID = (24, 48)
+#: Newton iterations per start, and the step of its central-difference Jacobian.
+NEWTON_MAX_ITER = 100
+NEWTON_FD_STEP = 1e-6
+#: The line search tries alpha = 2**-k for k = 0, 1, ..., 49, these many
+#: values of k per gradient call, and takes the first k that lowers the
+#: gradient norm.
+HALVING_RUNGS = (1, 8, 41)
 #: Stationary points closer than this (measurement angle) are merged.
 MERGE_TOL = 1e-5
 #: Angular slack when classifying a root as polar/equatorial.
@@ -129,8 +138,7 @@ def conditional_entropy_channel(ch, gamma, theta, phi):
 
     Angle arrays of one shape give an array of values.
     """
-    s, t = bloch.conditional_directions(gamma, theta, phi)
-    p1, p2 = bloch.conditional_probabilities(gamma, np.asarray(theta, float))
+    p1, p2, s, t = bloch.conditional_outcomes(gamma, *bloch.angle_trig(theta, phi))
     sv, tv = ch(s), ch(t)
     sp = np.sqrt(np.sum(sv * sv, axis=0))
     tp = np.sqrt(np.sum(tv * tv, axis=0))
@@ -166,12 +174,9 @@ def grad_objective(ch, gamma, theta, phi):
     keeps the conditional states pure.  Angle arrays of one shape give a
     pair of arrays.
     """
-    th, ph = np.asarray(theta, float), np.asarray(phi, float)
     sg, cg = np.sin(gamma), np.cos(gamma)
-    st, ct = np.sin(th), np.cos(th)
-    cp, sp = np.cos(ph), np.sin(ph)
-    s, t = bloch.conditional_directions(gamma, th, ph)
-    p1, p2 = bloch.conditional_probabilities(gamma, th)
+    st, ct, cp, sp = trig = bloch.angle_trig(theta, phi)
+    p1, p2, s, t = bloch.conditional_outcomes(gamma, *trig)
     dp = np.maximum(2.0 * p1, bloch.DEGENERATE_TOL)
     dm = np.maximum(2.0 * p2, bloch.DEGENERATE_TOL)
 
@@ -250,7 +255,10 @@ def conditional_entropy_direct(rho, theta, phi):
 def _bisect_roots(f, x, fx):
     """Roots of f on the grid x, where fx = f(x): every sign change between
     neighbours, all bisected at once to machine precision, and every grid
-    point but the last where f is exactly zero.  Sorted."""
+    point but the last where f is exactly zero.  Sorted.
+
+    Bisection stops early once a step leaves every bracket as it was: each
+    later step would repeat it."""
     exact = x[:-1][fx[:-1] == 0.0]
     k = np.flatnonzero(fx[:-1] * fx[1:] < 0.0)
     lo, hi, flo = x[k], x[k + 1], fx[k]
@@ -258,9 +266,10 @@ def _bisect_roots(f, x, fx):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         left = flo * fm <= 0.0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
+        step = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+        if all(np.array_equal(a, b) for a, b in zip(step, (lo, hi, flo))):
+            break
+        lo, hi, flo = step
     return np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
 
 
@@ -335,56 +344,73 @@ def universal_candidates(ch, gamma):
     return _merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
 
-def _newton_batch(ch, gamma, th0, ph0, max_iter=100, h=1e-6):
-    """Damped Newton on the gradient, run on all start points at once."""
-    th = np.asarray(th0, float).copy()
-    ph = np.asarray(ph0, float).copy()
-    alive = np.ones(th.shape, bool)
+def _newton_batch(ch, gamma, th0, ph0):
+    """Damped Newton on the gradient from many start points, batched over
+    the starts still iterating.
 
-    def grad(t, p):
-        return grad_objective(ch, gamma, t, p)
-
-    for _ in range(max_iter):
-        g0, g1 = grad(th, ph)
-        gn = np.hypot(g0, g1)
-        work = alive & (gn >= NEWTON_TOL) & np.isfinite(gn)
-        if not work.any():
+    An iteration of a start takes a central-difference Jacobian, a Newton
+    step, and a line search over alpha = 2**-k, k = 0, 1, ..., 49, that
+    accepts the first k lowering the gradient norm.  Each gradient call
+    serves every live start: the four stencil points in one call, the line
+    search in one call per rung of HALVING_RUNGS, and the gradient at an
+    accepted step is the next iteration's.  A start leaves the batch once
+    its gradient norm is below NEWTON_TOL (a root) or not finite, its
+    Jacobian is singular, or no step length lowers the norm.  Returns the
+    roots, in start order.
+    """
+    th, ph = np.array(th0, float), np.array(ph0, float)
+    root = np.zeros(th.shape, bool)
+    live = np.arange(th.size)
+    g0, g1 = grad_objective(ch, gamma, th, ph)
+    gn = np.hypot(g0, g1)
+    h = NEWTON_FD_STEP
+    for _ in range(NEWTON_MAX_ITER):
+        conv = gn < NEWTON_TOL
+        root[live[conv]] = True
+        keep = ~conv & np.isfinite(gn)
+        live, g0, g1, gn = live[keep], g0[keep], g1[keep], gn[keep]
+        if not live.size:
             break
-        a0, a1 = grad(th + h, ph)
-        b0, b1 = grad(th - h, ph)
-        c0, c1 = grad(th, ph + h)
-        d0, d1 = grad(th, ph - h)
+
+        t, p = th[live], ph[live]
+        stencil = np.concatenate([t + h, t - h, t, t]), np.concatenate([p, p, p + h, p - h])
+        s0, s1 = grad_objective(ch, gamma, *stencil)
+        a0, b0, c0, d0 = np.split(s0, 4)
+        a1, b1, c1, d1 = np.split(s1, 4)
         j00 = (a0 - b0) / (2 * h)
         j10 = (a1 - b1) / (2 * h)
         j01 = (c0 - d0) / (2 * h)
         j11 = (c1 - d1) / (2 * h)
         det = j00 * j11 - j01 * j10
-        bad = work & ((np.abs(det) < 1e-30) | ~np.isfinite(det))
-        alive &= ~bad
-        work &= ~bad
-        safe = np.where(np.abs(det) < 1e-30, 1.0, det)
-        dth = np.where(work, -(j11 * g0 - j01 * g1) / safe, 0.0)
-        dph = np.where(work, -(-j10 * g0 + j00 * g1) / safe, 0.0)
+        regular = (np.abs(det) >= 1e-30) & np.isfinite(det)
+        safe = np.where(regular, det, 1.0)
+        dth = -(j11 * g0 - j01 * g1) / safe
+        dph = -(-j10 * g0 + j00 * g1) / safe
 
-        alpha = np.ones_like(th)
-        accepted = ~work
-        for _ in range(50):
-            if accepted.all():
+        # a start with a regular Jacobian takes the first k whose trial
+        # lowers its gradient norm: the step that halving one at a time takes
+        todo = np.flatnonzero(regular)
+        keep = np.zeros(live.size, bool)
+        k0 = 0
+        for rung in HALVING_RUNGS:
+            if not todo.size:
                 break
-            tt = th + np.where(accepted, 0.0, alpha * dth)
-            pp = ph + np.where(accepted, 0.0, alpha * dph)
-            e0, e1 = grad(tt, pp)
+            alpha = np.ldexp(1.0, -np.arange(k0, k0 + rung))[:, None]
+            tt, pp = t[todo] + alpha * dth[todo], p[todo] + alpha * dph[todo]
+            e0, e1 = (e.reshape(tt.shape) for e in grad_objective(ch, gamma, tt.ravel(), pp.ravel()))
             en = np.hypot(e0, e1)
-            better = ~accepted & np.isfinite(en) & (en < gn)
-            th = np.where(better, tt, th)
-            ph = np.where(better, pp, ph)
-            accepted |= better
-            alpha = np.where(accepted, alpha, alpha / 2.0)
-        alive &= ~(work & ~accepted)
+            lower = np.isfinite(en) & (en < gn[todo])
+            hit = lower.any(axis=0)
+            k, j, i = np.argmax(lower, axis=0)[hit], np.flatnonzero(hit), todo[hit]
+            th[live[i]], ph[live[i]] = tt[k, j], pp[k, j]
+            g0[i], g1[i], gn[i] = e0[k, j], e1[k, j], en[k, j]
+            keep[i] = True
+            todo = todo[~hit]
+            k0 += rung
+        live, g0, g1, gn = live[keep], g0[keep], g1[keep], gn[keep]
 
-    g0, g1 = grad(th, ph)
-    keep = alive & (np.hypot(g0, g1) < NEWTON_TOL)
-    return th[keep], ph[keep]
+    root[live[gn < NEWTON_TOL]] = True
+    return th[root], ph[root]
 
 
 def _stationary_points_1d(ch, gamma, sa):
@@ -406,14 +432,15 @@ def _stationary_points_1d(ch, gamma, sa):
     return pts
 
 
-def find_stationary_points(ch, gamma, n_theta=24, n_phi=48):
+def find_stationary_points(ch, gamma):
     """All stationary points of J: universal candidates plus Newton roots.
 
-    Newton starts on an n_theta x n_phi grid covering theta in (0, pi/2)
-    and phi in [0, 2 pi); the outcome-swap symmetry maps that patch onto the
-    rest of the sphere.  Roots are folded to canonical angles, merged within
-    an angle of 1e-5, verified to scaled gradient norm < 1e-7 and classified
-    by their polar angle.
+    Damped Newton runs from a NEWTON_GRID of starts covering theta in
+    (0, pi/2) and phi in [0, 2 pi), batched over the starts still iterating;
+    the outcome-swap symmetry maps that patch onto the rest of the sphere.
+    Roots are folded to canonical angles, merged within an angle of 1e-5,
+    verified to scaled gradient norm < 1e-7 and classified by their polar
+    angle.
 
     Degenerate landscapes are collapsed to representatives: a flat objective
     (constant channel) reports the single canonical point (pi/2, 0), and a
@@ -432,6 +459,7 @@ def find_stationary_points(ch, gamma, n_theta=24, n_phi=48):
     if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11:
         return _stationary_points_1d(ch, gamma, sa)
 
+    n_theta, n_phi = NEWTON_GRID
     t0 = (np.arange(n_theta) + 0.5) * (np.pi / 2) / n_theta
     p0 = np.arange(n_phi) * (2 * np.pi) / n_phi
     tt, pp = np.meshgrid(t0, p0, indexing="ij")

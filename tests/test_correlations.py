@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qdiscord import bloch, choi
+from qdiscord import bloch, choi, correlations
 from qdiscord.bloch import affine_from_kraus
 from qdiscord.choi import KrausSet, decompose, rotate_b
 from qdiscord.correlations import (
@@ -372,3 +372,53 @@ def test_conditional_entropies_and_gradient_accept_arrays():
         assert abs(ce_dir[idx] - conditional_entropy_direct(rho, th[idx], ph[idx])) < 1e-15
         g = grad_objective(ch, d.gamma, th[idx], ph[idx])
         assert abs(gt[idx] - g[0]) < 1e-14 and abs(gp[idx] - g[1]) < 1e-14
+
+
+def channel_of(rho):
+    d = decompose(rho)
+    return affine_from_kraus(d.kraus), d.gamma
+
+
+@pytest.mark.parametrize(
+    "solve, seed, budget",
+    [(find_stationary_points, 1177, 600), (universal_candidates, 1003, 56)],
+)
+def test_gradient_call_budget(monkeypatch, solve, seed, budget):
+    # the Newton multistart calls the gradient on its live starts only, and
+    # bisection stops once its brackets stop changing
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return grad_objective(*args)
+
+    monkeypatch.setattr(correlations, "grad_objective", counted)
+    solve(*channel_of(random_state(seed)))
+    assert 0 < len(calls) <= budget
+
+
+# (kind, theta, phi, objective) of every stationary point, as computed by the
+# full-width Newton multistart that evaluated every start until the last
+# one finished; the batched search must take the same steps to the same roots
+PINNED_POINTS = {
+    "lu": [
+        (STATE_DEPENDENT, 0.48830647886735257, 0.0, 0.033597366537359896),
+        (ASYMMETRIC, 0.0, 0.0, 0.03358771880935019),
+        (SYMMETRIC, 1.5707963267948966, 0.0, 0.033535492210052364),
+    ],
+    "random_state(1003)": [
+        (STATE_DEPENDENT, 1.0992188906534142, 5.439881863953256, 0.21022899032723297),
+        (ASYMMETRIC, 0.0, 0.8415226929782893, 0.08771033190029232),
+        (STATE_DEPENDENT, 0.39140681495054797, 2.0540395566409106, 0.0646297672443712),
+        (STATE_DEPENDENT, 1.4699480639569318, 3.8272546338553743, 0.00017589952361718453),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, rho", [("lu", lu_state()), ("random_state(1003)", random_state(1003))])
+def test_stationary_points_pinned(name, rho):
+    pts = find_stationary_points(*channel_of(rho))
+    assert [q.kind for q in pts] == [row[0] for row in PINNED_POINTS[name]]
+    got = np.array([q.as_row()[1:4] for q in pts])
+    assert_allclose(got, np.array([row[1:] for row in PINNED_POINTS[name]]), rtol=0, atol=1e-15)
+    assert max(q.grad_norm for q in pts) < 1e-15
