@@ -2,7 +2,8 @@
 
 A single-qubit state is rho = (I + r.sigma)/2 with a real vector r of norm
 <= 1.  A trace-preserving channel acts on Bloch vectors as the affine map
-r -> eta r + c with a real 3x3 matrix eta and a shift c.
+r -> eta r + c with a real 3x3 matrix eta and a shift c.  The Pauli
+expansion :func:`to_bloch` and its inverse also map stacks of matrices.
 
 The projective measurement on qubit b is parametrized by polar/azimuthal
 angles (theta, phi).  Conditioned on the outcome, qubit a collapses to a
@@ -31,18 +32,15 @@ class DegenerateOutcomeError(ValueError):
 
 
 def to_bloch(rho):
-    """Bloch vector r_k = Tr(rho sigma_k) of a 2x2 Hermitian matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    return np.array([np.real(np.trace(rho @ s)) for s in PAULIS])
+    """Bloch vector r_k = Tr(rho sigma_k) of a 2x2 Hermitian matrix, or of
+    each matrix in a stack of shape (..., 2, 2), giving shape (..., 3)."""
+    return np.real(np.einsum("kij,...ji->...k", PAULIS, np.asarray(rho, dtype=complex)))
 
 
 def from_bloch(r):
-    """State (I + r.sigma)/2 for a real 3-vector r."""
-    r = np.asarray(r, dtype=float)
-    out = np.array(I2) / 2
-    for rk, s in zip(r, PAULIS):
-        out = out + 0.5 * rk * s
-    return out
+    """State (I + r.sigma)/2 for a real 3-vector r, or for each vector in a
+    stack of shape (..., 3), giving shape (..., 2, 2)."""
+    return (I2 + np.tensordot(np.asarray(r, dtype=float), PAULIS, axes=1)) / 2
 
 
 @dataclass
@@ -63,18 +61,16 @@ def affine_from_kraus(kraus):
 
     Columns of eta are the Bloch images of the Pauli inputs,
     eta[j, i] = Tr(sigma_j eps(sigma_i)) / 2, and c is the Bloch vector of
-    eps(I)/...; together they satisfy
+    eps(I)/2: one channel application to the stack (I, sigma_x, sigma_y,
+    sigma_z) and one Pauli expansion.  Together they satisfy
     ``to_bloch(apply_channel(k, rho)) == eta @ to_bloch(rho) + c``.
     """
     from .choi import apply_channel
 
-    eta = np.zeros((3, 3))
-    for i, s in enumerate(PAULIS):
-        out = apply_channel(kraus, s)
-        for j, sj in enumerate(PAULIS):
-            eta[j, i] = np.real(np.trace(sj @ out)) / 2
-    c = to_bloch(apply_channel(kraus, I2)) / 2
-    return AffineChannel(eta=eta, c=c)
+    r = to_bloch(apply_channel(kraus, np.concatenate([I2[None], PAULIS]))) / 2
+    # C order: a transposed view would change the summation order, and so
+    # the last bits, of every matmul with eta in the solver
+    return AffineChannel(eta=np.ascontiguousarray(r[1:].T), c=r[0])
 
 
 def conditional_probabilities(gamma, theta):
@@ -161,12 +157,7 @@ def direction_to_angles(n):
 def unitary_to_rotation(u):
     """SO(3) rotation R of a 2x2 unitary: u (n.sigma) u^+ = (R n).sigma."""
     u = np.asarray(u, dtype=complex)
-    r = np.zeros((3, 3))
-    for j, sj in enumerate(PAULIS):
-        img = u @ sj @ dagger(u)
-        for i, si in enumerate(PAULIS):
-            r[i, j] = np.real(np.trace(si @ img)) / 2
-    return r
+    return np.ascontiguousarray(to_bloch(u @ PAULIS @ dagger(u)).T) / 2
 
 
 def fold_angles(v, theta, phi):

@@ -8,7 +8,8 @@ as a qubit channel acting on one arm of a pure entangled reference state
 after a basis rotation on qubit b that diagonalizes its marginal.  The
 channel comes out as a Kraus set built from the eigendecomposition of the
 state, via the row-major operator <-> vector correspondence
-``vec(A)[2i+j] = A[i, j]``.
+``vec(A)[2i+j] = A[i, j]``.  A channel applies to one 2x2 operator or to a
+stack of them, shape (..., 2, 2), in one array call.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ def sandwich_identity_check(a, rho, b):
     return float(np.linalg.norm(lhs - rhs))
 
 
+def _stack(kraus):
+    """The Kraus operators as one array of shape (m, 2, 2)."""
+    return np.reshape(np.asarray(kraus.operators, dtype=complex), (-1, 2, 2))
+
+
 @dataclass
 class KrausSet:
     """Trace-preserving channel as operators {E_m}, sum E_m^+ E_m = I."""
@@ -56,10 +62,8 @@ class KrausSet:
     operators: list = field(default_factory=list)
 
     def completeness_residual(self):
-        acc = np.zeros((2, 2), dtype=complex)
-        for e in self.operators:
-            acc += dagger(e) @ e
-        return frobenius(acc - I2)
+        e = _stack(self)
+        return frobenius(np.einsum("mji,mjk->ik", e.conj(), e) - I2)
 
 
 @dataclass
@@ -102,15 +106,13 @@ def rotate_b(rho, v):
     return u @ np.asarray(rho, dtype=complex) @ dagger(u)
 
 
-def decompose(rho, rank_tol=RANK_TOL):
+def decompose(rho):
     """Extract the channel/reference-state form of a two-qubit state.
 
     Parameters
     ----------
     rho : array_like
         Valid two-qubit density matrix.
-    rank_tol : float
-        Smallest admissible eigenvalue of the b marginal.
 
     Returns
     -------
@@ -119,15 +121,15 @@ def decompose(rho, rank_tol=RANK_TOL):
     Raises
     ------
     SingularMarginalError
-        If the smaller eigenvalue of the b marginal is <= ``rank_tol``; the
+        If the smaller eigenvalue of the b marginal is <= :data:`RANK_TOL`; the
         state is then a product with a pure b factor and carries no channel.
     """
     rho = check_density_matrix(rho)
     rho_b = partial_trace_a(rho)
     bvals, bvecs = herm_eig(rho_b)
-    if bvals[-1] <= rank_tol:
+    if bvals[-1] <= RANK_TOL:
         raise SingularMarginalError(
-            f"marginal eigenvalue {bvals[-1]:.3e} <= {rank_tol:.1e}; "
+            f"marginal eigenvalue {bvals[-1]:.3e} <= {RANK_TOL:.1e}; "
             "state is a product with a pure b factor"
         )
     # rotate b so its marginal is diag(cos^2(g/2), sin^2(g/2)), larger first
@@ -159,23 +161,23 @@ def decompose(rho, rank_tol=RANK_TOL):
 
 
 def reconstruct(d):
-    """Rebuild the original state from a :class:`CJDecomposition`."""
+    """Rebuild the original state from a :class:`CJDecomposition`.
+
+    This is the isomorphism itself: the channel acts on qubit a of
+    |ref><ref|, that is on each of its four 2x2 blocks (a, a') at fixed
+    (b, b'), and the b-basis rotation is undone.
+    """
     phi = d.reference_state
-    acc = np.zeros((4, 4), dtype=complex)
-    for e in d.kraus.operators:
-        w = tensor(e, I2) @ phi
-        acc += np.outer(w, w.conj())
-    # undo the b-basis rotation
+    blocks = np.outer(phi, phi.conj()).reshape(2, 2, 2, 2).transpose(1, 3, 0, 2)
+    acc = apply_channel(d.kraus, blocks).transpose(2, 0, 3, 1).reshape(4, 4)
     return rotate_b(acc, dagger(d.basis_rotation))
 
 
 def apply_channel(kraus, rho):
-    """Apply the channel sum_m E_m rho E_m^+ to a single-qubit operator."""
-    rho = np.asarray(rho, dtype=complex)
-    acc = np.zeros((2, 2), dtype=complex)
-    for e in kraus.operators:
-        acc += e @ rho @ dagger(e)
-    return acc
+    """Apply the channel sum_m E_m rho E_m^+ to a single-qubit operator, or
+    to each operator in a stack of shape (..., 2, 2)."""
+    e = _stack(kraus)
+    return np.einsum("mij,...jk,mlk->...il", e, np.asarray(rho, dtype=complex), e.conj())
 
 
 def channel_fidelity(rho, d):

@@ -151,18 +151,13 @@ def cmd_sweep(args, out):
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     ce = correlations.conditional_entropy_direct(rho, tt, pp)
 
-    lines = ["theta,phi,cond_entropy,objective"]
-    for i in range(n_theta):
-        for j in range(n_phi):
-            lines.append(
-                f"{tt[i, j]:.17g},{pp[i, j]:.17g},{ce[i, j]:.17g},{sa - ce[i, j]:.17g}"
-            )
-    text = "\n".join(lines) + "\n"
+    rows = np.column_stack([tt.ravel(), pp.ravel(), ce.ravel(), sa - ce.ravel()])
+    csv = dict(fmt="%.17g", delimiter=",", header="theta,phi,cond_entropy,objective", comments="")
     if args.output == "-":
-        out.write(text)
+        np.savetxt(out, rows, **csv)
     else:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            np.savetxt(fh, rows, **csv)
     return EXIT_OK
 
 

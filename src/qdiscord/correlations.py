@@ -54,6 +54,8 @@ HALVING_RUNGS = (1, 8, 41)
 MERGE_TOL = 1e-5
 #: Angular slack when classifying a root as polar/equatorial.
 CLASSIFY_TOL = 1e-6
+#: Points whose objectives are this close to the best count as tied optima.
+OPTIMUM_TIE_TOL = 1e-10
 #: Smallest (n_theta, n_phi) grid the oracle accepts.
 ORACLE_MIN_GRID = (64, 128)
 #: Oracle zoom: points per axis of the patch, rounds, and the factor by
@@ -273,6 +275,12 @@ def _bisect_roots(f, x, fx):
     return np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
 
 
+def _point_key(q):
+    """Report order of stationary points: best objective first, then the
+    smallest (theta, phi)."""
+    return -q.objective, q.theta, q.phi
+
+
 def _classify(theta):
     if theta < CLASSIFY_TOL:
         return ASYMMETRIC
@@ -427,9 +435,7 @@ def _stationary_points_1d(ch, gamma, sa):
     thetas = np.linspace(0.0, np.pi / 2, 2001)[1:-1]
     roots = _bisect_roots(dtheta, thetas, dtheta(thetas))
     pts = _merge(ch, gamma, sa, np.array([0.0, np.pi / 2]), np.zeros(2))
-    pts = _merge(ch, gamma, sa, roots, np.zeros_like(roots), pts)
-    pts.sort(key=lambda q: (-q.objective, q.theta, q.phi))
-    return pts
+    return _merge(ch, gamma, sa, roots, np.zeros_like(roots), pts)
 
 
 def find_stationary_points(ch, gamma):
@@ -457,16 +463,15 @@ def find_stationary_points(ch, gamma):
         obj = sa - float(ce_scan.mean())
         return [StationaryPoint(np.pi / 2, 0.0, obj, 0.0, SYMMETRIC)]
     if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11:
-        return _stationary_points_1d(ch, gamma, sa)
-
-    n_theta, n_phi = NEWTON_GRID
-    t0 = (np.arange(n_theta) + 0.5) * (np.pi / 2) / n_theta
-    p0 = np.arange(n_phi) * (2 * np.pi) / n_phi
-    tt, pp = np.meshgrid(t0, p0, indexing="ij")
-    rth, rph = _newton_batch(ch, gamma, tt.ravel(), pp.ravel())
-    pts = _merge(ch, gamma, sa, rth, rph, universal_candidates(ch, gamma))
-    pts.sort(key=lambda q: (-q.objective, q.theta, q.phi))
-    return pts
+        pts = _stationary_points_1d(ch, gamma, sa)
+    else:
+        n_theta, n_phi = NEWTON_GRID
+        t0 = (np.arange(n_theta) + 0.5) * (np.pi / 2) / n_theta
+        p0 = np.arange(n_phi) * (2 * np.pi) / n_phi
+        tt, pp = np.meshgrid(t0, p0, indexing="ij")
+        rth, rph = _newton_batch(ch, gamma, tt.ravel(), pp.ravel())
+        pts = _merge(ch, gamma, sa, rth, rph, universal_candidates(ch, gamma))
+    return sorted(pts, key=_point_key)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +530,24 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
 # assembly
 # ---------------------------------------------------------------------------
 
+def report_from_points(info, points, basis_rotation, method):
+    """The :class:`DiscordReport` of the channel path's candidate points.
+
+    ``points`` are :class:`StationaryPoint` in the decomposition frame of
+    ``basis_rotation``.  The optimum is the smallest (theta, phi) among the
+    points within OPTIMUM_TIE_TOL of the best objective; C is its
+    objective, and its angles are folded into the original frame of qubit
+    b.  The report lists the points best objective first.
+    """
+    pts = sorted(points, key=_point_key)
+    best = min(
+        (q for q in pts if q.objective >= pts[0].objective - OPTIMUM_TIE_TOL),
+        key=lambda q: (q.theta, q.phi),
+    )
+    theta, phi = bloch.fold_angles(basis_rotation, best.theta, best.phi)
+    return DiscordReport(info, best.objective, info - best.objective, theta, phi, method, pts)
+
+
 def discord(rho, method="stationary", oracle_resolution=(64, 128)):
     """Mutual information, classical correlation and discord of a state.
 
@@ -541,6 +564,13 @@ def discord(rho, method="stationary", oracle_resolution=(64, 128)):
 
     Notes
     -----
+    Both channel-path methods pick the optimum by one rule, in
+    :func:`report_from_points`: of the points within 1e-10 of the best
+    objective, the one with the smallest decomposition-frame (theta, phi);
+    C is that point's objective.  Tied optima, such as the polar and
+    equatorial settings of a Bell-diagonal state with two equal largest
+    |c_i|, thus resolve alike whichever method found them.
+
     A state whose b marginal is numerically pure is a product state with
     zero correlations; it short-circuits to C = I and Q = 0 without a
     decomposition.
@@ -569,14 +599,7 @@ def discord(rho, method="stationary", oracle_resolution=(64, 128)):
 
     if method == "stationary":
         d = choi.decompose(rho)
-        ch = bloch.affine_from_kraus(d.kraus)
-        pts = find_stationary_points(ch, d.gamma)
-        best_obj = max(q.objective for q in pts)
-        best = min(
-            (q for q in pts if q.objective >= best_obj - 1e-10),
-            key=lambda q: (q.theta, q.phi),
-        )
-        theta, phi = bloch.fold_angles(d.basis_rotation, best.theta, best.phi)
-        return DiscordReport(info, best.objective, info - best.objective, theta, phi, method, pts)
+        pts = find_stationary_points(bloch.affine_from_kraus(d.kraus), d.gamma)
+        return report_from_points(info, pts, d.basis_rotation, method)
 
     raise ValueError(f"unknown method {method!r}")

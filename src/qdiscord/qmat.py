@@ -14,12 +14,15 @@ I4 = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+#: The Pauli matrices stacked along axis 0, shape (3, 2, 2).
+PAULIS = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 #: Hermiticity / trace tolerance for density-matrix validation.
 HERM_TOL = 1e-12
 #: Eigenvalues above this (negative) floor count as nonnegative.
 PSD_TOL = -1e-10
+#: Largest Hermiticity residual (Frobenius) :func:`herm_eig` accepts.
+EIG_HERM_TOL = 1e-10
 
 
 def frobenius(m):
@@ -86,15 +89,13 @@ def partial_trace_b(rho):
     return np.einsum("ijkj->ik", rho)
 
 
-def herm_eig(m, tol=1e-10):
+def herm_eig(m):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Parameters
     ----------
     m : array_like
-        Square Hermitian matrix.
-    tol : float
-        Largest allowed Hermiticity residual (Frobenius).
+        Square Hermitian matrix, to within :data:`EIG_HERM_TOL`.
 
     Returns
     -------
@@ -104,7 +105,7 @@ def herm_eig(m, tol=1e-10):
     """
     m = np.asarray(m, dtype=complex)
     res = frobenius(m - dagger(m))
-    if res >= tol:
+    if res >= EIG_HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (residual {res:.3e})")
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2)
     # stable: degenerate eigenvalues keep the solver's emitted order

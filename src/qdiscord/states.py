@@ -190,12 +190,6 @@ def load(path):
         return parse(fh.read())
 
 
-def save(rho, path):
-    """Write a state to a file in the text format."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize(rho))
-
-
 # ---------------------------------------------------------------------------
 # named-state grammar:  family:p1,p2,...
 # ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@ from . import bloch, choi
 from .correlations import (
     ASYMMETRIC,
     SYMMETRIC,
-    DiscordReport,
     StationaryPoint,
     grad_objective,
     mutual_information,
     output_marginal_entropy,
+    report_from_points,
 )
 from .qmat import binary_entropy, check_density_matrix, partial_trace_a
 
@@ -40,18 +40,18 @@ BLOCK_TOL = 1e-8
 #: b^2 - c a below this is treated as degenerate (k undefined).
 DEGENERATE_TOL = 1e-12
 
-# row/column pairs (0-based) that must vanish for the X pattern
-_OFF_PATTERN = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
+# entries that must vanish for the X pattern: all but both diagonals
+_OFF_PATTERN = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 class NotApplicableError(ValueError):
     """The analytic X-state path does not cover this input."""
 
 
-def is_x_state(rho, tol=X_PATTERN_TOL):
-    """True when all eight off-pattern entries vanish to within ``tol``."""
-    rho = np.asarray(rho, dtype=complex)
-    return all(abs(rho[i, j]) < tol for i, j in _OFF_PATTERN)
+def is_x_state(rho):
+    """True when all eight off-pattern entries vanish to within
+    :data:`X_PATTERN_TOL`."""
+    return bool(np.all(np.abs(np.asarray(rho, dtype=complex)[_OFF_PATTERN]) < X_PATTERN_TOL))
 
 
 def _require_block_form(ch):
@@ -175,6 +175,9 @@ def analytic_discord_x(rho):
 
     * equatorial: s' = t' = sqrt(a) at theta = pi/2, the best azimuth;
     * polar: s' = |c_z + eta_zz|, t' = |c_z - eta_zz| at theta = 0.
+
+    Tied candidates resolve as in :func:`qdiscord.correlations.discord`: to
+    the polar one, the smaller theta.
     """
     rho = check_density_matrix(rho)
     if not is_x_state(rho):
@@ -213,15 +216,4 @@ def analytic_discord_x(rho):
         StationaryPoint(np.pi / 2, phi_eq, obj_eq, float(gn[0]), SYMMETRIC),
         StationaryPoint(0.0, 0.0, obj_pol, float(gn[1]), ASYMMETRIC),
     ]
-    candidates.sort(key=lambda q: (-q.objective, q.theta, q.phi))
-    best = candidates[0]
-    theta, phi = bloch.fold_angles(d.basis_rotation, best.theta, best.phi)
-    return DiscordReport(
-        mutual_info=info,
-        classical_corr=best.objective,
-        discord=info - best.objective,
-        theta=theta,
-        phi=phi,
-        method="xstate_analytic",
-        stationary_points=candidates,
-    )
+    return report_from_points(info, candidates, d.basis_rotation, "xstate_analytic")

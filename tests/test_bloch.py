@@ -19,7 +19,7 @@ from qdiscord.bloch import (
     unitary_to_rotation,
 )
 from qdiscord.choi import KrausSet, decompose
-from qdiscord.qmat import I2, I4, SIGMA_X, partial_trace_a, partial_trace_b
+from qdiscord.qmat import I2, I4, PAULIS, SIGMA_X, partial_trace_a, partial_trace_b
 from qdiscord.states import lu_state, random_state
 from util import random_unitary
 
@@ -29,6 +29,18 @@ def test_to_bloch_examples():
     assert_allclose(to_bloch(np.diag([1.0, 0.0]).astype(complex)), [0, 0, 1], atol=1e-15)
     plus = np.full((2, 2), 0.5, dtype=complex)
     assert_allclose(to_bloch(plus), [1, 0, 0], atol=1e-15)
+
+
+def test_to_bloch_stack_matches_per_matrix():
+    rng = np.random.default_rng(20)
+    g = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    stack = g @ np.conj(np.swapaxes(g, -1, -2))
+    stack /= np.trace(stack, axis1=1, axis2=2).real[:, None, None]
+    r = to_bloch(stack)
+    assert r.shape == (5, 3)
+    for k in range(5):
+        assert_allclose(r[k], to_bloch(stack[k]), rtol=0, atol=1e-15)
+    assert_allclose(from_bloch(r), stack, atol=1e-14)
 
 
 def test_bloch_roundtrip():
@@ -61,6 +73,23 @@ def test_affine_matches_kraus_action():
         rho /= np.trace(rho).real
         lhs = to_bloch(choi.apply_channel(d.kraus, rho))
         assert_allclose(lhs, ch(to_bloch(rho)), atol=1e-10)
+
+
+def test_affine_from_kraus_matches_pauli_trace_reference():
+    for seed in (12, 31, 47):
+        ops = decompose(random_state(seed)).kraus.operators
+        eta = np.zeros((3, 3))
+        c = np.zeros(3)
+        for i, si in enumerate(PAULIS):
+            out = sum(e @ si @ e.conj().T for e in ops)
+            for j, sj in enumerate(PAULIS):
+                eta[j, i] = np.trace(sj @ out).real / 2
+        out = sum(e @ e.conj().T for e in ops)
+        for j, sj in enumerate(PAULIS):
+            c[j] = np.trace(sj @ out).real / 2
+        ch = affine_from_kraus(KrausSet(ops))
+        assert_allclose(ch.eta, eta, rtol=0, atol=1e-15)
+        assert_allclose(ch.c, c, rtol=0, atol=1e-15)
 
 
 def test_affine_block_form_for_x_state():

@@ -150,6 +150,18 @@ def test_apply_channel_preserves_trace():
         assert abs(np.trace(apply_channel(d.kraus, rho)).real - 1.0) < 1e-12
 
 
+def test_apply_channel_stack_matches_per_matrix():
+    rng = np.random.default_rng(5)
+    d = decompose(random_state(9))
+    stack = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+    out = apply_channel(d.kraus, stack)
+    assert out.shape == stack.shape
+    for idx in np.ndindex(3, 4):
+        assert_allclose(out[idx], apply_channel(d.kraus, stack[idx]), rtol=0, atol=1e-15)
+        ref = sum(e @ stack[idx] @ e.conj().T for e in d.kraus.operators)
+        assert_allclose(out[idx], ref, rtol=0, atol=1e-14)
+
+
 def test_channel_fidelity_identity_channel():
     rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
     assert abs(channel_fidelity(rho, decompose(rho)) - 1.0) < 1e-12

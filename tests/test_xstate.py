@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qdiscord.bloch import AffineChannel, affine_from_kraus, conditional_purities
+from qdiscord.bloch import AffineChannel, affine_from_kraus, conditional_purities, measurement_distance
 from qdiscord.choi import decompose
 from qdiscord.correlations import ASYMMETRIC, SYMMETRIC, discord, grid_oracle
 from qdiscord.qmat import I4, binary_entropy
@@ -209,3 +209,15 @@ def test_analytic_agrees_with_solver_and_oracle():
         rep_s = discord(rho, method="stationary")
         assert abs(rep.classical_corr - rep_s.classical_corr) < 1e-8
         assert abs(rep.discord - rep_s.discord) < 1e-8
+
+
+@pytest.mark.parametrize("triple", [(0.5, -0.2, 0.5), (-0.4, 0.1, 0.4)])
+def test_tied_optimum_resolves_alike_in_both_channel_methods(triple):
+    # two equal largest |c_i|: the polar and equatorial settings tie, and
+    # both methods must report the same one (flat landscapes, where every
+    # angle is optimal, are out of scope)
+    rho = bell_diagonal(*triple)
+    rep_s = discord(rho, method="stationary")
+    rep_x = discord(rho, method="xstate_analytic")
+    assert measurement_distance((rep_s.theta, rep_s.phi), (rep_x.theta, rep_x.phi)) < 1e-9
+    assert abs(rep_s.classical_corr - rep_x.classical_corr) < 1e-12
