@@ -39,13 +39,17 @@ LN2 = np.log(2.0)
 SATURATION_CLAMP = 1e-12
 #: Scaled gradient norm required of a reported stationary point.
 STATIONARY_TOL = 1e-7
-#: Newton convergence threshold on the raw gradient norm.
+#: Raw gradient norm below which a polished Newton start counts as a root.
 NEWTON_TOL = 1e-10
-#: Newton starts per axis: theta in (0, pi/2), phi in [0, 2 pi).
-NEWTON_GRID = (24, 48)
+#: Gradient scan that seeds Newton, points per axis: theta in [0, pi/2] and
+#: phi in [0, 2 pi], ends included.
+SEED_GRID = (25, 49)
 #: Newton iterations per start, and the step of its central-difference Jacobian.
 NEWTON_MAX_ITER = 100
 NEWTON_FD_STEP = 1e-6
+#: Bisection steps per gradient call: one call evaluates the 2**6 - 1
+#: midpoints of the next six levels of every bracket's bisection tree.
+BISECT_LEVELS = 6
 #: The line search tries alpha = 2**-k for k = 0, 1, ..., 49, these many
 #: values of k per gradient call, and takes the first k that lowers the
 #: gradient norm.
@@ -256,22 +260,42 @@ def conditional_entropy_direct(rho, theta, phi):
 
 def _bisect_roots(f, x, fx):
     """Roots of f on the grid x, where fx = f(x): every sign change between
-    neighbours, all bisected at once to machine precision, and every grid
-    point but the last where f is exactly zero.  Sorted.
+    neighbours, all bisected at once to machine precision (64 steps at
+    most), and every grid point but the last where f is exactly zero.
+    Sorted.
 
-    Bisection stops early once a step leaves every bracket as it was: each
-    later step would repeat it."""
+    One call of f serves BISECT_LEVELS steps of every bracket: it evaluates
+    the midpoints of the next BISECT_LEVELS levels of each bracket's
+    bisection tree, and the steps then follow one path down the tree, each
+    keeping the half where f changes sign, as if its midpoint alone had been
+    evaluated.  Bisection stops early once a step leaves every bracket as it
+    was: each later step would repeat it."""
     exact = x[:-1][fx[:-1] == 0.0]
     k = np.flatnonzero(fx[:-1] * fx[1:] < 0.0)
     lo, hi, flo = x[k], x[k + 1], fx[k]
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        left = flo * fm <= 0.0
-        step = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
-        if all(np.array_equal(a, b) for a, b in zip(step, (lo, hi, flo))):
-            break
-        lo, hi, flo = step
+    cols = np.arange(k.size)
+    steps, stalled = 0, not k.size
+    while not stalled and steps < 64:
+        levels = min(BISECT_LEVELS, 64 - steps)
+        # the tree in heap order: level l is 2**l rows of midpoints, between
+        # 2**l + 1 rows of edges, and row r has children 2r + 1 and 2r + 2
+        edges, mids = np.stack([lo, hi]), []
+        for _ in range(levels):
+            mids.append(0.5 * (edges[:-1] + edges[1:]))
+            edges = np.insert(edges, np.arange(1, len(edges)), mids[-1], axis=0)
+        tree = np.concatenate(mids)
+        f_tree = f(tree.ravel()).reshape(tree.shape)
+        row = np.zeros(k.size, int)
+        for _ in range(levels):
+            mid, fm = tree[row, cols], f_tree[row, cols]
+            left = flo * fm <= 0.0
+            step = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+            stalled = all(np.array_equal(a, b) for a, b in zip(step, (lo, hi, flo)))
+            if stalled:
+                break
+            lo, hi, flo = step
+            row = 2 * row + 2 - left
+            steps += 1
     return np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
 
 
@@ -361,22 +385,18 @@ def _newton_batch(ch, gamma, th0, ph0):
     accepts the first k lowering the gradient norm.  Each gradient call
     serves every live start: the four stencil points in one call, the line
     search in one call per rung of HALVING_RUNGS, and the gradient at an
-    accepted step is the next iteration's.  A start leaves the batch once
-    its gradient norm is below NEWTON_TOL (a root) or not finite, its
-    Jacobian is singular, or no step length lowers the norm.  Returns the
-    roots, in start order.
+    accepted step is the next iteration's.  A start polishes down to the
+    gradient floor: it leaves the batch only when its Jacobian is singular
+    or not finite, no step length lowers its norm, or it has taken
+    NEWTON_MAX_ITER iterations.  It is a root if its final gradient norm is
+    below NEWTON_TOL, so a root does not depend on which start reached it.
+    Returns the roots, in start order.
     """
     th, ph = np.array(th0, float), np.array(ph0, float)
-    root = np.zeros(th.shape, bool)
-    live = np.arange(th.size)
     g0, g1 = grad_objective(ch, gamma, th, ph)
-    gn = np.hypot(g0, g1)
+    norm, live = np.hypot(g0, g1), np.arange(th.size)
     h = NEWTON_FD_STEP
     for _ in range(NEWTON_MAX_ITER):
-        conv = gn < NEWTON_TOL
-        root[live[conv]] = True
-        keep = ~conv & np.isfinite(gn)
-        live, g0, g1, gn = live[keep], g0[keep], g1[keep], gn[keep]
         if not live.size:
             break
 
@@ -407,17 +427,17 @@ def _newton_batch(ch, gamma, th0, ph0):
             tt, pp = t[todo] + alpha * dth[todo], p[todo] + alpha * dph[todo]
             e0, e1 = (e.reshape(tt.shape) for e in grad_objective(ch, gamma, tt.ravel(), pp.ravel()))
             en = np.hypot(e0, e1)
-            lower = np.isfinite(en) & (en < gn[todo])
+            lower = np.isfinite(en) & (en < norm[live[todo]])
             hit = lower.any(axis=0)
             k, j, i = np.argmax(lower, axis=0)[hit], np.flatnonzero(hit), todo[hit]
-            th[live[i]], ph[live[i]] = tt[k, j], pp[k, j]
-            g0[i], g1[i], gn[i] = e0[k, j], e1[k, j], en[k, j]
+            th[live[i]], ph[live[i]], norm[live[i]] = tt[k, j], pp[k, j], en[k, j]
+            g0[i], g1[i] = e0[k, j], e1[k, j]
             keep[i] = True
             todo = todo[~hit]
             k0 += rung
-        live, g0, g1, gn = live[keep], g0[keep], g1[keep], gn[keep]
+        live, g0, g1 = live[keep], g0[keep], g1[keep]
 
-    root[live[gn < NEWTON_TOL]] = True
+    root = norm < NEWTON_TOL
     return th[root], ph[root]
 
 
@@ -438,15 +458,32 @@ def _stationary_points_1d(ch, gamma, sa):
     return _merge(ch, gamma, sa, roots, np.zeros_like(roots), pts)
 
 
+def _landscape_seeds(ch, gamma):
+    """Newton starts from one gradient scan on the SEED_GRID over theta in
+    [0, pi/2] and phi in [0, 2 pi]: the centre of every cell where both
+    components strictly change sign among the cell's four corners."""
+    n_theta, n_phi = SEED_GRID
+    th, ph = np.linspace(0.0, np.pi / 2, n_theta), np.linspace(0.0, 2 * np.pi, n_phi)
+    seed = np.ones((n_theta - 1, n_phi - 1), bool)
+    for g in grad_objective(ch, gamma, *np.meshgrid(th, ph, indexing="ij")):
+        corners = np.stack([g[:-1, :-1], g[1:, :-1], g[:-1, 1:], g[1:, 1:]])
+        seed &= (corners.min(axis=0) < 0.0) & (corners.max(axis=0) > 0.0)
+    i, j = np.nonzero(seed)
+    return 0.5 * (th[i] + th[i + 1]), 0.5 * (ph[j] + ph[j + 1])
+
+
 def find_stationary_points(ch, gamma):
     """All stationary points of J: universal candidates plus Newton roots.
 
-    Damped Newton runs from a NEWTON_GRID of starts covering theta in
-    (0, pi/2) and phi in [0, 2 pi), batched over the starts still iterating;
-    the outcome-swap symmetry maps that patch onto the rest of the sphere.
+    Damped Newton runs from the cells of a gradient scan over theta in
+    [0, pi/2] and phi in [0, 2 pi] where both components change sign
+    (:func:`_landscape_seeds`), batched over the starts still iterating; the
+    outcome-swap symmetry maps that patch onto the rest of the sphere.
     Roots are folded to canonical angles, merged within an angle of 1e-5,
     verified to scaled gradient norm < 1e-7 and classified by their polar
-    angle.
+    angle.  A 49 x 96 scan of J over the sphere guards against a missed
+    root: if its best sample beats the best point found by more than
+    OPTIMUM_TIE_TOL, Newton also runs from that sample.
 
     Degenerate landscapes are collapsed to representatives: a flat objective
     (constant channel) reports the single canonical point (pi/2, 0), and a
@@ -465,12 +502,12 @@ def find_stationary_points(ch, gamma):
     if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11:
         pts = _stationary_points_1d(ch, gamma, sa)
     else:
-        n_theta, n_phi = NEWTON_GRID
-        t0 = (np.arange(n_theta) + 0.5) * (np.pi / 2) / n_theta
-        p0 = np.arange(n_phi) * (2 * np.pi) / n_phi
-        tt, pp = np.meshgrid(t0, p0, indexing="ij")
-        rth, rph = _newton_batch(ch, gamma, tt.ravel(), pp.ravel())
+        rth, rph = _newton_batch(ch, gamma, *_landscape_seeds(ch, gamma))
         pts = _merge(ch, gamma, sa, rth, rph, universal_candidates(ch, gamma))
+    k = int(np.argmin(ce_scan))
+    if sa - ce_scan.flat[k] > max(q.objective for q in pts) + OPTIMUM_TIE_TOL:
+        rth, rph = _newton_batch(ch, gamma, th_scan.flat[[k]], ph_scan.flat[[k]])
+        pts = _merge(ch, gamma, sa, rth, rph, pts)
     return sorted(pts, key=_point_key)
 
 

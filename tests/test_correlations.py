@@ -25,7 +25,7 @@ from qdiscord.correlations import (
 )
 from qdiscord.qmat import I2, I4, binary_entropy, partial_trace_a, partial_trace_b, von_neumann_entropy
 from qdiscord.states import bell_diagonal, lu_state, random_state, werner
-from util import brute_conditional_entropy, entropy_bits, random_unitary
+from util import brute_conditional_entropy, entropy_bits, random_unitary, random_x_maximally_mixed
 
 PHI_PLUS_DM = np.outer(*(2 * [np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)])).conj().T
 
@@ -326,8 +326,8 @@ def near_singular_state(eps):
 
 
 def test_near_singular_stationary_is_fast_and_agrees_with_oracle():
-    # at eps = 1e-5 the absolute Newton tolerance admits ~1150 spurious roots,
-    # all of which go through the merge
+    # on this flat landscape the absolute Newton tolerance once admitted
+    # ~1150 spurious roots at eps = 1e-5, all of which went through the merge
     rho = near_singular_state(1e-5)
     t0 = time.perf_counter()
     rep = discord(rho, method="stationary")
@@ -336,7 +336,9 @@ def test_near_singular_stationary_is_fast_and_agrees_with_oracle():
     assert abs(rep.discord - discord(rho, method="oracle").discord) < 1e-6
     # the merged points are verified and pairwise distinct
     pts = rep.stationary_points
-    assert len(pts) > 100
+    # and few at every eps of the sweep
+    for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+        assert len(discord(near_singular_state(eps), method="stationary").stationary_points) <= 20
     assert max(q.grad_norm for q in pts) < STATIONARY_TOL
     th, ph = np.array([q.theta for q in pts]), np.array([q.phi for q in pts])
     for k in range(len(pts) - 1):
@@ -381,11 +383,17 @@ def channel_of(rho):
 
 @pytest.mark.parametrize(
     "solve, seed, budget",
-    [(find_stationary_points, 1177, 600), (universal_candidates, 1003, 56)],
+    [
+        (find_stationary_points, 1177, 600),
+        (universal_candidates, 1003, 56),
+        (find_stationary_points, 1003, 45),
+        (universal_candidates, 1177, 16),
+    ],
 )
 def test_gradient_call_budget(monkeypatch, solve, seed, budget):
-    # the Newton multistart calls the gradient on its live starts only, and
-    # bisection stops once its brackets stop changing
+    # Newton starts only from the landscape's sign-change cells and calls the
+    # gradient on its live starts only; bisection takes six steps per call and
+    # stops once its brackets stop changing
     calls = []
 
     def counted(*args):
@@ -422,3 +430,67 @@ def test_stationary_points_pinned(name, rho):
     got = np.array([q.as_row()[1:4] for q in pts])
     assert_allclose(got, np.array([row[1:] for row in PINNED_POINTS[name]]), rtol=0, atol=1e-15)
     assert max(q.grad_norm for q in pts) < 1e-15
+
+
+def test_missed_root_safety_net(monkeypatch):
+    # with no seeds at all, Newton from the best cell of the objective scan
+    # still finds the optimum
+    monkeypatch.setattr(correlations, "_landscape_seeds", lambda ch, gamma: (np.zeros(0), np.zeros(0)))
+    pts = find_stationary_points(*channel_of(random_state(1003)))
+    kind, theta, phi, objective = PINNED_POINTS["random_state(1003)"][0]
+    assert pts[0].kind == kind
+    assert_allclose(pts[0].as_row()[1:4], (theta, phi, objective), rtol=0, atol=1e-12)
+
+
+def test_x_states_report_no_state_dependent_point_at_the_pole():
+    # polar coordinates flatten the gradient next to the pole; no Newton
+    # start may stall there and report a spurious root
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        pts = find_stationary_points(*channel_of(random_x_maximally_mixed(rng)))
+        dist = [bloch.measurement_distance((q.theta, q.phi), (0.0, 0.0)) for q in pts if q.kind == STATE_DEPENDENT]
+        assert min(dist, default=np.pi) >= 1e-4
+
+
+def one_step_bisect_roots(f, x, fx):
+    """The bisection _bisect_roots replays: one midpoint per bracket per call."""
+    exact = x[:-1][fx[:-1] == 0.0]
+    k = np.flatnonzero(fx[:-1] * fx[1:] < 0.0)
+    lo, hi, flo = x[k], x[k + 1], fx[k]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        left = flo * fm <= 0.0
+        step = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+        if all(np.array_equal(a, b) for a, b in zip(step, (lo, hi, flo))):
+            break
+        lo, hi, flo = step
+    return np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
+
+
+@pytest.mark.parametrize("rho", [lu_state(), random_state(1003), bell_diagonal(0.7, -0.5, 0.3)])
+@pytest.mark.parametrize("grid", ["equator dJ/dphi", "meridian dJ/dtheta"])
+def test_bisect_roots_matches_one_step_bisection(rho, grid):
+    ch, gamma = channel_of(rho)
+    if grid == "equator dJ/dphi":
+        x = np.linspace(0.0, np.pi, 1441)
+
+        def f(v):
+            return grad_objective(ch, gamma, np.full_like(v, np.pi / 2), v)[1]
+
+    else:
+        x = np.linspace(0.0, np.pi / 2, 2001)[1:-1]
+
+        def f(v):
+            return grad_objective(ch, gamma, v, np.zeros_like(v))[0]
+
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return f(v)
+
+    fx = f(x)
+    got = correlations._bisect_roots(counted, x, fx)
+    assert got.tobytes() == one_step_bisect_roots(f, x, fx).tobytes()
+    assert len(calls) <= 10
