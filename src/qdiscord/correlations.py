@@ -47,6 +47,12 @@ SEED_GRID = (25, 49)
 #: Newton iterations per start, and the step of its central-difference Jacobian.
 NEWTON_MAX_ITER = 100
 NEWTON_FD_STEP = 1e-6
+#: Iterations a start may still take once its gradient norm is below
+#: NEWTON_TOL.  A well-conditioned root reaches the gradient floor within
+#: this many; on a flat landscape a start would otherwise crawl on in tiny
+#: steps, as many as NEWTON_MAX_ITER, a number that varies from one local
+#: copy of a state to the next.
+NEWTON_POLISH_ITER = 8
 #: Bisection steps per gradient call: one call evaluates the 2**6 - 1
 #: midpoints of the next six levels of every bracket's bisection tree.
 BISECT_LEVELS = 6
@@ -62,6 +68,12 @@ CLASSIFY_TOL = 1e-6
 OPTIMUM_TIE_TOL = 1e-10
 #: Smallest (n_theta, n_phi) grid the oracle accepts.
 ORACLE_MIN_GRID = (64, 128)
+#: Theta rows of the oracle grid evaluated per call of the objective.  A
+#: whole 64 x 128 grid makes 128 KiB complex temporaries, which glibc maps
+#: afresh or trims back to the system on every call (600-700 page faults
+#: per oracle call); 8 rows keep each at 16 KiB, so the oracle's time no
+#: longer depends on what the process allocated before.
+ORACLE_BLOCK_ROWS = 8
 #: Oracle zoom: points per axis of the patch, rounds, and the factor by
 #: which the patch shrinks (to the spacing of its own points).
 ZOOM_POINTS = 7
@@ -387,16 +399,21 @@ def _newton_batch(ch, gamma, th0, ph0):
     search in one call per rung of HALVING_RUNGS, and the gradient at an
     accepted step is the next iteration's.  A start polishes down to the
     gradient floor: it leaves the batch only when its Jacobian is singular
-    or not finite, no step length lowers its norm, or it has taken
-    NEWTON_MAX_ITER iterations.  It is a root if its final gradient norm is
-    below NEWTON_TOL, so a root does not depend on which start reached it.
-    Returns the roots, in start order.
+    or not finite, no step length lowers its norm, it has taken
+    NEWTON_POLISH_ITER iterations with its norm below NEWTON_TOL, or it has
+    taken NEWTON_MAX_ITER iterations.  It is a root if its final gradient
+    norm is below NEWTON_TOL, so a root does not depend on which start
+    reached it.  Returns the roots, in start order.
     """
     th, ph = np.array(th0, float), np.array(ph0, float)
     g0, g1 = grad_objective(ch, gamma, th, ph)
     norm, live = np.hypot(g0, g1), np.arange(th.size)
+    polish = np.zeros(th.size, int)
     h = NEWTON_FD_STEP
     for _ in range(NEWTON_MAX_ITER):
+        polish[live] += norm[live] < NEWTON_TOL
+        keep = polish[live] <= NEWTON_POLISH_ITER
+        live, g0, g1 = live[keep], g0[keep], g1[keep]
         if not live.size:
             break
 
@@ -519,13 +536,14 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
     """Brute-force maximization of J over the measurement angles.
 
     Evaluates the direct-projection objective on an n_theta x n_phi grid
-    (theta in [0, pi], phi in [0, 2 pi)) and zooms in on the best cell: each
-    round evaluates a 7 x 7 patch around the incumbent, one grid cell wide
-    at first, clipped to theta in [0, pi].  The patch shrinks to the
-    spacing of its own points while the incumbent stays inside it, and only
-    moves with the incumbent when that lands on its edge, where the maximum
-    may lie beyond.  Deterministic, and never below the grid maximum; ties
-    resolve to the smallest theta, then the smallest phi.
+    (theta in [0, pi], phi in [0, 2 pi)), ORACLE_BLOCK_ROWS rows at a time,
+    and zooms in on the best cell: each round evaluates a 7 x 7 patch around
+    the incumbent, one grid cell wide at first, clipped to theta in [0, pi].
+    The patch shrinks to the spacing of its own points while the incumbent
+    stays inside it, and only moves with the incumbent when that lands on
+    its edge, where the maximum may lie beyond.  Deterministic, and never
+    below the grid maximum; ties resolve to the smallest theta, then the
+    smallest phi.
 
     Returns
     -------
@@ -541,7 +559,8 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
     th = np.linspace(0.0, np.pi, n_theta)
     ph = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     tt, pp = np.meshgrid(th, ph, indexing="ij")
-    ce = conditional_entropy_direct(rho, tt, pp)
+    blocks = [slice(i, i + ORACLE_BLOCK_ROWS) for i in range(0, n_theta, ORACLE_BLOCK_ROWS)]
+    ce = np.concatenate([conditional_entropy_direct(rho, tt[b], pp[b]) for b in blocks])
     k = int(np.argmin(ce))
     t, p, fv = float(tt.flat[k]), float(pp.flat[k]), float(ce.flat[k])
 

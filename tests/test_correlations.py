@@ -358,6 +358,16 @@ def test_grid_oracle_value_at_returned_angles(rho):
     assert corr >= sa - conditional_entropy_direct(rho, tt, pp).min()
 
 
+@pytest.mark.parametrize("grid", [(64, 128), (100, 200)])
+def test_grid_oracle_blocks_give_the_whole_grid_result(monkeypatch, grid):
+    # the grid is evaluated a few rows at a time only to keep temporaries
+    # small; the result is bitwise that of one call on the whole grid
+    states = [lu_state(), random_state(5), bell_diagonal(0.5, -0.2, 0.5)]
+    blocked = [grid_oracle(rho, *grid) for rho in states]
+    monkeypatch.setattr(correlations, "ORACLE_BLOCK_ROWS", grid[0])
+    assert blocked == [grid_oracle(rho, *grid) for rho in states]
+
+
 def test_conditional_entropies_and_gradient_accept_arrays():
     rho = random_state(4)
     d = decompose(rho)
@@ -403,6 +413,26 @@ def test_gradient_call_budget(monkeypatch, solve, seed, budget):
     monkeypatch.setattr(correlations, "grad_objective", counted)
     solve(*channel_of(random_state(seed)))
     assert 0 < len(calls) <= budget
+
+
+def test_near_singular_copies_take_steady_gradient_calls(monkeypatch):
+    # on this flat landscape a root polished past NEWTON_TOL crawls on in
+    # tiny steps, as many as one local copy happens to allow; polishing is
+    # capped, so every copy costs about the same
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return grad_objective(*args)
+
+    monkeypatch.setattr(correlations, "grad_objective", counted)
+    rng = np.random.default_rng(0)
+    for eps in (1e-3, 1e-4, 1e-5, 1e-6):
+        for _ in range(4):
+            w = np.kron(random_unitary(rng), I2)
+            calls.clear()
+            find_stationary_points(*channel_of(w @ near_singular_state(eps) @ w.conj().T))
+            assert 0 < len(calls) <= 100
 
 
 # (kind, theta, phi, objective) of every stationary point, as computed by the
