@@ -195,11 +195,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "discord" and args.method == "oracle":
-        (n_theta, n_phi), (min_theta, min_phi) = args.grid, correlations.ORACLE_MIN_GRID
-        if n_theta < min_theta or n_phi < min_phi:
-            args.usage_error(
-                f"argument --grid: the oracle needs at least {min_theta}x{min_phi}, got {n_theta}x{n_phi}"
-            )
+        try:
+            correlations.check_oracle_resolution(*args.grid)
+        except ValueError as exc:
+            args.usage_error(f"argument --grid: {exc}")
     try:
         return args.func(args, sys.stdout)
     except (ValueError, OSError) as exc:

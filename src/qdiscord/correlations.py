@@ -41,8 +41,8 @@ SATURATION_CLAMP = 1e-12
 STATIONARY_TOL = 1e-7
 #: Raw gradient norm below which a polished Newton start counts as a root.
 NEWTON_TOL = 1e-10
-#: Gradient scan that seeds Newton, points per axis: theta in [0, pi/2] and
-#: phi in [0, 2 pi], ends included.
+#: Landscape grid of the objective and gradient scans, points per axis:
+#: theta in [0, pi/2] and phi in [0, 2 pi], ends included.
 SEED_GRID = (25, 49)
 #: Newton iterations per start, and the step of its central-difference Jacobian.
 NEWTON_MAX_ITER = 100
@@ -168,29 +168,24 @@ def objective_channel(ch, gamma, theta, phi):
     return output_marginal_entropy(ch, gamma) - conditional_entropy_channel(ch, gamma, theta, phi)
 
 
-def _half_log_ratio(x):
-    """log2 sqrt((1+x)/(1-x)), clamped just below the x = 1 divergence."""
-    xc = np.clip(x, None, 1.0 - SATURATION_CLAMP)
-    return 0.5 * np.log2((1.0 + xc) / (1.0 - xc))
-
-
 def _log_ratio_over_x(x):
-    """_half_log_ratio(x) / x, continued through x = 0 by its series."""
+    """log2 sqrt((1+x)/(1-x)) / x, clamped below x = 1, continued through x = 0 by its series."""
     x = np.asarray(x, dtype=float)
     small = x < 1e-6
-    safe = np.where(small, 1.0, x)
-    out = _half_log_ratio(x) / safe
-    series = (1.0 + x * x / 3.0) / LN2
-    return np.where(small, series, out)
+    xc = np.clip(x, None, 1.0 - SATURATION_CLAMP)
+    out = 0.5 * np.log2((1.0 + xc) / (1.0 - xc)) / np.where(small, 1.0, x)
+    return np.where(small, (1.0 + x * x / 3.0) / LN2, out)
 
 
 def grad_objective(ch, gamma, theta, phi):
     """Analytic gradient (dJ/dtheta, dJ/dphi) on the channel path.
 
-    Purities are clamped at 1 - 1e-12 inside the logarithms, so the value is
-    finite (and still ~0 where it should vanish) even for a channel that
-    keeps the conditional states pure.  Angle arrays of one shape give a
-    pair of arrays.
+    J sees s only through s' = |eta s + c|, and ds' = eta^T (eta s + c) . ds / s',
+    so each output vector is pulled back through the channel once, and both
+    derivatives are dot products with the closed-form ds and dt.  Purities
+    are clamped at 1 - 1e-12 inside the logarithms, so the value is finite
+    (and still ~0 where it should vanish) even for a channel that keeps the
+    conditional states pure.  Angle arrays of one shape give a pair of arrays.
     """
     sg, cg = np.sin(gamma), np.cos(gamma)
     st, ct, cp, sp = trig = bloch.angle_trig(theta, phi)
@@ -198,34 +193,22 @@ def grad_objective(ch, gamma, theta, phi):
     dp = np.maximum(2.0 * p1, bloch.DEGENERATE_TOL)
     dm = np.maximum(2.0 * p2, bloch.DEGENERATE_TOL)
 
-    dp2, dm2, cps, cms = dp**2, dm**2, ct + cg, ct - cg
-    ds_dth = np.stack([sg * cp * cps / dp2, -sg * sp * cps / dp2, -(sg**2) * st / dp2])
-    dt_dth = np.stack([-sg * cp * cms / dm2, sg * sp * cms / dm2, (sg**2) * st / dm2])
-    # rotating the azimuth turns both directions about z: d/dphi = (y, -x, 0)
-    ds_dph = np.stack([s[1], -s[0], np.zeros_like(dp)])
-    dt_dph = np.stack([t[1], -t[0], np.zeros_like(dm)])
-
-    def image(v):
-        return (ch.eta @ v.reshape(3, -1)).reshape(v.shape)
-
-    def dot(a, b):
-        return np.add.reduce(a * b, axis=0)
-
     sv, tv = ch(s), ch(t)
-    spn = np.sqrt(dot(sv, sv))
-    tpn = np.sqrt(dot(tv, tv))
-    rs = _log_ratio_over_x(spn)
-    rt = _log_ratio_over_x(tpn)
+    spn = np.sqrt(np.add.reduce(sv * sv, axis=0))
+    tpn = np.sqrt(np.add.reduce(tv * tv, axis=0))
+    ws = p1 * _log_ratio_over_x(spn) * (ch.eta.T @ sv.reshape(3, -1)).reshape(s.shape)
+    wt = p2 * _log_ratio_over_x(tpn) * (ch.eta.T @ tv.reshape(3, -1)).reshape(t.shape)
     hs = binary_entropy_arr((1.0 + spn) / 2.0)
     ht = binary_entropy_arr((1.0 + tpn) / 2.0)
-    dp1 = -st * cg / 2.0
 
+    # ds/dtheta = sg / dp^2 (cp (ct + cg), -sp (ct + cg), -sg st), dt/dtheta
+    # likewise with ct - cg over -dm^2, and d/dphi = (y, -x, 0) for both
     g_th = (
-        -dp1 * (hs - ht)
-        + p1 * rs * dot(sv, image(ds_dth))
-        + p2 * rt * dot(tv, image(dt_dth))
+        (st * cg / 2.0) * (hs - ht)
+        + sg / dp**2 * ((ct + cg) * (cp * ws[0] - sp * ws[1]) - sg * st * ws[2])
+        - sg / dm**2 * ((ct - cg) * (cp * wt[0] - sp * wt[1]) - sg * st * wt[2])
     )
-    g_ph = p1 * rs * dot(sv, image(ds_dph)) + p2 * rt * dot(tv, image(dt_dph))
+    g_ph = ws[0] * s[1] - ws[1] * s[0] + wt[0] * t[1] - wt[1] * t[0]
     return _scalar_or_array(g_th), _scalar_or_array(g_ph)
 
 
@@ -363,9 +346,9 @@ def _merge(ch, gamma, sa, theta, phi, kept=()):
 def universal_candidates(ch, gamma):
     """The stationary settings that exist for every state.
 
-    Returns the polar candidate theta = 0 and the equatorial candidates
-    theta = pi/2 at every azimuth where dJ/dphi vanishes, each verified with
-    scaled gradient norm below 1e-7.
+    Returns the polar candidate theta = 0, unverified, and the equatorial
+    candidates theta = pi/2 at every azimuth where dJ/dphi vanishes, each
+    verified with scaled gradient norm below 1e-7.
     """
     sa = output_marginal_entropy(ch, gamma)
 
@@ -374,7 +357,7 @@ def universal_candidates(ch, gamma):
     # azimuth is kept as found: folding would reset it to 0.
     (a, b), _ = grad_objective(ch, gamma, np.zeros(2), np.array([0.0, np.pi / 2]))
     phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
-    g0, _ = grad_objective(ch, gamma, 0.0, phi0)
+    g0 = a * np.cos(phi0) + b * np.sin(phi0)
     obj0 = sa - conditional_entropy_channel(ch, gamma, 0.0, phi0)
     polar = StationaryPoint(0.0, phi0, obj0, abs(g0), ASYMMETRIC)
 
@@ -475,31 +458,36 @@ def _stationary_points_1d(ch, gamma, sa):
     return _merge(ch, gamma, sa, roots, np.zeros_like(roots), pts)
 
 
-def _landscape_seeds(ch, gamma):
-    """Newton starts from one gradient scan on the SEED_GRID over theta in
-    [0, pi/2] and phi in [0, 2 pi]: the centre of every cell where both
-    components strictly change sign among the cell's four corners."""
+def _landscape_grid():
+    """(theta, phi) meshes of the SEED_GRID; the outcome swap maps it onto the sphere."""
     n_theta, n_phi = SEED_GRID
-    th, ph = np.linspace(0.0, np.pi / 2, n_theta), np.linspace(0.0, 2 * np.pi, n_phi)
-    seed = np.ones((n_theta - 1, n_phi - 1), bool)
-    for g in grad_objective(ch, gamma, *np.meshgrid(th, ph, indexing="ij")):
+    return np.meshgrid(np.linspace(0.0, np.pi / 2, n_theta), np.linspace(0.0, 2 * np.pi, n_phi), indexing="ij")
+
+
+def _landscape_seeds(ch, gamma):
+    """Newton starts from one gradient scan on the landscape grid: the
+    centre of every cell where both components strictly change sign among
+    the cell's four corners."""
+    th, ph = _landscape_grid()
+    seed = True
+    for g in grad_objective(ch, gamma, th, ph):
         corners = np.stack([g[:-1, :-1], g[1:, :-1], g[:-1, 1:], g[1:, 1:]])
         seed &= (corners.min(axis=0) < 0.0) & (corners.max(axis=0) > 0.0)
-    i, j = np.nonzero(seed)
-    return 0.5 * (th[i] + th[i + 1]), 0.5 * (ph[j] + ph[j + 1])
+    return 0.5 * (th[:-1, :-1] + th[1:, 1:])[seed], 0.5 * (ph[:-1, :-1] + ph[1:, 1:])[seed]
 
 
 def find_stationary_points(ch, gamma):
     """All stationary points of J: universal candidates plus Newton roots.
 
-    Damped Newton runs from the cells of a gradient scan over theta in
-    [0, pi/2] and phi in [0, 2 pi] where both components change sign
-    (:func:`_landscape_seeds`), batched over the starts still iterating; the
-    outcome-swap symmetry maps that patch onto the rest of the sphere.
-    Roots are folded to canonical angles, merged within an angle of 1e-5,
-    verified to scaled gradient norm < 1e-7 and classified by their polar
-    angle.  A 49 x 96 scan of J over the sphere guards against a missed
-    root: if its best sample beats the best point found by more than
+    One 25 x 49 grid over theta in [0, pi/2] and phi in [0, 2 pi] carries
+    both landscape scans; the outcome-swap symmetry maps it onto the rest
+    of the sphere.  Damped Newton runs from its cells where both gradient
+    components change sign (:func:`_landscape_seeds`), batched over the
+    starts still iterating.  Roots are folded to canonical angles, merged
+    within an angle of 1e-5, verified to scaled gradient norm < 1e-7 and
+    classified by their polar angle.  The scan of J on the same grid
+    decides the degenerate cases below and guards against a missed root:
+    if its best sample beats the best point found by more than
     OPTIMUM_TIE_TOL, Newton also runs from that sample.
 
     Degenerate landscapes are collapsed to representatives: a flat objective
@@ -509,9 +497,7 @@ def find_stationary_points(ch, gamma):
     """
     sa = output_marginal_entropy(ch, gamma)
 
-    th_scan, ph_scan = np.meshgrid(
-        np.linspace(0.0, np.pi, 49), np.linspace(0.0, 2 * np.pi, 96, endpoint=False), indexing="ij"
-    )
+    th_scan, ph_scan = _landscape_grid()
     ce_scan = conditional_entropy_channel(ch, gamma, th_scan, ph_scan)
     if float(np.ptp(ce_scan)) < 1e-12:
         obj = sa - float(ce_scan.mean())
@@ -532,6 +518,13 @@ def find_stationary_points(ch, gamma):
 # grid oracle
 # ---------------------------------------------------------------------------
 
+def check_oracle_resolution(n_theta, n_phi):
+    """Raise ValueError for an oracle grid below ORACLE_MIN_GRID."""
+    min_theta, min_phi = ORACLE_MIN_GRID
+    if n_theta < min_theta or n_phi < min_phi:
+        raise ValueError(f"oracle grid must be at least {min_theta} x {min_phi}, got {n_theta} x {n_phi}")
+
+
 def grid_oracle(rho, n_theta=64, n_phi=128):
     """Brute-force maximization of J over the measurement angles.
 
@@ -551,8 +544,7 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
         The classical correlation and the optimal angles in the original
         basis, canonically folded.
     """
-    if n_theta < ORACLE_MIN_GRID[0] or n_phi < ORACLE_MIN_GRID[1]:
-        raise ValueError("grid oracle resolution must be at least 64 x 128")
+    check_oracle_resolution(n_theta, n_phi)
     rho = check_density_matrix(rho)
     sa = von_neumann_entropy(partial_trace_b(rho))
 
@@ -628,9 +620,13 @@ def discord(rho, method="stationary", oracle_resolution=(64, 128)):
     |c_i|, thus resolve alike whichever method found them.
 
     A state whose b marginal is numerically pure is a product state with
-    zero correlations; it short-circuits to C = I and Q = 0 without a
-    decomposition.
+    zero correlations; once the method and the oracle resolution are
+    checked, it short-circuits to C = I and Q = 0 without a decomposition.
     """
+    if method not in ("stationary", "oracle", "xstate_analytic"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "oracle":
+        check_oracle_resolution(*oracle_resolution)
     rho = check_density_matrix(rho)
     singular = np.linalg.eigvalsh(partial_trace_a(rho)).min() <= choi.RANK_TOL
     if method == "xstate_analytic" and not singular:
@@ -640,22 +636,12 @@ def discord(rho, method="stationary", oracle_resolution=(64, 128)):
 
     info = mutual_information(rho)
     if singular:
-        return DiscordReport(
-            mutual_info=info,
-            classical_corr=info,
-            discord=0.0,
-            theta=np.pi / 2,
-            phi=0.0,
-            method=method,
-        )
+        return DiscordReport(info, info, 0.0, np.pi / 2, 0.0, method)
 
     if method == "oracle":
         corr, (theta, phi) = grid_oracle(rho, *oracle_resolution)
         return DiscordReport(info, corr, info - corr, theta, phi, method)
 
-    if method == "stationary":
-        d = choi.decompose(rho)
-        pts = find_stationary_points(bloch.affine_from_kraus(d.kraus), d.gamma)
-        return report_from_points(info, pts, d.basis_rotation, method)
-
-    raise ValueError(f"unknown method {method!r}")
+    d = choi.decompose(rho)
+    pts = find_stationary_points(bloch.affine_from_kraus(d.kraus), d.gamma)
+    return report_from_points(info, pts, d.basis_rotation, method)

@@ -35,6 +35,10 @@ def phi_plus():
     return np.outer(v, v.conj())
 
 
+#: A product state whose b marginal is pure: discord() short-circuits it.
+SINGULAR_B_MARGINAL = np.kron(np.diag([0.7, 0.3]), np.diag([1.0, 0.0])).astype(complex)
+
+
 def product_state():
     return np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4])).astype(complex)
 
@@ -236,6 +240,12 @@ def test_grid_oracle_resolution_floor():
         grid_oracle(phi_plus(), 32, 128)
 
 
+def test_discord_oracle_resolution_floor():
+    # checked before the singular-marginal shortcut, which never runs the oracle
+    with pytest.raises(ValueError, match="64 x 128"):
+        discord(SINGULAR_B_MARGINAL, method="oracle", oracle_resolution=(2, 2))
+
+
 def test_discord_maximally_entangled():
     rep = discord(phi_plus(), method="stationary")
     assert abs(rep.mutual_info - 2.0) < 1e-9
@@ -268,8 +278,9 @@ def test_discord_singular_marginal_shortcut():
 
 
 def test_discord_unknown_method():
-    with pytest.raises(ValueError, match="unknown method"):
-        discord(phi_plus(), method="magic")
+    for rho in (phi_plus(), SINGULAR_B_MARGINAL):
+        with pytest.raises(ValueError, match="unknown method"):
+            discord(rho, method="magic")
 
 
 def test_discord_xstate_analytic_delegates():
@@ -398,6 +409,7 @@ def channel_of(rho):
         (universal_candidates, 1003, 56),
         (find_stationary_points, 1003, 45),
         (universal_candidates, 1177, 16),
+        (universal_candidates, 1003, 11),
     ],
 )
 def test_gradient_call_budget(monkeypatch, solve, seed, budget):
