@@ -132,13 +132,18 @@ def cmd_stationary(args, out):
     ch = bloch.affine_from_kraus(d.kraus)
     pts = correlations.find_stationary_points(ch, d.gamma)
     print(f"state: {label}", file=out)
-    print(f"{'class':<16} {'theta/pi':>10} {'phi/pi':>10} {'objective':>14} {'grad_norm':>12}", file=out)
+    print(
+        f"{'class':<16} {'theta/pi':>10} {'phi/pi':>10} {'objective':>14} {'grad_norm':>12} {'critical':>8}",
+        file=out,
+    )
     for q in pts:
         print(
             f"{q.kind:<16} {q.theta / np.pi:>10.6f} {q.phi / np.pi:>10.6f} "
-            f"{q.objective:>14.9f} {q.grad_norm:>12.3e}",
+            f"{q.objective:>14.9f} {q.grad_norm:>12.3e} {'yes' if q.critical else 'no':>8}",
             file=out,
         )
+    total = correlations.index_sum(ch, d.gamma, pts)
+    print(f"index sum: {'n/a' if total is None else total}", file=out)
     return EXIT_OK
 
 

@@ -53,6 +53,10 @@ NEWTON_FD_STEP = 1e-6
 #: steps, as many as NEWTON_MAX_ITER, a number that varies from one local
 #: copy of a state to the next.
 NEWTON_POLISH_ITER = 8
+#: Iterations between a Newton start's stall checks: a start whose gradient
+#: norm is still at least NEWTON_TOL and has not halved since the last check
+#: is parked, and leaves the batch.
+NEWTON_STALL_ITER = 10
 #: Bisection steps per gradient call: one call evaluates the 2**6 - 1
 #: midpoints of the next six levels of every bracket's bisection tree.
 BISECT_LEVELS = 6
@@ -87,13 +91,18 @@ STATE_DEPENDENT = "state_dependent"
 
 @dataclass
 class StationaryPoint:
-    """A measurement setting where both partial derivatives of J vanish."""
+    """A measurement setting where both partial derivatives of J vanish.
+
+    ``critical`` is False for a polar candidate that solves the (theta, phi)
+    equations but is not a critical point of J on the sphere.
+    """
 
     theta: float
     phi: float
     objective: float
     grad_norm: float
     kind: str
+    critical: bool = True
 
     def as_row(self):
         return (self.kind, self.theta, self.phi, self.objective, self.grad_norm)
@@ -348,7 +357,11 @@ def universal_candidates(ch, gamma):
 
     Returns the polar candidate theta = 0, unverified, and the equatorial
     candidates theta = pi/2 at every azimuth where dJ/dphi vanishes, each
-    verified with scaled gradient norm below 1e-7.
+    verified with scaled gradient norm below 1e-7.  The polar candidate
+    solves the (theta, phi) equations by construction, so its ``grad_norm``
+    is ~0 whatever the state; it is ``critical`` only when the pole is a
+    critical point of J on the sphere, that is when hypot(A, B) is below
+    STATIONARY_TOL.
     """
     sa = output_marginal_entropy(ch, gamma)
 
@@ -359,7 +372,7 @@ def universal_candidates(ch, gamma):
     phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
     g0 = a * np.cos(phi0) + b * np.sin(phi0)
     obj0 = sa - conditional_entropy_channel(ch, gamma, 0.0, phi0)
-    polar = StationaryPoint(0.0, phi0, obj0, abs(g0), ASYMMETRIC)
+    polar = StationaryPoint(0.0, phi0, obj0, abs(g0), ASYMMETRIC, bool(np.hypot(a, b) < STATIONARY_TOL))
 
     # equatorial candidates: zeros of dJ/dphi along theta = pi/2
     def dphi(phi):
@@ -371,7 +384,7 @@ def universal_candidates(ch, gamma):
     return _merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
 
-def _newton_batch(ch, gamma, th0, ph0):
+def _newton_batch(ch, gamma, th0, ph0, park=True):
     """Damped Newton on the gradient from many start points, batched over
     the starts still iterating.
 
@@ -386,16 +399,35 @@ def _newton_batch(ch, gamma, th0, ph0):
     NEWTON_POLISH_ITER iterations with its norm below NEWTON_TOL, or it has
     taken NEWTON_MAX_ITER iterations.  It is a root if its final gradient
     norm is below NEWTON_TOL, so a root does not depend on which start
-    reached it.  Returns the roots, in start order.
+    reached it.
+
+    With ``park``, a start that has stopped converging is parked instead:
+    every NEWTON_STALL_ITER iterations, a start whose norm is still at least
+    NEWTON_TOL and has not fallen below half its value at the previous
+    check leaves the batch.  Such starts stall at a minimum of the gradient
+    norm that is not a root, or crawl towards the pole, where the polar
+    chart flattens the gradient; a converging start, polishing ones
+    included, never trips the rule.  Starts do not interact, so the roots
+    of the other starts are the same with or without parking.
+
+    Returns the roots, in start order, and the seeds of the parked starts.
     """
     th, ph = np.array(th0, float), np.array(ph0, float)
     g0, g1 = grad_objective(ch, gamma, th, ph)
     norm, live = np.hypot(g0, g1), np.arange(th.size)
     polish = np.zeros(th.size, int)
+    parked = np.zeros(th.size, bool)
+    checked = norm.copy()
     h = NEWTON_FD_STEP
-    for _ in range(NEWTON_MAX_ITER):
+    for it in range(NEWTON_MAX_ITER):
         polish[live] += norm[live] < NEWTON_TOL
         keep = polish[live] <= NEWTON_POLISH_ITER
+        if park and it and not it % NEWTON_STALL_ITER:
+            n = norm[live]
+            stall = (n >= NEWTON_TOL) & ~(n < 0.5 * checked[live])
+            parked[live[stall]] = True
+            keep &= ~stall
+            checked[live] = n
         live, g0, g1 = live[keep], g0[keep], g1[keep]
         if not live.size:
             break
@@ -438,7 +470,60 @@ def _newton_batch(ch, gamma, th0, ph0):
         live, g0, g1 = live[keep], g0[keep], g1[keep]
 
     root = norm < NEWTON_TOL
-    return th[root], ph[root]
+    return th[root], ph[root], np.asarray(th0, float)[parked], np.asarray(ph0, float)[parked]
+
+
+def index_sum(ch, gamma, points):
+    """Sum of sign det Hess J over the critical points among ``points``.
+
+    J(n) = J(-n), so grad J is a vector field on the projective plane,
+    whose Euler characteristic is 1: by Poincare-Hopf, a list that holds
+    every critical point of J, each nondegenerate, sums to 1 (Milnor,
+    Topology from the Differentiable Viewpoint, 1965).  A missed root of
+    index +-1 shows as a sum of 0 or 2; a missed pair of opposite index
+    cancels.  Points that are not ``critical`` do not count.
+
+    At a critical point the Hessian in (theta, phi) is the central-difference
+    Jacobian of the gradient with step NEWTON_FD_STEP, and its determinant
+    over sin(theta)**2 is that of the Hessian on the sphere.  At the pole
+    the Hessian in the chart (theta cos phi, theta sin phi) comes from dJ/dtheta
+    at theta = +-h for phi in {0, pi/2, pi/4}: its diagonal along each
+    direction.  All stencils take one gradient call.
+
+    Returns None when some determinant is below (1e-4 s)**2, s the largest
+    Hessian entry over the points, or below (eps / h)**2, the rounding floor
+    of the central differences: a degenerate point (flat and
+    phi-independent landscapes, stationary circles) has no index.
+    """
+    crit = [q for q in points if q.critical]
+    if not crit:
+        return None
+    t, p = np.array([[q.theta, q.phi] for q in crit if q.kind != ASYMMETRIC]).reshape(-1, 2).T
+    n, h = t.size, NEWTON_FD_STEP
+    # the pole's stencil: theta = h along phi = 0, pi/2, pi/4, then along the opposite directions
+    ring = np.array([0.0, np.pi / 2, np.pi / 4, np.pi, 1.5 * np.pi, 1.25 * np.pi]) if n < len(crit) else np.zeros(0)
+    g0, g1 = grad_objective(
+        ch,
+        gamma,
+        np.concatenate([t + h, t - h, t, t, np.full(ring.size, h)]),
+        np.concatenate([p, p, p + h, p - h, ring]),
+    )
+    a0, b0, c0, d0, pole = np.split(g0, [n, 2 * n, 3 * n, 4 * n])
+    a1, b1, c1, d1, _ = np.split(g1, [n, 2 * n, 3 * n, 4 * n])
+    st = np.sin(t)
+    # rows: the Hessian's tt, tp, pt and pp entries in an orthonormal frame
+    hess = np.stack([a0 - b0, (c0 - d0) / st, (a1 - b1) / st, (c1 - d1) / st**2]) / (2 * h)
+    if ring.size:
+        # dJ/dtheta at (-h, phi) is minus that at (h, phi + pi), so the
+        # central difference cancels A cos phi + B sin phi
+        xx, yy, diag = (pole[:3] + pole[3:]) / (2 * h)
+        xy = diag - 0.5 * (xx + yy)
+        hess = np.column_stack([hess, [xx, xy, xy, yy]])
+    det = hess[0] * hess[3] - hess[1] * hess[2]
+    floor = max(1e-4 * np.max(np.abs(hess)), np.finfo(float).eps / h)
+    if np.any(np.abs(det) < floor**2):
+        return None
+    return int(np.sum(np.sign(det)))
 
 
 def _stationary_points_1d(ch, gamma, sa):
@@ -485,10 +570,16 @@ def find_stationary_points(ch, gamma):
     components change sign (:func:`_landscape_seeds`), batched over the
     starts still iterating.  Roots are folded to canonical angles, merged
     within an angle of 1e-5, verified to scaled gradient norm < 1e-7 and
-    classified by their polar angle.  The scan of J on the same grid
-    decides the degenerate cases below and guards against a missed root:
-    if its best sample beats the best point found by more than
-    OPTIMUM_TIE_TOL, Newton also runs from that sample.
+    classified by their polar angle.
+
+    Newton parks the starts that stop converging.  When some start was
+    parked, :func:`index_sum` certifies the list by Poincare-Hopf; if the
+    sum is not 1 (or has no value), Newton reruns from the parked seeds with
+    parking off and the list is merged anew, as if no start had been
+    parked.  The scan of J on the same grid decides the degenerate cases
+    below and guards against a missed root: if its best sample beats the
+    best point found by more than OPTIMUM_TIE_TOL, Newton also runs from
+    that sample, with parking off.
 
     Degenerate landscapes are collapsed to representatives: a flat objective
     (constant channel) reports the single canonical point (pi/2, 0), and a
@@ -505,11 +596,15 @@ def find_stationary_points(ch, gamma):
     if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11:
         pts = _stationary_points_1d(ch, gamma, sa)
     else:
-        rth, rph = _newton_batch(ch, gamma, *_landscape_seeds(ch, gamma))
-        pts = _merge(ch, gamma, sa, rth, rph, universal_candidates(ch, gamma))
+        cands = universal_candidates(ch, gamma)
+        rth, rph, pth, pph = _newton_batch(ch, gamma, *_landscape_seeds(ch, gamma))
+        pts = _merge(ch, gamma, sa, rth, rph, cands)
+        if pth.size and index_sum(ch, gamma, pts) != 1:
+            mth, mph, *_ = _newton_batch(ch, gamma, pth, pph, park=False)
+            pts = _merge(ch, gamma, sa, np.append(rth, mth), np.append(rph, mph), cands)
     k = int(np.argmin(ce_scan))
     if sa - ce_scan.flat[k] > max(q.objective for q in pts) + OPTIMUM_TIE_TOL:
-        rth, rph = _newton_batch(ch, gamma, th_scan.flat[[k]], ph_scan.flat[[k]])
+        rth, rph, *_ = _newton_batch(ch, gamma, th_scan.flat[[k]], ph_scan.flat[[k]], park=False)
         pts = _merge(ch, gamma, sa, rth, rph, pts)
     return sorted(pts, key=_point_key)
 

@@ -121,6 +121,29 @@ def test_stationary_flat_objective(capsys):
     assert float(rows[0].split()[1]) == pytest.approx(0.5)
 
 
+def test_stationary_critical_column_and_index_sum(capsys):
+    code, out, _ = run(capsys, "stationary", "--state", "random:1003")
+    assert code == 0
+    rows = [l.split() for l in out.splitlines() if re.match(r"\s*(symmetric|asymmetric|state_dependent)", l)]
+    # the polar candidate of this state solves the (theta, phi) equations
+    # but is not a critical point of J
+    assert [(r[0], r[-1]) for r in rows] == [
+        ("state_dependent", "yes"),
+        ("asymmetric", "no"),
+        ("state_dependent", "yes"),
+        ("state_dependent", "yes"),
+    ]
+    assert grab(r"index sum: (\S+)", out).group(1) == "1"
+
+
+@pytest.mark.parametrize("state", ["werner:1", "lu"])
+def test_stationary_index_sum_not_applicable(capsys, state):
+    # flat and phi-independent landscapes have no isolated critical points
+    code, out, _ = run(capsys, "stationary", "--state", state)
+    assert code == 0
+    assert "index sum: n/a" in out
+
+
 def test_stationary_singular_marginal(capsys, tmp_path):
     rho = np.kron(np.diag([0.5, 0.5]), np.diag([1.0, 0.0])).astype(complex)
     path = tmp_path / "pureb.dm"

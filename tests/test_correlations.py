@@ -19,13 +19,20 @@ from qdiscord.correlations import (
     find_stationary_points,
     grad_objective,
     grid_oracle,
+    index_sum,
     mutual_information,
     objective_channel,
     universal_candidates,
 )
 from qdiscord.qmat import I2, I4, binary_entropy, partial_trace_a, partial_trace_b, von_neumann_entropy
 from qdiscord.states import bell_diagonal, lu_state, random_state, werner
-from util import brute_conditional_entropy, entropy_bits, random_unitary, random_x_maximally_mixed
+from util import (
+    brute_conditional_entropy,
+    count_gradient_calls,
+    entropy_bits,
+    random_unitary,
+    random_x_maximally_mixed,
+)
 
 PHI_PLUS_DM = np.outer(*(2 * [np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)])).conj().T
 
@@ -410,19 +417,15 @@ def channel_of(rho):
         (find_stationary_points, 1003, 45),
         (universal_candidates, 1177, 16),
         (universal_candidates, 1003, 11),
+        (find_stationary_points, 1177, 120),
+        (find_stationary_points, 1050, 120),
     ],
 )
 def test_gradient_call_budget(monkeypatch, solve, seed, budget):
-    # Newton starts only from the landscape's sign-change cells and calls the
-    # gradient on its live starts only; bisection takes six steps per call and
-    # stops once its brackets stop changing
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return grad_objective(*args)
-
-    monkeypatch.setattr(correlations, "grad_objective", counted)
+    # Newton starts only from the landscape's sign-change cells, calls the
+    # gradient on its live starts only and parks starts that stall; bisection
+    # takes six steps per call and stops once its brackets stop changing
+    calls = count_gradient_calls(monkeypatch)
     solve(*channel_of(random_state(seed)))
     assert 0 < len(calls) <= budget
 
@@ -431,13 +434,7 @@ def test_near_singular_copies_take_steady_gradient_calls(monkeypatch):
     # on this flat landscape a root polished past NEWTON_TOL crawls on in
     # tiny steps, as many as one local copy happens to allow; polishing is
     # capped, so every copy costs about the same
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return grad_objective(*args)
-
-    monkeypatch.setattr(correlations, "grad_objective", counted)
+    calls = count_gradient_calls(monkeypatch)
     rng = np.random.default_rng(0)
     for eps in (1e-3, 1e-4, 1e-5, 1e-6):
         for _ in range(4):
@@ -482,6 +479,54 @@ def test_missed_root_safety_net(monkeypatch):
     kind, theta, phi, objective = PINNED_POINTS["random_state(1003)"][0]
     assert pts[0].kind == kind
     assert_allclose(pts[0].as_row()[1:4], (theta, phi, objective), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed, parks", [(1003, False), (1177, True)])
+def test_index_sum_of_the_stationary_list_is_one(seed, parks):
+    # Poincare-Hopf on the projective plane: with every critical point found,
+    # the signs of their Hessian determinants sum to its Euler characteristic
+    ch, gamma = channel_of(random_state(seed))
+    *_, parked_th, _ = correlations._newton_batch(ch, gamma, *correlations._landscape_seeds(ch, gamma))
+    assert bool(parked_th.size) == parks
+    assert index_sum(ch, gamma, find_stationary_points(ch, gamma)) == 1
+
+
+def test_index_sum_counts_a_critical_pole():
+    # the pole of an X state is a critical point, whose Hessian comes from
+    # the polar chart; on states 7 and 9 its off-diagonal entry sets the sign
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        ch, gamma = channel_of(random_x_maximally_mixed(rng))
+        pts = find_stationary_points(ch, gamma)
+        assert [q.critical for q in pts if q.kind == ASYMMETRIC] == [True]
+        assert index_sum(ch, gamma, pts) == 1
+
+
+def test_index_sum_flags_a_dropped_root():
+    ch, gamma = channel_of(random_state(1003))
+    pts = find_stationary_points(ch, gamma)
+    assert_allclose(pts[2].as_row()[1:4], PINNED_POINTS["random_state(1003)"][2][1:], rtol=0, atol=1e-15)
+    assert index_sum(ch, gamma, pts[:2] + pts[3:]) != 1
+
+
+def test_failed_certificate_reruns_the_parked_starts(monkeypatch):
+    # every start parks and the certificate fails: Newton reruns from the
+    # parked seeds with parking off and finds the pinned points
+    newton, runs = correlations._newton_batch, []
+
+    def park_all(ch, gamma, th0, ph0, park=True):
+        runs.append(park)
+        if not park:
+            return newton(ch, gamma, th0, ph0, park=False)
+        return np.zeros(0), np.zeros(0), np.asarray(th0, float), np.asarray(ph0, float)
+
+    monkeypatch.setattr(correlations, "_newton_batch", park_all)
+    monkeypatch.setattr(correlations, "index_sum", lambda ch, gamma, points: 0)
+    pts = find_stationary_points(*channel_of(random_state(1003)))
+    assert runs == [True, False]
+    assert [q.kind for q in pts] == [row[0] for row in PINNED_POINTS["random_state(1003)"]]
+    got = np.array([q.as_row()[1:4] for q in pts])
+    assert_allclose(got, np.array([row[1:] for row in PINNED_POINTS["random_state(1003)"]]), rtol=0, atol=1e-15)
 
 
 def test_x_states_report_no_state_dependent_point_at_the_pole():

@@ -5,7 +5,10 @@ hypothesis for both the stationary solver and the grid oracle.
 * C <= min(S(rho_a), S(rho_b));
 * Q = 0 on classical-quantum states sum_i p_i rho_i (x) |e_i><e_i|;
 * the analytic gradient of J matches central differences next to the pole
-  and the equator too.
+  and the equator too;
+* the stationary list holds every critical point of J: the signs of their
+  Hessian determinants sum to 1, the Euler characteristic of the projective
+  plane (Poincare-Hopf).
 
 Bounds as in Modi et al., Rev. Mod. Phys. 84, 1655 (2012).
 """
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from qdiscord.bloch import affine_from_kraus, conditional_purities
 from qdiscord.choi import decompose
-from qdiscord.correlations import discord, grad_objective, objective_channel
+from qdiscord.correlations import discord, find_stationary_points, grad_objective, index_sum, objective_channel
 from qdiscord.qmat import partial_trace_a, partial_trace_b, von_neumann_entropy
 from qdiscord.states import random_state
 from util import random_unitary
@@ -92,3 +95,11 @@ def test_gradient_matches_finite_differences_at_the_edges(seed, rank):
                 continue
             gt, gp = grad_objective(ch, d.gamma, th, ph)
             assert np.hypot(gt - ft, gp - fp) / np.hypot(ft, fp) < 1e-5
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(2, 4))
+def test_stationary_points_index_sum_is_one(seed, rank):
+    d = decompose(random_state(seed, rank))
+    ch = affine_from_kraus(d.kraus)
+    assert index_sum(ch, d.gamma, find_stationary_points(ch, d.gamma)) == 1

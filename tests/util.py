@@ -1,4 +1,5 @@
-"""Shared test helpers: independent oracles and random-input generators.
+"""Shared test helpers: independent oracles, random-input generators and a
+gradient-call counter.
 
 The oracles here are deliberately written from the definitions (explicit
 projectors, eigenvalue sums, finite differences) and never call back into
@@ -7,7 +8,21 @@ the code paths they are used to check.
 
 import numpy as np
 
+from qdiscord import correlations
 from qdiscord.qmat import check_density_matrix
+
+
+def count_gradient_calls(monkeypatch):
+    """A list that grows by one entry per call of ``correlations.grad_objective``."""
+    calls = []
+    grad = correlations.grad_objective
+
+    def counted(*args):
+        calls.append(1)
+        return grad(*args)
+
+    monkeypatch.setattr(correlations, "grad_objective", counted)
+    return calls
 
 
 def entropy_bits(vals):
