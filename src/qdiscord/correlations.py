@@ -60,10 +60,6 @@ NEWTON_STALL_ITER = 10
 #: Bisection steps per gradient call: one call evaluates the 2**6 - 1
 #: midpoints of the next six levels of every bracket's bisection tree.
 BISECT_LEVELS = 6
-#: The line search tries alpha = 2**-k for k = 0, 1, ..., 49, these many
-#: values of k per gradient call, and takes the first k that lowers the
-#: gradient norm.
-HALVING_RUNGS = (1, 8, 41)
 #: Stationary points closer than this (measurement angle) are merged.
 MERGE_TOL = 1e-5
 #: Angular slack when classifying a root as polar/equatorial.
@@ -262,10 +258,11 @@ def conditional_entropy_direct(rho, theta, phi):
 # stationary-point search
 # ---------------------------------------------------------------------------
 
-def _bisect_roots(f, x, fx):
+def _bisect_roots(f, x, fx, brackets=True):
     """Roots of f on the grid x, where fx = f(x): every sign change between
-    neighbours, all bisected at once to machine precision (64 steps at
-    most), and every grid point but the last where f is exactly zero.
+    neighbours where the mask ``brackets`` (one entry per neighbour pair) is
+    set, all bisected at once to machine precision (64 steps at most), and
+    every grid point but the last where f is exactly zero, masked or not.
     Sorted.
 
     One call of f serves BISECT_LEVELS steps of every bracket: it evaluates
@@ -275,7 +272,7 @@ def _bisect_roots(f, x, fx):
     evaluated.  Bisection stops early once a step leaves every bracket as it
     was: each later step would repeat it."""
     exact = x[:-1][fx[:-1] == 0.0]
-    k = np.flatnonzero(fx[:-1] * fx[1:] < 0.0)
+    k = np.flatnonzero((fx[:-1] * fx[1:] < 0.0) & brackets)
     lo, hi, flo = x[k], x[k + 1], fx[k]
     cols = np.arange(k.size)
     steps, stalled = 0, not k.size
@@ -327,6 +324,8 @@ def _merge(ch, gamma, sa, theta, phi, kept=()):
     survivors come in (theta, phi) order, classified by their polar angle;
     ``sa`` is S(rho_a).
     """
+    if not np.size(theta):
+        return list(kept)
     th, ph = bloch.normalize_angles(np.asarray(theta, float), np.asarray(phi, float))
     order = np.lexsort((ph, th))
     th, ph = th[order], ph[order]
@@ -357,11 +356,14 @@ def universal_candidates(ch, gamma):
 
     Returns the polar candidate theta = 0, unverified, and the equatorial
     candidates theta = pi/2 at every azimuth where dJ/dphi vanishes, each
-    verified with scaled gradient norm below 1e-7.  The polar candidate
-    solves the (theta, phi) equations by construction, so its ``grad_norm``
-    is ~0 whatever the state; it is ``critical`` only when the pole is a
-    critical point of J on the sphere, that is when hypot(A, B) is below
-    STATIONARY_TOL.
+    verified with scaled gradient norm below 1e-7.  No such root can lie
+    in a bracket where dJ/dtheta keeps one sign and exceeds STATIONARY_TOL
+    + d2 at both ends, d2 the larger |second difference| of dJ/dtheta there
+    (8x its chord's error bound), so those are not bisected.  The polar
+    candidate solves the (theta, phi) equations by construction, so its
+    ``grad_norm`` is ~0 whatever the state; it is ``critical`` only when the
+    pole is a critical point of J on the sphere, that is when hypot(A, B) is
+    below STATIONARY_TOL.
     """
     sa = output_marginal_entropy(ch, gamma)
 
@@ -379,8 +381,11 @@ def universal_candidates(ch, gamma):
         return grad_objective(ch, gamma, np.full_like(phi, np.pi / 2), phi)[1]
 
     phis = np.linspace(0.0, np.pi, 1441)
-    g = dphi(phis)
-    roots = np.zeros(1) if np.max(np.abs(g)) < 1e-12 else _bisect_roots(dphi, phis, g)
+    gt, gp = grad_objective(ch, gamma, np.full_like(phis, np.pi / 2), phis)
+    d2 = np.abs(np.diff(np.pad(gt, 1, mode="edge"), 2))
+    clear = np.minimum(np.abs(gt[:-1]), np.abs(gt[1:])) > STATIONARY_TOL + np.maximum(d2[:-1], d2[1:])
+    brackets = ~((gt[:-1] * gt[1:] > 0.0) & clear)
+    roots = np.zeros(1) if np.max(np.abs(gp)) < 1e-12 else _bisect_roots(dphi, phis, gp, brackets)
     return _merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
 
@@ -391,10 +396,10 @@ def _newton_batch(ch, gamma, th0, ph0, park=True):
     An iteration of a start takes a central-difference Jacobian, a Newton
     step, and a line search over alpha = 2**-k, k = 0, 1, ..., 49, that
     accepts the first k lowering the gradient norm.  Each gradient call
-    serves every live start: the four stencil points in one call, the line
-    search in one call per rung of HALVING_RUNGS, and the gradient at an
-    accepted step is the next iteration's.  A start polishes down to the
-    gradient floor: it leaves the batch only when its Jacobian is singular
+    serves every live start: the four stencil points in one call, all 50
+    step lengths in one call, and the gradient at an accepted step is the
+    next iteration's; with no starts there is no call.  A start polishes
+    down to the gradient floor: it leaves the batch only when its Jacobian is singular
     or not finite, no step length lowers its norm, it has taken
     NEWTON_POLISH_ITER iterations with its norm below NEWTON_TOL, or it has
     taken NEWTON_MAX_ITER iterations.  It is a root if its final gradient
@@ -413,6 +418,8 @@ def _newton_batch(ch, gamma, th0, ph0, park=True):
     Returns the roots, in start order, and the seeds of the parked starts.
     """
     th, ph = np.array(th0, float), np.array(ph0, float)
+    if not th.size:
+        return th, ph, th, ph
     g0, g1 = grad_objective(ch, gamma, th, ph)
     norm, live = np.hypot(g0, g1), np.arange(th.size)
     polish = np.zeros(th.size, int)
@@ -449,24 +456,15 @@ def _newton_batch(ch, gamma, th0, ph0, park=True):
 
         # a start with a regular Jacobian takes the first k whose trial
         # lowers its gradient norm: the step that halving one at a time takes
-        todo = np.flatnonzero(regular)
-        keep = np.zeros(live.size, bool)
-        k0 = 0
-        for rung in HALVING_RUNGS:
-            if not todo.size:
-                break
-            alpha = np.ldexp(1.0, -np.arange(k0, k0 + rung))[:, None]
-            tt, pp = t[todo] + alpha * dth[todo], p[todo] + alpha * dph[todo]
-            e0, e1 = (e.reshape(tt.shape) for e in grad_objective(ch, gamma, tt.ravel(), pp.ravel()))
-            en = np.hypot(e0, e1)
-            lower = np.isfinite(en) & (en < norm[live[todo]])
-            hit = lower.any(axis=0)
-            k, j, i = np.argmax(lower, axis=0)[hit], np.flatnonzero(hit), todo[hit]
-            th[live[i]], ph[live[i]], norm[live[i]] = tt[k, j], pp[k, j], en[k, j]
-            g0[i], g1[i] = e0[k, j], e1[k, j]
-            keep[i] = True
-            todo = todo[~hit]
-            k0 += rung
+        alpha = np.ldexp(1.0, -np.arange(50))[:, None]
+        tt, pp = t + alpha * dth, p + alpha * dph
+        e0, e1 = (e.reshape(tt.shape) for e in grad_objective(ch, gamma, tt.ravel(), pp.ravel()))
+        en = np.hypot(e0, e1)
+        lower = regular & np.isfinite(en) & (en < norm[live])
+        keep = lower.any(axis=0)
+        k, i = np.argmax(lower, axis=0)[keep], np.flatnonzero(keep)
+        th[live[i]], ph[live[i]], norm[live[i]] = tt[k, i], pp[k, i], en[k, i]
+        g0[i], g1[i] = e0[k, i], e1[k, i]
         live, g0, g1 = live[keep], g0[keep], g1[keep]
 
     root = norm < NEWTON_TOL

@@ -32,6 +32,8 @@ from util import (
     entropy_bits,
     random_unitary,
     random_x_maximally_mixed,
+    same_points,
+    ungated_universal_candidates,
 )
 
 PHI_PLUS_DM = np.outer(*(2 * [np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)])).conj().T
@@ -419,12 +421,19 @@ def channel_of(rho):
         (universal_candidates, 1003, 11),
         (find_stationary_points, 1177, 120),
         (find_stationary_points, 1050, 120),
+        (universal_candidates, 1003, 2),
+        (universal_candidates, 1177, 2),
+        (find_stationary_points, 1003, 25),
+        (find_stationary_points, 1177, 60),
+        (find_stationary_points, 1050, 60),
     ],
 )
 def test_gradient_call_budget(monkeypatch, solve, seed, budget):
     # Newton starts only from the landscape's sign-change cells, calls the
-    # gradient on its live starts only and parks starts that stall; bisection
-    # takes six steps per call and stops once its brackets stop changing
+    # gradient on its live starts only, tries every step length in one call
+    # and parks starts that stall; bisection takes six steps per call, stops
+    # once its brackets stop changing, and skips the equatorial brackets
+    # where dJ/dtheta keeps clear of zero
     calls = count_gradient_calls(monkeypatch)
     solve(*channel_of(random_state(seed)))
     assert 0 < len(calls) <= budget
@@ -581,3 +590,32 @@ def test_bisect_roots_matches_one_step_bisection(rho, grid):
     got = correlations._bisect_roots(counted, x, fx)
     assert got.tobytes() == one_step_bisect_roots(f, x, fx).tobytes()
     assert len(calls) <= 10
+
+
+def gate_states():
+    rng = np.random.default_rng(0)
+    yield "lu", lu_state()
+    yield "random_state(1003)", random_state(1003)
+    yield "random_state(1177)", random_state(1177)
+    yield "bell_diagonal(0.7, -0.5, 0.3)", bell_diagonal(0.7, -0.5, 0.3)
+    for i in range(10):
+        yield f"random_x_maximally_mixed #{i}", random_x_maximally_mixed(rng)
+    for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+        yield f"near_singular_state({eps:.0e})", near_singular_state(eps)
+
+
+def test_equatorial_gate_keeps_the_candidates(monkeypatch):
+    # a skipped bracket's root would fail verification on dJ/dtheta alone,
+    # so the gated candidates are those of bisecting every bracket; on a
+    # general state no bracket is bisected, while the verified equatorial
+    # roots of a near-singular marginal are
+    calls, widths = count_gradient_calls(monkeypatch), {}
+    for name, rho in gate_states():
+        ch, gamma = channel_of(rho)
+        calls.clear()
+        got = universal_candidates(ch, gamma)
+        widths[name] = list(calls)
+        assert same_points(got, ungated_universal_candidates(ch, gamma)), name
+    bisection = 2**correlations.BISECT_LEVELS - 1
+    assert not any(w % bisection == 0 for w in widths["random_state(1003)"])
+    assert any(w % bisection == 0 for w in widths["near_singular_state(1e-04)"])

@@ -8,7 +8,9 @@ hypothesis for both the stationary solver and the grid oracle.
   and the equator too;
 * the stationary list holds every critical point of J: the signs of their
   Hessian determinants sum to 1, the Euler characteristic of the projective
-  plane (Poincare-Hopf).
+  plane (Poincare-Hopf);
+* the equatorial gate of the universal candidates drops no candidate that
+  bisecting every bracket would verify.
 
 Bounds as in Modi et al., Rev. Mod. Phys. 84, 1655 (2012).
 """
@@ -20,10 +22,17 @@ from hypothesis import strategies as st
 
 from qdiscord.bloch import affine_from_kraus, conditional_purities
 from qdiscord.choi import decompose
-from qdiscord.correlations import discord, find_stationary_points, grad_objective, index_sum, objective_channel
+from qdiscord.correlations import (
+    discord,
+    find_stationary_points,
+    grad_objective,
+    index_sum,
+    objective_channel,
+    universal_candidates,
+)
 from qdiscord.qmat import partial_trace_a, partial_trace_b, von_neumann_entropy
 from qdiscord.states import random_state
-from util import random_unitary
+from util import random_unitary, same_points, ungated_universal_candidates
 
 TOL = 1e-8
 METHODS = pytest.mark.parametrize("method", ["stationary", "oracle"])
@@ -103,3 +112,11 @@ def test_stationary_points_index_sum_is_one(seed, rank):
     d = decompose(random_state(seed, rank))
     ch = affine_from_kraus(d.kraus)
     assert index_sum(ch, d.gamma, find_stationary_points(ch, d.gamma)) == 1
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(2, 4))
+def test_equatorial_gate_keeps_the_candidates(seed, rank):
+    d = decompose(random_state(seed, rank))
+    ch = affine_from_kraus(d.kraus)
+    assert same_points(universal_candidates(ch, d.gamma), ungated_universal_candidates(ch, d.gamma))

@@ -13,16 +13,47 @@ from qdiscord.qmat import check_density_matrix
 
 
 def count_gradient_calls(monkeypatch):
-    """A list that grows by one entry per call of ``correlations.grad_objective``."""
+    """A list that grows by one entry per call of ``correlations.grad_objective``:
+    the number of points the call evaluates."""
     calls = []
     grad = correlations.grad_objective
 
-    def counted(*args):
-        calls.append(1)
-        return grad(*args)
+    def counted(ch, gamma, theta, phi):
+        calls.append(np.size(theta))
+        return grad(ch, gamma, theta, phi)
 
     monkeypatch.setattr(correlations, "grad_objective", counted)
     return calls
+
+
+def ungated_universal_candidates(ch, gamma):
+    """``correlations.universal_candidates`` with every sign-change bracket of
+    the equatorial dJ/dphi scan bisected, whatever dJ/dtheta is there."""
+    sa = correlations.output_marginal_entropy(ch, gamma)
+    (a, b), _ = correlations.grad_objective(ch, gamma, np.zeros(2), np.array([0.0, np.pi / 2]))
+    phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
+    polar = correlations.StationaryPoint(
+        0.0,
+        phi0,
+        sa - correlations.conditional_entropy_channel(ch, gamma, 0.0, phi0),
+        abs(a * np.cos(phi0) + b * np.sin(phi0)),
+        correlations.ASYMMETRIC,
+        bool(np.hypot(a, b) < correlations.STATIONARY_TOL),
+    )
+
+    def dphi(phi):
+        return correlations.grad_objective(ch, gamma, np.full_like(phi, np.pi / 2), phi)[1]
+
+    phis = np.linspace(0.0, np.pi, 1441)
+    g = dphi(phis)
+    roots = np.zeros(1) if np.max(np.abs(g)) < 1e-12 else correlations._bisect_roots(dphi, phis, g)
+    return correlations._merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
+
+
+def same_points(got, want):
+    """True when two stationary lists agree bit for bit."""
+    rows = [np.array([q.as_row()[1:] for q in pts]).tobytes() for pts in (got, want)]
+    return [(q.kind, q.critical) for q in got] == [(q.kind, q.critical) for q in want] and rows[0] == rows[1]
 
 
 def entropy_bits(vals):
