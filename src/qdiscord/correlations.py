@@ -141,11 +141,6 @@ def _scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _weighted_entropy(p, purity):
-    """p H2((1 + purity)/2), zero for outcomes below the degeneracy guard."""
-    return np.where(p > bloch.DEGENERATE_TOL, p * binary_entropy_arr((1.0 + purity) / 2.0), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # channel path
 # ---------------------------------------------------------------------------
@@ -157,15 +152,8 @@ def output_marginal_entropy(ch, gamma):
 
 
 def conditional_entropy_channel(ch, gamma, theta, phi):
-    """sum_j p_j S(rho_j) evaluated through the affine channel form.
-
-    Angle arrays of one shape give an array of values.
-    """
-    p1, p2, s, t = bloch.conditional_outcomes(gamma, *bloch.angle_trig(theta, phi))
-    sv, tv = ch(s), ch(t)
-    sp = np.sqrt(np.sum(sv * sv, axis=0))
-    tp = np.sqrt(np.sum(tv * tv, axis=0))
-    return _scalar_or_array(_weighted_entropy(p1, sp) + _weighted_entropy(p2, tp))
+    """sum_j p_j S(rho_j) through the affine channel form; angle arrays of one shape give an array."""
+    return _scalar_or_array(_channel_terms(ch, gamma, theta, phi)[0])
 
 
 def objective_channel(ch, gamma, theta, phi):
@@ -183,14 +171,21 @@ def _log_ratio_over_x(x):
 
 
 def grad_objective(ch, gamma, theta, phi):
-    """Analytic gradient (dJ/dtheta, dJ/dphi) on the channel path.
+    """Analytic gradient (dJ/dtheta, dJ/dphi) on the channel path; angle arrays give a pair of arrays."""
+    return tuple(_scalar_or_array(g) for g in _channel_terms(ch, gamma, theta, phi)[1:])
 
-    J sees s only through s' = |eta s + c|, and ds' = eta^T (eta s + c) . ds / s',
-    so each output vector is pulled back through the channel once, and both
-    derivatives are dot products with the closed-form ds and dt.  Purities
-    are clamped at 1 - 1e-12 inside the logarithms, so the value is finite
-    (and still ~0 where it should vanish) even for a channel that keeps the
-    conditional states pure.  Angle arrays of one shape give a pair of arrays.
+
+def _channel_terms(ch, gamma, theta, phi):
+    """Conditional entropy and gradient (dJ/dtheta, dJ/dphi) of the channel
+    path at angle arrays of one shape, from one forward pass: both depend
+    on the angles only through the outcome probabilities and the purities
+    s' = |eta s + c| and t' = |eta t + c|.
+
+    ds' = eta^T (eta s + c) . ds / s', so each output vector is pulled back
+    through the channel once, and both derivatives are dot products with
+    the closed-form ds and dt.  Purities are clamped at 1 - 1e-12 inside the
+    logarithms, so the gradient is finite (and still ~0 where it should
+    vanish) even for a channel that keeps the conditional states pure.
     """
     sg, cg = np.sin(gamma), np.cos(gamma)
     st, ct, cp, sp = trig = bloch.angle_trig(theta, phi)
@@ -205,6 +200,7 @@ def grad_objective(ch, gamma, theta, phi):
     wt = p2 * _log_ratio_over_x(tpn) * (ch.eta.T @ tv.reshape(3, -1)).reshape(t.shape)
     hs = binary_entropy_arr((1.0 + spn) / 2.0)
     ht = binary_entropy_arr((1.0 + tpn) / 2.0)
+    ce = np.where(p1 > bloch.DEGENERATE_TOL, p1 * hs, 0.0) + np.where(p2 > bloch.DEGENERATE_TOL, p2 * ht, 0.0)
 
     # ds/dtheta = sg / dp^2 (cp (ct + cg), -sp (ct + cg), -sg st), dt/dtheta
     # likewise with ct - cg over -dm^2, and d/dphi = (y, -x, 0) for both
@@ -214,7 +210,7 @@ def grad_objective(ch, gamma, theta, phi):
         - sg / dm**2 * ((ct - cg) * (cp * wt[0] - sp * wt[1]) - sg * st * wt[2])
     )
     g_ph = ws[0] * s[1] - ws[1] * s[0] + wt[0] * t[1] - wt[1] * t[0]
-    return _scalar_or_array(g_th), _scalar_or_array(g_ph)
+    return ce, g_th, g_ph
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +244,10 @@ def conditional_entropy_direct(rho, theta, phi):
     def branch(x00, x01, x11):
         p = np.real(x00 + x11)
         det = np.real(x00 * x11 - x01 * np.conj(x01))
-        safe = np.where(p > bloch.DEGENERATE_TOL, p, 1.0)
-        return _weighted_entropy(p, np.sqrt(np.clip(1.0 - 4.0 * det / (safe * safe), 0.0, 1.0)))
+        live = p > bloch.DEGENERATE_TOL
+        safe = np.where(live, p, 1.0)
+        purity = np.sqrt(np.clip(1.0 - 4.0 * det / (safe * safe), 0.0, 1.0))
+        return np.where(live, p * binary_entropy_arr((1.0 + purity) / 2.0), 0.0)
 
     return _scalar_or_array(branch(a00, a01, a11) + branch(b00, b01, b11))
 
@@ -317,8 +315,9 @@ def _classify(theta):
 def _merge(ch, gamma, sa, theta, phi, kept=()):
     """``kept`` followed by the stationary points at the roots (theta, phi).
 
-    Roots are folded to canonical angles and verified to scaled gradient
-    norm below STATIONARY_TOL.  A root within MERGE_TOL (measurement
+    Roots are folded to canonical angles; one channel-path call then gives
+    the gradient that verifies them (scaled norm below STATIONARY_TOL) and
+    the objective that scores them.  A root within MERGE_TOL (measurement
     distance) of a point in ``kept`` is dropped; of roots within MERGE_TOL of
     each other, the best converged (smallest gradient norm) is kept.  The
     survivors come in (theta, phi) order, classified by their polar angle;
@@ -329,7 +328,7 @@ def _merge(ch, gamma, sa, theta, phi, kept=()):
     th, ph = bloch.normalize_angles(np.asarray(theta, float), np.asarray(phi, float))
     order = np.lexsort((ph, th))
     th, ph = th[order], ph[order]
-    gt, gp = grad_objective(ch, gamma, th, ph)
+    ce, gt, gp = _channel_terms(ch, gamma, th, ph)
     gn = np.hypot(gt, np.sin(th) * gp)
     free = gn < STATIONARY_TOL
     for q in kept:
@@ -343,11 +342,9 @@ def _merge(ch, gamma, sa, theta, phi, kept=()):
         # distance, so only roots within MERGE_TOL in theta can be absorbed
         lo, hi = np.searchsorted(th, [th[i] - MERGE_TOL, th[i] + MERGE_TOL])
         free[lo:hi] &= bloch.measurement_distance((th[i], ph[i]), (th[lo:hi], ph[lo:hi])) >= MERGE_TOL
-    take.sort()
-    obj = sa - conditional_entropy_channel(ch, gamma, th[take], ph[take])
     return list(kept) + [
-        StationaryPoint(float(th[i]), float(ph[i]), float(o), float(gn[i]), _classify(th[i]))
-        for i, o in zip(take, obj)
+        StationaryPoint(float(th[i]), float(ph[i]), float(sa - ce[i]), float(gn[i]), _classify(th[i]))
+        for i in sorted(take)
     ]
 
 
@@ -363,18 +360,18 @@ def universal_candidates(ch, gamma):
     candidate solves the (theta, phi) equations by construction, so its
     ``grad_norm`` is ~0 whatever the state; it is ``critical`` only when the
     pole is a critical point of J on the sphere, that is when hypot(A, B) is
-    below STATIONARY_TOL.
+    below STATIONARY_TOL.  Its objective comes from the same call as A and
+    B: at theta = 0, J does not depend on phi.
     """
     sa = output_marginal_entropy(ch, gamma)
 
     # polar candidate: dJ/dphi vanishes identically at theta = 0, while the
     # theta derivative there is A cos(phi) + B sin(phi); pick its zero.  The
     # azimuth is kept as found: folding would reset it to 0.
-    (a, b), _ = grad_objective(ch, gamma, np.zeros(2), np.array([0.0, np.pi / 2]))
+    ce, (a, b), _ = _channel_terms(ch, gamma, np.zeros(2), np.array([0.0, np.pi / 2]))
     phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
     g0 = a * np.cos(phi0) + b * np.sin(phi0)
-    obj0 = sa - conditional_entropy_channel(ch, gamma, 0.0, phi0)
-    polar = StationaryPoint(0.0, phi0, obj0, abs(g0), ASYMMETRIC, bool(np.hypot(a, b) < STATIONARY_TOL))
+    polar = StationaryPoint(0.0, phi0, float(sa - ce[0]), abs(g0), ASYMMETRIC, bool(np.hypot(a, b) < STATIONARY_TOL))
 
     # equatorial candidates: zeros of dJ/dphi along theta = pi/2
     def dphi(phi):
@@ -389,16 +386,27 @@ def universal_candidates(ch, gamma):
     return _merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
 
+def _jacobian(ch, gamma, t, p):
+    """Central-difference Jacobian (d/dtheta, d/dphi of dJ/dtheta, then of dJ/dphi) at the
+    points (t, p), step NEWTON_FD_STEP: one call on the four stencil points of every point."""
+    h = NEWTON_FD_STEP
+    _, g0, g1 = _channel_terms(ch, gamma, np.concatenate([t + h, t - h, t, t]), np.concatenate([p, p, p + h, p - h]))
+    a0, b0, c0, d0 = np.split(g0, 4)
+    a1, b1, c1, d1 = np.split(g1, 4)
+    return (a0 - b0) / (2 * h), (c0 - d0) / (2 * h), (a1 - b1) / (2 * h), (c1 - d1) / (2 * h)
+
+
 def _newton_batch(ch, gamma, th0, ph0, park=True):
     """Damped Newton on the gradient from many start points, batched over
     the starts still iterating.
 
-    An iteration of a start takes a central-difference Jacobian, a Newton
-    step, and a line search over alpha = 2**-k, k = 0, 1, ..., 49, that
-    accepts the first k lowering the gradient norm.  Each gradient call
-    serves every live start: the four stencil points in one call, all 50
-    step lengths in one call, and the gradient at an accepted step is the
-    next iteration's; with no starts there is no call.  A start polishes
+    An iteration of a start takes a central-difference Jacobian
+    (:func:`_jacobian`), a Newton step, and a line search over alpha =
+    2**-k, k = 0, 1, ..., 49, that accepts the first k lowering the
+    gradient norm.  Each gradient call serves every live start: the four
+    stencil points in one call, all 50 step lengths in one call, and the
+    gradient at an accepted step is the next iteration's; with no starts
+    there is no call.  A start polishes
     down to the gradient floor: it leaves the batch only when its Jacobian is singular
     or not finite, no step length lowers its norm, it has taken
     NEWTON_POLISH_ITER iterations with its norm below NEWTON_TOL, or it has
@@ -420,12 +428,11 @@ def _newton_batch(ch, gamma, th0, ph0, park=True):
     th, ph = np.array(th0, float), np.array(ph0, float)
     if not th.size:
         return th, ph, th, ph
-    g0, g1 = grad_objective(ch, gamma, th, ph)
+    _, g0, g1 = _channel_terms(ch, gamma, th, ph)
     norm, live = np.hypot(g0, g1), np.arange(th.size)
     polish = np.zeros(th.size, int)
     parked = np.zeros(th.size, bool)
     checked = norm.copy()
-    h = NEWTON_FD_STEP
     for it in range(NEWTON_MAX_ITER):
         polish[live] += norm[live] < NEWTON_TOL
         keep = polish[live] <= NEWTON_POLISH_ITER
@@ -440,14 +447,7 @@ def _newton_batch(ch, gamma, th0, ph0, park=True):
             break
 
         t, p = th[live], ph[live]
-        stencil = np.concatenate([t + h, t - h, t, t]), np.concatenate([p, p, p + h, p - h])
-        s0, s1 = grad_objective(ch, gamma, *stencil)
-        a0, b0, c0, d0 = np.split(s0, 4)
-        a1, b1, c1, d1 = np.split(s1, 4)
-        j00 = (a0 - b0) / (2 * h)
-        j10 = (a1 - b1) / (2 * h)
-        j01 = (c0 - d0) / (2 * h)
-        j11 = (c1 - d1) / (2 * h)
+        j00, j01, j10, j11 = _jacobian(ch, gamma, t, p)
         det = j00 * j11 - j01 * j10
         regular = (np.abs(det) >= 1e-30) & np.isfinite(det)
         safe = np.where(regular, det, 1.0)
@@ -458,7 +458,7 @@ def _newton_batch(ch, gamma, th0, ph0, park=True):
         # lowers its gradient norm: the step that halving one at a time takes
         alpha = np.ldexp(1.0, -np.arange(50))[:, None]
         tt, pp = t + alpha * dth, p + alpha * dph
-        e0, e1 = (e.reshape(tt.shape) for e in grad_objective(ch, gamma, tt.ravel(), pp.ravel()))
+        _, e0, e1 = _channel_terms(ch, gamma, tt, pp)
         en = np.hypot(e0, e1)
         lower = regular & np.isfinite(en) & (en < norm[live])
         keep = lower.any(axis=0)
@@ -481,12 +481,13 @@ def index_sum(ch, gamma, points):
     index +-1 shows as a sum of 0 or 2; a missed pair of opposite index
     cancels.  Points that are not ``critical`` do not count.
 
-    At a critical point the Hessian in (theta, phi) is the central-difference
-    Jacobian of the gradient with step NEWTON_FD_STEP, and its determinant
-    over sin(theta)**2 is that of the Hessian on the sphere.  At the pole
-    the Hessian in the chart (theta cos phi, theta sin phi) comes from dJ/dtheta
-    at theta = +-h for phi in {0, pi/2, pi/4}: its diagonal along each
-    direction.  All stencils take one gradient call.
+    At a critical point the Hessian in (theta, phi) is the Jacobian of the
+    gradient (:func:`_jacobian`, one call for every point off the pole),
+    and its determinant over sin(theta)**2 is that of the Hessian on the
+    sphere.  At a critical pole the Hessian in the chart (theta cos phi,
+    theta sin phi) comes from dJ/dtheta at theta = +-h for phi in {0, pi/2,
+    pi/4}, h = NEWTON_FD_STEP: its diagonal along each direction, from one
+    more call.
 
     Returns None when some determinant is below (1e-4 s)**2, s the largest
     Hessian entry over the points, or below (eps / h)**2, the rounding floor
@@ -497,23 +498,17 @@ def index_sum(ch, gamma, points):
     if not crit:
         return None
     t, p = np.array([[q.theta, q.phi] for q in crit if q.kind != ASYMMETRIC]).reshape(-1, 2).T
-    n, h = t.size, NEWTON_FD_STEP
-    # the pole's stencil: theta = h along phi = 0, pi/2, pi/4, then along the opposite directions
-    ring = np.array([0.0, np.pi / 2, np.pi / 4, np.pi, 1.5 * np.pi, 1.25 * np.pi]) if n < len(crit) else np.zeros(0)
-    g0, g1 = grad_objective(
-        ch,
-        gamma,
-        np.concatenate([t + h, t - h, t, t, np.full(ring.size, h)]),
-        np.concatenate([p, p, p + h, p - h, ring]),
-    )
-    a0, b0, c0, d0, pole = np.split(g0, [n, 2 * n, 3 * n, 4 * n])
-    a1, b1, c1, d1, _ = np.split(g1, [n, 2 * n, 3 * n, 4 * n])
+    h = NEWTON_FD_STEP
+    jtt, jtp, jpt, jpp = _jacobian(ch, gamma, t, p)
     st = np.sin(t)
     # rows: the Hessian's tt, tp, pt and pp entries in an orthonormal frame
-    hess = np.stack([a0 - b0, (c0 - d0) / st, (a1 - b1) / st, (c1 - d1) / st**2]) / (2 * h)
-    if ring.size:
-        # dJ/dtheta at (-h, phi) is minus that at (h, phi + pi), so the
-        # central difference cancels A cos phi + B sin phi
+    hess = np.stack([jtt, jtp / st, jpt / st, jpp / st**2])
+    if t.size < len(crit):
+        # theta = h along phi = 0, pi/2, pi/4, then along the opposite
+        # directions: dJ/dtheta at (-h, phi) is minus that at (h, phi + pi),
+        # so the central difference cancels A cos phi + B sin phi
+        ring = np.array([0.0, np.pi / 2, np.pi / 4, np.pi, 1.5 * np.pi, 1.25 * np.pi])
+        _, pole, _ = _channel_terms(ch, gamma, np.full(ring.size, h), ring)
         xx, yy, diag = (pole[:3] + pole[3:]) / (2 * h)
         xy = diag - 0.5 * (xx + yy)
         hess = np.column_stack([hess, [xx, xy, xy, yy]])
@@ -547,13 +542,12 @@ def _landscape_grid():
     return np.meshgrid(np.linspace(0.0, np.pi / 2, n_theta), np.linspace(0.0, 2 * np.pi, n_phi), indexing="ij")
 
 
-def _landscape_seeds(ch, gamma):
-    """Newton starts from one gradient scan on the landscape grid: the
-    centre of every cell where both components strictly change sign among
-    the cell's four corners."""
-    th, ph = _landscape_grid()
+def _landscape_seeds(th, ph, grad):
+    """Newton starts from the gradient scan ``grad`` = (dJ/dtheta, dJ/dphi)
+    on the landscape grid (th, ph): the centre of every cell where both
+    components strictly change sign among the cell's four corners."""
     seed = True
-    for g in grad_objective(ch, gamma, th, ph):
+    for g in grad:
         corners = np.stack([g[:-1, :-1], g[1:, :-1], g[:-1, 1:], g[1:, 1:]])
         seed &= (corners.min(axis=0) < 0.0) & (corners.max(axis=0) > 0.0)
     return 0.5 * (th[:-1, :-1] + th[1:, 1:])[seed], 0.5 * (ph[:-1, :-1] + ph[1:, 1:])[seed]
@@ -562,20 +556,22 @@ def _landscape_seeds(ch, gamma):
 def find_stationary_points(ch, gamma):
     """All stationary points of J: universal candidates plus Newton roots.
 
-    One 25 x 49 grid over theta in [0, pi/2] and phi in [0, 2 pi] carries
-    both landscape scans; the outcome-swap symmetry maps it onto the rest
-    of the sphere.  Damped Newton runs from its cells where both gradient
-    components change sign (:func:`_landscape_seeds`), batched over the
-    starts still iterating.  Roots are folded to canonical angles, merged
-    within an angle of 1e-5, verified to scaled gradient norm < 1e-7 and
-    classified by their polar angle.
+    One channel-path call scans J and its gradient together on a 25 x 49
+    grid over theta in [0, pi/2] and phi in [0, 2 pi]; the outcome-swap
+    symmetry maps the grid onto the rest of the sphere.  That one scan
+    serves the flat and phi-independence checks, the missed-root net below
+    and the Newton seeds.  Damped Newton runs from the cells where both
+    gradient components change sign (:func:`_landscape_seeds`), batched
+    over the starts still iterating.  Roots are folded to canonical angles,
+    merged within an angle of 1e-5, verified to scaled gradient norm < 1e-7
+    and classified by their polar angle, from one call per batch.
 
     Newton parks the starts that stop converging.  When some start was
     parked, :func:`index_sum` certifies the list by Poincare-Hopf; if the
     sum is not 1 (or has no value), Newton reruns from the parked seeds with
     parking off and the list is merged anew, as if no start had been
-    parked.  The scan of J on the same grid decides the degenerate cases
-    below and guards against a missed root: if its best sample beats the
+    parked.  The scan's values of J decide the degenerate cases below and
+    guard against a missed root: if its best sample beats the
     best point found by more than OPTIMUM_TIE_TOL, Newton also runs from
     that sample, with parking off.
 
@@ -587,7 +583,7 @@ def find_stationary_points(ch, gamma):
     sa = output_marginal_entropy(ch, gamma)
 
     th_scan, ph_scan = _landscape_grid()
-    ce_scan = conditional_entropy_channel(ch, gamma, th_scan, ph_scan)
+    ce_scan, *g_scan = _channel_terms(ch, gamma, th_scan, ph_scan)
     if float(np.ptp(ce_scan)) < 1e-12:
         obj = sa - float(ce_scan.mean())
         return [StationaryPoint(np.pi / 2, 0.0, obj, 0.0, SYMMETRIC)]
@@ -595,7 +591,7 @@ def find_stationary_points(ch, gamma):
         pts = _stationary_points_1d(ch, gamma, sa)
     else:
         cands = universal_candidates(ch, gamma)
-        rth, rph, pth, pph = _newton_batch(ch, gamma, *_landscape_seeds(ch, gamma))
+        rth, rph, pth, pph = _newton_batch(ch, gamma, *_landscape_seeds(th_scan, ph_scan, g_scan))
         pts = _merge(ch, gamma, sa, rth, rph, cands)
         if pth.size and index_sum(ch, gamma, pts) != 1:
             mth, mph, *_ = _newton_batch(ch, gamma, pth, pph, park=False)

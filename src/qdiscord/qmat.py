@@ -132,11 +132,11 @@ def von_neumann_entropy(rho):
 def binary_entropy(p):
     """Binary entropy H2(p) = -p log2 p - (1-p) log2(1-p), in bits.
 
-    ``p`` may stray outside [0, 1] by at most 1e-12 (clamped); farther out
-    is rejected.
+    ``p`` may stray outside [0, 1] by at most 1e-12 (clamped); farther out,
+    and NaN, is rejected.
     """
     p = float(p)
-    if p < -1e-12 or p > 1.0 + 1e-12:
+    if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ValueError(f"probability {p!r} outside [0, 1]")
     return float(binary_entropy_arr(np.clip(p, 0.0, 1.0)))
 

@@ -49,9 +49,12 @@ class NotApplicableError(ValueError):
 
 
 def is_x_state(rho):
-    """True when all eight off-pattern entries vanish to within
-    :data:`X_PATTERN_TOL`."""
-    return bool(np.all(np.abs(np.asarray(rho, dtype=complex)[_OFF_PATTERN]) < X_PATTERN_TOL))
+    """True when all eight off-pattern entries of the 4x4 matrix ``rho``
+    vanish to within :data:`X_PATTERN_TOL`; ValueError for another shape."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    return bool(np.all(np.abs(rho[_OFF_PATTERN]) < X_PATTERN_TOL))
 
 
 def _require_block_form(ch):

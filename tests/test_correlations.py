@@ -411,8 +411,12 @@ def channel_of(rho):
     return affine_from_kraus(d.kraus), d.gamma
 
 
+#: States of the call budget named other than by their random_state seed.
+BUDGET_STATES = {"lu": lu_state(), "werner(0.8)": werner(0.8)}
+
+
 @pytest.mark.parametrize(
-    "solve, seed, budget",
+    "solve, state, budget",
     [
         (find_stationary_points, 1177, 600),
         (universal_candidates, 1003, 56),
@@ -426,17 +430,38 @@ def channel_of(rho):
         (find_stationary_points, 1003, 25),
         (find_stationary_points, 1177, 60),
         (find_stationary_points, 1050, 60),
+        (find_stationary_points, "lu", 12),
+        (find_stationary_points, "werner(0.8)", 1),
     ],
 )
-def test_gradient_call_budget(monkeypatch, solve, seed, budget):
+def test_gradient_call_budget(monkeypatch, solve, state, budget):
     # Newton starts only from the landscape's sign-change cells, calls the
     # gradient on its live starts only, tries every step length in one call
     # and parks starts that stall; bisection takes six steps per call, stops
     # once its brackets stop changing, and skips the equatorial brackets
-    # where dJ/dtheta keeps clear of zero
+    # where dJ/dtheta keeps clear of zero; lu's landscape does not depend
+    # on phi, and werner(0.8)'s is flat.  Every channel-path call counts,
+    # objective and gradient alike
     calls = count_gradient_calls(monkeypatch)
-    solve(*channel_of(random_state(seed)))
+    solve(*channel_of(BUDGET_STATES[state] if isinstance(state, str) else random_state(state)))
     assert 0 < len(calls) <= budget
+
+
+def test_find_stationary_points_evaluates_each_point_set_once(monkeypatch):
+    # J and its gradient come from one forward pass, so the landscape grid,
+    # each merged batch of roots and the pole are evaluated once each
+    terms, seen = correlations._channel_terms, []
+
+    def recorded(ch, gamma, theta, phi):
+        points = np.stack(np.broadcast_arrays(theta, phi), axis=-1).reshape(-1, 2)
+        seen.append(np.unique(points, axis=0).tobytes())
+        return terms(ch, gamma, theta, phi)
+
+    monkeypatch.setattr(correlations, "_channel_terms", recorded)
+    for rho in (random_state(1003), lu_state(), near_singular_state(1e-4)):
+        seen.clear()
+        find_stationary_points(*channel_of(rho))
+        assert len(set(seen)) == len(seen)
 
 
 def test_near_singular_copies_take_steady_gradient_calls(monkeypatch):
@@ -483,7 +508,7 @@ def test_stationary_points_pinned(name, rho):
 def test_missed_root_safety_net(monkeypatch):
     # with no seeds at all, Newton from the best cell of the objective scan
     # still finds the optimum
-    monkeypatch.setattr(correlations, "_landscape_seeds", lambda ch, gamma: (np.zeros(0), np.zeros(0)))
+    monkeypatch.setattr(correlations, "_landscape_seeds", lambda th, ph, grad: (np.zeros(0), np.zeros(0)))
     pts = find_stationary_points(*channel_of(random_state(1003)))
     kind, theta, phi, objective = PINNED_POINTS["random_state(1003)"][0]
     assert pts[0].kind == kind
@@ -495,7 +520,9 @@ def test_index_sum_of_the_stationary_list_is_one(seed, parks):
     # Poincare-Hopf on the projective plane: with every critical point found,
     # the signs of their Hessian determinants sum to its Euler characteristic
     ch, gamma = channel_of(random_state(seed))
-    *_, parked_th, _ = correlations._newton_batch(ch, gamma, *correlations._landscape_seeds(ch, gamma))
+    th, ph = correlations._landscape_grid()
+    _, *grad = correlations._channel_terms(ch, gamma, th, ph)
+    *_, parked_th, _ = correlations._newton_batch(ch, gamma, *correlations._landscape_seeds(th, ph, grad))
     assert bool(parked_th.size) == parks
     assert index_sum(ch, gamma, find_stationary_points(ch, gamma)) == 1
 

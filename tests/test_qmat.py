@@ -155,6 +155,8 @@ def test_binary_entropy_clamps_and_rejects():
         binary_entropy(1.001)
     with pytest.raises(ValueError):
         binary_entropy(-0.001)
+    with pytest.raises(ValueError):
+        binary_entropy(float("nan"))
 
 
 @settings(deadline=None, max_examples=80)

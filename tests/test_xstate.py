@@ -35,6 +35,11 @@ def test_is_x_state():
     assert not is_x_state(bad)
 
 
+def test_is_x_state_rejects_a_matrix_that_is_not_4x4():
+    with pytest.raises(ValueError, match="4x4"):
+        is_x_state(np.eye(2))
+
+
 def test_f_phi_diagonal_block():
     ch = _diag_channel(0.8, 0.3, 0.5)
     for ph in np.linspace(0, 2 * np.pi, 17):

@@ -1,5 +1,5 @@
 """Shared test helpers: independent oracles, random-input generators and a
-gradient-call counter.
+channel-path call counter.
 
 The oracles here are deliberately written from the definitions (explicit
 projectors, eigenvalue sums, finite differences) and never call back into
@@ -13,16 +13,17 @@ from qdiscord.qmat import check_density_matrix
 
 
 def count_gradient_calls(monkeypatch):
-    """A list that grows by one entry per call of ``correlations.grad_objective``:
-    the number of points the call evaluates."""
+    """A list that grows by one entry per channel-path evaluation, the call
+    of ``correlations._channel_terms`` behind the objective and the
+    gradient alike: the number of points the call evaluates."""
     calls = []
-    grad = correlations.grad_objective
+    terms = correlations._channel_terms
 
     def counted(ch, gamma, theta, phi):
         calls.append(np.size(theta))
-        return grad(ch, gamma, theta, phi)
+        return terms(ch, gamma, theta, phi)
 
-    monkeypatch.setattr(correlations, "grad_objective", counted)
+    monkeypatch.setattr(correlations, "_channel_terms", counted)
     return calls
 
 
