@@ -75,12 +75,7 @@ def affine_from_kraus(kraus):
 
 def conditional_probabilities(gamma, theta):
     """Outcome probabilities ( (1+cos th cos g)/2, (1-cos th cos g)/2 )."""
-    return _probabilities(np.cos(theta), np.cos(gamma))
-
-
-def _probabilities(ct, cg):
-    """Outcome probabilities from cos theta and cos gamma."""
-    x = ct * cg
+    x = np.cos(theta) * np.cos(gamma)
     return 0.5 * (1.0 + x), 0.5 * (1.0 - x)
 
 
@@ -91,12 +86,12 @@ def conditional_bloch_in(gamma, theta, phi):
     outcome probability vanishes (theta ~ 0 together with gamma ~ 0), where
     the corresponding direction is undefined.
     """
-    p1, p2, s, t = conditional_outcomes(gamma, *angle_trig(theta, phi))
-    if min(p1, p2) < DEGENERATE_TOL:
+    p, u = conditional_outcomes(gamma, *angle_trig(theta, phi))
+    if p.min() < DEGENERATE_TOL:
         raise DegenerateOutcomeError(
-            f"outcome probability {min(p1, p2):.3e} below {DEGENERATE_TOL:.0e}"
+            f"outcome probability {p.min():.3e} below {DEGENERATE_TOL:.0e}"
         )
-    return s.reshape(3), t.reshape(3)
+    return u[0].reshape(3), u[1].reshape(3)
 
 
 def conditional_purities(ch, gamma, theta, phi):
@@ -116,8 +111,10 @@ def angle_trig(theta, phi):
 
 
 def conditional_outcomes(gamma, st, ct, cp, sp):
-    """Vectorized probabilities and directions (p1, p2, s, t) of the two
-    outcomes, s and t of shape (3, ...); no degeneracy guard.
+    """Vectorized probabilities p, shape (2, ...), and directions u, shape
+    (2, 3, ...), of the two outcomes: p[0] and u[0] = s belong to the
+    outcome along the measurement vector, p[1] and u[1] = t to the other.
+    No degeneracy guard.
 
     The measurement angles enter through their sines and cosines (see
     :func:`angle_trig`), so a caller that needs them too computes them once.
@@ -128,11 +125,11 @@ def conditional_outcomes(gamma, st, ct, cp, sp):
     path equal to the direct projection at the same angles.
     """
     sg, cg = np.sin(gamma), np.cos(gamma)
-    dp = np.maximum(1.0 + cg * ct, DEGENERATE_TOL)
-    dm = np.maximum(1.0 - cg * ct, DEGENERATE_TOL)
-    s = np.stack([sg * st * cp / dp, -sg * st * sp / dp, (cg + ct) / dp])
-    t = np.stack([-sg * st * cp / dm, sg * st * sp / dm, (cg - ct) / dm])
-    return _probabilities(ct, cg) + (s, t)
+    d = 1.0 + np.array([ct, -ct]) * cg
+    a = sg * st
+    ax, ay = a * cp, a * sp
+    u = np.array([[ax, -ay, cg + ct], [-ax, ay, cg - ct]])
+    return 0.5 * d, u / np.maximum(d, DEGENERATE_TOL)[:, None]
 
 
 # measurement-direction helpers ------------------------------------------------
@@ -144,9 +141,16 @@ def angles_to_direction(theta, phi):
 
 
 def direction_to_angles(n):
-    """Inverse of :func:`angles_to_direction`; phi in [0, 2pi)."""
+    """Inverse of :func:`angles_to_direction`; phi in [0, 2pi).
+
+    ``n`` need not be normalized, but a zero or non-finite vector has no
+    direction and raises ValueError.
+    """
     n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
+    norm = np.linalg.norm(n)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"vector {n} has no direction")
+    n = n / norm
     theta = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
     phi = float(np.arctan2(n[1], n[0])) % (2 * np.pi)
     if theta < 1e-15 or theta > np.pi - 1e-15:

@@ -47,6 +47,8 @@ SEED_GRID = (25, 49)
 #: Newton iterations per start, and the step of its central-difference Jacobian.
 NEWTON_MAX_ITER = 100
 NEWTON_FD_STEP = 1e-6
+#: The line search's step lengths alpha = 2**-k, k = 0, 1, ..., 49, one per row.
+_STEP_LENGTHS = np.ldexp(1.0, -np.arange(50))[:, None]
 #: Iterations a start may still take once its gradient norm is below
 #: NEWTON_TOL.  A well-conditioned root reaches the gradient floor within
 #: this many; on a flat landscape a start would otherwise crawl on in tiny
@@ -165,7 +167,7 @@ def _log_ratio_over_x(x):
     """log2 sqrt((1+x)/(1-x)) / x, clamped below x = 1, continued through x = 0 by its series."""
     x = np.asarray(x, dtype=float)
     small = x < 1e-6
-    xc = np.clip(x, None, 1.0 - SATURATION_CLAMP)
+    xc = np.minimum(x, 1.0 - SATURATION_CLAMP)
     out = 0.5 * np.log2((1.0 + xc) / (1.0 - xc)) / np.where(small, 1.0, x)
     return np.where(small, (1.0 + x * x / 3.0) / LN2, out)
 
@@ -186,31 +188,41 @@ def _channel_terms(ch, gamma, theta, phi):
     the closed-form ds and dt.  Purities are clamped at 1 - 1e-12 inside the
     logarithms, so the gradient is finite (and still ~0 where it should
     vanish) even for a channel that keeps the conditional states pure.
+
+    The two outcomes s and t share one pass: arrays carry them along a
+    leading axis of 2, and each elementwise step runs once for both, with
+    the operations and their order of a pass per outcome, so every bit of
+    the result is the same.  Two things are kept on purpose:
+
+    * the products with eta stay one BLAS matmul per outcome, each as wide
+      as the angle arrays (the stacked (3, 3) @ (2, 3, n) runs exactly
+      those): a matmul's last bits depend on its width, a one-column one
+      rounds differently from a wider one, and a stationary point polished
+      to the gradient floor moves with them;
+    * the purity terms h((1 + s')/2) and log2 sqrt((1+s')/(1-s'))/s' keep
+      their own formulas and logarithms: one shared log of (1 + s')/2 and
+      (1 - s')/2 moves the pinned stationary points of ``lu_state()`` by
+      1.1e-13.
     """
     sg, cg = np.sin(gamma), np.cos(gamma)
-    st, ct, cp, sp = trig = bloch.angle_trig(theta, phi)
-    p1, p2, s, t = bloch.conditional_outcomes(gamma, *trig)
-    dp = np.maximum(2.0 * p1, bloch.DEGENERATE_TOL)
-    dm = np.maximum(2.0 * p2, bloch.DEGENERATE_TOL)
-
-    sv, tv = ch(s), ch(t)
-    spn = np.sqrt(np.add.reduce(sv * sv, axis=0))
-    tpn = np.sqrt(np.add.reduce(tv * tv, axis=0))
-    ws = p1 * _log_ratio_over_x(spn) * (ch.eta.T @ sv.reshape(3, -1)).reshape(s.shape)
-    wt = p2 * _log_ratio_over_x(tpn) * (ch.eta.T @ tv.reshape(3, -1)).reshape(t.shape)
-    hs = binary_entropy_arr((1.0 + spn) / 2.0)
-    ht = binary_entropy_arr((1.0 + tpn) / 2.0)
-    ce = np.where(p1 > bloch.DEGENERATE_TOL, p1 * hs, 0.0) + np.where(p2 > bloch.DEGENERATE_TOL, p2 * ht, 0.0)
+    shape = np.shape(theta)
+    st, ct, cp, sp = trig = bloch.angle_trig(np.ravel(theta), np.ravel(phi))
+    p, u = bloch.conditional_outcomes(gamma, *trig)
+    v = ch.eta @ u + ch.c[:, None]
+    r = np.sqrt(np.add.reduce(v * v, axis=1))
+    w = (p * _log_ratio_over_x(r))[:, None] * (ch.eta.T @ v)
+    h = binary_entropy_arr((1.0 + r) / 2.0)
+    e = np.where(p > bloch.DEGENERATE_TOL, p * h, 0.0)
 
     # ds/dtheta = sg / dp^2 (cp (ct + cg), -sp (ct + cg), -sg st), dt/dtheta
-    # likewise with ct - cg over -dm^2, and d/dphi = (y, -x, 0) for both
-    g_th = (
-        (st * cg / 2.0) * (hs - ht)
-        + sg / dp**2 * ((ct + cg) * (cp * ws[0] - sp * ws[1]) - sg * st * ws[2])
-        - sg / dm**2 * ((ct - cg) * (cp * wt[0] - sp * wt[1]) - sg * st * wt[2])
-    )
-    g_ph = ws[0] * s[1] - ws[1] * s[0] + wt[0] * t[1] - wt[1] * t[0]
-    return ce, g_th, g_ph
+    # likewise with ct - cg over -dm^2, where (dp, dm) = 2 p clamped at
+    # DEGENERATE_TOL, and d/dphi = (y, -x, 0) for both
+    dw = (cp * w[:, 0] - sp * w[:, 1]) * np.array([ct + cg, ct - cg]) - sg * st * w[:, 2]
+    x = sg / np.maximum(2.0 * p, bloch.DEGENERATE_TOL) ** 2 * dw
+    g_th = (st * cg / 2.0) * (h[0] - h[1]) + x[0] - x[1]
+    a, b = w[:, 0] * u[:, 1], w[:, 1] * u[:, 0]
+    g_ph = a[0] - b[0] + a[1] - b[1]
+    return (e[0] + e[1]).reshape(shape), g_th.reshape(shape), g_ph.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +403,8 @@ def _jacobian(ch, gamma, t, p):
     points (t, p), step NEWTON_FD_STEP: one call on the four stencil points of every point."""
     h = NEWTON_FD_STEP
     _, g0, g1 = _channel_terms(ch, gamma, np.concatenate([t + h, t - h, t, t]), np.concatenate([p, p, p + h, p - h]))
-    a0, b0, c0, d0 = np.split(g0, 4)
-    a1, b1, c1, d1 = np.split(g1, 4)
+    a0, b0, c0, d0 = g0.reshape(4, -1)
+    a1, b1, c1, d1 = g1.reshape(4, -1)
     return (a0 - b0) / (2 * h), (c0 - d0) / (2 * h), (a1 - b1) / (2 * h), (c1 - d1) / (2 * h)
 
 
@@ -456,8 +468,7 @@ def _newton_batch(ch, gamma, th0, ph0, park=True):
 
         # a start with a regular Jacobian takes the first k whose trial
         # lowers its gradient norm: the step that halving one at a time takes
-        alpha = np.ldexp(1.0, -np.arange(50))[:, None]
-        tt, pp = t + alpha * dth, p + alpha * dph
+        tt, pp = t + _STEP_LENGTHS * dth, p + _STEP_LENGTHS * dph
         _, e0, e1 = _channel_terms(ch, gamma, tt, pp)
         en = np.hypot(e0, e1)
         lower = regular & np.isfinite(en) & (en < norm[live])

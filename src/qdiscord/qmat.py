@@ -116,14 +116,14 @@ def herm_eig(m):
 def von_neumann_entropy(rho):
     """Von Neumann entropy -Tr(rho log2 rho) in bits.
 
-    Eigenvalues in [-1e-10, 0] are clamped to zero; anything more negative
-    is rejected.  ``rho`` must be Hermitian positive semidefinite with unit
-    trace (the trace is the caller's responsibility).
+    Eigenvalues in [-1e-10, 0] are clamped to zero; anything more negative,
+    and NaN, is rejected.  ``rho`` must be Hermitian positive semidefinite
+    with unit trace (the trace is the caller's responsibility).
     """
     rho = np.asarray(rho, dtype=complex)
     vals = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    if vals.min() < PSD_TOL:
-        raise ValueError(f"negative eigenvalue {vals.min():.3e} below tolerance")
+    if not vals.min() >= PSD_TOL:
+        raise ValueError(f"smallest eigenvalue {vals.min():.3e} is NaN or a negative eigenvalue below tolerance")
     vals = np.clip(vals, 0.0, None)
     nz = vals[vals > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
@@ -142,11 +142,10 @@ def binary_entropy(p):
 
 
 def binary_entropy_arr(p):
-    """Vectorized binary entropy; input silently clipped to [0, 1]."""
-    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    """Vectorized binary entropy; 0 outside the open interval (0, 1), as if
+    the input were clipped to [0, 1], and 0 for NaN."""
+    p = np.asarray(p, dtype=float)
     q = 1.0 - p
-    out = np.zeros_like(p)
-    mask = (p > 0.0) & (p < 1.0)
-    pm, qm = p[mask], q[mask]
-    out[mask] = -pm * np.log2(pm) - qm * np.log2(qm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where((p > 0.0) & (p < 1.0), -p * np.log2(p) - q * np.log2(q), 0.0)
     return out if out.ndim else float(out)

@@ -32,6 +32,7 @@ from util import (
     entropy_bits,
     random_unitary,
     random_x_maximally_mixed,
+    reference_channel_terms,
     same_points,
     ungated_universal_candidates,
 )
@@ -340,6 +341,9 @@ def test_stationary_report_angles_original_frame():
     assert bloch.measurement_distance((rep.theta, rep.phi), (to, po)) < 1e-4
 
 
+NEAR_SINGULAR_EPS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+
+
 def near_singular_state(eps):
     base = np.kron(np.diag([0.6, 0.4]), np.diag([1.0, 0.0])).astype(complex)
     return (1 - eps) * base + eps * random_state(7)
@@ -462,6 +466,48 @@ def test_find_stationary_points_evaluates_each_point_set_once(monkeypatch):
         seen.clear()
         find_stationary_points(*channel_of(rho))
         assert len(set(seen)) == len(seen)
+
+
+def kernel_angle_sets():
+    """(theta, phi) arrays of the widths the solver evaluates: single points
+    (a one-column matmul rounds differently from a wider one), seven with
+    the pole and the equator, Newton's line search, the landscape grid and
+    the equatorial scan."""
+    rng = np.random.default_rng(11)
+    th7 = np.array([0.0, np.pi / 2, 0.2, 1.0, np.pi / 2, 2.9, 0.7])
+    ph7 = np.linspace(0.0, 2 * np.pi, 7)
+    return [(th7[i : i + 1], ph7[i : i + 1]) for i in range(7)] + [
+        (th7, ph7),
+        (rng.uniform(0.0, np.pi, (50, 7)), rng.uniform(0.0, 2 * np.pi, (50, 7))),
+        correlations._landscape_grid(),
+        (np.full(1441, np.pi / 2), np.linspace(0.0, np.pi, 1441)),
+    ]
+
+
+#: (channel, gamma) of the bit-identity check: general states, the
+#: phi-independent lu, near-rank-one b marginals, a channel that keeps the
+#: conditional states pure (purity 1, the log clamp) and gamma ~ 0, where
+#: an outcome probability at the pole falls below DEGENERATE_TOL.
+KERNEL_CASES = {
+    "random_state(1003)": lambda: channel_of(random_state(1003)),
+    "lu": lambda: channel_of(lu_state()),
+    **{f"near_singular({eps:.0e})": (lambda eps=eps: channel_of(near_singular_state(eps))) for eps in NEAR_SINGULAR_EPS},
+    "pure outputs": lambda: (bloch.AffineChannel(eta=np.eye(3), c=np.zeros(3)), 0.9),
+    "gamma ~ 0": lambda: (channel_of(random_state(1003))[0], 1e-8),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_channel_terms_match_the_per_outcome_reference_bit_for_bit(case):
+    # both outcomes share one pass, but every floating-point operation is the
+    # one-outcome-at-a-time computation's, in the same order
+    ch, gamma = KERNEL_CASES[case]()
+    for theta, phi in kernel_angle_sets():
+        got = correlations._channel_terms(ch, gamma, theta, phi)
+        want = reference_channel_terms(ch, gamma, theta, phi)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(theta)
+            assert np.array_equal(g, w)
 
 
 def test_near_singular_copies_take_steady_gradient_calls(monkeypatch):

@@ -10,6 +10,7 @@ from qdiscord.qmat import (
     SIGMA_X,
     SIGMA_Z,
     binary_entropy,
+    binary_entropy_arr,
     check_density_matrix,
     herm_eig,
     partial_trace_a,
@@ -17,7 +18,7 @@ from qdiscord.qmat import (
     tensor,
     von_neumann_entropy,
 )
-from util import entropy_bits, random_unitary
+from util import entropy_bits, masked_binary_entropy, random_unitary
 
 
 def test_tensor_identity():
@@ -138,6 +139,22 @@ def test_entropy_unitary_invariance():
 def test_entropy_rejects_indefinite():
     with pytest.raises(ValueError, match="negative eigenvalue"):
         von_neumann_entropy(np.diag([1.1, -0.1, 0, 0]).astype(complex))
+
+
+def test_entropy_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        von_neumann_entropy(np.full((2, 2), np.nan))
+
+
+def test_binary_entropy_arr_matches_the_masked_evaluation_bit_for_bit():
+    p = np.array([0.0, 1.0, 5e-324, 1.0 - 1e-16, -1e-13, 1.0 + 1e-13, np.nan, 0.25, 0.5, 1e-300, 0.9999])
+    got = binary_entropy_arr(p)
+    assert got.tobytes() == masked_binary_entropy(p).tobytes()
+    assert got.reshape(1, -1).tobytes() == binary_entropy_arr(p.reshape(1, -1)).tobytes()
+    for x in p:
+        h = binary_entropy_arr(x)
+        assert type(h) is float
+        assert np.float64(h).tobytes() == np.float64(masked_binary_entropy(x)).tobytes()
 
 
 def test_binary_entropy_values():

@@ -27,6 +27,58 @@ def count_gradient_calls(monkeypatch):
     return calls
 
 
+def masked_binary_entropy(p):
+    """Binary entropy evaluated on the entries strictly inside (0, 1) only,
+    by boolean-mask indexing, after clipping to [0, 1]; 0 elsewhere and for
+    NaN.  A float for a 0-d input."""
+    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    q = 1.0 - p
+    out = np.zeros_like(p)
+    mask = (p > 0.0) & (p < 1.0)
+    pm, qm = p[mask], q[mask]
+    out[mask] = -pm * np.log2(pm) - qm * np.log2(qm)
+    return out if out.ndim else float(out)
+
+
+def reference_channel_terms(ch, gamma, theta, phi):
+    """The channel path's (conditional entropy, dJ/dtheta, dJ/dphi), with the
+    two measurement outcomes s and t computed one after the other, one array
+    per outcome.  ``correlations._channel_terms``, which stacks the two
+    outcomes, must reproduce every bit of it."""
+    tol = 1e-14
+    sg, cg = np.sin(gamma), np.cos(gamma)
+    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
+    st, ct, cp, sp = np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)
+    x = ct * cg
+    p1, p2 = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
+    dp = np.maximum(1.0 + cg * ct, tol)
+    dm = np.maximum(1.0 - cg * ct, tol)
+    s = np.stack([sg * st * cp / dp, -sg * st * sp / dp, (cg + ct) / dp])
+    t = np.stack([-sg * st * cp / dm, sg * st * sp / dm, (cg - ct) / dm])
+
+    def log_ratio_over_x(x):
+        small = x < 1e-6
+        xc = np.clip(x, None, 1.0 - 1e-12)
+        out = 0.5 * np.log2((1.0 + xc) / (1.0 - xc)) / np.where(small, 1.0, x)
+        return np.where(small, (1.0 + x * x / 3.0) / np.log(2.0), out)
+
+    sv, tv = ch(s), ch(t)
+    spn = np.sqrt(np.add.reduce(sv * sv, axis=0))
+    tpn = np.sqrt(np.add.reduce(tv * tv, axis=0))
+    ws = p1 * log_ratio_over_x(spn) * (ch.eta.T @ sv.reshape(3, -1)).reshape(s.shape)
+    wt = p2 * log_ratio_over_x(tpn) * (ch.eta.T @ tv.reshape(3, -1)).reshape(t.shape)
+    hs = masked_binary_entropy((1.0 + spn) / 2.0)
+    ht = masked_binary_entropy((1.0 + tpn) / 2.0)
+    ce = np.where(p1 > tol, p1 * hs, 0.0) + np.where(p2 > tol, p2 * ht, 0.0)
+    g_th = (
+        (st * cg / 2.0) * (hs - ht)
+        + sg / dp**2 * ((ct + cg) * (cp * ws[0] - sp * ws[1]) - sg * st * ws[2])
+        - sg / dm**2 * ((ct - cg) * (cp * wt[0] - sp * wt[1]) - sg * st * wt[2])
+    )
+    g_ph = ws[0] * s[1] - ws[1] * s[0] + wt[0] * t[1] - wt[1] * t[0]
+    return ce, g_th, g_ph
+
+
 def ungated_universal_candidates(ch, gamma):
     """``correlations.universal_candidates`` with every sign-change bracket of
     the equatorial dJ/dphi scan bisected, whatever dJ/dtheta is there."""
