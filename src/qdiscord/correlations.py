@@ -555,13 +555,32 @@ def _landscape_grid():
 
 def _landscape_seeds(th, ph, grad):
     """Newton starts from the gradient scan ``grad`` = (dJ/dtheta, dJ/dphi)
-    on the landscape grid (th, ph): the centre of every cell where both
-    components strictly change sign among the cell's four corners."""
-    seed = True
-    for g in grad:
-        corners = np.stack([g[:-1, :-1], g[1:, :-1], g[:-1, 1:], g[1:, 1:]])
-        seed &= (corners.min(axis=0) < 0.0) & (corners.max(axis=0) > 0.0)
-    return 0.5 * (th[:-1, :-1] + th[1:, 1:])[seed], 0.5 * (ph[:-1, :-1] + ph[1:, 1:])[seed]
+    on the landscape grid (th, ph): every common zero of the two components'
+    bilinear interpolants inside a cell, the way vector-field topology
+    locates the critical points of a sampled 2-D field (Helman & Hesselink,
+    IEEE Computer 22(8), 1989).  A cell gives up to two starts, and none
+    where the zero curves of the interpolants do not cross.
+
+    On the unit cell (u along theta, v along phi) each component is
+    a + b u + c v + d u v.  Eliminating v = -(a + b u) / (c + d u) between
+    them leaves A u**2 + B u + C = 0, solved in the stable form u = q / A,
+    C / q with q = -(B + sign(B) sqrt(B**2 - 4 A C)) / 2, which also holds
+    for A ~ 0 (the root q / A then leaves the cell).  v comes from the
+    component whose denominator c + d u is the larger in magnitude."""
+    g = np.stack(grad)
+    g00, g10, g01, g11 = g[:, :-1, :-1], g[:, 1:, :-1], g[:, :-1, 1:], g[:, 1:, 1:]
+    # axes: component, theta cell, phi cell, and one for the two roots in u
+    a, b, c, d = (x[..., None] for x in (g00, g10 - g00, g01 - g00, g11 - g10 - g01 + g00))
+    qa = b[1] * d[0] - b[0] * d[1]
+    qb = a[1] * d[0] + b[1] * c[0] - a[0] * d[1] - b[0] * c[1]
+    qc = a[1] * c[0] - a[0] * c[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        u = np.concatenate([q / qa, qc / q], axis=-1)
+        num, den = a + b * u, c + d * u
+        v = -np.where(np.abs(den[0]) >= np.abs(den[1]), num[0] / den[0], num[1] / den[1])
+    i, j, r = np.nonzero((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0))
+    return th[i, j] + u[i, j, r] * (th[i + 1, j] - th[i, j]), ph[i, j] + v[i, j, r] * (ph[i, j + 1] - ph[i, j])
 
 
 def find_stationary_points(ch, gamma):
@@ -571,11 +590,13 @@ def find_stationary_points(ch, gamma):
     grid over theta in [0, pi/2] and phi in [0, 2 pi]; the outcome-swap
     symmetry maps the grid onto the rest of the sphere.  That one scan
     serves the flat and phi-independence checks, the missed-root net below
-    and the Newton seeds.  Damped Newton runs from the cells where both
-    gradient components change sign (:func:`_landscape_seeds`), batched
-    over the starts still iterating.  Roots are folded to canonical angles,
-    merged within an angle of 1e-5, verified to scaled gradient norm < 1e-7
-    and classified by their polar angle, from one call per batch.
+    and the Newton seeds.  Damped Newton starts at the common zeros of the
+    two gradient components' bilinear interpolants in each grid cell
+    (:func:`_landscape_seeds`; Helman & Hesselink, IEEE Computer 22(8),
+    1989), batched over the starts still iterating.  Roots are folded to
+    canonical angles, merged within an angle of 1e-5, verified to scaled
+    gradient norm < 1e-7 and classified by their polar angle, from one call
+    per batch.
 
     Newton parks the starts that stop converging.  When some start was
     parked, :func:`index_sum` certifies the list by Poincare-Hopf; if the

@@ -22,6 +22,7 @@ from qdiscord.correlations import (
     index_sum,
     mutual_information,
     objective_channel,
+    output_marginal_entropy,
     universal_candidates,
 )
 from qdiscord.qmat import I2, I4, binary_entropy, partial_trace_a, partial_trace_b, von_neumann_entropy
@@ -369,6 +370,17 @@ def test_near_singular_stationary_is_fast_and_agrees_with_oracle():
         assert bloch.measurement_distance((th[k], ph[k]), (th[k + 1 :], ph[k + 1 :])).min() >= MERGE_TOL
 
 
+def test_stationary_finds_the_narrow_polar_maximum():
+    # at eps = 1e-3 J has a narrow maximum at theta ~ 0.7e-3 (original
+    # frame), inside a single landscape cell; the seeds must reach it.
+    # eps = 1e-4 still falls short of its patch maximum by ~1.5e-9
+    rho = near_singular_state(1e-3)
+    sa = von_neumann_entropy(partial_trace_b(rho))
+    tt, pp = np.meshgrid(np.geomspace(1e-8, 1e-2, 400), np.linspace(0.0, 2 * np.pi, 721), indexing="ij")
+    patch_max = sa - conditional_entropy_direct(rho, tt, pp).min()
+    assert discord(rho, method="stationary").classical_corr >= patch_max - 1e-12
+
+
 @pytest.mark.parametrize(
     "rho", [lu_state(), random_state(3), bell_diagonal(0.7, -0.5, 0.3), near_singular_state(1e-4)]
 )
@@ -439,13 +451,14 @@ BUDGET_STATES = {"lu": lu_state(), "werner(0.8)": werner(0.8)}
     ],
 )
 def test_gradient_call_budget(monkeypatch, solve, state, budget):
-    # Newton starts only from the landscape's sign-change cells, calls the
-    # gradient on its live starts only, tries every step length in one call
-    # and parks starts that stall; bisection takes six steps per call, stops
-    # once its brackets stop changing, and skips the equatorial brackets
-    # where dJ/dtheta keeps clear of zero; lu's landscape does not depend
-    # on phi, and werner(0.8)'s is flat.  Every channel-path call counts,
-    # objective and gradient alike
+    # Newton starts only at the common zeros of the gradient's bilinear
+    # interpolants in the landscape's cells (Helman & Hesselink 1989), calls
+    # the gradient on its live starts only, tries every step length in one
+    # call and parks starts that stall; bisection takes six steps per call,
+    # stops once its brackets stop changing, and skips the equatorial
+    # brackets where dJ/dtheta keeps clear of zero; lu's landscape does not
+    # depend on phi, and werner(0.8)'s is flat.  Every channel-path call
+    # counts, objective and gradient alike
     calls = count_gradient_calls(monkeypatch)
     solve(*channel_of(BUDGET_STATES[state] if isinstance(state, str) else random_state(state)))
     assert 0 < len(calls) <= budget
@@ -561,11 +574,69 @@ def test_missed_root_safety_net(monkeypatch):
     assert_allclose(pts[0].as_row()[1:4], (theta, phi, objective), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("seed, parks", [(1003, False), (1177, True)])
-def test_index_sum_of_the_stationary_list_is_one(seed, parks):
+def bilinear_scan(field, th, ph):
+    """Landscape meshes of the axes (th, ph) and a gradient field on them."""
+    th, ph = np.meshgrid(th, ph, indexing="ij")
+    return th, ph, field(th, ph)
+
+
+def test_landscape_seeds_start_at_the_common_zero_of_a_bilinear_field():
+    # both components are bilinear in (theta, phi), so each cell's
+    # interpolant is exact; their one common zero on the grid is (t0, p0)
+    t0, p0 = 0.37, 1.13
+
+    def field(t, p):
+        x, y = t - t0, p - p0
+        return x + 0.4 * x * y, y + 0.3 * x - 0.7 * x * y
+
+    th, ph, grad = bilinear_scan(field, np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 9))
+    seeds = correlations._landscape_seeds(th, ph, grad)
+    assert_allclose(np.ravel(seeds), [t0, p0], rtol=0, atol=1e-12)
+
+
+def test_landscape_seeds_give_a_cell_both_crossings_of_its_zero_curves():
+    # on the unit cell, uv = 0.1 and u + v = 0.8 cross twice
+    th, ph, grad = bilinear_scan(lambda u, v: (u * v - 0.1, u + v - 0.8), [0.0, 1.0], [0.0, 1.0])
+    seeds = np.sort(np.stack(correlations._landscape_seeds(th, ph, grad)), axis=1)
+    low, high = (0.8 - np.sqrt(0.24)) / 2, (0.8 + np.sqrt(0.24)) / 2
+    assert_allclose(seeds, [[low, high], [low, high]], rtol=0, atol=1e-12)
+
+
+def test_landscape_seeds_skip_a_cell_whose_zero_curves_do_not_cross():
+    # both components change sign among the cell's corners, but u = 0.5 and
+    # u + v = 0.3 meet only at v = -0.2, outside the cell
+    th, ph, grad = bilinear_scan(lambda u, v: (u - 0.5, u + v - 0.3), [0.0, 1.0], [0.0, 1.0])
+    for g in grad:
+        assert g.min() < 0.0 < g.max()
+    assert all(s.size == 0 for s in correlations._landscape_seeds(th, ph, grad))
+
+
+def test_a_zero_on_a_shared_cell_edge_yields_one_root():
+    # a field whose common zero is the pinned maximum of random_state(1003),
+    # on a theta line of the grid: both cells beside it seed there, and
+    # Newton and the merge leave one root
+    ch, gamma = channel_of(random_state(1003))
+    kind, t0, p0, objective = PINNED_POINTS["random_state(1003)"][0]
+    h = 0.05
+    th, ph, grad = bilinear_scan(lambda t, p: (t - t0, p - p0), t0 + h * np.arange(-2, 3), p0 + h * np.arange(-1.5, 2))
+    seeds = correlations._landscape_seeds(th, ph, grad)
+    assert seeds[0].size == 2
+    assert_allclose(np.stack(seeds), [[t0, t0], [p0, p0]], rtol=0, atol=1e-15)
+    rth, rph, *_ = correlations._newton_batch(ch, gamma, *seeds)
+    pts = correlations._merge(ch, gamma, output_marginal_entropy(ch, gamma), rth, rph)
+    assert [q.kind for q in pts] == [kind]
+    assert_allclose(pts[0].as_row()[1:4], (t0, p0, objective), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "seed, rank, parks", [pytest.param(1003, 4, False, id="1003-False"), pytest.param(192, 2, True, id="192-rank2-True")]
+)
+def test_index_sum_of_the_stationary_list_is_one(seed, rank, parks):
     # Poincare-Hopf on the projective plane: with every critical point found,
-    # the signs of their Hessian determinants sum to its Euler characteristic
-    ch, gamma = channel_of(random_state(seed))
+    # the signs of their Hessian determinants sum to its Euler characteristic.
+    # random_state(192, rank=2) parks starts and fails the certificate, so
+    # its list comes from the rerun of the parked seeds
+    ch, gamma = channel_of(random_state(seed, rank=rank))
     th, ph = correlations._landscape_grid()
     _, *grad = correlations._channel_terms(ch, gamma, th, ph)
     *_, parked_th, _ = correlations._newton_batch(ch, gamma, *correlations._landscape_seeds(th, ph, grad))
