@@ -44,21 +44,18 @@ NEWTON_TOL = 1e-10
 #: Landscape grid of the objective and gradient scans, points per axis:
 #: theta in [0, pi/2] and phi in [0, 2 pi], ends included.
 SEED_GRID = (25, 49)
-#: Newton iterations per start, and the step of its central-difference Jacobian.
+#: Newton iterations per start.
 NEWTON_MAX_ITER = 100
-NEWTON_FD_STEP = 1e-6
 #: The line search's step lengths alpha = 2**-k, k = 0, 1, ..., 49, one per row.
 _STEP_LENGTHS = np.ldexp(1.0, -np.arange(50))[:, None]
+#: The signs of T n in the two outcomes' p v = (a +- T n) / 2, one per row.
+_OUTCOME_SIGNS = np.array([[1.0], [-1.0]])
 #: Iterations a start may still take once its gradient norm is below
 #: NEWTON_TOL.  A well-conditioned root reaches the gradient floor within
 #: this many; on a flat landscape a start would otherwise crawl on in tiny
 #: steps, as many as NEWTON_MAX_ITER, a number that varies from one local
 #: copy of a state to the next.
 NEWTON_POLISH_ITER = 8
-#: Iterations between a Newton start's stall checks: a start whose gradient
-#: norm is still at least NEWTON_TOL and has not halved since the last check
-#: is parked, and leaves the batch.
-NEWTON_STALL_ITER = 10
 #: Bisection steps per gradient call: one call evaluates the 2**6 - 1
 #: midpoints of the next six levels of every bracket's bisection tree.
 BISECT_LEVELS = 6
@@ -398,78 +395,102 @@ def universal_candidates(ch, gamma):
     return _merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
 
-def _jacobian(ch, gamma, t, p):
-    """Central-difference Jacobian (d/dtheta, d/dphi of dJ/dtheta, then of dJ/dphi) at the
-    points (t, p), step NEWTON_FD_STEP: one call on the four stencil points of every point."""
-    h = NEWTON_FD_STEP
-    _, g0, g1 = _channel_terms(ch, gamma, np.concatenate([t + h, t - h, t, t]), np.concatenate([p, p, p + h, p - h]))
-    a0, b0, c0, d0 = g0.reshape(4, -1)
-    a1, b1, c1, d1 = g1.reshape(4, -1)
-    return (a0 - b0) / (2 * h), (c0 - d0) / (2 * h), (a1 - b1) / (2 * h), (c1 - d1) / (2 * h)
+def _outcome_affine(ch, gamma):
+    """(a, T, cos gamma) of the outcomes' p v = (a +- T n) / 2, affine in the
+    measurement direction n, where 2 p = 1 +- cos(gamma) n_z: a = cos(gamma)
+    eta e_z + c and T = eta diag(sin gamma, -sin gamma, 1) + cos(gamma) c e_z^T."""
+    sg, cg = np.sin(gamma), np.cos(gamma)
+    t = ch.eta * np.array([sg, -sg, 1.0])
+    t[:, 2] += cg * ch.c
+    return cg * ch.eta[:, 2] + ch.c, t, cg
 
 
-def _newton_batch(ch, gamma, th0, ph0, park=True):
-    """Damped Newton on the gradient from many start points, batched over
-    the starts still iterating.
+def _hessian_terms(a, t, cg, st, ct, cp, sp):
+    """Terms of the Hessian of J on the sphere at the angles whose
+    :func:`bloch.angle_trig` is (st, ct, cp, sp), ``a, t, cg`` from
+    :func:`_outcome_affine`: (h_tt, h_tp, h_pp), the tangent block of the
+    Hessian of J(n), n in R^3, in the frame (e_theta, e_phi), e_phi =
+    (-sin phi, cos phi, 0), defined at the pole too; and n . grad J.  The
+    Hessian on the sphere is the block minus n . grad J times the identity
+    (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008, ch. 5).
 
-    An iteration of a start takes a central-difference Jacobian
-    (:func:`_jacobian`), a Newton step, and a line search over alpha =
-    2**-k, k = 0, 1, ..., 49, that accepts the first k lowering the
-    gradient norm.  Each gradient call serves every live start: the four
-    stencil points in one call, all 50 step lengths in one call, and the
-    gradient at an accepted step is the next iteration's; with no starts
-    there is no call.  A start polishes
-    down to the gradient floor: it leaves the batch only when its Jacobian is singular
-    or not finite, no step length lowers its norm, it has taken
-    NEWTON_POLISH_ITER iterations with its norm below NEWTON_TOL, or it has
-    taken NEWTON_MAX_ITER iterations.  It is a root if its final gradient
-    norm is below NEWTON_TOL, so a root does not depend on which start
-    reached it.
+    An outcome's p H2((1 + r) / 2) depends on n through rho = |q|, q = a +-
+    T n, and m = 2 p only, homogeneously, so it adds [l (T^T T - T^T v v^T T)
+    + g w w^T] / (2 m) to the Hessian, with v = q / rho, r = rho / m, w =
+    T^T v - r cos(gamma) e_z, l = log2 sqrt((1 + r) / (1 - r)) / r and
+    g = 1 / ((1 - r**2) ln 2), r clamped as in the gradient; and +-[l (T n)
+    . q / (2 m) + cos(gamma) n_z log2(1 - r**2) / 4] to n . grad J.
+    """
+    # the frame n, e_theta, e_phi as (component, vector, point), and its image under T
+    frame = np.array([[st * cp, ct * cp, -sp], [st * sp, ct * sp, cp], [ct, -st, 0.0 * st]])
+    tf = (t @ frame.reshape(3, -1)).reshape(frame.shape)
+    # (outcome, component, point), then (outcome, vector, point)
+    q = a[:, None] + _OUTCOME_SIGNS[:, None] * tf[:, 0]
+    k = np.add.reduce(q[:, :, None] * tf, axis=1)
+    rho = np.sqrt(np.add.reduce(q * q, axis=1))
+    m = np.maximum(1.0 + _OUTCOME_SIGNS * (cg * ct), bloch.DEGENERATE_TOL)
+    r = rho / m
+    s = 1.0 - np.minimum(r, 1.0 - SATURATION_CLAMP) ** 2
+    lam, mu = _log_ratio_over_x(r) / (2.0 * m), 1.0 / (2.0 * LN2 * m * s)
+    # (T^T v) and w along e_theta and e_phi, as (outcome, vector, point)
+    u = k[:, 1:] / np.maximum(rho, np.finfo(float).tiny)[:, None]
+    w = np.stack([u[:, 0] + (cg * st) * r, u[:, 1]], axis=1)
+    gram = np.add.reduce(tf[:, 1:, None] * tf[:, None, 1:])
+    lw, lu = (mu[:, None] * w)[:, :, None] * w[:, None], (lam[:, None] * u)[:, :, None] * u[:, None]
+    block = gram * (lam[0] + lam[1]) + np.add.reduce(lw - lu)
+    ng = np.subtract(*(lam * k[:, 0] + (0.25 * cg * ct) * np.log2(s)))
+    return block[0, 0], block[0, 1], block[1, 1], ng
 
-    With ``park``, a start that has stopped converging is parked instead:
-    every NEWTON_STALL_ITER iterations, a start whose norm is still at least
-    NEWTON_TOL and has not fallen below half its value at the previous
-    check leaves the batch.  Such starts stall at a minimum of the gradient
-    norm that is not a root, or crawl towards the pole, where the polar
-    chart flattens the gradient; a converging start, polishing ones
-    included, never trips the rule.  Starts do not interact, so the roots
-    of the other starts are the same with or without parking.
 
-    Returns the roots, in start order, and the seeds of the parked starts.
+def _newton_batch(ch, gamma, th0, ph0):
+    """Damped Newton on the sphere from many starts off the pole, batched
+    over the starts still iterating; returns the roots, in start order.
+
+    An iteration solves the closed-form Hessian (:func:`_hessian_terms`)
+    against the gradient, both in the frame (e_theta, e_phi), and tries
+    (n + alpha xi) / |n + alpha xi| along the step xi for alpha = 2**-k,
+    k = 0, 1, ..., 49, taking the first k that lowers the gradient norm
+    hypot(dJ/dtheta, dJ/dphi / sin theta) (0/0 at the pole).  One call
+    serves the Hessians of every live start, one all 50 step lengths, and
+    the gradient at an accepted step is the next iteration's.  A start
+    leaves the batch when its Hessian is singular or not finite, no step
+    lowers its norm, it has polished NEWTON_POLISH_ITER iterations below
+    NEWTON_TOL or taken NEWTON_MAX_ITER; it is a root if its norm is then
+    below NEWTON_TOL, so a root does not depend on which start reached it.
     """
     th, ph = np.array(th0, float), np.array(ph0, float)
     if not th.size:
-        return th, ph, th, ph
+        return th, ph
+    affine = _outcome_affine(ch, gamma)
     _, g0, g1 = _channel_terms(ch, gamma, th, ph)
+    g1 = g1 / np.sin(th)
     norm, live = np.hypot(g0, g1), np.arange(th.size)
     polish = np.zeros(th.size, int)
-    parked = np.zeros(th.size, bool)
-    checked = norm.copy()
-    for it in range(NEWTON_MAX_ITER):
+    for _ in range(NEWTON_MAX_ITER):
         polish[live] += norm[live] < NEWTON_TOL
         keep = polish[live] <= NEWTON_POLISH_ITER
-        if park and it and not it % NEWTON_STALL_ITER:
-            n = norm[live]
-            stall = (n >= NEWTON_TOL) & ~(n < 0.5 * checked[live])
-            parked[live[stall]] = True
-            keep &= ~stall
-            checked[live] = n
         live, g0, g1 = live[keep], g0[keep], g1[keep]
         if not live.size:
             break
 
-        t, p = th[live], ph[live]
-        j00, j01, j10, j11 = _jacobian(ch, gamma, t, p)
-        det = j00 * j11 - j01 * j10
+        st, ct, _, _ = trig = bloch.angle_trig(th[live], ph[live])
+        htt, htp, hpp, ng = _hessian_terms(*affine, *trig)
+        htt, hpp = htt - ng, hpp - ng
+        det = htt * hpp - htp * htp
         regular = (np.abs(det) >= 1e-30) & np.isfinite(det)
         safe = np.where(regular, det, 1.0)
-        dth = -(j11 * g0 - j01 * g1) / safe
-        dph = -(-j10 * g0 + j00 * g1) / safe
+        xt = -(hpp * g0 - htp * g1) / safe
+        xp = -(htt * g1 - htp * g0) / safe
 
-        # a start with a regular Jacobian takes the first k whose trial
-        # lowers its gradient norm: the step that halving one at a time takes
-        tt, pp = t + _STEP_LENGTHS * dth, p + _STEP_LENGTHS * dph
+        # n + alpha xi as (step length, start): sin theta + alpha xt cos theta
+        # along (cos phi, sin phi, 0), alpha xp along e_phi and cos theta -
+        # alpha xt sin theta along z; atan2 keeps theta accurate at the pole
+        out, across = st + _STEP_LENGTHS * (xt * ct), _STEP_LENGTHS * xp
+        tt = np.arctan2(np.hypot(out, across), ct - _STEP_LENGTHS * (xt * st))
+        pp = ph[live] + np.arctan2(across, out)
         _, e0, e1 = _channel_terms(ch, gamma, tt, pp)
+        e1 = e1 / np.sin(tt)
         en = np.hypot(e0, e1)
         lower = regular & np.isfinite(en) & (en < norm[live])
         keep = lower.any(axis=0)
@@ -479,7 +500,7 @@ def _newton_batch(ch, gamma, th0, ph0, park=True):
         live, g0, g1 = live[keep], g0[keep], g1[keep]
 
     root = norm < NEWTON_TOL
-    return th[root], ph[root], np.asarray(th0, float)[parked], np.asarray(ph0, float)[parked]
+    return th[root], ph[root]
 
 
 def index_sum(ch, gamma, points):
@@ -492,39 +513,21 @@ def index_sum(ch, gamma, points):
     index +-1 shows as a sum of 0 or 2; a missed pair of opposite index
     cancels.  Points that are not ``critical`` do not count.
 
-    At a critical point the Hessian in (theta, phi) is the Jacobian of the
-    gradient (:func:`_jacobian`, one call for every point off the pole),
-    and its determinant over sin(theta)**2 is that of the Hessian on the
-    sphere.  At a critical pole the Hessian in the chart (theta cos phi,
-    theta sin phi) comes from dJ/dtheta at theta = +-h for phi in {0, pi/2,
-    pi/4}, h = NEWTON_FD_STEP: its diagonal along each direction, from one
-    more call.
-
-    Returns None when some determinant is below (1e-4 s)**2, s the largest
-    Hessian entry over the points, or below (eps / h)**2, the rounding floor
-    of the central differences: a degenerate point (flat and
-    phi-independent landscapes, stationary circles) has no index.
+    The Hessians come from one closed-form call (:func:`_hessian_terms`),
+    the pole included.  Returns None when some determinant is below
+    (1e-4 s)**2, s the largest Hessian entry, or below (eps t)**2, t the
+    largest of the terms whose difference it is, their rounding floor: a
+    degenerate point (flat and phi-independent landscapes, stationary
+    circles) has no index.
     """
     crit = [q for q in points if q.critical]
     if not crit:
         return None
-    t, p = np.array([[q.theta, q.phi] for q in crit if q.kind != ASYMMETRIC]).reshape(-1, 2).T
-    h = NEWTON_FD_STEP
-    jtt, jtp, jpt, jpp = _jacobian(ch, gamma, t, p)
-    st = np.sin(t)
-    # rows: the Hessian's tt, tp, pt and pp entries in an orthonormal frame
-    hess = np.stack([jtt, jtp / st, jpt / st, jpp / st**2])
-    if t.size < len(crit):
-        # theta = h along phi = 0, pi/2, pi/4, then along the opposite
-        # directions: dJ/dtheta at (-h, phi) is minus that at (h, phi + pi),
-        # so the central difference cancels A cos phi + B sin phi
-        ring = np.array([0.0, np.pi / 2, np.pi / 4, np.pi, 1.5 * np.pi, 1.25 * np.pi])
-        _, pole, _ = _channel_terms(ch, gamma, np.full(ring.size, h), ring)
-        xx, yy, diag = (pole[:3] + pole[3:]) / (2 * h)
-        xy = diag - 0.5 * (xx + yy)
-        hess = np.column_stack([hess, [xx, xy, xy, yy]])
-    det = hess[0] * hess[3] - hess[1] * hess[2]
-    floor = max(1e-4 * np.max(np.abs(hess)), np.finfo(float).eps / h)
+    t, p = np.array([[q.theta, q.phi] for q in crit]).T
+    *block, ng = _hessian_terms(*_outcome_affine(ch, gamma), *bloch.angle_trig(t, p))
+    hess = np.stack([block[0] - ng, block[1], block[2] - ng])
+    det = hess[0] * hess[2] - hess[1] ** 2
+    floor = max(1e-4 * np.max(np.abs(hess)), np.finfo(float).eps * np.max(np.abs([*block, ng])))
     if np.any(np.abs(det) < floor**2):
         return None
     return int(np.sum(np.sign(det)))
@@ -566,7 +569,10 @@ def _landscape_seeds(th, ph, grad):
     them leaves A u**2 + B u + C = 0, solved in the stable form u = q / A,
     C / q with q = -(B + sign(B) sqrt(B**2 - 4 A C)) / 2, which also holds
     for A ~ 0 (the root q / A then leaves the cell).  v comes from the
-    component whose denominator c + d u is the larger in magnitude."""
+    component whose denominator c + d u is the larger in magnitude.
+
+    Zeros at theta = 0, where dJ/dphi vanishes along the cell edge, are
+    dropped: the pole is the polar candidate's."""
     g = np.stack(grad)
     g00, g10, g01, g11 = g[:, :-1, :-1], g[:, 1:, :-1], g[:, :-1, 1:], g[:, 1:, 1:]
     # axes: component, theta cell, phi cell, and one for the two roots in u
@@ -580,7 +586,8 @@ def _landscape_seeds(th, ph, grad):
         num, den = a + b * u, c + d * u
         v = -np.where(np.abs(den[0]) >= np.abs(den[1]), num[0] / den[0], num[1] / den[1])
     i, j, r = np.nonzero((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0))
-    return th[i, j] + u[i, j, r] * (th[i + 1, j] - th[i, j]), ph[i, j] + v[i, j, r] * (ph[i, j + 1] - ph[i, j])
+    t, p = th[i, j] + u[i, j, r] * (th[i + 1, j] - th[i, j]), ph[i, j] + v[i, j, r] * (ph[i, j + 1] - ph[i, j])
+    return t[t > 0.0], p[t > 0.0]
 
 
 def find_stationary_points(ch, gamma):
@@ -590,22 +597,17 @@ def find_stationary_points(ch, gamma):
     grid over theta in [0, pi/2] and phi in [0, 2 pi]; the outcome-swap
     symmetry maps the grid onto the rest of the sphere.  That one scan
     serves the flat and phi-independence checks, the missed-root net below
-    and the Newton seeds.  Damped Newton starts at the common zeros of the
-    two gradient components' bilinear interpolants in each grid cell
-    (:func:`_landscape_seeds`; Helman & Hesselink, IEEE Computer 22(8),
-    1989), batched over the starts still iterating.  Roots are folded to
+    and the Newton seeds.  Newton on the sphere (:func:`_newton_batch`)
+    starts at the common zeros of the two gradient components' bilinear
+    interpolants in each grid cell off the pole (:func:`_landscape_seeds`;
+    Helman & Hesselink, IEEE Computer 22(8), 1989).  Roots are folded to
     canonical angles, merged within an angle of 1e-5, verified to scaled
     gradient norm < 1e-7 and classified by their polar angle, from one call
     per batch.
 
-    Newton parks the starts that stop converging.  When some start was
-    parked, :func:`index_sum` certifies the list by Poincare-Hopf; if the
-    sum is not 1 (or has no value), Newton reruns from the parked seeds with
-    parking off and the list is merged anew, as if no start had been
-    parked.  The scan's values of J decide the degenerate cases below and
-    guard against a missed root: if its best sample beats the
-    best point found by more than OPTIMUM_TIE_TOL, Newton also runs from
-    that sample, with parking off.
+    The scan's values of J decide the degenerate cases below and guard
+    against a missed root: if its best sample beats the best point found by
+    more than OPTIMUM_TIE_TOL, Newton also runs from that sample.
 
     Degenerate landscapes are collapsed to representatives: a flat objective
     (constant channel) reports the single canonical point (pi/2, 0), and a
@@ -623,15 +625,10 @@ def find_stationary_points(ch, gamma):
         pts = _stationary_points_1d(ch, gamma, sa)
     else:
         cands = universal_candidates(ch, gamma)
-        rth, rph, pth, pph = _newton_batch(ch, gamma, *_landscape_seeds(th_scan, ph_scan, g_scan))
-        pts = _merge(ch, gamma, sa, rth, rph, cands)
-        if pth.size and index_sum(ch, gamma, pts) != 1:
-            mth, mph, *_ = _newton_batch(ch, gamma, pth, pph, park=False)
-            pts = _merge(ch, gamma, sa, np.append(rth, mth), np.append(rph, mph), cands)
+        pts = _merge(ch, gamma, sa, *_newton_batch(ch, gamma, *_landscape_seeds(th_scan, ph_scan, g_scan)), cands)
     k = int(np.argmin(ce_scan))
     if sa - ce_scan.flat[k] > max(q.objective for q in pts) + OPTIMUM_TIE_TOL:
-        rth, rph, *_ = _newton_batch(ch, gamma, th_scan.flat[[k]], ph_scan.flat[[k]], park=False)
-        pts = _merge(ch, gamma, sa, rth, rph, pts)
+        pts = _merge(ch, gamma, sa, *_newton_batch(ch, gamma, th_scan.flat[[k]], ph_scan.flat[[k]]), pts)
     return sorted(pts, key=_point_key)
 
 

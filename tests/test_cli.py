@@ -136,7 +136,7 @@ def test_stationary_critical_column_and_index_sum(capsys):
     assert grab(r"index sum: (\S+)", out).group(1) == "1"
 
 
-@pytest.mark.parametrize("state", ["werner:1", "lu"])
+@pytest.mark.parametrize("state", ["werner:1", "werner:0.8", "werner:0.3", "lu"])
 def test_stationary_index_sum_not_applicable(capsys, state):
     # flat and phi-independent landscapes have no isolated critical points
     code, out, _ = run(capsys, "stationary", "--state", state)

@@ -452,13 +452,14 @@ BUDGET_STATES = {"lu": lu_state(), "werner(0.8)": werner(0.8)}
 )
 def test_gradient_call_budget(monkeypatch, solve, state, budget):
     # Newton starts only at the common zeros of the gradient's bilinear
-    # interpolants in the landscape's cells (Helman & Hesselink 1989), calls
-    # the gradient on its live starts only, tries every step length in one
-    # call and parks starts that stall; bisection takes six steps per call,
-    # stops once its brackets stop changing, and skips the equatorial
-    # brackets where dJ/dtheta keeps clear of zero; lu's landscape does not
-    # depend on phi, and werner(0.8)'s is flat.  Every channel-path call
-    # counts, objective and gradient alike
+    # interpolants in the landscape's cells (Helman & Hesselink 1989), steps
+    # on the sphere with the closed-form Hessian, calls the gradient and the
+    # Hessian on its live starts only and tries every step length in one
+    # call; bisection takes six steps per call, stops once its brackets stop
+    # changing, and skips the equatorial brackets where dJ/dtheta keeps clear
+    # of zero; lu's landscape does not depend on phi, and werner(0.8)'s is
+    # flat.  Every channel-path call counts, objective, gradient and Hessian
+    # alike
     calls = count_gradient_calls(monkeypatch)
     solve(*channel_of(BUDGET_STATES[state] if isinstance(state, str) else random_state(state)))
     assert 0 < len(calls) <= budget
@@ -629,24 +630,64 @@ def test_a_zero_on_a_shared_cell_edge_yields_one_root():
 
 
 @pytest.mark.parametrize(
-    "seed, rank, parks", [pytest.param(1003, 4, False, id="1003-False"), pytest.param(192, 2, True, id="192-rank2-True")]
+    "seed, rank",
+    [
+        pytest.param(1003, 4, id="1003"),
+        pytest.param(192, 2, id="192-rank2"),
+        pytest.param(324, 2, id="324-rank2"),
+        pytest.param(687, 2, id="687-rank2"),
+        pytest.param(765, 2, id="765-rank2"),
+    ],
 )
-def test_index_sum_of_the_stationary_list_is_one(seed, rank, parks):
+def test_index_sum_of_the_stationary_list_is_one(seed, rank):
     # Poincare-Hopf on the projective plane: with every critical point found,
-    # the signs of their Hessian determinants sum to its Euler characteristic.
-    # random_state(192, rank=2) parks starts and fails the certificate, so
-    # its list comes from the rerun of the parked seeds
+    # the signs of their Hessian determinants sum to its Euler characteristic
     ch, gamma = channel_of(random_state(seed, rank=rank))
-    th, ph = correlations._landscape_grid()
-    _, *grad = correlations._channel_terms(ch, gamma, th, ph)
-    *_, parked_th, _ = correlations._newton_batch(ch, gamma, *correlations._landscape_seeds(th, ph, grad))
-    assert bool(parked_th.size) == parks
     assert index_sum(ch, gamma, find_stationary_points(ch, gamma)) == 1
 
 
+def great_circle_second_difference(ch, gamma, theta, phi, direction, h):
+    """(J(c(h)) - 2 J(c(0)) + J(c(-h))) / h**2 on the great circle
+    c(s) = n cos s + x sin s through the measurement direction n of each
+    point (theta, phi), x the unit tangent with components ``direction``
+    along (e_theta, e_phi): a second derivative of J on the sphere, to O(h**2)."""
+    st, ct, cp, sp = np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)
+    n = np.array([st * cp, st * sp, ct])
+    x = direction[0] * np.array([ct * cp, ct * sp, -st]) + direction[1] * np.array([-sp, cp, 0.0 * st])
+    s = np.array([-h, 0.0, h])[:, None]
+    c = n[:, None] * np.cos(s) + x[:, None] * np.sin(s)
+    ce = conditional_entropy_channel(ch, gamma, np.arctan2(np.hypot(c[0], c[1]), c[2]), np.arctan2(c[1], c[0]))
+    return -(ce[0] - 2.0 * ce[1] + ce[2]) / h**2
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [random_state(1003), random_state(192, rank=2), lu_state(), bell_diagonal(0.7, -0.5, 0.3)],
+    ids=["1003", "192-rank2", "lu", "bell_diagonal"],
+)
+def test_closed_form_hessian_matches_second_differences_on_great_circles(rho):
+    # the Hessian holds at any point, not only at critical ones: random
+    # points, points within 1e-3 of the pole and the pole itself, whose
+    # frame (e_theta, e_phi) is set by phi; a tenfold smaller step cuts the
+    # error of the second difference a hundredfold, as an O(h**2) error does
+    ch, gamma = channel_of(rho)
+    rng = np.random.default_rng(5)
+    theta = np.concatenate([rng.uniform(0.05, np.pi - 0.05, 6), [1e-3, 4e-4, 0.0, 0.0]])
+    phi = rng.uniform(0.0, 2 * np.pi, theta.size)
+    affine = correlations._outcome_affine(ch, gamma)
+    htt, htp, hpp, ng = correlations._hessian_terms(*affine, *bloch.angle_trig(theta, phi))
+    for d in ([1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]):
+        want = d[0] ** 2 * htt + 2.0 * d[0] * d[1] * htp + d[1] ** 2 * hpp - ng
+        coarse = np.abs(great_circle_second_difference(ch, gamma, theta, phi, d, 1e-2) - want)
+        fine = np.abs(great_circle_second_difference(ch, gamma, theta, phi, d, 1e-3) - want)
+        assert np.all(coarse < 1e-3)
+        assert np.all(fine <= coarse / 30.0 + 1e-9)
+
+
 def test_index_sum_counts_a_critical_pole():
-    # the pole of an X state is a critical point, whose Hessian comes from
-    # the polar chart; on states 7 and 9 its off-diagonal entry sets the sign
+    # the pole of an X state is a critical point; the closed-form Hessian in
+    # the frame (e_theta, e_phi) holds there like anywhere else, and on
+    # states 7 and 9 its off-diagonal entry sets the sign
     rng = np.random.default_rng(0)
     for _ in range(10):
         ch, gamma = channel_of(random_x_maximally_mixed(rng))
@@ -662,29 +703,10 @@ def test_index_sum_flags_a_dropped_root():
     assert index_sum(ch, gamma, pts[:2] + pts[3:]) != 1
 
 
-def test_failed_certificate_reruns_the_parked_starts(monkeypatch):
-    # every start parks and the certificate fails: Newton reruns from the
-    # parked seeds with parking off and finds the pinned points
-    newton, runs = correlations._newton_batch, []
-
-    def park_all(ch, gamma, th0, ph0, park=True):
-        runs.append(park)
-        if not park:
-            return newton(ch, gamma, th0, ph0, park=False)
-        return np.zeros(0), np.zeros(0), np.asarray(th0, float), np.asarray(ph0, float)
-
-    monkeypatch.setattr(correlations, "_newton_batch", park_all)
-    monkeypatch.setattr(correlations, "index_sum", lambda ch, gamma, points: 0)
-    pts = find_stationary_points(*channel_of(random_state(1003)))
-    assert runs == [True, False]
-    assert [q.kind for q in pts] == [row[0] for row in PINNED_POINTS["random_state(1003)"]]
-    got = np.array([q.as_row()[1:4] for q in pts])
-    assert_allclose(got, np.array([row[1:] for row in PINNED_POINTS["random_state(1003)"]]), rtol=0, atol=1e-15)
-
-
 def test_x_states_report_no_state_dependent_point_at_the_pole():
-    # polar coordinates flatten the gradient next to the pole; no Newton
-    # start may stall there and report a spurious root
+    # the pole of an X state is critical, and Newton starts next to it
+    # converge to it on the sphere; none may stop short of it and report a
+    # spurious root
     rng = np.random.default_rng(0)
     for _ in range(40):
         pts = find_stationary_points(*channel_of(random_x_maximally_mixed(rng)))

@@ -13,17 +13,23 @@ from qdiscord.qmat import check_density_matrix
 
 
 def count_gradient_calls(monkeypatch):
-    """A list that grows by one entry per channel-path evaluation, the call
-    of ``correlations._channel_terms`` behind the objective and the
-    gradient alike: the number of points the call evaluates."""
+    """A list that grows by one entry per channel-path evaluation: a call of
+    ``correlations._channel_terms``, behind the objective and the gradient
+    alike, or of ``correlations._hessian_terms``, the closed-form Hessian.
+    Each entry is the number of points the call evaluates."""
     calls = []
-    terms = correlations._channel_terms
+    terms, hessian = correlations._channel_terms, correlations._hessian_terms
 
     def counted(ch, gamma, theta, phi):
         calls.append(np.size(theta))
         return terms(ch, gamma, theta, phi)
 
+    def counted_hessian(a, t, cg, st, ct, cp, sp):
+        calls.append(np.size(st))
+        return hessian(a, t, cg, st, ct, cp, sp)
+
     monkeypatch.setattr(correlations, "_channel_terms", counted)
+    monkeypatch.setattr(correlations, "_hessian_terms", counted_hessian)
     return calls
 
 
