@@ -39,23 +39,16 @@ LN2 = np.log(2.0)
 SATURATION_CLAMP = 1e-12
 #: Scaled gradient norm required of a reported stationary point.
 STATIONARY_TOL = 1e-7
-#: Raw gradient norm below which a polished Newton start counts as a root.
+#: Raw gradient norm below which a Newton start counts as a root; a start
+#: below it stops at its first step that does not lower the norm.
 NEWTON_TOL = 1e-10
 #: Landscape grid of the objective and gradient scans, points per axis:
 #: theta in [0, pi/2] and phi in [0, 2 pi], ends included.
 SEED_GRID = (25, 49)
-#: Newton iterations per start.
+#: Newton iterations per start, step halvings included.
 NEWTON_MAX_ITER = 100
-#: The line search's step lengths alpha = 2**-k, k = 0, 1, ..., 49, one per row.
-_STEP_LENGTHS = np.ldexp(1.0, -np.arange(50))[:, None]
 #: The signs of T n in the two outcomes' p v = (a +- T n) / 2, one per row.
 _OUTCOME_SIGNS = np.array([[1.0], [-1.0]])
-#: Iterations a start may still take once its gradient norm is below
-#: NEWTON_TOL.  A well-conditioned root reaches the gradient floor within
-#: this many; on a flat landscape a start would otherwise crawl on in tiny
-#: steps, as many as NEWTON_MAX_ITER, a number that varies from one local
-#: copy of a state to the next.
-NEWTON_POLISH_ITER = 8
 #: Bisection steps per gradient call: one call evaluates the 2**6 - 1
 #: midpoints of the next six levels of every bracket's bisection tree.
 BISECT_LEVELS = 6
@@ -448,16 +441,18 @@ def _newton_batch(ch, gamma, th0, ph0):
     over the starts still iterating; returns the roots, in start order.
 
     An iteration solves the closed-form Hessian (:func:`_hessian_terms`)
-    against the gradient, both in the frame (e_theta, e_phi), and tries
-    (n + alpha xi) / |n + alpha xi| along the step xi for alpha = 2**-k,
-    k = 0, 1, ..., 49, taking the first k that lowers the gradient norm
-    hypot(dJ/dtheta, dJ/dphi / sin theta) (0/0 at the pole).  One call
-    serves the Hessians of every live start, one all 50 step lengths, and
-    the gradient at an accepted step is the next iteration's.  A start
-    leaves the batch when its Hessian is singular or not finite, no step
-    lowers its norm, it has polished NEWTON_POLISH_ITER iterations below
-    NEWTON_TOL or taken NEWTON_MAX_ITER; it is a root if its norm is then
-    below NEWTON_TOL, so a root does not depend on which start reached it.
+    against the gradient, both in the frame (e_theta, e_phi), and evaluates
+    the gradient at the trial point (n + alpha xi) / |n + alpha xi| along
+    the step xi: one call of each, as wide as the live starts.  Every start
+    has its own step factor alpha, 1 at first.  A trial that lowers the
+    gradient norm hypot(dJ/dtheta, dJ/dphi / sin theta) (0/0 at the pole) is
+    taken and resets alpha to 1; otherwise alpha halves, backtracking one
+    halving per iteration (Nocedal & Wright, Numerical Optimization, 2006,
+    sec. 3.1), or the start stops once its norm is below NEWTON_TOL.  A
+    start also stops when its Hessian is singular or not finite, or its
+    trial point is its current point, and after NEWTON_MAX_ITER iterations,
+    halvings included.  It is a root if its norm is then below NEWTON_TOL,
+    so a root does not depend on which start reached it.
     """
     th, ph = np.array(th0, float), np.array(ph0, float)
     if not th.size:
@@ -465,39 +460,39 @@ def _newton_batch(ch, gamma, th0, ph0):
     affine = _outcome_affine(ch, gamma)
     _, g0, g1 = _channel_terms(ch, gamma, th, ph)
     g1 = g1 / np.sin(th)
-    norm, live = np.hypot(g0, g1), np.arange(th.size)
-    polish = np.zeros(th.size, int)
+    norm, alpha, live = np.hypot(g0, g1), np.ones(th.size), np.arange(th.size)
     for _ in range(NEWTON_MAX_ITER):
-        polish[live] += norm[live] < NEWTON_TOL
-        keep = polish[live] <= NEWTON_POLISH_ITER
-        live, g0, g1 = live[keep], g0[keep], g1[keep]
-        if not live.size:
-            break
-
         st, ct, _, _ = trig = bloch.angle_trig(th[live], ph[live])
         htt, htp, hpp, ng = _hessian_terms(*affine, *trig)
         htt, hpp = htt - ng, hpp - ng
         det = htt * hpp - htp * htp
         regular = (np.abs(det) >= 1e-30) & np.isfinite(det)
         safe = np.where(regular, det, 1.0)
-        xt = -(hpp * g0 - htp * g1) / safe
-        xp = -(htt * g1 - htp * g0) / safe
+        a, gt, gp = alpha[live], g0[live], g1[live]
+        xt = -(hpp * gt - htp * gp) / safe
+        xp = -(htt * gp - htp * gt) / safe
 
-        # n + alpha xi as (step length, start): sin theta + alpha xt cos theta
-        # along (cos phi, sin phi, 0), alpha xp along e_phi and cos theta -
-        # alpha xt sin theta along z; atan2 keeps theta accurate at the pole
-        out, across = st + _STEP_LENGTHS * (xt * ct), _STEP_LENGTHS * xp
-        tt = np.arctan2(np.hypot(out, across), ct - _STEP_LENGTHS * (xt * st))
+        # n + alpha xi: sin theta + alpha xt cos theta along (cos phi, sin phi,
+        # 0), alpha xp along e_phi and cos theta - alpha xt sin theta along z;
+        # atan2 keeps theta accurate at the pole
+        out, across = st + a * (xt * ct), a * xp
+        tt = np.arctan2(np.hypot(out, across), ct - a * (xt * st))
         pp = ph[live] + np.arctan2(across, out)
+        moves = regular & ((tt != th[live]) | (pp != ph[live]))
+        live, tt, pp = live[moves], tt[moves], pp[moves]
+        if not live.size:
+            break
+
         _, e0, e1 = _channel_terms(ch, gamma, tt, pp)
         e1 = e1 / np.sin(tt)
         en = np.hypot(e0, e1)
-        lower = regular & np.isfinite(en) & (en < norm[live])
-        keep = lower.any(axis=0)
-        k, i = np.argmax(lower, axis=0)[keep], np.flatnonzero(keep)
-        th[live[i]], ph[live[i]], norm[live[i]] = tt[k, i], pp[k, i], en[k, i]
-        g0[i], g1[i] = e0[k, i], e1[k, i]
-        live, g0, g1 = live[keep], g0[keep], g1[keep]
+        lower = np.isfinite(en) & (en < norm[live])
+        i = live[lower]
+        th[i], ph[i], norm[i], g0[i], g1[i] = tt[lower], pp[lower], en[lower], e0[lower], e1[lower]
+        alpha[live] = np.where(lower, 1.0, 0.5 * alpha[live])
+        live = live[lower | (norm[live] >= NEWTON_TOL)]
+        if not live.size:
+            break
 
     root = norm < NEWTON_TOL
     return th[root], ph[root]
@@ -637,10 +632,11 @@ def find_stationary_points(ch, gamma):
 # ---------------------------------------------------------------------------
 
 def check_oracle_resolution(n_theta, n_phi):
-    """Raise ValueError for an oracle grid below ORACLE_MIN_GRID."""
+    """Raise ValueError for an oracle grid below ORACLE_MIN_GRID or of a size that is not an integer."""
     min_theta, min_phi = ORACLE_MIN_GRID
-    if n_theta < min_theta or n_phi < min_phi:
-        raise ValueError(f"oracle grid must be at least {min_theta} x {min_phi}, got {n_theta} x {n_phi}")
+    integral = all(isinstance(n, (int, np.integer)) for n in (n_theta, n_phi))
+    if not integral or n_theta < min_theta or n_phi < min_phi:
+        raise ValueError(f"oracle grid must be integers of at least {min_theta} x {min_phi}, got {n_theta} x {n_phi}")
 
 
 def grid_oracle(rho, n_theta=64, n_phi=128):

@@ -101,8 +101,8 @@ def random_state(seed, rank=4):
     yields the same matrix.  Draws are rejected (up to 10 times) until the
     b marginal is comfortably full rank; persistent failure is an error.
     """
-    if rank not in (1, 2, 3, 4):
-        raise ValueError(f"rank must be 1..4, got {rank!r}")
+    if not isinstance(rank, (int, np.integer)) or rank not in (1, 2, 3, 4):
+        raise ValueError(f"rank must be an integer 1..4, got {rank!r}")
     rng = np.random.default_rng(seed)
     for _ in range(10):
         g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))

@@ -247,14 +247,17 @@ def test_grid_oracle_bell_diagonal_closed_form():
 
 
 def test_grid_oracle_resolution_floor():
-    with pytest.raises(ValueError, match="64 x 128"):
-        grid_oracle(phi_plus(), 32, 128)
+    # a size that is not an integer is refused too, not left to numpy
+    for grid in [(32, 128), (64, 128.0), (64.5, 128)]:
+        with pytest.raises(ValueError, match="64 x 128"):
+            grid_oracle(phi_plus(), *grid)
 
 
 def test_discord_oracle_resolution_floor():
     # checked before the singular-marginal shortcut, which never runs the oracle
-    with pytest.raises(ValueError, match="64 x 128"):
-        discord(SINGULAR_B_MARGINAL, method="oracle", oracle_resolution=(2, 2))
+    for rho, grid in [(SINGULAR_B_MARGINAL, (2, 2)), (lu_state(), (64.5, 128))]:
+        with pytest.raises(ValueError, match="64 x 128"):
+            discord(rho, method="oracle", oracle_resolution=grid)
 
 
 def test_discord_maximally_entangled():
@@ -453,13 +456,13 @@ BUDGET_STATES = {"lu": lu_state(), "werner(0.8)": werner(0.8)}
 def test_gradient_call_budget(monkeypatch, solve, state, budget):
     # Newton starts only at the common zeros of the gradient's bilinear
     # interpolants in the landscape's cells (Helman & Hesselink 1989), steps
-    # on the sphere with the closed-form Hessian, calls the gradient and the
-    # Hessian on its live starts only and tries every step length in one
-    # call; bisection takes six steps per call, stops once its brackets stop
-    # changing, and skips the equatorial brackets where dJ/dtheta keeps clear
-    # of zero; lu's landscape does not depend on phi, and werner(0.8)'s is
-    # flat.  Every channel-path call counts, objective, gradient and Hessian
-    # alike
+    # on the sphere with the closed-form Hessian, and calls the Hessian and
+    # the gradient once per iteration on its live starts only, one trial
+    # step each, halved after a step that does not lower the norm; bisection
+    # takes six steps per call, stops once its brackets stop changing, and
+    # skips the equatorial brackets where dJ/dtheta keeps clear of zero; lu's
+    # landscape does not depend on phi, and werner(0.8)'s is flat.  Every
+    # channel-path call counts, objective, gradient and Hessian alike
     calls = count_gradient_calls(monkeypatch)
     solve(*channel_of(BUDGET_STATES[state] if isinstance(state, str) else random_state(state)))
     assert 0 < len(calls) <= budget
@@ -525,9 +528,10 @@ def test_channel_terms_match_the_per_outcome_reference_bit_for_bit(case):
 
 
 def test_near_singular_copies_take_steady_gradient_calls(monkeypatch):
-    # on this flat landscape a root polished past NEWTON_TOL crawls on in
-    # tiny steps, as many as one local copy happens to allow; polishing is
-    # capped, so every copy costs about the same
+    # on this flat landscape a root below NEWTON_TOL would crawl on in tiny
+    # steps, as many as one local copy happens to allow; it stops at its
+    # first step that does not lower its norm, so every copy costs about
+    # the same
     calls = count_gradient_calls(monkeypatch)
     rng = np.random.default_rng(0)
     for eps in (1e-3, 1e-4, 1e-5, 1e-6):
@@ -536,6 +540,38 @@ def test_near_singular_copies_take_steady_gradient_calls(monkeypatch):
             calls.clear()
             find_stationary_points(*channel_of(w @ near_singular_state(eps) @ w.conj().T))
             assert 0 < len(calls) <= 100
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [random_state(1003), random_state(1177), near_singular_state(1e-4)],
+    ids=["1003", "1177", "near_singular(1e-04)"],
+)
+def test_newton_calls_are_no_wider_than_its_starts(monkeypatch, rho):
+    # an iteration evaluates one Hessian and one trial point per live start,
+    # not a row of step lengths per start
+    calls, widths = count_gradient_calls(monkeypatch), []
+    newton = correlations._newton_batch
+
+    def recorded(ch, gamma, th0, ph0):
+        calls.clear()
+        roots = newton(ch, gamma, th0, ph0)
+        widths.append((np.size(th0), max(calls)))
+        return roots
+
+    monkeypatch.setattr(correlations, "_newton_batch", recorded)
+    find_stationary_points(*channel_of(rho))
+    assert widths and all(widest <= starts for starts, widest in widths)
+
+
+def test_newton_halves_a_step_that_overshoots_the_narrow_polar_maximum():
+    # from this seed of the eps = 1e-3 landscape the full step raises the
+    # gradient norm (2.16e-3 -> 2.32e-3); with full steps alone the start
+    # finds no root, with halving it reaches the narrow maximum near the pole
+    ch, gamma = channel_of(near_singular_state(1e-3))
+    th, ph = correlations._newton_batch(ch, gamma, [0.014494225223338741], [0.42804342653743266])
+    assert th.size == 1
+    assert objective_channel(ch, gamma, th[0], ph[0]) >= 1.49933e-4
 
 
 # (kind, theta, phi, objective) of every stationary point, as computed by the

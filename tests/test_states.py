@@ -88,8 +88,9 @@ def test_random_state_full_rank_marginal():
 
 
 def test_random_state_rank_validation():
-    with pytest.raises(ValueError, match="rank"):
-        random_state(0, rank=5)
+    for rank in (5, 2.0):
+        with pytest.raises(ValueError, match="rank"):
+            random_state(0, rank=rank)
 
 
 def test_parse_identity_example():
