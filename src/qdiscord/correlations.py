@@ -133,6 +133,14 @@ def _scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _finite_angles(theta, phi):
+    """The measurement angles as float arrays; ValueError unless every one is finite."""
+    th, ph = np.asarray(theta, float), np.asarray(phi, float)
+    if not (np.isfinite(th).all() and np.isfinite(ph).all()):
+        raise ValueError("measurement angles must be finite")
+    return th, ph
+
+
 # ---------------------------------------------------------------------------
 # channel path
 # ---------------------------------------------------------------------------
@@ -145,7 +153,7 @@ def output_marginal_entropy(ch, gamma):
 
 def conditional_entropy_channel(ch, gamma, theta, phi):
     """sum_j p_j S(rho_j) through the affine channel form; angle arrays of one shape give an array."""
-    return _scalar_or_array(_channel_terms(ch, gamma, theta, phi)[0])
+    return _scalar_or_array(_channel_terms(ch, gamma, *_finite_angles(theta, phi))[0])
 
 
 def objective_channel(ch, gamma, theta, phi):
@@ -164,7 +172,7 @@ def _log_ratio_over_x(x):
 
 def grad_objective(ch, gamma, theta, phi):
     """Analytic gradient (dJ/dtheta, dJ/dphi) on the channel path; angle arrays give a pair of arrays."""
-    return tuple(_scalar_or_array(g) for g in _channel_terms(ch, gamma, theta, phi)[1:])
+    return tuple(_scalar_or_array(g) for g in _channel_terms(ch, gamma, *_finite_angles(theta, phi))[1:])
 
 
 def _channel_terms(ch, gamma, theta, phi):
@@ -225,10 +233,10 @@ def conditional_entropy_direct(rho, theta, phi):
     The measurement acts on qubit b in the original basis; the channel
     decomposition is never consulted.  Outcomes with probability below
     1e-14 contribute zero.  Angle arrays broadcast together and give an
-    array of values.
+    array of values.  A non-finite angle raises ValueError.
     """
     r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    th, ph = np.asarray(theta, float), np.asarray(phi, float)
+    th, ph = _finite_angles(theta, phi)
     chh = np.cos(th / 2.0)
     shh = np.sin(th / 2.0)
     e = np.exp(1j * ph)
@@ -388,33 +396,29 @@ def universal_candidates(ch, gamma):
     return _merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
 
-def _outcome_affine(ch, gamma):
-    """(a, T, cos gamma) of the outcomes' p v = (a +- T n) / 2, affine in the
-    measurement direction n, where 2 p = 1 +- cos(gamma) n_z: a = cos(gamma)
-    eta e_z + c and T = eta diag(sin gamma, -sin gamma, 1) + cos(gamma) c e_z^T."""
+def _sphere_terms(ch, gamma, theta, phi):
+    """(dJ/dtheta, dJ/dphi / sin theta, h_tt, h_tp, h_pp, n . grad J) at
+    angle arrays: the gradient and the tangent block of the Hessian of
+    J(n), n in R^3, in the frame (e_theta, e_phi), e_phi = (-sin phi, cos
+    phi, 0), defined at the pole too.  The Hessian on the sphere is the
+    block minus n . grad J times the identity (Absil, Mahony & Sepulchre,
+    Optimization Algorithms on Matrix Manifolds, 2008, ch. 5).
+
+    The outcomes' p v = (a +- T n) / 2 are affine in n, with 2 p = m = 1 +-
+    cos(gamma) n_z, a = cos(gamma) eta e_z + c and T = eta diag(sin gamma,
+    -sin gamma, 1) + cos(gamma) c e_z^T.  An outcome's p H2((1 + r) / 2)
+    depends on n through rho = |q|, q = a +- T n, and m only, homogeneously,
+    so it adds +-[l (T x) . q / (2 m) + cos(gamma) x_z log2(1 - r**2) / 4]
+    to the derivative of J along x, and [l (T^T T - T^T v v^T T) + g w w^T]
+    / (2 m) to its Hessian, with v = q / rho, r = rho / m, w = T^T v - r
+    cos(gamma) e_z, l = log2 sqrt((1 + r) / (1 - r)) / r and g = 1 / ((1 -
+    r**2) ln 2), r clamped as in :func:`_channel_terms`.
+    """
     sg, cg = np.sin(gamma), np.cos(gamma)
+    a = cg * ch.eta[:, 2] + ch.c
     t = ch.eta * np.array([sg, -sg, 1.0])
     t[:, 2] += cg * ch.c
-    return cg * ch.eta[:, 2] + ch.c, t, cg
-
-
-def _hessian_terms(a, t, cg, st, ct, cp, sp):
-    """Terms of the Hessian of J on the sphere at the angles whose
-    :func:`bloch.angle_trig` is (st, ct, cp, sp), ``a, t, cg`` from
-    :func:`_outcome_affine`: (h_tt, h_tp, h_pp), the tangent block of the
-    Hessian of J(n), n in R^3, in the frame (e_theta, e_phi), e_phi =
-    (-sin phi, cos phi, 0), defined at the pole too; and n . grad J.  The
-    Hessian on the sphere is the block minus n . grad J times the identity
-    (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
-    Manifolds, 2008, ch. 5).
-
-    An outcome's p H2((1 + r) / 2) depends on n through rho = |q|, q = a +-
-    T n, and m = 2 p only, homogeneously, so it adds [l (T^T T - T^T v v^T T)
-    + g w w^T] / (2 m) to the Hessian, with v = q / rho, r = rho / m, w =
-    T^T v - r cos(gamma) e_z, l = log2 sqrt((1 + r) / (1 - r)) / r and
-    g = 1 / ((1 - r**2) ln 2), r clamped as in the gradient; and +-[l (T n)
-    . q / (2 m) + cos(gamma) n_z log2(1 - r**2) / 4] to n . grad J.
-    """
+    st, ct, cp, sp = bloch.angle_trig(theta, phi)
     # the frame n, e_theta, e_phi as (component, vector, point), and its image under T
     frame = np.array([[st * cp, ct * cp, -sp], [st * sp, ct * sp, cp], [ct, -st, 0.0 * st]])
     tf = (t @ frame.reshape(3, -1)).reshape(frame.shape)
@@ -426,30 +430,29 @@ def _hessian_terms(a, t, cg, st, ct, cp, sp):
     r = rho / m
     s = 1.0 - np.minimum(r, 1.0 - SATURATION_CLAMP) ** 2
     lam, mu = _log_ratio_over_x(r) / (2.0 * m), 1.0 / (2.0 * LN2 * m * s)
+    # the derivatives along n, e_theta and e_phi, whose z components are frame[2]
+    ng, g_th, g_ph = np.subtract(*(lam[:, None] * k + (0.25 * cg * frame[2]) * np.log2(s)[:, None]))
     # (T^T v) and w along e_theta and e_phi, as (outcome, vector, point)
     u = k[:, 1:] / np.maximum(rho, np.finfo(float).tiny)[:, None]
     w = np.stack([u[:, 0] + (cg * st) * r, u[:, 1]], axis=1)
     gram = np.add.reduce(tf[:, 1:, None] * tf[:, None, 1:])
     lw, lu = (mu[:, None] * w)[:, :, None] * w[:, None], (lam[:, None] * u)[:, :, None] * u[:, None]
     block = gram * (lam[0] + lam[1]) + np.add.reduce(lw - lu)
-    ng = np.subtract(*(lam * k[:, 0] + (0.25 * cg * ct) * np.log2(s)))
-    return block[0, 0], block[0, 1], block[1, 1], ng
+    return g_th, g_ph, block[0, 0], block[0, 1], block[1, 1], ng
 
 
 def _newton_batch(ch, gamma, th0, ph0):
     """Damped Newton on the sphere from many starts off the pole, batched
     over the starts still iterating; returns the roots, in start order.
 
-    An iteration solves the closed-form Hessian (:func:`_hessian_terms`)
-    against the gradient, both in the frame (e_theta, e_phi), and evaluates
-    the gradient at the trial point (n + alpha xi) / |n + alpha xi| along
-    the step xi: one call of each, as wide as the live starts.  Every start
-    has its own step factor alpha, 1 at first.  A trial that lowers the
-    gradient norm hypot(dJ/dtheta, dJ/dphi / sin theta) (0/0 at the pole) is
-    taken and resets alpha to 1; otherwise alpha halves, backtracking one
-    halving per iteration (Nocedal & Wright, Numerical Optimization, 2006,
-    sec. 3.1), or the start stops once its norm is below NEWTON_TOL.  A
-    start also stops when its Hessian is singular or not finite, or its
+    One call of :func:`_sphere_terms` gives the gradient and the Hessian in
+    the frame (e_theta, e_phi) at the starts, and one per iteration at the
+    trial points (n + alpha xi) / |n + alpha xi|, xi the Newton step and
+    alpha a step factor per start, 1 at first.  A trial that lowers the
+    gradient norm is taken with its Hessian and resets alpha to 1; otherwise
+    alpha halves (backtracking, Nocedal & Wright, Numerical Optimization,
+    2006, sec. 3.1), or the start stops once its norm is below NEWTON_TOL.
+    A start also stops when its Hessian is singular or not finite, or its
     trial point is its current point, and after NEWTON_MAX_ITER iterations,
     halvings included.  It is a root if its norm is then below NEWTON_TOL,
     so a root does not depend on which start reached it.
@@ -457,18 +460,15 @@ def _newton_batch(ch, gamma, th0, ph0):
     th, ph = np.array(th0, float), np.array(ph0, float)
     if not th.size:
         return th, ph
-    affine = _outcome_affine(ch, gamma)
-    _, g0, g1 = _channel_terms(ch, gamma, th, ph)
-    g1 = g1 / np.sin(th)
-    norm, alpha, live = np.hypot(g0, g1), np.ones(th.size), np.arange(th.size)
+    terms = np.stack(_sphere_terms(ch, gamma, th, ph))
+    norm, alpha, live = np.hypot(*terms[:2]), np.ones(th.size), np.arange(th.size)
     for _ in range(NEWTON_MAX_ITER):
-        st, ct, _, _ = trig = bloch.angle_trig(th[live], ph[live])
-        htt, htp, hpp, ng = _hessian_terms(*affine, *trig)
+        gt, gp, htt, htp, hpp, ng = terms[:, live]
         htt, hpp = htt - ng, hpp - ng
         det = htt * hpp - htp * htp
         regular = (np.abs(det) >= 1e-30) & np.isfinite(det)
         safe = np.where(regular, det, 1.0)
-        a, gt, gp = alpha[live], g0[live], g1[live]
+        a, st, ct = alpha[live], np.sin(th[live]), np.cos(th[live])
         xt = -(hpp * gt - htp * gp) / safe
         xp = -(htt * gp - htp * gt) / safe
 
@@ -483,16 +483,13 @@ def _newton_batch(ch, gamma, th0, ph0):
         if not live.size:
             break
 
-        _, e0, e1 = _channel_terms(ch, gamma, tt, pp)
-        e1 = e1 / np.sin(tt)
-        en = np.hypot(e0, e1)
+        trial = np.stack(_sphere_terms(ch, gamma, tt, pp))
+        en = np.hypot(*trial[:2])
         lower = np.isfinite(en) & (en < norm[live])
         i = live[lower]
-        th[i], ph[i], norm[i], g0[i], g1[i] = tt[lower], pp[lower], en[lower], e0[lower], e1[lower]
+        th[i], ph[i], norm[i], terms[:, i] = tt[lower], pp[lower], en[lower], trial[:, lower]
         alpha[live] = np.where(lower, 1.0, 0.5 * alpha[live])
         live = live[lower | (norm[live] >= NEWTON_TOL)]
-        if not live.size:
-            break
 
     root = norm < NEWTON_TOL
     return th[root], ph[root]
@@ -508,7 +505,7 @@ def index_sum(ch, gamma, points):
     index +-1 shows as a sum of 0 or 2; a missed pair of opposite index
     cancels.  Points that are not ``critical`` do not count.
 
-    The Hessians come from one closed-form call (:func:`_hessian_terms`),
+    The Hessians come from one closed-form call (:func:`_sphere_terms`),
     the pole included.  Returns None when some determinant is below
     (1e-4 s)**2, s the largest Hessian entry, or below (eps t)**2, t the
     largest of the terms whose difference it is, their rounding floor: a
@@ -519,7 +516,7 @@ def index_sum(ch, gamma, points):
     if not crit:
         return None
     t, p = np.array([[q.theta, q.phi] for q in crit]).T
-    *block, ng = _hessian_terms(*_outcome_affine(ch, gamma), *bloch.angle_trig(t, p))
+    _, _, *block, ng = _sphere_terms(ch, gamma, t, p)
     hess = np.stack([block[0] - ng, block[1], block[2] - ng])
     det = hess[0] * hess[2] - hess[1] ** 2
     floor = max(1e-4 * np.max(np.abs(hess)), np.finfo(float).eps * np.max(np.abs([*block, ng])))
@@ -631,12 +628,12 @@ def find_stationary_points(ch, gamma):
 # grid oracle
 # ---------------------------------------------------------------------------
 
-def check_oracle_resolution(n_theta, n_phi):
-    """Raise ValueError for an oracle grid below ORACLE_MIN_GRID or of a size that is not an integer."""
+def check_oracle_resolution(*grid):
+    """Raise ValueError unless the oracle grid is two integers (n_theta, n_phi) of at least ORACLE_MIN_GRID."""
     min_theta, min_phi = ORACLE_MIN_GRID
-    integral = all(isinstance(n, (int, np.integer)) for n in (n_theta, n_phi))
-    if not integral or n_theta < min_theta or n_phi < min_phi:
-        raise ValueError(f"oracle grid must be integers of at least {min_theta} x {min_phi}, got {n_theta} x {n_phi}")
+    integral = len(grid) == 2 and all(isinstance(n, (int, np.integer)) for n in grid)
+    if not integral or grid[0] < min_theta or grid[1] < min_phi:
+        raise ValueError(f"oracle grid must be two integers of at least {min_theta} x {min_phi}, got {grid}")
 
 
 def grid_oracle(rho, n_theta=64, n_phi=128):

@@ -101,7 +101,7 @@ def random_state(seed, rank=4):
     yields the same matrix.  Draws are rejected (up to 10 times) until the
     b marginal is comfortably full rank; persistent failure is an error.
     """
-    if not isinstance(rank, (int, np.integer)) or rank not in (1, 2, 3, 4):
+    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)) or rank not in (1, 2, 3, 4):
         raise ValueError(f"rank must be an integer 1..4, got {rank!r}")
     rng = np.random.default_rng(seed)
     for _ in range(10):

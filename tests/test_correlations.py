@@ -255,7 +255,7 @@ def test_grid_oracle_resolution_floor():
 
 def test_discord_oracle_resolution_floor():
     # checked before the singular-marginal shortcut, which never runs the oracle
-    for rho, grid in [(SINGULAR_B_MARGINAL, (2, 2)), (lu_state(), (64.5, 128))]:
+    for rho, grid in [(SINGULAR_B_MARGINAL, (2, 2)), (lu_state(), (64.5, 128)), (lu_state(), (64,))]:
         with pytest.raises(ValueError, match="64 x 128"):
             discord(rho, method="oracle", oracle_resolution=grid)
 
@@ -430,6 +430,25 @@ def channel_of(rho):
     return affine_from_kraus(d.kraus), d.gamma
 
 
+@pytest.mark.parametrize(
+    "theta, phi",
+    [(np.nan, 0.0), (0.3, np.nan), (np.inf, 0.0), (0.3, -np.inf), (np.array([0.3, np.nan]), np.zeros(2))],
+)
+def test_non_finite_angles_are_refused(theta, phi):
+    # a NaN angle once gave conditional entropy 0 on both paths, so J read
+    # S(rho_a), the largest value it can take
+    rho = lu_state()
+    ch, gamma = channel_of(rho)
+    for f, state in [
+        (conditional_entropy_direct, (rho,)),
+        (conditional_entropy_channel, (ch, gamma)),
+        (objective_channel, (ch, gamma)),
+        (grad_objective, (ch, gamma)),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            f(*state, theta, phi)
+
+
 #: States of the call budget named other than by their random_state seed.
 BUDGET_STATES = {"lu": lu_state(), "werner(0.8)": werner(0.8)}
 
@@ -451,18 +470,22 @@ BUDGET_STATES = {"lu": lu_state(), "werner(0.8)": werner(0.8)}
         (find_stationary_points, 1050, 60),
         (find_stationary_points, "lu", 12),
         (find_stationary_points, "werner(0.8)", 1),
+        (find_stationary_points, 1003, 13),
+        (find_stationary_points, 1050, 14),
+        (find_stationary_points, 1177, 12),
     ],
 )
 def test_gradient_call_budget(monkeypatch, solve, state, budget):
     # Newton starts only at the common zeros of the gradient's bilinear
     # interpolants in the landscape's cells (Helman & Hesselink 1989), steps
-    # on the sphere with the closed-form Hessian, and calls the Hessian and
-    # the gradient once per iteration on its live starts only, one trial
-    # step each, halved after a step that does not lower the norm; bisection
-    # takes six steps per call, stops once its brackets stop changing, and
-    # skips the equatorial brackets where dJ/dtheta keeps clear of zero; lu's
-    # landscape does not depend on phi, and werner(0.8)'s is flat.  Every
-    # channel-path call counts, objective, gradient and Hessian alike
+    # on the sphere with the closed-form gradient and Hessian, and makes one
+    # call per iteration that gives both at the trial points of its live
+    # starts only, one trial step each, halved after a step that does not
+    # lower the norm; bisection takes six steps per call, stops once its
+    # brackets stop changing, and skips the equatorial brackets where
+    # dJ/dtheta keeps clear of zero; lu's landscape does not depend on phi,
+    # and werner(0.8)'s is flat.  Every channel-path call counts, objective,
+    # gradient and Hessian alike
     calls = count_gradient_calls(monkeypatch)
     solve(*channel_of(BUDGET_STATES[state] if isinstance(state, str) else random_state(state)))
     assert 0 < len(calls) <= budget
@@ -548,8 +571,8 @@ def test_near_singular_copies_take_steady_gradient_calls(monkeypatch):
     ids=["1003", "1177", "near_singular(1e-04)"],
 )
 def test_newton_calls_are_no_wider_than_its_starts(monkeypatch, rho):
-    # an iteration evaluates one Hessian and one trial point per live start,
-    # not a row of step lengths per start
+    # an iteration evaluates the gradient and the Hessian at one trial point
+    # per live start, not at a row of step lengths per start
     calls, widths = count_gradient_calls(monkeypatch), []
     newton = correlations._newton_batch
 
@@ -710,14 +733,63 @@ def test_closed_form_hessian_matches_second_differences_on_great_circles(rho):
     rng = np.random.default_rng(5)
     theta = np.concatenate([rng.uniform(0.05, np.pi - 0.05, 6), [1e-3, 4e-4, 0.0, 0.0]])
     phi = rng.uniform(0.0, 2 * np.pi, theta.size)
-    affine = correlations._outcome_affine(ch, gamma)
-    htt, htp, hpp, ng = correlations._hessian_terms(*affine, *bloch.angle_trig(theta, phi))
+    _, _, htt, htp, hpp, ng = correlations._sphere_terms(ch, gamma, theta, phi)
     for d in ([1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]):
         want = d[0] ** 2 * htt + 2.0 * d[0] * d[1] * htp + d[1] ** 2 * hpp - ng
         coarse = np.abs(great_circle_second_difference(ch, gamma, theta, phi, d, 1e-2) - want)
         fine = np.abs(great_circle_second_difference(ch, gamma, theta, phi, d, 1e-3) - want)
         assert np.all(coarse < 1e-3)
         assert np.all(fine <= coarse / 30.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        random_state(1003),
+        random_state(192, rank=2),
+        lu_state(),
+        bell_diagonal(0.7, -0.5, 0.3),
+        *(near_singular_state(eps) for eps in (1e-3, 1e-5, 1e-7)),
+    ],
+    ids=["1003", "192-rank2", "lu", "bell_diagonal", "near_singular(1e-03)", "near_singular(1e-05)", "near_singular(1e-07)"],
+)
+def test_sphere_terms_gradient_matches_the_chart_gradient(rho):
+    # e_theta is d/dtheta and e_phi is d/dphi / sin theta; at the pole, where
+    # dJ/dphi vanishes, e_theta and e_phi are the meridians at phi and at
+    # phi + pi/2
+    ch, gamma = channel_of(rho)
+    rng = np.random.default_rng(8)
+    theta, phi = rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2 * np.pi, 40)
+    g_th, g_ph, *_ = correlations._sphere_terms(ch, gamma, theta, phi)
+    want_th, want_ph = grad_objective(ch, gamma, theta, phi)
+    assert_allclose(g_th, want_th, rtol=0, atol=1e-13)
+    assert_allclose(np.sin(theta) * g_ph, want_ph, rtol=0, atol=1e-13)
+    pole = np.zeros_like(phi)
+    g_th, g_ph, *_ = correlations._sphere_terms(ch, gamma, pole, phi)
+    assert_allclose(g_th, grad_objective(ch, gamma, pole, phi)[0], rtol=0, atol=1e-13)
+    assert_allclose(g_ph, grad_objective(ch, gamma, pole, phi + np.pi / 2)[0], rtol=0, atol=1e-13)
+
+
+def test_newton_evaluates_no_chart_gradient(monkeypatch):
+    # the sphere kernel gives Newton its gradient along with its Hessian
+    newton, terms, runs, inside, chart = correlations._newton_batch, correlations._channel_terms, [], [False], []
+
+    def tracked(*args):
+        runs.append(np.size(args[2]))
+        inside[0] = True
+        try:
+            return newton(*args)
+        finally:
+            inside[0] = False
+
+    def recorded(*args):
+        chart.append(inside[0])
+        return terms(*args)
+
+    monkeypatch.setattr(correlations, "_newton_batch", tracked)
+    monkeypatch.setattr(correlations, "_channel_terms", recorded)
+    find_stationary_points(*channel_of(random_state(1003)))
+    assert sum(runs) > 0 and chart and not any(chart)
 
 
 def test_index_sum_counts_a_critical_pole():

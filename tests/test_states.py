@@ -88,7 +88,8 @@ def test_random_state_full_rank_marginal():
 
 
 def test_random_state_rank_validation():
-    for rank in (5, 2.0):
+    # bool is an int, but not a rank
+    for rank in (5, 2.0, True):
         with pytest.raises(ValueError, match="rank"):
             random_state(0, rank=rank)
 
