@@ -134,8 +134,18 @@ def conditional_outcomes(gamma, st, ct, cp, sp):
 
 # measurement-direction helpers ------------------------------------------------
 
+def finite_angles(theta, phi):
+    """The measurement angles as float arrays; ValueError unless every one is finite."""
+    th, ph = np.asarray(theta, float), np.asarray(phi, float)
+    if not (np.isfinite(th).all() and np.isfinite(ph).all()):
+        raise ValueError("measurement angles must be finite")
+    return th, ph
+
+
 def angles_to_direction(theta, phi):
-    """Unit vector (sin th cos ph, sin th sin ph, cos th)."""
+    """Unit vector (sin th cos ph, sin th sin ph, cos th); a non-finite
+    angle raises ValueError."""
+    theta, phi = finite_angles(theta, phi)
     st = np.sin(theta)
     return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
 
@@ -177,10 +187,11 @@ def normalize_angles(theta, phi):
     The pairs (theta, phi) and (pi - theta, phi + pi) label the same
     measurement with outcomes swapped; the canonical member has
     theta in [0, pi/2] (and phi in [0, pi) when theta = pi/2).  Arrays fold
-    elementwise; scalars come back as floats.
+    elementwise; scalars come back as floats.  A non-finite angle raises
+    ValueError.
     """
-    theta = np.asarray(theta, float) % (2 * np.pi)
-    phi = np.asarray(phi, float)
+    theta, phi = finite_angles(theta, phi)
+    theta = theta % (2 * np.pi)
     over = theta > np.pi
     theta = np.where(over, 2 * np.pi - theta, theta)
     flip = theta > np.pi / 2 + 1e-12
@@ -198,7 +209,8 @@ def measurement_distance(a1, a2):
 
     Arguments are (theta, phi) pairs, of scalars or of arrays that broadcast
     together; the result is in [0, pi/2], a float for scalars.  The
-    chord/arcsin form stays accurate near zero separation.
+    chord/arcsin form stays accurate near zero separation.  A non-finite
+    angle raises ValueError.
     """
     t1, p1, t2, p2 = np.broadcast_arrays(*a1, *a2)
     n1 = angles_to_direction(t1, p1)

@@ -207,9 +207,6 @@ def main(argv=None):
     try:
         return args.func(args, sys.stdout)
     except (ValueError, OSError) as exc:
-        if isinstance(exc, xstate.NotApplicableError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOT_APPLICABLE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_STATE
     except Exception as exc:  # pragma: no cover

@@ -49,9 +49,9 @@ SEED_GRID = (25, 49)
 NEWTON_MAX_ITER = 100
 #: The signs of T n in the two outcomes' p v = (a +- T n) / 2, one per row.
 _OUTCOME_SIGNS = np.array([[1.0], [-1.0]])
-#: Bisection steps per gradient call: one call evaluates the 2**6 - 1
-#: midpoints of the next six levels of every bracket's bisection tree.
-BISECT_LEVELS = 6
+#: Bisection steps per gradient call: one call evaluates the 2**8 - 1
+#: midpoints of the next eight levels of every bracket's bisection tree.
+BISECT_LEVELS = 8
 #: Stationary points closer than this (measurement angle) are merged.
 MERGE_TOL = 1e-5
 #: Angular slack when classifying a root as polar/equatorial.
@@ -133,14 +133,6 @@ def _scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _finite_angles(theta, phi):
-    """The measurement angles as float arrays; ValueError unless every one is finite."""
-    th, ph = np.asarray(theta, float), np.asarray(phi, float)
-    if not (np.isfinite(th).all() and np.isfinite(ph).all()):
-        raise ValueError("measurement angles must be finite")
-    return th, ph
-
-
 # ---------------------------------------------------------------------------
 # channel path
 # ---------------------------------------------------------------------------
@@ -153,7 +145,7 @@ def output_marginal_entropy(ch, gamma):
 
 def conditional_entropy_channel(ch, gamma, theta, phi):
     """sum_j p_j S(rho_j) through the affine channel form; angle arrays of one shape give an array."""
-    return _scalar_or_array(_channel_terms(ch, gamma, *_finite_angles(theta, phi))[0])
+    return _scalar_or_array(_channel_terms(ch, gamma, *bloch.finite_angles(theta, phi))[0])
 
 
 def objective_channel(ch, gamma, theta, phi):
@@ -172,7 +164,7 @@ def _log_ratio_over_x(x):
 
 def grad_objective(ch, gamma, theta, phi):
     """Analytic gradient (dJ/dtheta, dJ/dphi) on the channel path; angle arrays give a pair of arrays."""
-    return tuple(_scalar_or_array(g) for g in _channel_terms(ch, gamma, *_finite_angles(theta, phi))[1:])
+    return tuple(_scalar_or_array(g) for g in _channel_terms(ch, gamma, *bloch.finite_angles(theta, phi))[1:])
 
 
 def _channel_terms(ch, gamma, theta, phi):
@@ -236,7 +228,7 @@ def conditional_entropy_direct(rho, theta, phi):
     array of values.  A non-finite angle raises ValueError.
     """
     r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    th, ph = _finite_angles(theta, phi)
+    th, ph = bloch.finite_angles(theta, phi)
     chh = np.cos(th / 2.0)
     shh = np.sin(th / 2.0)
     e = np.exp(1j * ph)
@@ -525,23 +517,6 @@ def index_sum(ch, gamma, points):
     return int(np.sum(np.sign(det)))
 
 
-def _stationary_points_1d(ch, gamma, sa):
-    """Roots when J does not depend on phi (stationary circles in phi).
-
-    Each circle is reported once, at phi = 0.  The outcome-swap symmetry
-    makes J(theta) symmetric about pi/2, so interior roots are bracketed on
-    (0, pi/2) only.
-    """
-
-    def dtheta(theta):
-        return grad_objective(ch, gamma, theta, np.zeros_like(theta))[0]
-
-    thetas = np.linspace(0.0, np.pi / 2, 2001)[1:-1]
-    roots = _bisect_roots(dtheta, thetas, dtheta(thetas))
-    pts = _merge(ch, gamma, sa, np.array([0.0, np.pi / 2]), np.zeros(2))
-    return _merge(ch, gamma, sa, roots, np.zeros_like(roots), pts)
-
-
 def _landscape_grid():
     """(theta, phi) meshes of the SEED_GRID; the outcome swap maps it onto the sphere."""
     n_theta, n_phi = SEED_GRID
@@ -583,28 +558,34 @@ def _landscape_seeds(th, ph, grad):
 
 
 def find_stationary_points(ch, gamma):
-    """All stationary points of J: universal candidates plus Newton roots.
+    """All stationary points of J: the universal candidates plus the roots
+    found between them.
 
     One channel-path call scans J and its gradient together on a 25 x 49
     grid over theta in [0, pi/2] and phi in [0, 2 pi]; the outcome-swap
     symmetry maps the grid onto the rest of the sphere.  That one scan
     serves the flat and phi-independence checks, the missed-root net below
-    and the Newton seeds.  Newton on the sphere (:func:`_newton_batch`)
-    starts at the common zeros of the two gradient components' bilinear
-    interpolants in each grid cell off the pole (:func:`_landscape_seeds`;
-    Helman & Hesselink, IEEE Computer 22(8), 1989).  Roots are folded to
-    canonical angles, merged within an angle of 1e-5, verified to scaled
-    gradient norm < 1e-7 and classified by their polar angle, from one call
-    per batch.
+    and the Newton seeds.  A flat objective (constant channel) reports the
+    single canonical point (pi/2, 0).  Otherwise the scan only chooses where
+    the roots come from:
 
-    The scan's values of J decide the degenerate cases below and guard
-    against a missed root: if its best sample beats the best point found by
-    more than OPTIMUM_TIE_TOL, Newton also runs from that sample.
+    * in general, Newton on the sphere (:func:`_newton_batch`) from the
+      common zeros of the two gradient components' bilinear interpolants in
+      each grid cell off the pole (:func:`_landscape_seeds`; Helman &
+      Hesselink, IEEE Computer 22(8), 1989);
+    * on a phi-independent objective (xy-isotropic channel), whose
+      stationary points form circles about z that Newton cannot converge
+      along, bisection of dJ/dtheta on 1999 points of the meridian phi = 0
+      strictly between the pole and the equator, so each circle is reported
+      once, at phi = 0.
 
-    Degenerate landscapes are collapsed to representatives: a flat objective
-    (constant channel) reports the single canonical point (pi/2, 0), and a
-    phi-independent objective (xy-isotropic channel, where stationary points
-    form circles) reports each circle once at phi = 0.
+    Either way the roots go through one :func:`_merge` against
+    :func:`universal_candidates`: folded to canonical angles, merged within
+    an angle of 1e-5, verified to scaled gradient norm < 1e-7 and classified
+    by their polar angle, from one call per batch.  The scan's values of J
+    then guard against a missed root: if its best sample beats the best
+    point found by more than OPTIMUM_TIE_TOL, Newton also runs from that
+    sample.
     """
     sa = output_marginal_entropy(ch, gamma)
 
@@ -614,10 +595,15 @@ def find_stationary_points(ch, gamma):
         obj = sa - float(ce_scan.mean())
         return [StationaryPoint(np.pi / 2, 0.0, obj, 0.0, SYMMETRIC)]
     if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11:
-        pts = _stationary_points_1d(ch, gamma, sa)
+        def dtheta(theta):
+            return grad_objective(ch, gamma, theta, np.zeros_like(theta))[0]
+
+        thetas = np.linspace(0.0, np.pi / 2, 2001)[1:-1]
+        th = _bisect_roots(dtheta, thetas, dtheta(thetas))
+        ph = np.zeros_like(th)
     else:
-        cands = universal_candidates(ch, gamma)
-        pts = _merge(ch, gamma, sa, *_newton_batch(ch, gamma, *_landscape_seeds(th_scan, ph_scan, g_scan)), cands)
+        th, ph = _newton_batch(ch, gamma, *_landscape_seeds(th_scan, ph_scan, g_scan))
+    pts = _merge(ch, gamma, sa, th, ph, universal_candidates(ch, gamma))
     k = int(np.argmin(ce_scan))
     if sa - ce_scan.flat[k] > max(q.objective for q in pts) + OPTIMUM_TIE_TOL:
         pts = _merge(ch, gamma, sa, *_newton_batch(ch, gamma, th_scan.flat[[k]], ph_scan.flat[[k]]), pts)

@@ -135,25 +135,23 @@ def universal_sufficient(p):
 
 
 def H_func(x, k):
-    """(sqrt(1 + k x^2) / x) ln((1+x)/(1-x)) on 0 < x < 1.
+    """(sqrt(1 + k x^2) / x) ln((1+x)/(1-x)) on 0 < x < 1: :func:`G_func`
+    times the log ratio, with its checks.
 
     Strictly monotone exactly when k >= -2/3 or k <= -1; inside the gap it
     loses monotonicity, which is what permits extra stationary points.
     """
-    x = float(x)
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x = {x!r} outside (0, 1)")
-    radicand = 1.0 + k * x * x
-    if radicand < 0.0:
-        raise ValueError(f"1 + k x^2 = {radicand:.3e} is negative")
-    return float(np.sqrt(radicand) / x * np.log((1.0 + x) / (1.0 - x)))
+    return float(G_func(x, k) * np.log((1.0 + x) / (1.0 - x)))
 
 
 def G_func(x, k):
-    """sqrt(1 + k x^2) / x on 0 < x < 1."""
-    x = float(x)
+    """sqrt(1 + k x^2) / x on 0 < x < 1; ValueError off that domain, for a
+    non-finite k or where 1 + k x^2 is negative."""
+    x, k = float(x), float(k)
     if not 0.0 < x < 1.0:
         raise ValueError(f"x = {x!r} outside (0, 1)")
+    if not np.isfinite(k):
+        raise ValueError(f"k = {k!r} is not finite")
     radicand = 1.0 + k * x * x
     if radicand < 0.0:
         raise ValueError(f"1 + k x^2 = {radicand:.3e} is negative")

@@ -240,6 +240,30 @@ def test_direction_to_angles_rejects_a_vector_without_direction(n):
         direction_to_angles(n)
 
 
+#: Angle pairs with a NaN or an infinite entry, scalar and array.
+NON_FINITE_ANGLES = [(np.nan, 0.0), (np.inf, 0.0), (0.3, -np.inf), (np.array([0.3, np.nan]), np.zeros(2))]
+
+
+@pytest.mark.parametrize("theta, phi", NON_FINITE_ANGLES)
+def test_angles_to_direction_refuses_non_finite_angles(theta, phi):
+    with pytest.raises(ValueError, match="finite"):
+        angles_to_direction(theta, phi)
+
+
+@pytest.mark.parametrize("theta, phi", NON_FINITE_ANGLES)
+def test_normalize_angles_refuses_non_finite_angles(theta, phi):
+    with pytest.raises(ValueError, match="finite"):
+        normalize_angles(theta, phi)
+
+
+@pytest.mark.parametrize("theta, phi", NON_FINITE_ANGLES)
+def test_measurement_distance_refuses_non_finite_angles(theta, phi):
+    with pytest.raises(ValueError, match="finite"):
+        measurement_distance((0.2, 0.1), (theta, phi))
+    with pytest.raises(ValueError, match="finite"):
+        measurement_distance((theta, phi), (0.2, 0.1))
+
+
 def test_normalize_angles_folds_hemisphere():
     th, ph = normalize_angles(0.8 * np.pi, 0.3)
     assert abs(th - 0.2 * np.pi) < 1e-12

@@ -1,0 +1,34 @@
+"""Error paths of the command line: a method off its domain and a malformed
+option value."""
+
+import pytest
+
+from qdiscord.cli import main
+
+#: An X state with a maximally mixed b marginal whose shape parameter
+#: k = -0.9137 lies in the closed form's gap (-1, -2/3).
+GAP_STATE = "x:0.19,0.06,0.31,0.44,0.11,0.04"
+
+
+def test_xstate_analytic_in_the_gap_exits_3(capsys):
+    code = main(["discord", "--state", GAP_STATE, "--method", "xstate-analytic"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "k = -0.913689" in captured.err
+    assert captured.out == ""
+
+
+def test_xstate_analytic_in_the_gap_falls_back(capsys):
+    code = main(["discord", "--state", GAP_STATE, "--method", "xstate-analytic", "--fallback"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "falling back" in out
+    assert "method: stationary" in out
+
+
+@pytest.mark.parametrize("grid", ["64xabc", "big", "64x128x2"])
+def test_non_numeric_grid_is_usage_error(capsys, grid):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--state", "lu", "--grid", grid])
+    assert exc.value.code == 2
+    assert "grid must look like 64x128" in capsys.readouterr().err

@@ -481,7 +481,7 @@ def test_gradient_call_budget(monkeypatch, solve, state, budget):
     # on the sphere with the closed-form gradient and Hessian, and makes one
     # call per iteration that gives both at the trial points of its live
     # starts only, one trial step each, halved after a step that does not
-    # lower the norm; bisection takes six steps per call, stops once its
+    # lower the norm; bisection takes eight steps per call, stops once its
     # brackets stop changing, and skips the equatorial brackets where
     # dJ/dtheta keeps clear of zero; lu's landscape does not depend on phi,
     # and werner(0.8)'s is flat.  Every channel-path call counts, objective,
@@ -809,6 +809,16 @@ def test_index_sum_flags_a_dropped_root():
     pts = find_stationary_points(ch, gamma)
     assert_allclose(pts[2].as_row()[1:4], PINNED_POINTS["random_state(1003)"][2][1:], rtol=0, atol=1e-15)
     assert index_sum(ch, gamma, pts[:2] + pts[3:]) != 1
+
+
+def test_index_sum_of_no_critical_point_is_none():
+    # the polar candidate of a general state solves the (theta, phi)
+    # equations but is no critical point of J, so it has no index
+    ch, gamma = channel_of(random_state(1003))
+    polar = [q for q in find_stationary_points(ch, gamma) if q.kind == ASYMMETRIC]
+    assert [q.critical for q in polar] == [False]
+    assert index_sum(ch, gamma, polar) is None
+    assert index_sum(ch, gamma, []) is None
 
 
 def test_x_states_report_no_state_dependent_point_at_the_pole():

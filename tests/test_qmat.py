@@ -197,6 +197,8 @@ def test_check_density_matrix_accepts_valid():
         (lambda: I4 / 4 + 1e-6 * 1j * (np.eye(4) - np.diag([2, 0, 0, 0])), "Hermitian"),
         (lambda: I4 / 2, "trace"),
         (lambda: np.diag([0.6, 0.5, -0.05, -0.05]), "positive semidefinite"),
+        (lambda: np.where(np.eye(4, k=1) > 0, np.nan, I4 / 4), "NaN or Inf"),
+        (lambda: I4 / 4 + np.diag([0, 0, 0, 1j * np.inf]), "NaN or Inf"),
     ],
 )
 def test_check_density_matrix_rejects(builder, message):

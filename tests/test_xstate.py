@@ -136,9 +136,19 @@ def test_H_and_G_domain_errors():
         H_func(1.0, 0.0)
     with pytest.raises(ValueError, match="negative"):
         H_func(0.9, -2.0)
+    for x in (0.0, 1.0, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            G_func(x, 0.0)
     with pytest.raises(ValueError, match="negative"):
         G_func(0.9, -2.0)
     assert abs(G_func(0.5, 0.0) - 2.0) < 1e-14
+
+
+@pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+def test_H_and_G_refuse_a_non_finite_k(k):
+    for f in (H_func, G_func):
+        with pytest.raises(ValueError, match="finite"):
+            f(0.5, k)
 
 
 def test_closed_form_purities_match_affine():
@@ -201,6 +211,18 @@ def test_analytic_rejects_non_x():
 def test_analytic_rejects_unbalanced_marginal():
     with pytest.raises(NotApplicableError, match="not maximally mixed"):
         analytic_discord_x(lu_state())
+
+
+#: An X state with a maximally mixed b marginal whose shape parameter
+#: k = -0.9137 lies in the gap (-1, -2/3).
+GAP_STATE = (0.19, 0.06, 0.31, 0.44, 0.11, 0.04)
+
+
+def test_analytic_rejects_the_gap():
+    rho = x_state(*GAP_STATE)
+    for solve in (analytic_discord_x, lambda r: discord(r, method="xstate_analytic")):
+        with pytest.raises(NotApplicableError, match=r"k = -0\.913689 lies in the gap"):
+            solve(rho)
 
 
 def test_analytic_agrees_with_solver_and_oracle():
