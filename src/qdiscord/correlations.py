@@ -15,8 +15,9 @@ evaluation paths are kept deliberately separate:
 
 The maximization itself also runs twice: a damped-Newton search for the
 stationary points of J on the channel path, and a brute-force grid oracle
-with a zoom refinement (a small patch of angles around the best point,
-shrunk round by round) on the direct path.
+with a zoom refinement on the direct path: a 13 x 13 patch of angles around
+the best point, shrunk 6x a round, which stops once a patch that would
+shrink is flat to rounding (its values span 4 eps or less).
 """
 
 from __future__ import annotations
@@ -60,16 +61,19 @@ CLASSIFY_TOL = 1e-6
 OPTIMUM_TIE_TOL = 1e-10
 #: Smallest (n_theta, n_phi) grid the oracle accepts.
 ORACLE_MIN_GRID = (64, 128)
-#: Theta rows of the oracle grid evaluated per call of the objective.  A
-#: whole 64 x 128 grid makes 128 KiB complex temporaries, which glibc maps
-#: afresh or trims back to the system on every call (600-700 page faults
-#: per oracle call); 8 rows keep each at 16 KiB, so the oracle's time no
-#: longer depends on what the process allocated before.
+#: Theta rows of the oracle grid evaluated per call of the objective.  The
+#: largest temporaries of :func:`conditional_entropy_direct` hold the three
+#: a-state entries of both outcomes, (2, 3, rows, n_phi) complex: 96 KiB at
+#: 8 x 128.  They must stay under glibc's initial 128 KiB mmap threshold,
+#: above which each is mapped and page-faulted afresh on every call (600-700
+#: faults per oracle call for a whole 64 x 128 grid in one call), and the
+#: oracle's time depends on what the process allocated before.  A grid wider
+#: than 128 in phi crosses it at 8 rows and needs proportionally fewer.
 ORACLE_BLOCK_ROWS = 8
-#: Oracle zoom: points per axis of the patch, rounds, and the factor by
-#: which the patch shrinks (to the spacing of its own points).
-ZOOM_POINTS = 7
-ZOOM_ROUNDS = 24
+#: Oracle zoom: points per axis of the patch, rounds at most, and the factor
+#: by which the patch shrinks (to the spacing of its own points).
+ZOOM_POINTS = 13
+ZOOM_ROUNDS = 15
 ZOOM_SHRINK = 2.0 / (ZOOM_POINTS - 1)
 
 SYMMETRIC = "symmetric"
@@ -227,31 +231,30 @@ def conditional_entropy_direct(rho, theta, phi):
     1e-14 contribute zero.  Angle arrays broadcast together and give an
     array of values.  A non-finite angle raises ValueError.
     """
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
     th, ph = bloch.finite_angles(theta, phi)
     chh = np.cos(th / 2.0)
     shh = np.sin(th / 2.0)
     e = np.exp(1j * ph)
     uu, vv, uv = chh * chh, shh * shh, chh * shh
 
+    # <i b| rho |j b'> for the a-state entries ij = 00, 01, 11 along a
+    # leading axis of 3, one array per bb', shaped to broadcast against the angles
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)[[0, 0, 1], :, [0, 1, 1], :]
+    r00, r01, r10, r11 = r.reshape(3, 4).T.reshape(4, 3, *(1,) * max(th.ndim, ph.ndim))
+
     # unnormalized conditional a-state for outcome 1 (vector (cos, sin e^{i phi}));
-    # outcome 2 is the complement against the a marginal
-    a00 = uu * r[0, 0, 0, 0] + uv * (e * r[0, 0, 0, 1] + e.conj() * r[0, 1, 0, 0]) + vv * r[0, 1, 0, 1]
-    a01 = uu * r[0, 0, 1, 0] + uv * (e * r[0, 0, 1, 1] + e.conj() * r[0, 1, 1, 0]) + vv * r[0, 1, 1, 1]
-    a11 = uu * r[1, 0, 1, 0] + uv * (e * r[1, 0, 1, 1] + e.conj() * r[1, 1, 1, 0]) + vv * r[1, 1, 1, 1]
-    b00 = (r[0, 0, 0, 0] + r[0, 1, 0, 1]) - a00
-    b01 = (r[0, 0, 1, 0] + r[0, 1, 1, 1]) - a01
-    b11 = (r[1, 0, 1, 0] + r[1, 1, 1, 1]) - a11
-
-    def branch(x00, x01, x11):
-        p = np.real(x00 + x11)
-        det = np.real(x00 * x11 - x01 * np.conj(x01))
-        live = p > bloch.DEGENERATE_TOL
-        safe = np.where(live, p, 1.0)
-        purity = np.sqrt(np.clip(1.0 - 4.0 * det / (safe * safe), 0.0, 1.0))
-        return np.where(live, p * binary_entropy_arr((1.0 + purity) / 2.0), 0.0)
-
-    return _scalar_or_array(branch(a00, a01, a11) + branch(b00, b01, b11))
+    # outcome 2 is the complement against the a marginal.  Both outcomes then
+    # share one pass along a leading axis of 2, each elementwise step the one
+    # a pass per outcome would take, so every bit of an array result is the same
+    a = uu * r00 + uv * (e * r01 + e.conj() * r10) + vv * r11
+    x = np.stack([a, (r00 + r11) - a])
+    p = np.real(x[:, 0] + x[:, 2])
+    det = np.real(x[:, 0] * x[:, 2] - x[:, 1] * np.conj(x[:, 1]))
+    live = p > bloch.DEGENERATE_TOL
+    safe = np.where(live, p, 1.0)
+    purity = np.sqrt(np.clip(1.0 - 4.0 * det / (safe * safe), 0.0, 1.0))
+    ce = np.where(live, p * binary_entropy_arr((1.0 + purity) / 2.0), 0.0)
+    return _scalar_or_array(ce[0] + ce[1])
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +630,16 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
 
     Evaluates the direct-projection objective on an n_theta x n_phi grid
     (theta in [0, pi], phi in [0, 2 pi)), ORACLE_BLOCK_ROWS rows at a time,
-    and zooms in on the best cell: each round evaluates a 7 x 7 patch around
-    the incumbent, one grid cell wide at first, clipped to theta in [0, pi].
-    The patch shrinks to the spacing of its own points while the incumbent
-    stays inside it, and only moves with the incumbent when that lands on
-    its edge, where the maximum may lie beyond.  Deterministic, and never
-    below the grid maximum; ties resolve to the smallest theta, then the
-    smallest phi.
+    and zooms in on the best cell: each round evaluates a ZOOM_POINTS x
+    ZOOM_POINTS (13 x 13) patch around the incumbent, one grid cell wide at
+    first, clipped to theta in [0, pi].  The patch shrinks to the spacing of
+    its own points (6x) while the incumbent stays inside it, and only moves
+    with the incumbent when that lands on its edge, where the maximum may
+    lie beyond.  The zoom ends after ZOOM_ROUNDS (15) rounds, or at the
+    first round that would shrink the patch when its values span no more
+    than 4 eps: conditional entropies are at most 1 bit, so that patch is
+    flat to rounding.  Deterministic, and never below the grid maximum;
+    ties resolve to the smallest theta, then the smallest phi.
 
     Returns
     -------
@@ -647,11 +653,10 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
 
     th = np.linspace(0.0, np.pi, n_theta)
     ph = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(th, ph, indexing="ij")
-    blocks = [slice(i, i + ORACLE_BLOCK_ROWS) for i in range(0, n_theta, ORACLE_BLOCK_ROWS)]
-    ce = np.concatenate([conditional_entropy_direct(rho, tt[b], pp[b]) for b in blocks])
-    k = int(np.argmin(ce))
-    t, p, fv = float(tt.flat[k]), float(pp.flat[k]), float(ce.flat[k])
+    blocks = [th[i : i + ORACLE_BLOCK_ROWS, None] for i in range(0, n_theta, ORACLE_BLOCK_ROWS)]
+    ce = np.concatenate([conditional_entropy_direct(rho, b, ph[None, :]) for b in blocks])
+    i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
+    t, p, fv = float(th[i]), float(ph[j]), float(ce[i, j])
 
     wt, wp = np.pi / (n_theta - 1), 2 * np.pi / n_phi
     steps = np.linspace(-1.0, 1.0, ZOOM_POINTS)
@@ -664,8 +669,13 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
         if ce[i, j] < fv:
             t, p, fv = float(pt[i]), float(pq[j]), float(ce[i, j])
             edge = j in (0, ZOOM_POINTS - 1) or (i in (0, ZOOM_POINTS - 1) and 0.0 < t < np.pi)
-        if not edge:
-            wt, wp = wt * ZOOM_SHRINK, wp * ZOOM_SHRINK
+        if edge:
+            continue
+        # a patch spanning no more than 4 eps is flat to rounding:
+        # conditional entropies are at most 1 bit
+        if np.ptp(ce) <= 4 * np.finfo(float).eps:
+            break
+        wt, wp = wt * ZOOM_SHRINK, wp * ZOOM_SHRINK
 
     t, p = bloch.normalize_angles(t, p)
     return sa - fv, (t, p)

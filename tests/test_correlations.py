@@ -34,6 +34,7 @@ from util import (
     random_unitary,
     random_x_maximally_mixed,
     reference_channel_terms,
+    reference_conditional_entropy_direct,
     same_points,
     ungated_universal_candidates,
 )
@@ -395,6 +396,10 @@ def test_grid_oracle_value_at_returned_angles(rho):
         np.linspace(0.0, np.pi, 64), np.linspace(0.0, 2 * np.pi, 128, endpoint=False), indexing="ij"
     )
     assert corr >= sa - conditional_entropy_direct(rho, tt, pp).min()
+    # the zoom stops at the rounding floor, not short of the local maximum
+    steps = np.linspace(-1e-7, 1e-7, 21)
+    near = conditional_entropy_direct(rho, np.clip(th + steps, 0.0, np.pi)[:, None], (ph + steps)[None, :])
+    assert corr >= sa - near.min() - 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("grid", [(64, 128), (100, 200)])
@@ -405,6 +410,57 @@ def test_grid_oracle_blocks_give_the_whole_grid_result(monkeypatch, grid):
     blocked = [grid_oracle(rho, *grid) for rho in states]
     monkeypatch.setattr(correlations, "ORACLE_BLOCK_ROWS", grid[0])
     assert blocked == [grid_oracle(rho, *grid) for rho in states]
+
+
+def test_grid_oracle_call_budget(monkeypatch):
+    # one call per block of grid rows, then at most ZOOM_ROUNDS zoom rounds;
+    # a flat landscape stops after its first zoom round
+    calls = []
+
+    def counted(rho, theta, phi):
+        calls.append(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+        return conditional_entropy_direct(rho, theta, phi)
+
+    monkeypatch.setattr(correlations, "conditional_entropy_direct", counted)
+    blocks = -(-64 // correlations.ORACLE_BLOCK_ROWS)
+    for rho in [lu_state(), random_state(3), bell_diagonal(0.7, -0.5, 0.3), near_singular_state(1e-4)]:
+        calls.clear()
+        grid_oracle(rho)
+        assert blocks < len(calls) <= blocks + correlations.ZOOM_ROUNDS
+    calls.clear()
+    grid_oracle(product_state())
+    assert len(calls) == blocks + 1
+    assert calls[-1] == (correlations.ZOOM_POINTS, correlations.ZOOM_POINTS)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [lu_state(), random_state(3), phi_plus(), product_state(), near_singular_state(1e-4)],
+    ids=["lu", "random_state(3)", "phi_plus", "product", "near_singular(1e-04)"],
+)
+def test_conditional_entropy_direct_matches_the_per_outcome_reference_bit_for_bit(rho):
+    # both outcomes and the three a-state entries share one pass, but every
+    # floating-point operation is the one-at-a-time computation's, in the
+    # same order; phi_plus keeps both conditional states pure, and the
+    # product state has an outcome below DEGENERATE_TOL at each pole
+    rng = np.random.default_rng(21)
+    th = np.linspace(0.0, np.pi, 64)[:8]
+    ph = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
+    angle_sets = [np.meshgrid(th, ph, indexing="ij"), (th[:, None], ph[None, :])]
+    for n in (7, 13):
+        pt, pq = rng.uniform(0.0, np.pi, n), rng.uniform(0.0, 2 * np.pi, n)
+        angle_sets += [np.meshgrid(pt, pq, indexing="ij"), (pt[:, None], pq[None, :])]
+    angle_sets.append((rng.uniform(0.0, np.pi, 50), rng.uniform(0.0, 2 * np.pi, 50)))
+    for theta, phi in angle_sets:
+        got = conditional_entropy_direct(rho, theta, phi)
+        assert np.shape(got) == np.broadcast_shapes(np.shape(theta), np.shape(phi))
+        assert np.array_equal(got, reference_conditional_entropy_direct(rho, theta, phi))
+    # numpy's scalar arithmetic rounds apart from its array loops: a scalar
+    # is the one-point array's value, within 1 ulp of the reference's scalar
+    for t, p in [(0.0, 0.0), (0.3, 1.1), (np.pi / 2, 2.0), (2.5, 4.0), (np.pi, 0.7)]:
+        got = conditional_entropy_direct(rho, t, p)
+        assert got == reference_conditional_entropy_direct(rho, np.array([t]), np.array([p]))[0]
+        assert abs(got - reference_conditional_entropy_direct(rho, t, p)) <= np.finfo(float).eps
 
 
 def test_conditional_entropies_and_gradient_accept_arrays():

@@ -84,6 +84,36 @@ def reference_channel_terms(ch, gamma, theta, phi):
     return ce, g_th, g_ph
 
 
+def reference_conditional_entropy_direct(rho, theta, phi):
+    """The direct path's sum_j p_j S(rho_j), with the two measurement
+    outcomes and the three a-state entries computed one after the other,
+    one array each.  ``correlations.conditional_entropy_direct``, which
+    stacks them, must reproduce every bit of it on array input."""
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    th, ph = np.asarray(theta, float), np.asarray(phi, float)
+    chh = np.cos(th / 2.0)
+    shh = np.sin(th / 2.0)
+    e = np.exp(1j * ph)
+    uu, vv, uv = chh * chh, shh * shh, chh * shh
+
+    a00 = uu * r[0, 0, 0, 0] + uv * (e * r[0, 0, 0, 1] + e.conj() * r[0, 1, 0, 0]) + vv * r[0, 1, 0, 1]
+    a01 = uu * r[0, 0, 1, 0] + uv * (e * r[0, 0, 1, 1] + e.conj() * r[0, 1, 1, 0]) + vv * r[0, 1, 1, 1]
+    a11 = uu * r[1, 0, 1, 0] + uv * (e * r[1, 0, 1, 1] + e.conj() * r[1, 1, 1, 0]) + vv * r[1, 1, 1, 1]
+    b00 = (r[0, 0, 0, 0] + r[0, 1, 0, 1]) - a00
+    b01 = (r[0, 0, 1, 0] + r[0, 1, 1, 1]) - a01
+    b11 = (r[1, 0, 1, 0] + r[1, 1, 1, 1]) - a11
+
+    def branch(x00, x01, x11):
+        p = np.real(x00 + x11)
+        det = np.real(x00 * x11 - x01 * np.conj(x01))
+        live = p > 1e-14
+        safe = np.where(live, p, 1.0)
+        purity = np.sqrt(np.clip(1.0 - 4.0 * det / (safe * safe), 0.0, 1.0))
+        return np.where(live, p * masked_binary_entropy((1.0 + purity) / 2.0), 0.0)
+
+    return branch(a00, a01, a11) + branch(b00, b01, b11)
+
+
 def ungated_universal_candidates(ch, gamma):
     """``correlations.universal_candidates`` with every sign-change bracket of
     the equatorial dJ/dphi scan bisected, whatever dJ/dtheta is there."""
