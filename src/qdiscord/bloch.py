@@ -80,18 +80,22 @@ def conditional_probabilities(gamma, theta):
 
 
 def conditional_bloch_in(gamma, theta, phi):
-    """Pre-channel Bloch directions (s, t) of the two conditional states.
-
-    Both are unit vectors.  Raises :class:`DegenerateOutcomeError` when one
-    outcome probability vanishes (theta ~ 0 together with gamma ~ 0), where
-    the corresponding direction is undefined.
-    """
-    p, u = conditional_outcomes(gamma, *angle_trig(theta, phi))
+    """Pre-channel Bloch directions (s, t) of the two conditional states,
+    unit vectors; s belongs to the outcome along the measurement vector.
+    Their y components rotate against the measurement azimuth, as the
+    conditional amplitudes carry exp(-i phi): that keeps the channel path
+    equal to the direct projection.  Raises :class:`DegenerateOutcomeError`
+    when one outcome probability vanishes (theta ~ 0 together with gamma ~
+    0), where the corresponding direction is undefined."""
+    p = np.array(conditional_probabilities(gamma, theta))
     if p.min() < DEGENERATE_TOL:
         raise DegenerateOutcomeError(
             f"outcome probability {p.min():.3e} below {DEGENERATE_TOL:.0e}"
         )
-    return u[0].reshape(3), u[1].reshape(3)
+    sg, cg = np.sin(gamma), np.cos(gamma)
+    st, ct, cp, sp = angle_trig(theta, phi)
+    ax, ay = sg * st * cp, sg * st * sp
+    return np.array([ax, -ay, cg + ct]) / (2.0 * p[0]), np.array([-ax, ay, cg - ct]) / (2.0 * p[1])
 
 
 def conditional_purities(ch, gamma, theta, phi):
@@ -105,31 +109,10 @@ def conditional_purities(ch, gamma, theta, phi):
 
 def angle_trig(theta, phi):
     """(sin theta, cos theta, cos phi, sin phi) of angle arrays: the
-    arguments of :func:`conditional_outcomes`."""
+    measurement direction and the frame (e_theta, e_phi) the channel path
+    works in are built from them."""
     theta, phi = np.asarray(theta, float), np.asarray(phi, float)
     return np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)
-
-
-def conditional_outcomes(gamma, st, ct, cp, sp):
-    """Vectorized probabilities p, shape (2, ...), and directions u, shape
-    (2, 3, ...), of the two outcomes: p[0] and u[0] = s belong to the
-    outcome along the measurement vector, p[1] and u[1] = t to the other.
-    No degeneracy guard.
-
-    The measurement angles enter through their sines and cosines (see
-    :func:`angle_trig`), so a caller that needs them too computes them once.
-    Outcome probabilities below :data:`DEGENERATE_TOL` are clamped in the
-    denominators of s and t.  The conditional amplitudes carry exp(-i phi)
-    when the measurement vector carries exp(+i phi), so the y components
-    rotate against the measurement azimuth; this is what keeps the channel
-    path equal to the direct projection at the same angles.
-    """
-    sg, cg = np.sin(gamma), np.cos(gamma)
-    d = 1.0 + np.array([ct, -ct]) * cg
-    a = sg * st
-    ax, ay = a * cp, a * sp
-    u = np.array([[ax, -ay, cg + ct], [-ax, ay, cg - ct]])
-    return 0.5 * d, u / np.maximum(d, DEGENERATE_TOL)[:, None]
 
 
 # measurement-direction helpers ------------------------------------------------

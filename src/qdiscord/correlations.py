@@ -8,7 +8,8 @@ is maximized over projective measurements on qubit b.  Two independent
 evaluation paths are kept deliberately separate:
 
 * the *channel* path evaluates J from the affine Bloch form of the channel
-  extracted by :mod:`qdiscord.choi` (angles live in the decomposition frame);
+  extracted by :mod:`qdiscord.choi` (angles live in the decomposition frame),
+  through one kernel that gives J, its gradient and its Hessian on the sphere;
 * the *direct* path projects the state itself with explicit measurement
   operators and never touches the decomposition (angles live in the original
   frame).
@@ -148,8 +149,8 @@ def output_marginal_entropy(ch, gamma):
 
 
 def conditional_entropy_channel(ch, gamma, theta, phi):
-    """sum_j p_j S(rho_j) through the affine channel form; angle arrays of one shape give an array."""
-    return _scalar_or_array(_channel_terms(ch, gamma, *bloch.finite_angles(theta, phi))[0])
+    """sum_j p_j S(rho_j) through the affine channel form; angle arrays that broadcast together give an array."""
+    return _scalar_or_array(_sphere_terms(ch, gamma, *bloch.finite_angles(theta, phi), "entropy")[0])
 
 
 def objective_channel(ch, gamma, theta, phi):
@@ -167,56 +168,81 @@ def _log_ratio_over_x(x):
 
 
 def grad_objective(ch, gamma, theta, phi):
-    """Analytic gradient (dJ/dtheta, dJ/dphi) on the channel path; angle arrays give a pair of arrays."""
-    return tuple(_scalar_or_array(g) for g in _channel_terms(ch, gamma, *bloch.finite_angles(theta, phi))[1:])
+    """Analytic gradient (dJ/dtheta, dJ/dphi) on the channel path; angle
+    arrays that broadcast together give a pair of arrays."""
+    th, ph = bloch.finite_angles(theta, phi)
+    _, g_th, g_ph = _sphere_terms(ch, gamma, th, ph, "gradient")
+    return _scalar_or_array(g_th), _scalar_or_array(np.sin(th) * g_ph)
 
 
-def _channel_terms(ch, gamma, theta, phi):
-    """Conditional entropy and gradient (dJ/dtheta, dJ/dphi) of the channel
-    path at angle arrays of one shape, from one forward pass: both depend
-    on the angles only through the outcome probabilities and the purities
-    s' = |eta s + c| and t' = |eta t + c|.
+def _sphere_terms(ch, gamma, theta, phi, want):
+    """The channel path's one kernel at angle arrays that broadcast together:
+    (sum_j p_j S(rho_j), dJ/dtheta, dJ/dphi / sin theta), the gradient in
+    the frame (e_theta, e_phi), e_phi = (-sin phi, cos phi, 0), defined at
+    the pole too.  ``want`` says what the call reads: "entropy", "gradient"
+    (the entropy is None) or "hessian" (the entropy is None, and h_tt, h_tp,
+    h_pp and n . grad J follow: the tangent block of the Hessian of J(n), n
+    in R^3, whose Hessian on the sphere is the block minus n . grad J times
+    the identity; Absil, Mahony & Sepulchre, Optimization Algorithms on
+    Matrix Manifolds, 2008, ch. 5).  The gradient's bits do not depend on ``want``.
 
-    ds' = eta^T (eta s + c) . ds / s', so each output vector is pulled back
-    through the channel once, and both derivatives are dot products with
-    the closed-form ds and dt.  Purities are clamped at 1 - 1e-12 inside the
-    logarithms, so the gradient is finite (and still ~0 where it should
-    vanish) even for a channel that keeps the conditional states pure.
-
-    The two outcomes s and t share one pass: arrays carry them along a
-    leading axis of 2, and each elementwise step runs once for both, with
-    the operations and their order of a pass per outcome, so every bit of
-    the result is the same.  Two things are kept on purpose:
-
-    * the products with eta stay one BLAS matmul per outcome, each as wide
-      as the angle arrays (the stacked (3, 3) @ (2, 3, n) runs exactly
-      those): a matmul's last bits depend on its width, a one-column one
-      rounds differently from a wider one, and a stationary point polished
-      to the gradient floor moves with them;
-    * the purity terms h((1 + s')/2) and log2 sqrt((1+s')/(1-s'))/s' keep
-      their own formulas and logarithms: one shared log of (1 + s')/2 and
-      (1 - s')/2 moves the pinned stationary points of ``lu_state()`` by
-      1.1e-13.
+    The outcomes' p v = (a +- T n) / 2 are affine in n, with 2 p = m = 1 +-
+    cos(gamma) n_z, a = cos(gamma) eta e_z + c and T = eta diag(sin gamma,
+    -sin gamma, 1) + cos(gamma) c e_z^T.  An outcome's p H2((1 + r) / 2)
+    depends on n through rho = |q|, q = a +- T n, and m only, homogeneously,
+    so it adds +-[l (T x) . q / (2 m) + cos(gamma) x_z log2(1 - r**2) / 4]
+    to the derivative of J along x, and [l (T^T T - T^T v v^T T) + g w w^T]
+    / (2 m) to its Hessian, with v = q / rho, r = rho / m, w = T^T v - r
+    cos(gamma) e_z, l = log2 sqrt((1 + r) / (1 - r)) / r and g = 1 / ((1 -
+    r**2) ln 2).  The purity r is clamped at 1 - 1e-12 inside the
+    logarithms, so the derivatives are finite (and still ~0 where they
+    should vanish) even for a channel that keeps the conditional states
+    pure; an outcome of probability below DEGENERATE_TOL adds no entropy.
     """
+    # trig before broadcasting: a scan along one angle takes the other's once
+    trig = bloch.angle_trig(theta, phi)
+    if trig[0].shape != trig[2].shape:
+        trig = np.broadcast_arrays(*trig)
+    shape = trig[0].shape
+    st, ct, cp, sp = (y.ravel() for y in trig)
     sg, cg = np.sin(gamma), np.cos(gamma)
-    shape = np.shape(theta)
-    st, ct, cp, sp = trig = bloch.angle_trig(np.ravel(theta), np.ravel(phi))
-    p, u = bloch.conditional_outcomes(gamma, *trig)
-    v = ch.eta @ u + ch.c[:, None]
-    r = np.sqrt(np.add.reduce(v * v, axis=1))
-    w = (p * _log_ratio_over_x(r))[:, None] * (ch.eta.T @ v)
-    h = binary_entropy_arr((1.0 + r) / 2.0)
-    e = np.where(p > bloch.DEGENERATE_TOL, p * h, 0.0)
-
-    # ds/dtheta = sg / dp^2 (cp (ct + cg), -sp (ct + cg), -sg st), dt/dtheta
-    # likewise with ct - cg over -dm^2, where (dp, dm) = 2 p clamped at
-    # DEGENERATE_TOL, and d/dphi = (y, -x, 0) for both
-    dw = (cp * w[:, 0] - sp * w[:, 1]) * np.array([ct + cg, ct - cg]) - sg * st * w[:, 2]
-    x = sg / np.maximum(2.0 * p, bloch.DEGENERATE_TOL) ** 2 * dw
-    g_th = (st * cg / 2.0) * (h[0] - h[1]) + x[0] - x[1]
-    a, b = w[:, 0] * u[:, 1], w[:, 1] * u[:, 0]
-    g_ph = a[0] - b[0] + a[1] - b[1]
-    return (e[0] + e[1]).reshape(shape), g_th.reshape(shape), g_ph.reshape(shape)
+    a = cg * ch.eta[:, 2] + ch.c
+    t = ch.eta * np.array([sg, -sg, 1.0])
+    t[:, 2] += cg * ch.c
+    # the frame n, e_theta, e_phi as (component, vector, point), and its image under T
+    frame = np.array([[st * cp, ct * cp, -sp], [st * sp, ct * sp, cp], [ct, -st, 0.0 * st]])
+    tf = (t @ frame.reshape(3, -1)).reshape(frame.shape)
+    # (outcome, component, point), then (outcome, vector, point) for the
+    # vectors J is differentiated along: e_theta, e_phi, and n for the Hessian
+    q = a[:, None] + _OUTCOME_SIGNS[:, None] * tf[:, 0]
+    x = slice(0 if want == "hessian" else 1, 3)
+    # summed by component: a (2, 3, 2, n) product would pass glibc's 128 KiB
+    # mmap threshold on the wide scans and be page-faulted afresh each call
+    k = q[:, 0, None] * tf[0, x] + q[:, 1, None] * tf[1, x] + q[:, 2, None] * tf[2, x]
+    rho = np.sqrt(np.add.reduce(q * q, axis=1))
+    two_p = 1.0 + _OUTCOME_SIGNS * (cg * ct)
+    m = np.maximum(two_p, bloch.DEGENERATE_TOL)
+    r = rho / m
+    s = 1.0 - np.minimum(r, 1.0 - SATURATION_CLAMP) ** 2
+    lam = _log_ratio_over_x(r) / (2.0 * m)
+    # the derivatives along those vectors, whose z components are frame[2]
+    *ng, g_th, g_ph = np.subtract(*(lam[:, None] * k + (0.25 * cg * frame[2, x]) * np.log2(s)[:, None]))
+    if want == "hessian":
+        # (T^T v) and w along e_theta and e_phi, as (outcome, vector, point)
+        u = k[:, 1:] / np.maximum(rho, np.finfo(float).tiny)[:, None]
+        w = np.array([u[:, 0] + (cg * st) * r, u[:, 1]]).swapaxes(0, 1)
+        mu = 1.0 / (2.0 * LN2 * m * s)
+        gram = np.add.reduce(tf[:, 1:, None] * tf[:, None, 1:])
+        lw, lu = (mu[:, None] * w)[:, :, None] * w[:, None], (lam[:, None] * u)[:, :, None] * u[:, None]
+        block = gram * (lam[0] + lam[1]) + np.add.reduce(lw - lu)
+        return (None, *(y.reshape(shape) for y in (g_th, g_ph, block[0, 0], block[0, 1], block[1, 1], ng[0])))
+    if want == "gradient":
+        return None, g_th.reshape(shape), g_ph.reshape(shape)
+    # H2((1 + r) / 2), cheaper than with qmat.binary_entropy_arr's masks; r >= 1 gives ~1e-305
+    hp = np.minimum((1.0 + r) / 2.0, 1.0)
+    hq = np.maximum(1.0 - hp, np.finfo(float).tiny)
+    e = np.where(two_p > 2.0 * bloch.DEGENERATE_TOL, 0.5 * two_p * (-hp * np.log2(hp) - hq * np.log2(hq)), 0.0)
+    return tuple(y.reshape(shape) for y in (e[0] + e[1], g_th, g_ph))
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +359,9 @@ def _merge(ch, gamma, sa, theta, phi, kept=()):
     th, ph = bloch.normalize_angles(np.asarray(theta, float), np.asarray(phi, float))
     order = np.lexsort((ph, th))
     th, ph = th[order], ph[order]
-    ce, gt, gp = _channel_terms(ch, gamma, th, ph)
-    gn = np.hypot(gt, np.sin(th) * gp)
+    ce, gt, gp = _sphere_terms(ch, gamma, th, ph, "entropy")
+    # the scaled norm hypot(dJ/dtheta, sin theta dJ/dphi), dJ/dphi = sin theta gp
+    gn = np.hypot(gt, np.sin(th) * (np.sin(th) * gp))
     free = gn < STATIONARY_TOL
     for q in kept:
         free &= bloch.measurement_distance((q.theta, q.phi), (th, ph)) >= MERGE_TOL
@@ -365,75 +392,34 @@ def universal_candidates(ch, gamma):
     candidate solves the (theta, phi) equations by construction, so its
     ``grad_norm`` is ~0 whatever the state; it is ``critical`` only when the
     pole is a critical point of J on the sphere, that is when hypot(A, B) is
-    below STATIONARY_TOL.  Its objective comes from the same call as A and
-    B: at theta = 0, J does not depend on phi.
+    below STATIONARY_TOL.  A, B and its objective (at theta = 0, J does not
+    depend on phi) come from the frame (e_x, e_y) at the one point (0, 0).
     """
     sa = output_marginal_entropy(ch, gamma)
+
+    # equatorial candidates: zeros of dJ/dphi along theta = pi/2, where it
+    # is the frame component itself
+    def dphi(phi):
+        return _sphere_terms(ch, gamma, np.pi / 2, phi, "gradient")[2]
+
+    # one call scans the equator and evaluates the pole (0, 0), its last point
+    phis = np.linspace(0.0, np.pi, 1441)
+    th = np.append(np.full_like(phis, np.pi / 2), 0.0)
+    ce, gt, gp = _sphere_terms(ch, gamma, th, np.append(phis, 0.0), "entropy")
+    ce, a, b, gt, gp = float(ce[-1]), float(gt[-1]), float(gp[-1]), gt[:-1], gp[:-1]
 
     # polar candidate: dJ/dphi vanishes identically at theta = 0, while the
     # theta derivative there is A cos(phi) + B sin(phi); pick its zero.  The
     # azimuth is kept as found: folding would reset it to 0.
-    ce, (a, b), _ = _channel_terms(ch, gamma, np.zeros(2), np.array([0.0, np.pi / 2]))
     phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
     g0 = a * np.cos(phi0) + b * np.sin(phi0)
-    polar = StationaryPoint(0.0, phi0, float(sa - ce[0]), abs(g0), ASYMMETRIC, bool(np.hypot(a, b) < STATIONARY_TOL))
+    polar = StationaryPoint(0.0, phi0, sa - ce, abs(g0), ASYMMETRIC, bool(np.hypot(a, b) < STATIONARY_TOL))
 
-    # equatorial candidates: zeros of dJ/dphi along theta = pi/2
-    def dphi(phi):
-        return grad_objective(ch, gamma, np.full_like(phi, np.pi / 2), phi)[1]
-
-    phis = np.linspace(0.0, np.pi, 1441)
-    gt, gp = grad_objective(ch, gamma, np.full_like(phis, np.pi / 2), phis)
     d2 = np.abs(np.diff(np.pad(gt, 1, mode="edge"), 2))
     clear = np.minimum(np.abs(gt[:-1]), np.abs(gt[1:])) > STATIONARY_TOL + np.maximum(d2[:-1], d2[1:])
     brackets = ~((gt[:-1] * gt[1:] > 0.0) & clear)
     roots = np.zeros(1) if np.max(np.abs(gp)) < 1e-12 else _bisect_roots(dphi, phis, gp, brackets)
     return _merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
-
-
-def _sphere_terms(ch, gamma, theta, phi):
-    """(dJ/dtheta, dJ/dphi / sin theta, h_tt, h_tp, h_pp, n . grad J) at
-    angle arrays: the gradient and the tangent block of the Hessian of
-    J(n), n in R^3, in the frame (e_theta, e_phi), e_phi = (-sin phi, cos
-    phi, 0), defined at the pole too.  The Hessian on the sphere is the
-    block minus n . grad J times the identity (Absil, Mahony & Sepulchre,
-    Optimization Algorithms on Matrix Manifolds, 2008, ch. 5).
-
-    The outcomes' p v = (a +- T n) / 2 are affine in n, with 2 p = m = 1 +-
-    cos(gamma) n_z, a = cos(gamma) eta e_z + c and T = eta diag(sin gamma,
-    -sin gamma, 1) + cos(gamma) c e_z^T.  An outcome's p H2((1 + r) / 2)
-    depends on n through rho = |q|, q = a +- T n, and m only, homogeneously,
-    so it adds +-[l (T x) . q / (2 m) + cos(gamma) x_z log2(1 - r**2) / 4]
-    to the derivative of J along x, and [l (T^T T - T^T v v^T T) + g w w^T]
-    / (2 m) to its Hessian, with v = q / rho, r = rho / m, w = T^T v - r
-    cos(gamma) e_z, l = log2 sqrt((1 + r) / (1 - r)) / r and g = 1 / ((1 -
-    r**2) ln 2), r clamped as in :func:`_channel_terms`.
-    """
-    sg, cg = np.sin(gamma), np.cos(gamma)
-    a = cg * ch.eta[:, 2] + ch.c
-    t = ch.eta * np.array([sg, -sg, 1.0])
-    t[:, 2] += cg * ch.c
-    st, ct, cp, sp = bloch.angle_trig(theta, phi)
-    # the frame n, e_theta, e_phi as (component, vector, point), and its image under T
-    frame = np.array([[st * cp, ct * cp, -sp], [st * sp, ct * sp, cp], [ct, -st, 0.0 * st]])
-    tf = (t @ frame.reshape(3, -1)).reshape(frame.shape)
-    # (outcome, component, point), then (outcome, vector, point)
-    q = a[:, None] + _OUTCOME_SIGNS[:, None] * tf[:, 0]
-    k = np.add.reduce(q[:, :, None] * tf, axis=1)
-    rho = np.sqrt(np.add.reduce(q * q, axis=1))
-    m = np.maximum(1.0 + _OUTCOME_SIGNS * (cg * ct), bloch.DEGENERATE_TOL)
-    r = rho / m
-    s = 1.0 - np.minimum(r, 1.0 - SATURATION_CLAMP) ** 2
-    lam, mu = _log_ratio_over_x(r) / (2.0 * m), 1.0 / (2.0 * LN2 * m * s)
-    # the derivatives along n, e_theta and e_phi, whose z components are frame[2]
-    ng, g_th, g_ph = np.subtract(*(lam[:, None] * k + (0.25 * cg * frame[2]) * np.log2(s)[:, None]))
-    # (T^T v) and w along e_theta and e_phi, as (outcome, vector, point)
-    u = k[:, 1:] / np.maximum(rho, np.finfo(float).tiny)[:, None]
-    w = np.stack([u[:, 0] + (cg * st) * r, u[:, 1]], axis=1)
-    gram = np.add.reduce(tf[:, 1:, None] * tf[:, None, 1:])
-    lw, lu = (mu[:, None] * w)[:, :, None] * w[:, None], (lam[:, None] * u)[:, :, None] * u[:, None]
-    block = gram * (lam[0] + lam[1]) + np.add.reduce(lw - lu)
-    return g_th, g_ph, block[0, 0], block[0, 1], block[1, 1], ng
 
 
 def _newton_batch(ch, gamma, th0, ph0):
@@ -455,7 +441,7 @@ def _newton_batch(ch, gamma, th0, ph0):
     th, ph = np.array(th0, float), np.array(ph0, float)
     if not th.size:
         return th, ph
-    terms = np.stack(_sphere_terms(ch, gamma, th, ph))
+    terms = np.array(_sphere_terms(ch, gamma, th, ph, "hessian")[1:])
     norm, alpha, live = np.hypot(*terms[:2]), np.ones(th.size), np.arange(th.size)
     for _ in range(NEWTON_MAX_ITER):
         gt, gp, htt, htp, hpp, ng = terms[:, live]
@@ -478,7 +464,7 @@ def _newton_batch(ch, gamma, th0, ph0):
         if not live.size:
             break
 
-        trial = np.stack(_sphere_terms(ch, gamma, tt, pp))
+        trial = np.array(_sphere_terms(ch, gamma, tt, pp, "hessian")[1:])
         en = np.hypot(*trial[:2])
         lower = np.isfinite(en) & (en < norm[live])
         i = live[lower]
@@ -511,7 +497,7 @@ def index_sum(ch, gamma, points):
     if not crit:
         return None
     t, p = np.array([[q.theta, q.phi] for q in crit]).T
-    _, _, *block, ng = _sphere_terms(ch, gamma, t, p)
+    _, _, _, *block, ng = _sphere_terms(ch, gamma, t, p, "hessian")
     hess = np.stack([block[0] - ng, block[1], block[2] - ng])
     det = hess[0] * hess[2] - hess[1] ** 2
     floor = max(1e-4 * np.max(np.abs(hess)), np.finfo(float).eps * np.max(np.abs([*block, ng])))
@@ -593,19 +579,19 @@ def find_stationary_points(ch, gamma):
     sa = output_marginal_entropy(ch, gamma)
 
     th_scan, ph_scan = _landscape_grid()
-    ce_scan, *g_scan = _channel_terms(ch, gamma, th_scan, ph_scan)
+    ce_scan, gt_scan, gp_scan = _sphere_terms(ch, gamma, th_scan, ph_scan, "entropy")
     if float(np.ptp(ce_scan)) < 1e-12:
         obj = sa - float(ce_scan.mean())
         return [StationaryPoint(np.pi / 2, 0.0, obj, 0.0, SYMMETRIC)]
     if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11:
         def dtheta(theta):
-            return grad_objective(ch, gamma, theta, np.zeros_like(theta))[0]
+            return _sphere_terms(ch, gamma, theta, 0.0, "gradient")[1]
 
         thetas = np.linspace(0.0, np.pi / 2, 2001)[1:-1]
         th = _bisect_roots(dtheta, thetas, dtheta(thetas))
         ph = np.zeros_like(th)
     else:
-        th, ph = _newton_batch(ch, gamma, *_landscape_seeds(th_scan, ph_scan, g_scan))
+        th, ph = _newton_batch(ch, gamma, *_landscape_seeds(th_scan, ph_scan, (gt_scan, np.sin(th_scan) * gp_scan)))
     pts = _merge(ch, gamma, sa, th, ph, universal_candidates(ch, gamma))
     k = int(np.argmin(ce_scan))
     if sa - ce_scan.flat[k] > max(q.objective for q in pts) + OPTIMUM_TIE_TOL:

@@ -6,10 +6,8 @@ from qdiscord import choi
 from qdiscord.bloch import (
     DegenerateOutcomeError,
     affine_from_kraus,
-    angle_trig,
     angles_to_direction,
     conditional_bloch_in,
-    conditional_outcomes,
     conditional_probabilities,
     conditional_purities,
     direction_to_angles,
@@ -143,21 +141,6 @@ def test_conditional_bloch_unit_norm_and_interchange():
         assert abs(np.linalg.norm(t) - 1) < 1e-12
         s2, _ = conditional_bloch_in(g, np.pi - th, ph + np.pi)
         assert_allclose(s2, t, atol=1e-12)
-
-
-def test_conditional_outcomes_stack_both_outcomes():
-    # one vectorized call gives p of shape (2, ...) and u of shape (2, 3, ...),
-    # u[0] = s and u[1] = t at every angle pair of the arrays
-    rng = np.random.default_rng(4)
-    g = 0.8
-    th, ph = rng.uniform(0, np.pi, (4, 5)), rng.uniform(0, 2 * np.pi, (4, 5))
-    p, u = conditional_outcomes(g, *angle_trig(th, ph))
-    assert p.shape == (2, 4, 5) and u.shape == (2, 3, 4, 5)
-    for i, j in np.ndindex(th.shape):
-        s, t = conditional_bloch_in(g, th[i, j], ph[i, j])
-        assert_allclose(u[0, :, i, j], s, rtol=0, atol=1e-15)
-        assert_allclose(u[1, :, i, j], t, rtol=0, atol=1e-15)
-        assert_allclose(p[:, i, j], conditional_probabilities(g, th[i, j]), rtol=0, atol=1e-15)
 
 
 def test_conditional_bloch_degenerate_outcome():

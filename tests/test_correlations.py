@@ -33,7 +33,7 @@ from util import (
     entropy_bits,
     random_unitary,
     random_x_maximally_mixed,
-    reference_channel_terms,
+    reference_chart_terms,
     reference_conditional_entropy_direct,
     same_points,
     ungated_universal_candidates,
@@ -505,6 +505,29 @@ def test_non_finite_angles_are_refused(theta, phi):
             f(*state, theta, phi)
 
 
+@pytest.mark.parametrize(
+    "theta, phi",
+    [
+        (0.7, np.array([0.3, 2.1])),
+        (np.array([0.4, 1.3]), 2.5),
+        (np.array([[0.2], [1.1]]), np.array([[0.0, 1.7, 4.0]])),
+    ],
+    ids=["scalar-array", "array-scalar", "column-row"],
+)
+def test_channel_views_broadcast_the_angles(theta, phi):
+    # as the direct path does, the channel path's public views take angle
+    # arrays that broadcast together; each entry is the scalar call's
+    ch, gamma = channel_of(random_state(1003))
+    th, ph = np.broadcast_arrays(theta, phi)
+    assert np.shape(conditional_entropy_direct(random_state(1003), theta, phi)) == th.shape
+    views = [conditional_entropy_channel, objective_channel, *(lambda *a, i=i: grad_objective(*a)[i] for i in (0, 1))]
+    for f in views:
+        got = f(ch, gamma, theta, phi)
+        assert np.shape(got) == th.shape
+        want = [f(ch, gamma, float(t), float(p)) for t, p in zip(th.ravel(), ph.ravel())]
+        assert_allclose(np.ravel(got), want, rtol=0, atol=1e-14)
+
+
 #: States of the call budget named other than by their random_state seed.
 BUDGET_STATES = {"lu": lu_state(), "werner(0.8)": werner(0.8)}
 
@@ -549,15 +572,18 @@ def test_gradient_call_budget(monkeypatch, solve, state, budget):
 
 def test_find_stationary_points_evaluates_each_point_set_once(monkeypatch):
     # J and its gradient come from one forward pass, so the landscape grid,
-    # each merged batch of roots and the pole are evaluated once each
-    terms, seen = correlations._channel_terms, []
+    # the equatorial scan with the pole and each merged batch of roots are
+    # evaluated once each; Newton's calls, which add the Hessian, are not
+    # recorded, since the merge evaluates its roots again
+    terms, seen = correlations._sphere_terms, []
 
-    def recorded(ch, gamma, theta, phi):
-        points = np.stack(np.broadcast_arrays(theta, phi), axis=-1).reshape(-1, 2)
-        seen.append(np.unique(points, axis=0).tobytes())
-        return terms(ch, gamma, theta, phi)
+    def recorded(ch, gamma, theta, phi, want):
+        if want != "hessian":
+            points = np.stack(np.broadcast_arrays(theta, phi), axis=-1).reshape(-1, 2)
+            seen.append(np.unique(points, axis=0).tobytes())
+        return terms(ch, gamma, theta, phi, want)
 
-    monkeypatch.setattr(correlations, "_channel_terms", recorded)
+    monkeypatch.setattr(correlations, "_sphere_terms", recorded)
     for rho in (random_state(1003), lu_state(), near_singular_state(1e-4)):
         seen.clear()
         find_stationary_points(*channel_of(rho))
@@ -580,7 +606,7 @@ def kernel_angle_sets():
     ]
 
 
-#: (channel, gamma) of the bit-identity check: general states, the
+#: (channel, gamma) of the kernel's check: general states, the
 #: phi-independent lu, near-rank-one b marginals, a channel that keeps the
 #: conditional states pure (purity 1, the log clamp) and gamma ~ 0, where
 #: an outcome probability at the pole falls below DEGENERATE_TOL.
@@ -594,16 +620,17 @@ KERNEL_CASES = {
 
 
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
-def test_channel_terms_match_the_per_outcome_reference_bit_for_bit(case):
-    # both outcomes share one pass, but every floating-point operation is the
-    # one-outcome-at-a-time computation's, in the same order
+def test_sphere_terms_match_the_per_outcome_reference(case):
+    # the sphere kernel's J and gradient, the chart's dJ/dphi being sin theta
+    # times the frame component, are the chart reference's to rounding at
+    # every width the solver evaluates
     ch, gamma = KERNEL_CASES[case]()
     for theta, phi in kernel_angle_sets():
-        got = correlations._channel_terms(ch, gamma, theta, phi)
-        want = reference_channel_terms(ch, gamma, theta, phi)
-        for g, w in zip(got, want):
+        ce, g_th, g_ph = correlations._sphere_terms(ch, gamma, theta, phi, "entropy")
+        got = ce, g_th, np.sin(theta) * g_ph
+        for g, w in zip(got, reference_chart_terms(ch, gamma, theta, phi)):
             assert np.shape(g) == np.shape(theta)
-            assert np.array_equal(g, w)
+            assert_allclose(g, w, rtol=0, atol=1e-14)
 
 
 def test_near_singular_copies_take_steady_gradient_calls(monkeypatch):
@@ -658,7 +685,11 @@ def test_newton_halves_a_step_that_overshoots_the_narrow_polar_maximum():
 # one finished; the batched search must take the same steps to the same roots
 PINNED_POINTS = {
     "lu": [
-        (STATE_DEPENDENT, 0.48830647886735257, 0.0, 0.033597366537359896),
+        # the root of lu's rounded channel, to 50 digits, is theta =
+        # 0.48830647886721715; with dJ/dtheta rounded to ~8e-17 and |J''| =
+        # 2.3e-4 the bisection fixes theta to ~3.4e-13 only, so the pin holds
+        # the kernel's last bits, 2.5e-14 from that root
+        (STATE_DEPENDENT, 0.48830647886724254, 0.0, 0.033597366537359896),
         (ASYMMETRIC, 0.0, 0.0, 0.03358771880935019),
         (SYMMETRIC, 1.5707963267948966, 0.0, 0.033535492210052364),
     ],
@@ -789,7 +820,7 @@ def test_closed_form_hessian_matches_second_differences_on_great_circles(rho):
     rng = np.random.default_rng(5)
     theta = np.concatenate([rng.uniform(0.05, np.pi - 0.05, 6), [1e-3, 4e-4, 0.0, 0.0]])
     phi = rng.uniform(0.0, 2 * np.pi, theta.size)
-    _, _, htt, htp, hpp, ng = correlations._sphere_terms(ch, gamma, theta, phi)
+    _, _, _, htt, htp, hpp, ng = correlations._sphere_terms(ch, gamma, theta, phi, "hessian")
     for d in ([1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]):
         want = d[0] ** 2 * htt + 2.0 * d[0] * d[1] * htp + d[1] ** 2 * hpp - ng
         coarse = np.abs(great_circle_second_difference(ch, gamma, theta, phi, d, 1e-2) - want)
@@ -812,40 +843,21 @@ def test_closed_form_hessian_matches_second_differences_on_great_circles(rho):
 def test_sphere_terms_gradient_matches_the_chart_gradient(rho):
     # e_theta is d/dtheta and e_phi is d/dphi / sin theta; at the pole, where
     # dJ/dphi vanishes, e_theta and e_phi are the meridians at phi and at
-    # phi + pi/2
+    # phi + pi/2.  Every kind of call gives the gradient bit for bit alike,
+    # and the chart reference's to rounding
     ch, gamma = channel_of(rho)
     rng = np.random.default_rng(8)
     theta, phi = rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2 * np.pi, 40)
-    g_th, g_ph, *_ = correlations._sphere_terms(ch, gamma, theta, phi)
-    want_th, want_ph = grad_objective(ch, gamma, theta, phi)
+    _, g_th, g_ph, *_ = correlations._sphere_terms(ch, gamma, theta, phi, "hessian")
+    for want in ("entropy", "gradient"):
+        assert np.array_equal(np.array([g_th, g_ph]), correlations._sphere_terms(ch, gamma, theta, phi, want)[1:])
+    _, want_th, want_ph = reference_chart_terms(ch, gamma, theta, phi)
     assert_allclose(g_th, want_th, rtol=0, atol=1e-13)
     assert_allclose(np.sin(theta) * g_ph, want_ph, rtol=0, atol=1e-13)
     pole = np.zeros_like(phi)
-    g_th, g_ph, *_ = correlations._sphere_terms(ch, gamma, pole, phi)
-    assert_allclose(g_th, grad_objective(ch, gamma, pole, phi)[0], rtol=0, atol=1e-13)
-    assert_allclose(g_ph, grad_objective(ch, gamma, pole, phi + np.pi / 2)[0], rtol=0, atol=1e-13)
-
-
-def test_newton_evaluates_no_chart_gradient(monkeypatch):
-    # the sphere kernel gives Newton its gradient along with its Hessian
-    newton, terms, runs, inside, chart = correlations._newton_batch, correlations._channel_terms, [], [False], []
-
-    def tracked(*args):
-        runs.append(np.size(args[2]))
-        inside[0] = True
-        try:
-            return newton(*args)
-        finally:
-            inside[0] = False
-
-    def recorded(*args):
-        chart.append(inside[0])
-        return terms(*args)
-
-    monkeypatch.setattr(correlations, "_newton_batch", tracked)
-    monkeypatch.setattr(correlations, "_channel_terms", recorded)
-    find_stationary_points(*channel_of(random_state(1003)))
-    assert sum(runs) > 0 and chart and not any(chart)
+    _, g_th, g_ph, *_ = correlations._sphere_terms(ch, gamma, pole, phi, "hessian")
+    assert_allclose(g_th, reference_chart_terms(ch, gamma, pole, phi)[1], rtol=0, atol=1e-13)
+    assert_allclose(g_ph, reference_chart_terms(ch, gamma, pole, phi + np.pi / 2)[1], rtol=0, atol=1e-13)
 
 
 def test_index_sum_counts_a_critical_pole():

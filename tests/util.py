@@ -14,21 +14,17 @@ from qdiscord.qmat import check_density_matrix
 
 def count_gradient_calls(monkeypatch):
     """A list that grows by one entry per channel-path evaluation: a call of
-    ``correlations._channel_terms``, behind the objective and the gradient
-    alike, or of ``correlations._sphere_terms``, the closed-form gradient
-    and Hessian on the sphere.  Each entry is the number of points the call
+    ``correlations._sphere_terms``, the one kernel behind the objective, the
+    gradient and the Hessian.  Each entry is the number of points the call
     evaluates."""
     calls = []
+    terms = correlations._sphere_terms
 
-    def counted(terms):
-        def call(ch, gamma, theta, phi):
-            calls.append(np.size(theta))
-            return terms(ch, gamma, theta, phi)
+    def counted(ch, gamma, theta, phi, want):
+        calls.append(np.broadcast(theta, phi).size)
+        return terms(ch, gamma, theta, phi, want)
 
-        return call
-
-    for name in ("_channel_terms", "_sphere_terms"):
-        monkeypatch.setattr(correlations, name, counted(getattr(correlations, name)))
+    monkeypatch.setattr(correlations, "_sphere_terms", counted)
     return calls
 
 
@@ -45,11 +41,12 @@ def masked_binary_entropy(p):
     return out if out.ndim else float(out)
 
 
-def reference_channel_terms(ch, gamma, theta, phi):
-    """The channel path's (conditional entropy, dJ/dtheta, dJ/dphi), with the
-    two measurement outcomes s and t computed one after the other, one array
-    per outcome.  ``correlations._channel_terms``, which stacks the two
-    outcomes, must reproduce every bit of it."""
+def reference_chart_terms(ch, gamma, theta, phi):
+    """The channel path's (conditional entropy, dJ/dtheta, dJ/dphi) in the
+    chart, through the conditional directions s and t of the two measurement
+    outcomes, one array per outcome.  ``correlations._sphere_terms``, which
+    works on the sphere through p v = (a +- T n) / 2 instead, must agree with
+    it to rounding."""
     tol = 1e-14
     sg, cg = np.sin(gamma), np.cos(gamma)
     theta, phi = np.asarray(theta, float), np.asarray(phi, float)
@@ -118,12 +115,18 @@ def ungated_universal_candidates(ch, gamma):
     """``correlations.universal_candidates`` with every sign-change bracket of
     the equatorial dJ/dphi scan bisected, whatever dJ/dtheta is there."""
     sa = correlations.output_marginal_entropy(ch, gamma)
-    (a, b), _ = correlations.grad_objective(ch, gamma, np.zeros(2), np.array([0.0, np.pi / 2]))
+    # one kernel call scans the equator and evaluates the pole (0, 0), where
+    # the frame is (e_x, e_y), as its last point
+    phis = np.linspace(0.0, np.pi, 1441)
+    ce, gt, g = correlations._sphere_terms(
+        ch, gamma, np.append(np.full_like(phis, np.pi / 2), 0.0), np.append(phis, 0.0), "entropy"
+    )
+    a, b, g = float(gt[-1]), float(g[-1]), g[:-1]
     phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
     polar = correlations.StationaryPoint(
         0.0,
         phi0,
-        sa - correlations.conditional_entropy_channel(ch, gamma, 0.0, phi0),
+        sa - float(ce[-1]),
         abs(a * np.cos(phi0) + b * np.sin(phi0)),
         correlations.ASYMMETRIC,
         bool(np.hypot(a, b) < correlations.STATIONARY_TOL),
@@ -132,8 +135,6 @@ def ungated_universal_candidates(ch, gamma):
     def dphi(phi):
         return correlations.grad_objective(ch, gamma, np.full_like(phi, np.pi / 2), phi)[1]
 
-    phis = np.linspace(0.0, np.pi, 1441)
-    g = dphi(phis)
     roots = np.zeros(1) if np.max(np.abs(g)) < 1e-12 else correlations._bisect_roots(dphi, phis, g)
     return correlations._merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
