@@ -14,11 +14,12 @@ evaluation paths are kept deliberately separate:
   operators and never touches the decomposition (angles live in the original
   frame).
 
-The maximization itself also runs twice: a damped-Newton search for the
-stationary points of J on the channel path, and a brute-force grid oracle
-with a zoom refinement on the direct path: a 13 x 13 patch of angles around
-the best point, shrunk 6x a round, which stops once a patch that would
-shrink is flat to rounding (its values span 4 eps or less).
+The maximization itself also runs twice: on the channel path, the
+universal stationary points of J (the pole and the equatorial roots) and
+one damped-Newton batch for the rest; on the direct path, a brute-force
+grid oracle with a zoom refinement: a 13 x 13 patch of angles around the
+best point, shrunk 6x a round, which stops once a patch that would shrink
+is flat to rounding (its values span 4 eps or less).
 """
 
 from __future__ import annotations
@@ -349,10 +350,9 @@ def _merge(ch, gamma, sa, theta, phi, kept=()):
     Roots are folded to canonical angles; one channel-path call then gives
     the gradient that verifies them (scaled norm below STATIONARY_TOL) and
     the objective that scores them.  A root within MERGE_TOL (measurement
-    distance) of a point in ``kept`` is dropped; of roots within MERGE_TOL of
-    each other, the best converged (smallest gradient norm) is kept.  The
-    survivors come in (theta, phi) order, classified by their polar angle;
-    ``sa`` is S(rho_a).
+    distance) of a ``critical`` point in ``kept``, or of a better converged
+    root (smaller gradient norm), is dropped.  The survivors come in
+    (theta, phi) order, classified by their polar angle; ``sa`` is S(rho_a).
     """
     if not np.size(theta):
         return list(kept)
@@ -364,7 +364,8 @@ def _merge(ch, gamma, sa, theta, phi, kept=()):
     gn = np.hypot(gt, np.sin(th) * (np.sin(th) * gp))
     free = gn < STATIONARY_TOL
     for q in kept:
-        free &= bloch.measurement_distance((q.theta, q.phi), (th, ph)) >= MERGE_TOL
+        if q.critical:
+            free &= bloch.measurement_distance((q.theta, q.phi), (th, ph)) >= MERGE_TOL
     take = []
     for i in np.argsort(gn, kind="stable"):
         if not free[i]:
@@ -423,8 +424,8 @@ def universal_candidates(ch, gamma):
 
 
 def _newton_batch(ch, gamma, th0, ph0):
-    """Damped Newton on the sphere from many starts off the pole, batched
-    over the starts still iterating; returns the roots, in start order.
+    """Damped Newton on the sphere from many starts, batched over the
+    starts still iterating; returns the roots, in start order.
 
     One call of :func:`_sphere_terms` gives the gradient and the Hessian in
     the frame (e_theta, e_phi) at the starts, and one per iteration at the
@@ -439,8 +440,6 @@ def _newton_batch(ch, gamma, th0, ph0):
     so a root does not depend on which start reached it.
     """
     th, ph = np.array(th0, float), np.array(ph0, float)
-    if not th.size:
-        return th, ph
     terms = np.array(_sphere_terms(ch, gamma, th, ph, "hessian")[1:])
     norm, alpha, live = np.hypot(*terms[:2]), np.ones(th.size), np.arange(th.size)
     for _ in range(NEWTON_MAX_ITER):
@@ -553,15 +552,16 @@ def find_stationary_points(ch, gamma):
     One channel-path call scans J and its gradient together on a 25 x 49
     grid over theta in [0, pi/2] and phi in [0, 2 pi]; the outcome-swap
     symmetry maps the grid onto the rest of the sphere.  That one scan
-    serves the flat and phi-independence checks, the missed-root net below
-    and the Newton seeds.  A flat objective (constant channel) reports the
-    single canonical point (pi/2, 0).  Otherwise the scan only chooses where
-    the roots come from:
+    serves the flat and phi-independence checks and the Newton starts.  A
+    flat objective (constant channel) reports the single canonical point
+    (pi/2, 0).  Otherwise the scan only chooses where the roots come from:
 
-    * in general, Newton on the sphere (:func:`_newton_batch`) from the
-      common zeros of the two gradient components' bilinear interpolants in
-      each grid cell off the pole (:func:`_landscape_seeds`; Helman &
-      Hesselink, IEEE Computer 22(8), 1989);
+    * in general, one Newton batch on the sphere (:func:`_newton_batch`)
+      from the common zeros of the two gradient components' bilinear
+      interpolants in each grid cell off the pole (:func:`_landscape_seeds`;
+      Helman & Hesselink, IEEE Computer 22(8), 1989) and from the scan's
+      best sample, which reaches maxima no cell seeds (the narrow one
+      beside the pole when rho_b is near rank one);
     * on a phi-independent objective (xy-isotropic channel), whose
       stationary points form circles about z that Newton cannot converge
       along, bisection of dJ/dtheta on 1999 points of the meridian phi = 0
@@ -569,12 +569,8 @@ def find_stationary_points(ch, gamma):
       once, at phi = 0.
 
     Either way the roots go through one :func:`_merge` against
-    :func:`universal_candidates`: folded to canonical angles, merged within
-    an angle of 1e-5, verified to scaled gradient norm < 1e-7 and classified
-    by their polar angle, from one call per batch.  The scan's values of J
-    then guard against a missed root: if its best sample beats the best
-    point found by more than OPTIMUM_TIE_TOL, Newton also runs from that
-    sample.
+    :func:`universal_candidates`: folded, merged within an angle of 1e-5,
+    verified to scaled gradient norm < 1e-7 and classified, in one call.
     """
     sa = output_marginal_entropy(ch, gamma)
 
@@ -591,12 +587,10 @@ def find_stationary_points(ch, gamma):
         th = _bisect_roots(dtheta, thetas, dtheta(thetas))
         ph = np.zeros_like(th)
     else:
-        th, ph = _newton_batch(ch, gamma, *_landscape_seeds(th_scan, ph_scan, (gt_scan, np.sin(th_scan) * gp_scan)))
-    pts = _merge(ch, gamma, sa, th, ph, universal_candidates(ch, gamma))
-    k = int(np.argmin(ce_scan))
-    if sa - ce_scan.flat[k] > max(q.objective for q in pts) + OPTIMUM_TIE_TOL:
-        pts = _merge(ch, gamma, sa, *_newton_batch(ch, gamma, th_scan.flat[[k]], ph_scan.flat[[k]]), pts)
-    return sorted(pts, key=_point_key)
+        th, ph = _landscape_seeds(th_scan, ph_scan, (gt_scan, np.sin(th_scan) * gp_scan))
+        k = int(np.argmin(ce_scan))
+        th, ph = _newton_batch(ch, gamma, np.append(th, th_scan.flat[k]), np.append(ph, ph_scan.flat[k]))
+    return sorted(_merge(ch, gamma, sa, th, ph, universal_candidates(ch, gamma)), key=_point_key)
 
 
 # ---------------------------------------------------------------------------
@@ -675,15 +669,15 @@ def report_from_points(info, points, basis_rotation, method):
     """The :class:`DiscordReport` of the channel path's candidate points.
 
     ``points`` are :class:`StationaryPoint` in the decomposition frame of
-    ``basis_rotation``.  The optimum is the smallest (theta, phi) among the
-    points within OPTIMUM_TIE_TOL of the best objective; C is its
-    objective, and its angles are folded into the original frame of qubit
-    b.  The report lists the points best objective first.
+    ``basis_rotation``.  The optimum is the first of the points within
+    OPTIMUM_TIE_TOL of the best objective by (not critical, theta, phi);
+    C is its objective, and its angles are folded into the original frame
+    of qubit b.  The report lists the points best objective first.
     """
     pts = sorted(points, key=_point_key)
     best = min(
         (q for q in pts if q.objective >= pts[0].objective - OPTIMUM_TIE_TOL),
-        key=lambda q: (q.theta, q.phi),
+        key=lambda q: (not q.critical, q.theta, q.phi),
     )
     theta, phi = bloch.fold_angles(basis_rotation, best.theta, best.phi)
     return DiscordReport(info, best.objective, info - best.objective, theta, phi, method, pts)
@@ -707,10 +701,10 @@ def discord(rho, method="stationary", oracle_resolution=(64, 128)):
     -----
     Both channel-path methods pick the optimum by one rule, in
     :func:`report_from_points`: of the points within 1e-10 of the best
-    objective, the one with the smallest decomposition-frame (theta, phi);
-    C is that point's objective.  Tied optima, such as the polar and
-    equatorial settings of a Bell-diagonal state with two equal largest
-    |c_i|, thus resolve alike whichever method found them.
+    objective, the one with the smallest decomposition-frame (theta, phi),
+    critical points first; C is that point's objective.  Tied optima, such
+    as the polar and equatorial settings of a Bell-diagonal state with two
+    equal largest |c_i|, thus resolve alike whichever method found them.
 
     A state whose b marginal is numerically pure is a product state with
     zero correlations; once the method and the oracle resolution are

@@ -10,7 +10,9 @@ hypothesis for both the stationary solver and the grid oracle.
   Hessian determinants sum to 1, the Euler characteristic of the projective
   plane (Poincare-Hopf);
 * the equatorial gate of the universal candidates drops no candidate that
-  bisecting every bracket would verify.
+  bisecting every bracket would verify;
+* with the b marginal near rank one, the stationary solver reaches the
+  narrow maximum of J next to the pole.
 
 Bounds as in Modi et al., Rev. Mod. Phys. 84, 1655 (2012).
 """
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from qdiscord.bloch import affine_from_kraus, conditional_purities
 from qdiscord.choi import decompose
 from qdiscord.correlations import (
+    conditional_entropy_direct,
     discord,
     find_stationary_points,
     grad_objective,
@@ -120,3 +123,29 @@ def test_equatorial_gate_keeps_the_candidates(seed, rank):
     d = decompose(random_state(seed, rank))
     ch = affine_from_kraus(d.kraus)
     assert same_points(universal_candidates(ch, d.gamma), ungated_universal_candidates(ch, d.gamma))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stationary_reaches_the_polar_patch_on_the_near_singular_band(seed):
+    # (1 - eps) diag(p, 1 - p) (x) |0><0| + eps sigma under local unitaries,
+    # eps log-uniform in [1e-7, 1e-2]: J has a narrow maximum within ~eps of
+    # the larger eigenvector of rho_b
+    rng = np.random.default_rng(seed)
+    eps, p = 10.0 ** rng.uniform(-7.0, -2.0), rng.uniform(0.05, 0.95)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    sigma = g @ g.conj().T / np.linalg.norm(g) ** 2
+    rho = (1 - eps) * np.kron(np.diag([p, 1 - p]), np.diag([1.0, 0.0])) + eps * sigma
+    u = np.kron(random_unitary(rng), random_unitary(rng))
+    rho = u @ rho @ u.conj().T
+
+    # the patch, in the basis of qubit b where that eigenvector is |0>
+    v = np.linalg.eigh(partial_trace_a(rho))[1][:, ::-1]
+    w = np.kron(np.eye(2), v.conj().T)
+    tt, pp = np.meshgrid(np.geomspace(1e-9, 1e-2, 120), np.linspace(0.0, 2 * np.pi, 181), indexing="ij")
+    patch = conditional_entropy_direct(w @ rho @ w.conj().T, tt, pp)
+    patch_max = von_neumann_entropy(partial_trace_b(rho)) - patch.min()
+
+    rep = discord(rho, method="stationary")
+    assert max(q.objective for q in rep.stationary_points) >= patch_max - 1e-12
+    assert rep.classical_corr >= patch_max - 1e-12
