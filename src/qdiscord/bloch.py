@@ -43,9 +43,9 @@ def from_bloch(r):
     return (I2 + np.tensordot(np.asarray(r, dtype=float), PAULIS, axes=1)) / 2
 
 
-@dataclass
+@dataclass(eq=False)
 class AffineChannel:
-    """Affine Bloch action r -> eta r + c of a trace-preserving channel."""
+    """Affine Bloch action r -> eta r + c of a trace-preserving channel; hashed by identity, eta and c kept fixed."""
 
     eta: np.ndarray
     c: np.ndarray

@@ -59,7 +59,7 @@ def build_parser():
         choices=("stationary", "oracle", "xstate-analytic"),
         default="stationary",
     )
-    p.add_argument("--grid", type=_parse_grid, default=(64, 128), metavar="NTxNP")
+    p.add_argument("--grid", type=_parse_grid, default=(64, 128), metavar="NTxNP", help="oracle grid")
     p.add_argument("--verify", action="store_true", help="cross-check against the grid oracle")
     p.add_argument(
         "--fallback",
@@ -115,9 +115,9 @@ def cmd_discord(args, out):
     print(f"optimal theta = {_pi(report.theta)}", file=out)
     print(f"optimal phi   = {_pi(report.phi)}", file=out)
     if args.verify:
-        corr, _ = correlations.grid_oracle(rho, 64, 128)
+        corr = report.classical_corr if report.method == "oracle" else correlations.grid_oracle(rho, *args.grid)[0]
         delta = report.discord - (report.mutual_info - corr)
-        print(f"verify: |dQ| vs oracle(64x128) = {abs(delta):.3e}", file=out)
+        print(f"verify: |dQ| vs oracle({args.grid[0]}x{args.grid[1]}) = {abs(delta):.3e}", file=out)
     return EXIT_OK
 
 
@@ -199,7 +199,7 @@ def cmd_channel(args, out):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "discord" and args.method == "oracle":
+    if args.command == "discord" and (args.method == "oracle" or args.verify):
         try:
             correlations.check_oracle_resolution(*args.grid)
         except ValueError as exc:

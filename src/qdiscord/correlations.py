@@ -24,6 +24,8 @@ is flat to rounding (its values span 4 eps or less).
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +57,8 @@ _OUTCOME_SIGNS = np.array([[1.0], [-1.0]])
 #: Bisection steps per gradient call: one call evaluates the 2**8 - 1
 #: midpoints of the next eight levels of every bracket's bisection tree.
 BISECT_LEVELS = 8
+#: Midpoint rows of 2**BISECT_LEVELS + 1 dyadic edges by level: (2 j + 1) 2**(BISECT_LEVELS - 1 - l).
+_HEAP_ROWS = np.concatenate([(2 * np.arange(2**l) + 1) << (BISECT_LEVELS - 1 - l) for l in range(BISECT_LEVELS)])
 #: Stationary points closer than this (measurement angle) are merged.
 MERGE_TOL = 1e-5
 #: Angular slack when classifying a root as polar/equatorial.
@@ -160,12 +164,11 @@ def objective_channel(ch, gamma, theta, phi):
 
 
 def _log_ratio_over_x(x):
-    """log2 sqrt((1+x)/(1-x)) / x, clamped below x = 1, continued through x = 0 by its series."""
-    x = np.asarray(x, dtype=float)
+    """log2 sqrt((1+x)/(1-x)) / x of a float array, clamped below x = 1; its series below 1e-6, only at gamma ~ 0."""
     small = x < 1e-6
     xc = np.minimum(x, 1.0 - SATURATION_CLAMP)
-    out = 0.5 * np.log2((1.0 + xc) / (1.0 - xc)) / np.where(small, 1.0, x)
-    return np.where(small, (1.0 + x * x / 3.0) / LN2, out)
+    out = 0.5 * np.log2((1.0 + xc) / (1.0 - xc))
+    return np.where(small, (1.0 + x * x / 3.0) / LN2, out / np.where(small, 1.0, x)) if small.any() else out / x
 
 
 def grad_objective(ch, gamma, theta, phi):
@@ -174,6 +177,16 @@ def grad_objective(ch, gamma, theta, phi):
     th, ph = bloch.finite_angles(theta, phi)
     _, g_th, g_ph = _sphere_terms(ch, gamma, th, ph, "gradient")
     return _scalar_or_array(g_th), _scalar_or_array(np.sin(th) * g_ph)
+
+
+@functools.lru_cache(maxsize=1)
+def _outcome_form(ch, gamma):
+    """sin gamma, cos gamma, a and T of the kernel, read-only and kept for the channel a solve is on."""
+    sg, cg = np.sin(gamma), np.cos(gamma)
+    a, t = cg * ch.eta[:, 2] + ch.c, ch.eta * np.array([sg, -sg, 1.0])
+    t[:, 2] += cg * ch.c
+    a.flags.writeable = t.flags.writeable = False
+    return sg, cg, a, t
 
 
 def _sphere_terms(ch, gamma, theta, phi, want):
@@ -206,10 +219,7 @@ def _sphere_terms(ch, gamma, theta, phi, want):
         trig = np.broadcast_arrays(*trig)
     shape = trig[0].shape
     st, ct, cp, sp = (y.ravel() for y in trig)
-    sg, cg = np.sin(gamma), np.cos(gamma)
-    a = cg * ch.eta[:, 2] + ch.c
-    t = ch.eta * np.array([sg, -sg, 1.0])
-    t[:, 2] += cg * ch.c
+    sg, cg, a, t = _outcome_form(ch, gamma)
     # the frame n, e_theta, e_phi as (component, vector, point), and its image under T
     frame = np.array([[st * cp, ct * cp, -sp], [st * sp, ct * sp, cp], [ct, -st, 0.0 * st]])
     tf = (t @ frame.reshape(3, -1)).reshape(frame.shape)
@@ -228,22 +238,24 @@ def _sphere_terms(ch, gamma, theta, phi, want):
     lam = _log_ratio_over_x(r) / (2.0 * m)
     # the derivatives along those vectors, whose z components are frame[2]
     *ng, g_th, g_ph = np.subtract(*(lam[:, None] * k + (0.25 * cg * frame[2, x]) * np.log2(s)[:, None]))
+    out = None, g_th, g_ph
     if want == "hessian":
         # (T^T v) and w along e_theta and e_phi, as (outcome, vector, point)
-        u = k[:, 1:] / np.maximum(rho, np.finfo(float).tiny)[:, None]
-        w = np.array([u[:, 0] + (cg * st) * r, u[:, 1]]).swapaxes(0, 1)
+        u = k[:, 1:] / np.maximum(rho, sys.float_info.min)[:, None]
+        w = u.copy()
+        w[:, 0] += (cg * st) * r
         mu = 1.0 / (2.0 * LN2 * m * s)
         gram = np.add.reduce(tf[:, 1:, None] * tf[:, None, 1:])
         lw, lu = (mu[:, None] * w)[:, :, None] * w[:, None], (lam[:, None] * u)[:, :, None] * u[:, None]
         block = gram * (lam[0] + lam[1]) + np.add.reduce(lw - lu)
-        return (None, *(y.reshape(shape) for y in (g_th, g_ph, block[0, 0], block[0, 1], block[1, 1], ng[0])))
-    if want == "gradient":
-        return None, g_th.reshape(shape), g_ph.reshape(shape)
-    # H2((1 + r) / 2), cheaper than with qmat.binary_entropy_arr's masks; r >= 1 gives ~1e-305
-    hp = np.minimum((1.0 + r) / 2.0, 1.0)
-    hq = np.maximum(1.0 - hp, np.finfo(float).tiny)
-    e = np.where(two_p > 2.0 * bloch.DEGENERATE_TOL, 0.5 * two_p * (-hp * np.log2(hp) - hq * np.log2(hq)), 0.0)
-    return tuple(y.reshape(shape) for y in (e[0] + e[1], g_th, g_ph))
+        out += block[0, 0], block[0, 1], block[1, 1], ng[0]
+    if want == "entropy":
+        # H2((1 + r) / 2), cheaper than with qmat.binary_entropy_arr's masks; r >= 1 gives ~1e-305
+        hp = np.minimum((1.0 + r) / 2.0, 1.0)
+        hq = np.maximum(1.0 - hp, sys.float_info.min)
+        e = np.where(two_p > 2.0 * bloch.DEGENERATE_TOL, 0.5 * two_p * (-hp * np.log2(hp) - hq * np.log2(hq)), 0.0)
+        out = e[0] + e[1], g_th, g_ph
+    return out if len(shape) == 1 else tuple(y if y is None else y.reshape(shape) for y in out)
 
 
 # ---------------------------------------------------------------------------
@@ -295,39 +307,35 @@ def _bisect_roots(f, x, fx, brackets=True):
     every grid point but the last where f is exactly zero, masked or not.
     Sorted.
 
-    One call of f serves BISECT_LEVELS steps of every bracket: it evaluates
-    the midpoints of the next BISECT_LEVELS levels of each bracket's
-    bisection tree, and the steps then follow one path down the tree, each
-    keeping the half where f changes sign, as if its midpoint alone had been
-    evaluated.  Bisection stops early once a step leaves every bracket as it
-    was: each later step would repeat it."""
+    One call of f serves BISECT_LEVELS steps of every bracket: a table of
+    each bracket's 2**BISECT_LEVELS + 1 dyadic edges is filled level by
+    level, e[h::2h] = (e[:-h:2h] + e[2h::2h]) / 2, the midpoints the steps
+    take; f evaluates them in heap order (by level), and the steps walk down
+    the table by edge index, each keeping the half where f changes sign.
+    Bisection stops early once a step leaves every bracket as it was: each
+    later step would repeat it."""
     exact = x[:-1][fx[:-1] == 0.0]
     k = np.flatnonzero((fx[:-1] * fx[1:] < 0.0) & brackets)
-    lo, hi, flo = x[k], x[k + 1], fx[k]
-    cols = np.arange(k.size)
-    steps, stalled = 0, not k.size
-    while not stalled and steps < 64:
-        levels = min(BISECT_LEVELS, 64 - steps)
-        # the tree in heap order: level l is 2**l rows of midpoints, between
-        # 2**l + 1 rows of edges, and row r has children 2r + 1 and 2r + 2
-        edges, mids = np.stack([lo, hi]), []
-        for _ in range(levels):
-            mids.append(0.5 * (edges[:-1] + edges[1:]))
-            edges = np.insert(edges, np.arange(1, len(edges)), mids[-1], axis=0)
-        tree = np.concatenate(mids)
-        f_tree = f(tree.ravel()).reshape(tree.shape)
-        row = np.zeros(k.size, int)
-        for _ in range(levels):
-            mid, fm = tree[row, cols], f_tree[row, cols]
-            left = flo * fm <= 0.0
-            step = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
-            stalled = all(np.array_equal(a, b) for a, b in zip(step, (lo, hi, flo)))
-            if stalled:
-                break
-            lo, hi, flo = step
-            row = 2 * row + 2 - left
-            steps += 1
-    return np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
+    n, cols, flo = 2**BISECT_LEVELS, np.arange(k.size), fx[k]
+    e, i, j = np.stack([x[k], x[k + 1]]), np.zeros(k.size, int), np.ones(k.size, int)
+    for step in range(64 if k.size else 0):
+        if step % BISECT_LEVELS == 0:
+            lo, hi, e = e[i, cols], e[j, cols], np.empty((n + 1, k.size))
+            e[0], e[n], i, j = lo, hi, np.zeros(k.size, int), np.full(k.size, n)
+            for h in n >> np.arange(1, BISECT_LEVELS + 1):
+                e[h :: 2 * h] = 0.5 * (e[: -h : 2 * h] + e[2 * h :: 2 * h])
+            heap = _HEAP_ROWS[: 2 ** min(BISECT_LEVELS, 64 - step) - 1]
+            fe = np.empty_like(e)
+            fe[heap] = f(e[heap].ravel()).reshape(heap.size, k.size)
+            # a step can leave a bracket as it was only where two edges are equal
+            may_stall = np.all(np.any(e[1:] == e[:-1], axis=0))
+        m = (i + j) // 2
+        fm = fe[m, cols]
+        left = flo * fm <= 0.0
+        if may_stall and np.all(np.where(left, e[m, cols] == e[j, cols], (e[m, cols] == e[i, cols]) & (fm == flo))):
+            break
+        i, j, flo = np.where(left, i, m), np.where(left, m, j), np.where(left, flo, fm)
+    return np.sort(np.concatenate([exact, 0.5 * (e[i, cols] + e[j, cols])]))
 
 
 def _point_key(q):
@@ -351,8 +359,10 @@ def _merge(ch, gamma, sa, theta, phi, kept=()):
     the gradient that verifies them (scaled norm below STATIONARY_TOL) and
     the objective that scores them.  A root within MERGE_TOL (measurement
     distance) of a ``critical`` point in ``kept``, or of a better converged
-    root (smaller gradient norm), is dropped.  The survivors come in
-    (theta, phi) order, classified by their polar angle; ``sa`` is S(rho_a).
+    root (smaller gradient norm), is dropped; one call measures the distances
+    to the critical kept points, one those between roots that could merge.
+    The survivors come in (theta, phi) order, classified by their polar
+    angle; ``sa`` is S(rho_a).
     """
     if not np.size(theta):
         return list(kept)
@@ -363,21 +373,22 @@ def _merge(ch, gamma, sa, theta, phi, kept=()):
     # the scaled norm hypot(dJ/dtheta, sin theta dJ/dphi), dJ/dphi = sin theta gp
     gn = np.hypot(gt, np.sin(th) * (np.sin(th) * gp))
     free = gn < STATIONARY_TOL
-    for q in kept:
-        if q.critical:
-            free &= bloch.measurement_distance((q.theta, q.phi), (th, ph)) >= MERGE_TOL
+    crit = np.array([(q.theta, q.phi) for q in kept if q.critical]).reshape(-1, 2, 1)
+    if crit.size:
+        free &= np.all(bloch.measurement_distance((crit[:, 0], crit[:, 1]), (th, ph)) >= MERGE_TOL, axis=0)
+    # folded polar angles differ by at most the distance (+2e-12 at the equator): pairs within MERGE_TOL in theta
+    i, j = np.nonzero((th >= th[:, None] - MERGE_TOL) & (th < th[:, None] + MERGE_TOL) & ~np.eye(th.size, dtype=bool))
+    if i.size:
+        near = bloch.measurement_distance((th[i], ph[i]), (th[j], ph[j])) < MERGE_TOL
+        i, j = i[near], j[near]
     take = []
-    for i in np.argsort(gn, kind="stable"):
-        if not free[i]:
-            continue
-        take.append(i)
-        # folded polar angles differ by no more than the measurement
-        # distance, so only roots within MERGE_TOL in theta can be absorbed
-        lo, hi = np.searchsorted(th, [th[i] - MERGE_TOL, th[i] + MERGE_TOL])
-        free[lo:hi] &= bloch.measurement_distance((th[i], ph[i]), (th[lo:hi], ph[lo:hi])) >= MERGE_TOL
+    for r in np.argsort(gn, kind="stable"):
+        if free[r]:
+            take.append(r)
+            free[j[i == r]] = False
     return list(kept) + [
-        StationaryPoint(float(th[i]), float(ph[i]), float(sa - ce[i]), float(gn[i]), _classify(th[i]))
-        for i in sorted(take)
+        StationaryPoint(float(th[r]), float(ph[r]), float(sa - ce[r]), float(gn[r]), _classify(th[r]))
+        for r in sorted(take)
     ]
 
 
@@ -416,8 +427,8 @@ def universal_candidates(ch, gamma):
     g0 = a * np.cos(phi0) + b * np.sin(phi0)
     polar = StationaryPoint(0.0, phi0, sa - ce, abs(g0), ASYMMETRIC, bool(np.hypot(a, b) < STATIONARY_TOL))
 
-    d2 = np.abs(np.diff(np.pad(gt, 1, mode="edge"), 2))
-    clear = np.minimum(np.abs(gt[:-1]), np.abs(gt[1:])) > STATIONARY_TOL + np.maximum(d2[:-1], d2[1:])
+    d2, ag = np.abs(np.diff(np.concatenate([gt[:1], gt, gt[-1:]]), 2)), np.abs(gt)
+    clear = np.minimum(ag[:-1], ag[1:]) > STATIONARY_TOL + np.maximum(d2[:-1], d2[1:])
     brackets = ~((gt[:-1] * gt[1:] > 0.0) & clear)
     roots = np.zeros(1) if np.max(np.abs(gp)) < 1e-12 else _bisect_roots(dphi, phis, gp, brackets)
     return _merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
@@ -439,16 +450,18 @@ def _newton_batch(ch, gamma, th0, ph0):
     halvings included.  It is a root if its norm is then below NEWTON_TOL,
     so a root does not depend on which start reached it.
     """
-    th, ph = np.array(th0, float), np.array(ph0, float)
-    terms = np.array(_sphere_terms(ch, gamma, th, ph, "hessian")[1:])
-    norm, alpha, live = np.hypot(*terms[:2]), np.ones(th.size), np.arange(th.size)
+    th, ph = np.asarray(th0, float), np.asarray(ph0, float)
+    # one column per start: theta, phi, the gradient norm and the kernel's terms
+    state = np.array((th, ph, th, *_sphere_terms(ch, gamma, th, ph, "hessian")[1:]))
+    state[2] = np.hypot(state[3], state[4])
+    alpha, live = np.ones(th.size), np.arange(th.size)
     for _ in range(NEWTON_MAX_ITER):
-        gt, gp, htt, htp, hpp, ng = terms[:, live]
+        t0, p0, norm, gt, gp, htt, htp, hpp, ng = state[:, live]
         htt, hpp = htt - ng, hpp - ng
         det = htt * hpp - htp * htp
         regular = (np.abs(det) >= 1e-30) & np.isfinite(det)
         safe = np.where(regular, det, 1.0)
-        a, st, ct = alpha[live], np.sin(th[live]), np.cos(th[live])
+        a, st, ct = alpha[live], np.sin(t0), np.cos(t0)
         xt = -(hpp * gt - htp * gp) / safe
         xp = -(htt * gp - htp * gt) / safe
 
@@ -457,22 +470,22 @@ def _newton_batch(ch, gamma, th0, ph0):
         # atan2 keeps theta accurate at the pole
         out, across = st + a * (xt * ct), a * xp
         tt = np.arctan2(np.hypot(out, across), ct - a * (xt * st))
-        pp = ph[live] + np.arctan2(across, out)
-        moves = regular & ((tt != th[live]) | (pp != ph[live]))
-        live, tt, pp = live[moves], tt[moves], pp[moves]
+        pp = p0 + np.arctan2(across, out)
+        moves = regular & ((tt != t0) | (pp != p0))
+        live, tt, pp, a, norm = live[moves], tt[moves], pp[moves], a[moves], norm[moves]
         if not live.size:
             break
 
-        trial = np.array(_sphere_terms(ch, gamma, tt, pp, "hessian")[1:])
-        en = np.hypot(*trial[:2])
-        lower = np.isfinite(en) & (en < norm[live])
-        i = live[lower]
-        th[i], ph[i], norm[i], terms[:, i] = tt[lower], pp[lower], en[lower], trial[:, lower]
-        alpha[live] = np.where(lower, 1.0, 0.5 * alpha[live])
-        live = live[lower | (norm[live] >= NEWTON_TOL)]
+        trial = np.array((tt, pp, tt, *_sphere_terms(ch, gamma, tt, pp, "hessian")[1:]))
+        trial[2] = np.hypot(trial[3], trial[4])
+        # a norm that is not finite is never lower
+        lower = trial[2] < norm
+        state[:, live[lower]] = trial[:, lower]
+        alpha[live] = np.where(lower, 1.0, 0.5 * a)
+        live = live[lower | (norm >= NEWTON_TOL)]
 
-    root = norm < NEWTON_TOL
-    return th[root], ph[root]
+    root = state[2] < NEWTON_TOL
+    return state[0, root], state[1, root]
 
 
 def index_sum(ch, gamma, points):
@@ -505,10 +518,11 @@ def index_sum(ch, gamma, points):
     return int(np.sum(np.sign(det)))
 
 
+@functools.cache
 def _landscape_grid():
-    """(theta, phi) meshes of the SEED_GRID; the outcome swap maps it onto the sphere."""
-    n_theta, n_phi = SEED_GRID
-    return np.meshgrid(np.linspace(0.0, np.pi / 2, n_theta), np.linspace(0.0, 2 * np.pi, n_phi), indexing="ij")
+    """(theta, phi) meshes of the SEED_GRID, built once, read-only; the outcome swap maps it onto the sphere."""
+    th, ph = np.linspace(0.0, np.pi / 2, SEED_GRID[0]), np.linspace(0.0, 2 * np.pi, SEED_GRID[1])
+    return np.broadcast_to(th[:, None], SEED_GRID), np.broadcast_to(ph, SEED_GRID)
 
 
 def _landscape_seeds(th, ph, grad):
@@ -530,18 +544,19 @@ def _landscape_seeds(th, ph, grad):
     dropped: the pole is the polar candidate's."""
     g = np.stack(grad)
     g00, g10, g01, g11 = g[:, :-1, :-1], g[:, 1:, :-1], g[:, :-1, 1:], g[:, 1:, 1:]
-    # axes: component, theta cell, phi cell, and one for the two roots in u
-    a, b, c, d = (x[..., None] for x in (g00, g10 - g00, g01 - g00, g11 - g10 - g01 + g00))
+    # axes: component, the two roots in u, theta cell, phi cell: cells innermost, one long loop a call;
+    # the starts then come in cell order, then root order within a cell
+    a, b, c, d = (x[:, None] for x in (g00, g10 - g00, g01 - g00, g11 - g10 - g01 + g00))
     qa = b[1] * d[0] - b[0] * d[1]
     qb = a[1] * d[0] + b[1] * c[0] - a[0] * d[1] - b[0] * c[1]
     qc = a[1] * c[0] - a[0] * c[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
-        u = np.concatenate([q / qa, qc / q], axis=-1)
+        u = np.concatenate([q / qa, qc / q])
         num, den = a + b * u, c + d * u
         v = -np.where(np.abs(den[0]) >= np.abs(den[1]), num[0] / den[0], num[1] / den[1])
-    i, j, r = np.nonzero((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0))
-    t, p = th[i, j] + u[i, j, r] * (th[i + 1, j] - th[i, j]), ph[i, j] + v[i, j, r] * (ph[i, j + 1] - ph[i, j])
+    i, j, r = np.nonzero(((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)).transpose(1, 2, 0))
+    t, p = th[i, j] + u[r, i, j] * (th[i + 1, j] - th[i, j]), ph[i, j] + v[r, i, j] * (ph[i, j + 1] - ph[i, j])
     return t[t > 0.0], p[t > 0.0]
 
 
@@ -575,7 +590,7 @@ def find_stationary_points(ch, gamma):
     sa = output_marginal_entropy(ch, gamma)
 
     th_scan, ph_scan = _landscape_grid()
-    ce_scan, gt_scan, gp_scan = _sphere_terms(ch, gamma, th_scan, ph_scan, "entropy")
+    ce_scan, gt_scan, gp_scan = _sphere_terms(ch, gamma, th_scan[:, :1], ph_scan[:1], "entropy")
     if float(np.ptp(ce_scan)) < 1e-12:
         obj = sa - float(ce_scan.mean())
         return [StationaryPoint(np.pi / 2, 0.0, obj, 0.0, SYMMETRIC)]
@@ -587,7 +602,7 @@ def find_stationary_points(ch, gamma):
         th = _bisect_roots(dtheta, thetas, dtheta(thetas))
         ph = np.zeros_like(th)
     else:
-        th, ph = _landscape_seeds(th_scan, ph_scan, (gt_scan, np.sin(th_scan) * gp_scan))
+        th, ph = _landscape_seeds(th_scan, ph_scan, (gt_scan, np.sin(th_scan[:, :1]) * gp_scan))
         k = int(np.argmin(ce_scan))
         th, ph = _newton_batch(ch, gamma, np.append(th, th_scan.flat[k]), np.append(ph, ph_scan.flat[k]))
     return sorted(_merge(ch, gamma, sa, th, ph, universal_candidates(ch, gamma)), key=_point_key)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qdiscord import choi
@@ -288,6 +290,21 @@ def test_fold_angles_preserves_projection_statistics():
 def test_measurement_distance_folding():
     assert measurement_distance((0.3, 1.0), (np.pi - 0.3, 1.0 + np.pi)) < 1e-12
     assert abs(measurement_distance((0.0, 0.0), (np.pi / 2, 0.0)) - np.pi / 2) < 1e-12
+
+
+ANGLE = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(t1=ANGLE, p1=ANGLE, t2=ANGLE, p2=ANGLE)
+@example(t1=np.pi / 2 - 9e-13, p1=0.0, t2=np.pi / 2 + 9e-13, p2=np.pi - 1e-13)
+def test_folded_polar_angles_differ_by_at_most_the_measurement_distance(t1, p1, t2, p2):
+    # the premise of the stationary merge, which compares only roots within
+    # MERGE_TOL of each other in theta.  Canonical theta reaches 1e-12 above
+    # the equator, where phi folds into [0, pi): such pairs (the example)
+    # differ by up to 2e-12 more than their distance
+    a, b = normalize_angles(t1, p1), normalize_angles(t2, p2)
+    assert abs(a[0] - b[0]) <= measurement_distance(a, b) + 2e-12 + 4 * np.finfo(float).eps
 
 
 def test_angle_helpers_accept_arrays():

@@ -31,6 +31,16 @@ def test_discord_lu_with_verify(capsys):
     assert delta < 1e-6
 
 
+@pytest.mark.parametrize("method", ["stationary", "oracle"])
+def test_verify_runs_the_oracle_on_the_grid(capsys, method):
+    # --verify checks against the oracle at --grid; with --method oracle it
+    # reuses the oracle's own report, so the two agree exactly
+    code, out, _ = run(capsys, "discord", "--state", "lu", "--method", method, "--grid", "80x160", "--verify")
+    assert code == 0
+    delta = float(grab(r"verify: \|dQ\| vs oracle\(80x160\) = ([\d.e+-]+)", out).group(1))
+    assert delta == 0.0 if method == "oracle" else delta < 1e-6
+
+
 def test_discord_bell_diagonal_value(capsys):
     code, out, _ = run(capsys, "discord", "--state", "bell-diag:0.5,-0.3,0.2")
     assert code == 0
@@ -243,6 +253,7 @@ def test_state_and_file_mutually_exclusive(capsys):
         ("discord", "--state", "lu", "--method", "oracle", "--grid", "32x64"),
         ("sweep", "--state", "lu", "--grid", "0x5"),
         ("sweep", "--state", "lu", "--grid", "5x-1"),
+        ("discord", "--state", "lu", "--grid", "10x10", "--verify"),
     ],
 )
 def test_bad_grid_is_usage_error(capsys, argv):

@@ -795,6 +795,26 @@ def test_a_zero_on_a_shared_cell_edge_yields_one_root():
     assert_allclose(pts[0].as_row()[1:4], (t0, p0, objective), rtol=0, atol=1e-12)
 
 
+def test_merge_drops_a_root_within_merge_tol_only():
+    # near_singular_state(1e-4)'s J is flat to ~1e-9, so roots next to its
+    # stationary points all verify and only their distance decides: 1e-6
+    # apart they merge into the better converged one, across the equator
+    # fold too (the outcome swap maps theta to pi - theta, phi to phi + pi),
+    # and 1e-3 apart both stay
+    ch, gamma = channel_of(near_singular_state(1e-4))
+    pts = find_stationary_points(ch, gamma)
+    t0, p0 = next((q.theta, q.phi) for q in pts if q.kind == STATE_DEPENDENT and q.theta > 0.1)
+    pe = next(q.phi for q in pts if q.kind == SYMMETRIC)
+
+    def merged(theta, phi):
+        return correlations._merge(ch, gamma, output_marginal_entropy(ch, gamma), np.array(theta), np.array(phi))
+
+    best = min((merged([t], [p0])[0] for t in (t0, t0 + 1e-6)), key=lambda q: q.grad_norm)
+    assert [(q.theta, q.phi) for q in merged([t0 + 1e-6, t0], [p0, p0])] == [(best.theta, best.phi)]
+    assert len(merged([np.pi / 2 - 1e-7, np.pi / 2 + 1e-7], [pe, pe + np.pi])) == 1
+    assert len(merged([t0, t0 + 1e-3], [p0, p0])) == 2
+
+
 @pytest.mark.parametrize(
     "seed, rank",
     [
@@ -920,10 +940,10 @@ def test_x_states_report_no_state_dependent_point_at_the_pole():
         assert min(dist, default=np.pi) >= 1e-4
 
 
-def one_step_bisect_roots(f, x, fx):
+def one_step_bisect_roots(f, x, fx, brackets=True):
     """The bisection _bisect_roots replays: one midpoint per bracket per call."""
     exact = x[:-1][fx[:-1] == 0.0]
-    k = np.flatnonzero(fx[:-1] * fx[1:] < 0.0)
+    k = np.flatnonzero((fx[:-1] * fx[1:] < 0.0) & brackets)
     lo, hi, flo = x[k], x[k + 1], fx[k]
     for _ in range(64):
         mid = 0.5 * (lo + hi)
@@ -936,9 +956,14 @@ def one_step_bisect_roots(f, x, fx):
     return np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
 
 
-@pytest.mark.parametrize("rho", [lu_state(), random_state(1003), bell_diagonal(0.7, -0.5, 0.3)])
+@pytest.mark.parametrize(
+    "rho", [lu_state(), random_state(1003), bell_diagonal(0.7, -0.5, 0.3), near_singular_state(1e-4)]
+)
 @pytest.mark.parametrize("grid", ["equator dJ/dphi", "meridian dJ/dtheta"])
 def test_bisect_roots_matches_one_step_bisection(rho, grid):
+    # near_singular_state(1e-4) gives the equator two brackets, the one
+    # multi-bracket case the solver meets; the mask drops the first sign
+    # change, as the equatorial gate drops brackets
     ch, gamma = channel_of(rho)
     if grid == "equator dJ/dphi":
         x = np.linspace(0.0, np.pi, 1441)
@@ -959,9 +984,11 @@ def test_bisect_roots_matches_one_step_bisection(rho, grid):
         return f(v)
 
     fx = f(x)
-    got = correlations._bisect_roots(counted, x, fx)
-    assert got.tobytes() == one_step_bisect_roots(f, x, fx).tobytes()
-    assert len(calls) <= 10
+    for brackets in (True, np.arange(x.size - 1) > np.argmax(fx[:-1] * fx[1:] < 0.0)):
+        calls.clear()
+        got = correlations._bisect_roots(counted, x, fx, brackets)
+        assert got.tobytes() == one_step_bisect_roots(f, x, fx, brackets).tobytes()
+        assert len(calls) <= 10
 
 
 def gate_states():
