@@ -45,7 +45,7 @@ def from_bloch(r):
 
 @dataclass(eq=False)
 class AffineChannel:
-    """Affine Bloch action r -> eta r + c of a trace-preserving channel; hashed by identity, eta and c kept fixed."""
+    """Affine Bloch action r -> eta r + c of a trace-preserving channel."""
 
     eta: np.ndarray
     c: np.ndarray
@@ -74,8 +74,8 @@ def affine_from_kraus(kraus):
 
 
 def conditional_probabilities(gamma, theta):
-    """Outcome probabilities ( (1+cos th cos g)/2, (1-cos th cos g)/2 )."""
-    x = np.cos(theta) * np.cos(gamma)
+    """Outcome probabilities ((1+cos th cos g)/2, (1-cos th cos g)/2); ValueError on a non-finite angle."""
+    x = np.cos(finite_angles(theta, 0.0)[0]) * np.cos(gamma)
     return 0.5 * (1.0 + x), 0.5 * (1.0 - x)
 
 
@@ -86,25 +86,21 @@ def conditional_bloch_in(gamma, theta, phi):
     conditional amplitudes carry exp(-i phi): that keeps the channel path
     equal to the direct projection.  Raises :class:`DegenerateOutcomeError`
     when one outcome probability vanishes (theta ~ 0 together with gamma ~
-    0), where the corresponding direction is undefined."""
+    0), where the corresponding direction is undefined; ValueError on a
+    non-finite angle."""
     p = np.array(conditional_probabilities(gamma, theta))
     if p.min() < DEGENERATE_TOL:
-        raise DegenerateOutcomeError(
-            f"outcome probability {p.min():.3e} below {DEGENERATE_TOL:.0e}"
-        )
+        raise DegenerateOutcomeError(f"outcome probability {p.min():.3e} below {DEGENERATE_TOL:.0e}")
     sg, cg = np.sin(gamma), np.cos(gamma)
-    st, ct, cp, sp = angle_trig(theta, phi)
+    st, ct, cp, sp = angle_trig(*finite_angles(theta, phi))
     ax, ay = sg * st * cp, sg * st * sp
     return np.array([ax, -ay, cg + ct]) / (2.0 * p[0]), np.array([-ax, ay, cg - ct]) / (2.0 * p[1])
 
 
 def conditional_purities(ch, gamma, theta, phi):
-    """Post-channel purities and probabilities (s', t', p1, p2)."""
+    """Post-channel purities and probabilities (s', t', p1, p2); ValueError on a non-finite angle."""
     s, t = conditional_bloch_in(gamma, theta, phi)
-    p1, p2 = conditional_probabilities(gamma, theta)
-    sp = float(np.linalg.norm(ch(s)))
-    tp = float(np.linalg.norm(ch(t)))
-    return sp, tp, p1, p2
+    return float(np.linalg.norm(ch(s))), float(np.linalg.norm(ch(t))), *conditional_probabilities(gamma, theta)
 
 
 def angle_trig(theta, phi):

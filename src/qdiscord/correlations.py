@@ -155,7 +155,7 @@ def output_marginal_entropy(ch, gamma):
 
 def conditional_entropy_channel(ch, gamma, theta, phi):
     """sum_j p_j S(rho_j) through the affine channel form; angle arrays that broadcast together give an array."""
-    return _scalar_or_array(_sphere_terms(ch, gamma, *bloch.finite_angles(theta, phi), "entropy")[0])
+    return _scalar_or_array(_sphere_terms(_outcome_form(ch, gamma), *bloch.finite_angles(theta, phi), "entropy")[0])
 
 
 def objective_channel(ch, gamma, theta, phi):
@@ -175,21 +175,20 @@ def grad_objective(ch, gamma, theta, phi):
     """Analytic gradient (dJ/dtheta, dJ/dphi) on the channel path; angle
     arrays that broadcast together give a pair of arrays."""
     th, ph = bloch.finite_angles(theta, phi)
-    _, g_th, g_ph = _sphere_terms(ch, gamma, th, ph, "gradient")
+    _, g_th, g_ph = _sphere_terms(_outcome_form(ch, gamma), th, ph, "gradient")
     return _scalar_or_array(g_th), _scalar_or_array(np.sin(th) * g_ph)
 
 
-@functools.lru_cache(maxsize=1)
 def _outcome_form(ch, gamma):
-    """sin gamma, cos gamma, a and T of the kernel, read-only and kept for the channel a solve is on."""
+    """(sin gamma, cos gamma, a, T) of p v = (a +- T n) / 2 through ``ch``, the data of :func:`_sphere_terms`;
+    each public function of the channel path computes it once per call, from ``ch`` as it is then."""
     sg, cg = np.sin(gamma), np.cos(gamma)
     a, t = cg * ch.eta[:, 2] + ch.c, ch.eta * np.array([sg, -sg, 1.0])
     t[:, 2] += cg * ch.c
-    a.flags.writeable = t.flags.writeable = False
     return sg, cg, a, t
 
 
-def _sphere_terms(ch, gamma, theta, phi, want):
+def _sphere_terms(form, theta, phi, want):
     """The channel path's one kernel at angle arrays that broadcast together:
     (sum_j p_j S(rho_j), dJ/dtheta, dJ/dphi / sin theta), the gradient in
     the frame (e_theta, e_phi), e_phi = (-sin phi, cos phi, 0), defined at
@@ -200,18 +199,19 @@ def _sphere_terms(ch, gamma, theta, phi, want):
     the identity; Absil, Mahony & Sepulchre, Optimization Algorithms on
     Matrix Manifolds, 2008, ch. 5).  The gradient's bits do not depend on ``want``.
 
-    The outcomes' p v = (a +- T n) / 2 are affine in n, with 2 p = m = 1 +-
-    cos(gamma) n_z, a = cos(gamma) eta e_z + c and T = eta diag(sin gamma,
-    -sin gamma, 1) + cos(gamma) c e_z^T.  An outcome's p H2((1 + r) / 2)
-    depends on n through rho = |q|, q = a +- T n, and m only, homogeneously,
-    so it adds +-[l (T x) . q / (2 m) + cos(gamma) x_z log2(1 - r**2) / 4]
-    to the derivative of J along x, and [l (T^T T - T^T v v^T T) + g w w^T]
-    / (2 m) to its Hessian, with v = q / rho, r = rho / m, w = T^T v - r
-    cos(gamma) e_z, l = log2 sqrt((1 + r) / (1 - r)) / r and g = 1 / ((1 -
-    r**2) ln 2).  The purity r is clamped at 1 - 1e-12 inside the
-    logarithms, so the derivatives are finite (and still ~0 where they
-    should vanish) even for a channel that keeps the conditional states
-    pure; an outcome of probability below DEGENERATE_TOL adds no entropy.
+    ``form`` is the channel's :func:`_outcome_form`: the outcomes' p v =
+    (a +- T n) / 2 are affine in n, with 2 p = m = 1 +- cos(gamma) n_z,
+    a = cos(gamma) eta e_z + c and T = eta diag(sin gamma, -sin gamma, 1)
+    + cos(gamma) c e_z^T.  An outcome's p H2((1 + r) / 2) depends on n
+    through rho = |q|, q = a +- T n, and m only, homogeneously, so it adds
+    +-[l (T x) . q / (2 m) + cos(gamma) x_z log2(1 - r**2) / 4] to the
+    derivative of J along x, and [l (T^T T - T^T v v^T T) + g w w^T] / (2 m)
+    to its Hessian, with v = q / rho, r = rho / m, w = T^T v - r cos(gamma)
+    e_z, l = log2 sqrt((1 + r) / (1 - r)) / r and g = 1 / ((1 - r**2) ln 2).
+    The purity r is clamped at 1 - 1e-12 inside the logarithms, so the
+    derivatives are finite (and still ~0 where they should vanish) even for
+    a channel that keeps the conditional states pure; an outcome of
+    probability below DEGENERATE_TOL adds no entropy.
     """
     # trig before broadcasting: a scan along one angle takes the other's once
     trig = bloch.angle_trig(theta, phi)
@@ -219,7 +219,7 @@ def _sphere_terms(ch, gamma, theta, phi, want):
         trig = np.broadcast_arrays(*trig)
     shape = trig[0].shape
     st, ct, cp, sp = (y.ravel() for y in trig)
-    sg, cg, a, t = _outcome_form(ch, gamma)
+    sg, cg, a, t = form
     # the frame n, e_theta, e_phi as (component, vector, point), and its image under T
     frame = np.array([[st * cp, ct * cp, -sp], [st * sp, ct * sp, cp], [ct, -st, 0.0 * st]])
     tf = (t @ frame.reshape(3, -1)).reshape(frame.shape)
@@ -352,40 +352,35 @@ def _classify(theta):
     return STATE_DEPENDENT
 
 
-def _merge(ch, gamma, sa, theta, phi, kept=()):
+def _merge(form, sa, theta, phi, kept=()):
     """``kept`` followed by the stationary points at the roots (theta, phi).
 
     Roots are folded to canonical angles; one channel-path call then gives
     the gradient that verifies them (scaled norm below STATIONARY_TOL) and
     the objective that scores them.  A root within MERGE_TOL (measurement
     distance) of a ``critical`` point in ``kept``, or of a better converged
-    root (smaller gradient norm), is dropped; one call measures the distances
-    to the critical kept points, one those between roots that could merge.
-    The survivors come in (theta, phi) order, classified by their polar
-    angle; ``sa`` is S(rho_a).
+    root (smaller gradient norm), is dropped: one call measures the distances
+    from the critical kept points and from every root to every root.  The
+    survivors come in (theta, phi) order, classified by their polar angle;
+    ``form`` is the channel's :func:`_outcome_form`, ``sa`` is S(rho_a).
     """
     if not np.size(theta):
         return list(kept)
     th, ph = bloch.normalize_angles(np.asarray(theta, float), np.asarray(phi, float))
     order = np.lexsort((ph, th))
     th, ph = th[order], ph[order]
-    ce, gt, gp = _sphere_terms(ch, gamma, th, ph, "entropy")
+    ce, gt, gp = _sphere_terms(form, th, ph, "entropy")
     # the scaled norm hypot(dJ/dtheta, sin theta dJ/dphi), dJ/dphi = sin theta gp
     gn = np.hypot(gt, np.sin(th) * (np.sin(th) * gp))
-    free = gn < STATIONARY_TOL
-    crit = np.array([(q.theta, q.phi) for q in kept if q.critical]).reshape(-1, 2, 1)
-    if crit.size:
-        free &= np.all(bloch.measurement_distance((crit[:, 0], crit[:, 1]), (th, ph)) >= MERGE_TOL, axis=0)
-    # folded polar angles differ by at most the distance (+2e-12 at the equator): pairs within MERGE_TOL in theta
-    i, j = np.nonzero((th >= th[:, None] - MERGE_TOL) & (th < th[:, None] + MERGE_TOL) & ~np.eye(th.size, dtype=bool))
-    if i.size:
-        near = bloch.measurement_distance((th[i], ph[i]), (th[j], ph[j])) < MERGE_TOL
-        i, j = i[near], j[near]
+    crit = np.array([(q.theta, q.phi) for q in kept if q.critical]).reshape(-1, 2)
+    rows = np.concatenate([crit, np.stack([th, ph], axis=1)])
+    near = bloch.measurement_distance((rows[:, :1], rows[:, 1:]), (th, ph)) < MERGE_TOL
+    free = (gn < STATIONARY_TOL) & ~np.any(near[: len(crit)], axis=0)
     take = []
     for r in np.argsort(gn, kind="stable"):
         if free[r]:
             take.append(r)
-            free[j[i == r]] = False
+            free[near[len(crit) + r]] = False
     return list(kept) + [
         StationaryPoint(float(th[r]), float(ph[r]), float(sa - ce[r]), float(gn[r]), _classify(th[r]))
         for r in sorted(take)
@@ -407,17 +402,17 @@ def universal_candidates(ch, gamma):
     below STATIONARY_TOL.  A, B and its objective (at theta = 0, J does not
     depend on phi) come from the frame (e_x, e_y) at the one point (0, 0).
     """
-    sa = output_marginal_entropy(ch, gamma)
+    sa, form = output_marginal_entropy(ch, gamma), _outcome_form(ch, gamma)
 
     # equatorial candidates: zeros of dJ/dphi along theta = pi/2, where it
     # is the frame component itself
     def dphi(phi):
-        return _sphere_terms(ch, gamma, np.pi / 2, phi, "gradient")[2]
+        return _sphere_terms(form, np.pi / 2, phi, "gradient")[2]
 
     # one call scans the equator and evaluates the pole (0, 0), its last point
     phis = np.linspace(0.0, np.pi, 1441)
     th = np.append(np.full_like(phis, np.pi / 2), 0.0)
-    ce, gt, gp = _sphere_terms(ch, gamma, th, np.append(phis, 0.0), "entropy")
+    ce, gt, gp = _sphere_terms(form, th, np.append(phis, 0.0), "entropy")
     ce, a, b, gt, gp = float(ce[-1]), float(gt[-1]), float(gp[-1]), gt[:-1], gp[:-1]
 
     # polar candidate: dJ/dphi vanishes identically at theta = 0, while the
@@ -431,17 +426,18 @@ def universal_candidates(ch, gamma):
     clear = np.minimum(ag[:-1], ag[1:]) > STATIONARY_TOL + np.maximum(d2[:-1], d2[1:])
     brackets = ~((gt[:-1] * gt[1:] > 0.0) & clear)
     roots = np.zeros(1) if np.max(np.abs(gp)) < 1e-12 else _bisect_roots(dphi, phis, gp, brackets)
-    return _merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
+    return _merge(form, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
 
-def _newton_batch(ch, gamma, th0, ph0):
+def _newton_batch(form, th0, ph0):
     """Damped Newton on the sphere from many starts, batched over the
     starts still iterating; returns the roots, in start order.
 
-    One call of :func:`_sphere_terms` gives the gradient and the Hessian in
-    the frame (e_theta, e_phi) at the starts, and one per iteration at the
-    trial points (n + alpha xi) / |n + alpha xi|, xi the Newton step and
-    alpha a step factor per start, 1 at first.  A trial that lowers the
+    One call of :func:`_sphere_terms` on ``form``, the channel's
+    :func:`_outcome_form`, gives the gradient and the Hessian in the frame
+    (e_theta, e_phi) at the starts, and one per iteration at the trial
+    points (n + alpha xi) / |n + alpha xi|, xi the Newton step and alpha a
+    step factor per start, 1 at first.  A trial that lowers the
     gradient norm is taken with its Hessian and resets alpha to 1; otherwise
     alpha halves (backtracking, Nocedal & Wright, Numerical Optimization,
     2006, sec. 3.1), or the start stops once its norm is below NEWTON_TOL.
@@ -452,7 +448,7 @@ def _newton_batch(ch, gamma, th0, ph0):
     """
     th, ph = np.asarray(th0, float), np.asarray(ph0, float)
     # one column per start: theta, phi, the gradient norm and the kernel's terms
-    state = np.array((th, ph, th, *_sphere_terms(ch, gamma, th, ph, "hessian")[1:]))
+    state = np.array((th, ph, th, *_sphere_terms(form, th, ph, "hessian")[1:]))
     state[2] = np.hypot(state[3], state[4])
     alpha, live = np.ones(th.size), np.arange(th.size)
     for _ in range(NEWTON_MAX_ITER):
@@ -476,7 +472,7 @@ def _newton_batch(ch, gamma, th0, ph0):
         if not live.size:
             break
 
-        trial = np.array((tt, pp, tt, *_sphere_terms(ch, gamma, tt, pp, "hessian")[1:]))
+        trial = np.array((tt, pp, tt, *_sphere_terms(form, tt, pp, "hessian")[1:]))
         trial[2] = np.hypot(trial[3], trial[4])
         # a norm that is not finite is never lower
         lower = trial[2] < norm
@@ -509,7 +505,7 @@ def index_sum(ch, gamma, points):
     if not crit:
         return None
     t, p = np.array([[q.theta, q.phi] for q in crit]).T
-    _, _, _, *block, ng = _sphere_terms(ch, gamma, t, p, "hessian")
+    _, _, _, *block, ng = _sphere_terms(_outcome_form(ch, gamma), t, p, "hessian")
     hess = np.stack([block[0] - ng, block[1], block[2] - ng])
     det = hess[0] * hess[2] - hess[1] ** 2
     floor = max(1e-4 * np.max(np.abs(hess)), np.finfo(float).eps * np.max(np.abs([*block, ng])))
@@ -587,16 +583,16 @@ def find_stationary_points(ch, gamma):
     :func:`universal_candidates`: folded, merged within an angle of 1e-5,
     verified to scaled gradient norm < 1e-7 and classified, in one call.
     """
-    sa = output_marginal_entropy(ch, gamma)
+    sa, form = output_marginal_entropy(ch, gamma), _outcome_form(ch, gamma)
 
     th_scan, ph_scan = _landscape_grid()
-    ce_scan, gt_scan, gp_scan = _sphere_terms(ch, gamma, th_scan[:, :1], ph_scan[:1], "entropy")
+    ce_scan, gt_scan, gp_scan = _sphere_terms(form, th_scan[:, :1], ph_scan[:1], "entropy")
     if float(np.ptp(ce_scan)) < 1e-12:
         obj = sa - float(ce_scan.mean())
         return [StationaryPoint(np.pi / 2, 0.0, obj, 0.0, SYMMETRIC)]
     if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11:
         def dtheta(theta):
-            return _sphere_terms(ch, gamma, theta, 0.0, "gradient")[1]
+            return _sphere_terms(form, theta, 0.0, "gradient")[1]
 
         thetas = np.linspace(0.0, np.pi / 2, 2001)[1:-1]
         th = _bisect_roots(dtheta, thetas, dtheta(thetas))
@@ -604,8 +600,8 @@ def find_stationary_points(ch, gamma):
     else:
         th, ph = _landscape_seeds(th_scan, ph_scan, (gt_scan, np.sin(th_scan[:, :1]) * gp_scan))
         k = int(np.argmin(ce_scan))
-        th, ph = _newton_batch(ch, gamma, np.append(th, th_scan.flat[k]), np.append(ph, ph_scan.flat[k]))
-    return sorted(_merge(ch, gamma, sa, th, ph, universal_candidates(ch, gamma)), key=_point_key)
+        th, ph = _newton_batch(form, np.append(th, th_scan.flat[k]), np.append(ph, ph_scan.flat[k]))
+    return sorted(_merge(form, sa, th, ph, universal_candidates(ch, gamma)), key=_point_key)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,85 @@
+"""Print a SHA-256 digest of the stationary solver's output on a fixed corpus.
+
+Run from the repository root with the package on the path:
+
+    PYTHONPATH=src python tests/stationary_digest.py
+
+Each corpus group prints one line: its name, its state count and a SHA-256
+over every state's ``DiscordReport`` fields (method "stationary"), the
+fields of each of its ``StationaryPoint`` and its ``index_sum``, floats by
+their round-trip ``repr``.  Two commits that print the same lines give the
+same answers bit for bit on these states.  The last bits of a float depend
+on the numpy build and on how BLAS runs a matmul, so compare logs made on
+one machine, with one numpy, with BLAS at one thread
+(``OPENBLAS_NUM_THREADS=1``).
+
+The name does not start with ``test_``, so pytest does not collect it.
+"""
+
+import hashlib
+import sys
+import time
+
+import numpy as np
+from util import feasible_bell_triple, random_unitary, random_x_maximally_mixed
+
+from qdiscord import affine_from_kraus, decompose, discord
+from qdiscord.correlations import index_sum
+from qdiscord.states import bell_diagonal, lu_state, random_state
+
+#: Bell-diagonal states whose two largest |c_i| are equal: their optimum is
+#: a tie between settings, or a circle of them.
+TIED_BELL = [(0.5, -0.2, 0.5), (-0.4, 0.1, 0.4), (0.2, -0.6, 0.6), (0.5, 0.5, -0.3), (-0.3, 0.6, 0.6), (0.4, -0.4, 0.1)]
+
+
+def near_singular_band(n=150, seed=2):
+    """(1 - eps) diag(p, 1 - p) (x) |0><0| + eps sigma, eps log-uniform in
+    [1e-8, 1e-2] and sigma a random state, under a random unitary on qubit
+    b: b marginals from near rank one to about 1e-2 from it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        eps, p = 10.0 ** rng.uniform(-8.0, -2.0), rng.uniform(0.05, 0.95)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        sigma = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        rho = (1 - eps) * np.kron(np.diag([p, 1 - p]), np.diag([1.0, 0.0])) + eps * sigma
+        w = np.kron(np.eye(2), random_unitary(rng))
+        yield w @ rho @ w.conj().T
+
+
+def corpus():
+    """(group name, states) of the digest, in a fixed order."""
+    rng = np.random.default_rng(0)
+    yield "random_state", [random_state(s, 2 + s % 3) for s in range(300)]
+    yield "x_state", [random_x_maximally_mixed(rng) for _ in range(100)]
+    yield "bell_diagonal", [bell_diagonal(*feasible_bell_triple(rng)) for _ in range(100)]
+    yield "tied_bell_and_lu", [bell_diagonal(*c) for c in TIED_BELL] + [lu_state()]
+    yield "near_singular_band", list(near_singular_band())
+
+
+def solve_record(rho):
+    """The text of one state's report, stationary points and index sum."""
+    try:
+        rep = discord(rho, method="stationary")
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}\n"
+    head = (rep.mutual_info, rep.classical_corr, rep.discord, rep.theta, rep.phi, rep.method)
+    rows = [repr((q.kind, q.critical, q.theta, q.phi, q.objective, q.grad_norm)) for q in rep.stationary_points]
+    total = None
+    if rep.stationary_points:
+        d = decompose(rho)
+        total = index_sum(affine_from_kraus(d.kraus), d.gamma, rep.stationary_points)
+    return "\n".join([repr(head), *rows, repr(total)]) + "\n"
+
+
+def main():
+    t0 = time.perf_counter()
+    for name, states in corpus():
+        digest = hashlib.sha256()
+        for rho in states:
+            digest.update(solve_record(rho).encode())
+        print(f"{name:<20} {len(states):4d} {digest.hexdigest()}")
+    print(f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

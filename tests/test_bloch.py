@@ -249,6 +249,19 @@ def test_measurement_distance_refuses_non_finite_angles(theta, phi):
         measurement_distance((theta, phi), (0.2, 0.1))
 
 
+@pytest.mark.parametrize("theta, phi", NON_FINITE_ANGLES)
+def test_conditional_states_refuse_non_finite_angles(theta, phi):
+    # a NaN angle once gave NaN probabilities, directions and purities
+    ch = affine_from_kraus(decompose(lu_state()).kraus)
+    with pytest.raises(ValueError, match="finite"):
+        conditional_bloch_in(0.5, theta, phi)
+    with pytest.raises(ValueError, match="finite"):
+        conditional_purities(ch, 0.5, theta, phi)
+    # the probabilities take theta only; theta + phi is finite only when both are
+    with pytest.raises(ValueError, match="finite"):
+        conditional_probabilities(0.5, theta + phi)
+
+
 def test_normalize_angles_folds_hemisphere():
     th, ph = normalize_angles(0.8 * np.pi, 0.3)
     assert abs(th - 0.2 * np.pi) < 1e-12
@@ -299,10 +312,9 @@ ANGLE = st.floats(-10.0, 10.0)
 @given(t1=ANGLE, p1=ANGLE, t2=ANGLE, p2=ANGLE)
 @example(t1=np.pi / 2 - 9e-13, p1=0.0, t2=np.pi / 2 + 9e-13, p2=np.pi - 1e-13)
 def test_folded_polar_angles_differ_by_at_most_the_measurement_distance(t1, p1, t2, p2):
-    # the premise of the stationary merge, which compares only roots within
-    # MERGE_TOL of each other in theta.  Canonical theta reaches 1e-12 above
-    # the equator, where phi folds into [0, pi): such pairs (the example)
-    # differ by up to 2e-12 more than their distance
+    # a property of normalize_angles: canonical theta reaches 1e-12 above
+    # the equator, where phi folds into [0, pi), so such pairs (the example)
+    # differ in theta by up to 2e-12 more than their distance
     a, b = normalize_angles(t1, p1), normalize_angles(t2, p2)
     assert abs(a[0] - b[0]) <= measurement_distance(a, b) + 2e-12 + 4 * np.finfo(float).eps
 

@@ -1,7 +1,10 @@
+import functools
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qdiscord import bloch, choi, correlations
@@ -525,6 +528,17 @@ def test_non_finite_angles_are_refused(theta, phi):
             f(*state, theta, phi)
 
 
+def test_channel_views_read_the_channel_as_it_is_now():
+    # the channel path reads a and T from the channel at every call, so a
+    # channel whose eta is reassigned gives what a fresh channel gives
+    ch = bloch.AffineChannel(eta=np.diag([0.8, 0.5, 0.3]), c=np.array([0.0, 0.0, 0.1]))
+    before = objective_channel(ch, 0.9, 0.7, 0.2)
+    ch.eta = np.diag([0.2, 0.2, 0.2])
+    fresh = bloch.AffineChannel(eta=np.diag([0.2, 0.2, 0.2]), c=np.array([0.0, 0.0, 0.1]))
+    assert objective_channel(ch, 0.9, 0.7, 0.2) == objective_channel(fresh, 0.9, 0.7, 0.2) != before
+    assert grad_objective(ch, 0.9, 0.7, 0.2) == grad_objective(fresh, 0.9, 0.7, 0.2)
+
+
 @pytest.mark.parametrize(
     "theta, phi",
     [
@@ -597,11 +611,11 @@ def test_find_stationary_points_evaluates_each_point_set_once(monkeypatch):
     # recorded, since the merge evaluates its roots again
     terms, seen = correlations._sphere_terms, []
 
-    def recorded(ch, gamma, theta, phi, want):
+    def recorded(form, theta, phi, want):
         if want != "hessian":
             points = np.stack(np.broadcast_arrays(theta, phi), axis=-1).reshape(-1, 2)
             seen.append(np.unique(points, axis=0).tobytes())
-        return terms(ch, gamma, theta, phi, want)
+        return terms(form, theta, phi, want)
 
     monkeypatch.setattr(correlations, "_sphere_terms", recorded)
     for rho in (random_state(1003), lu_state(), near_singular_state(1e-4)):
@@ -646,7 +660,7 @@ def test_sphere_terms_match_the_per_outcome_reference(case):
     # every width the solver evaluates
     ch, gamma = KERNEL_CASES[case]()
     for theta, phi in kernel_angle_sets():
-        ce, g_th, g_ph = correlations._sphere_terms(ch, gamma, theta, phi, "entropy")
+        ce, g_th, g_ph = correlations._sphere_terms(correlations._outcome_form(ch, gamma), theta, phi, "entropy")
         got = ce, g_th, np.sin(theta) * g_ph
         for g, w in zip(got, reference_chart_terms(ch, gamma, theta, phi)):
             assert np.shape(g) == np.shape(theta)
@@ -679,9 +693,9 @@ def test_newton_calls_are_no_wider_than_its_starts(monkeypatch, rho):
     calls, widths = count_gradient_calls(monkeypatch), []
     newton = correlations._newton_batch
 
-    def recorded(ch, gamma, th0, ph0):
+    def recorded(form, th0, ph0):
         calls.clear()
-        roots = newton(ch, gamma, th0, ph0)
+        roots = newton(form, th0, ph0)
         widths.append((np.size(th0), max(calls)))
         return roots
 
@@ -695,7 +709,9 @@ def test_newton_halves_a_step_that_overshoots_the_narrow_polar_maximum():
     # gradient norm (2.16e-3 -> 2.32e-3); with full steps alone the start
     # finds no root, with halving it reaches the narrow maximum near the pole
     ch, gamma = channel_of(near_singular_state(1e-3))
-    th, ph = correlations._newton_batch(ch, gamma, [0.014494225223338741], [0.42804342653743266])
+    th, ph = correlations._newton_batch(
+        correlations._outcome_form(ch, gamma), [0.014494225223338741], [0.42804342653743266]
+    )
     assert th.size == 1
     assert objective_channel(ch, gamma, th[0], ph[0]) >= 1.49933e-4
 
@@ -789,8 +805,8 @@ def test_a_zero_on_a_shared_cell_edge_yields_one_root():
     seeds = correlations._landscape_seeds(th, ph, grad)
     assert seeds[0].size == 2
     assert_allclose(np.stack(seeds), [[t0, t0], [p0, p0]], rtol=0, atol=1e-15)
-    rth, rph, *_ = correlations._newton_batch(ch, gamma, *seeds)
-    pts = correlations._merge(ch, gamma, output_marginal_entropy(ch, gamma), rth, rph)
+    rth, rph, *_ = correlations._newton_batch(correlations._outcome_form(ch, gamma), *seeds)
+    pts = correlations._merge(correlations._outcome_form(ch, gamma), output_marginal_entropy(ch, gamma), rth, rph)
     assert [q.kind for q in pts] == [kind]
     assert_allclose(pts[0].as_row()[1:4], (t0, p0, objective), rtol=0, atol=1e-12)
 
@@ -807,12 +823,55 @@ def test_merge_drops_a_root_within_merge_tol_only():
     pe = next(q.phi for q in pts if q.kind == SYMMETRIC)
 
     def merged(theta, phi):
-        return correlations._merge(ch, gamma, output_marginal_entropy(ch, gamma), np.array(theta), np.array(phi))
+        return correlations._merge(
+            correlations._outcome_form(ch, gamma), output_marginal_entropy(ch, gamma), np.array(theta), np.array(phi)
+        )
 
     best = min((merged([t], [p0])[0] for t in (t0, t0 + 1e-6)), key=lambda q: q.grad_norm)
     assert [(q.theta, q.phi) for q in merged([t0 + 1e-6, t0], [p0, p0])] == [(best.theta, best.phi)]
     assert len(merged([np.pi / 2 - 1e-7, np.pi / 2 + 1e-7], [pe, pe + np.pi])) == 1
     assert len(merged([t0, t0 + 1e-3], [p0, p0])) == 2
+
+
+@functools.cache
+def flat_landscape():
+    """Channel, gamma, S(rho_a) and stationary points of near_singular_state(1e-4)."""
+    ch, gamma = channel_of(near_singular_state(1e-4))
+    return ch, gamma, output_marginal_entropy(ch, gamma), find_stationary_points(ch, gamma)
+
+
+#: A root near a stationary point of the flat landscape: the point (an index
+#: modulo their number), offsets in theta and phi, and whether the outcomes
+#: are swapped, (theta, phi) -> (pi - theta, phi + pi).  The offsets keep it
+#: within 3e-5 of the point.
+NEAR_ROOT = st.tuples(st.integers(0, 63), st.floats(-2e-5, 2e-5), st.floats(-2e-5, 2e-5), st.booleans())
+
+
+# the pair across the equator fold, 9.9999986e-6 apart, whose folded polar
+# angles differ by more than MERGE_TOL: the first equatorial point is third
+@example(roots=[(2, 9e-13, 0.0, False), (2, MERGE_TOL - 5e-13, 0.0, True)])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(roots=st.lists(NEAR_ROOT, min_size=2, max_size=7))
+def test_merge_leaves_no_pair_within_merge_tol_and_covers_every_verified_root(roots):
+    # near_singular_state(1e-4)'s J is flat enough that roots near its
+    # stationary points verify: the merge keeps no two points within
+    # MERGE_TOL of each other, and drops a verified root only beside one it
+    # keeps
+    ch, gamma, sa, pts = flat_landscape()
+    th, ph = [], []
+    for k, dt, dp, swap in roots:
+        t, p = pts[k % len(pts)].theta + dt, pts[k % len(pts)].phi + dp
+        th.append(np.pi - t if swap else t)
+        ph.append(p + np.pi if swap else p)
+    got = correlations._merge(correlations._outcome_form(ch, gamma), sa, np.array(th), np.array(ph))
+    kept = np.array([(q.theta, q.phi) for q in got]).reshape(-1, 2).T
+    for k in range(kept.shape[1]):
+        assert np.all(bloch.measurement_distance(kept[:, k], kept[:, k + 1 :]) >= MERGE_TOL)
+    for t, p in zip(th, ph):
+        ft, fp = bloch.normalize_angles(t, p)
+        dt, dp = grad_objective(ch, gamma, ft, fp)
+        if np.hypot(dt, np.sin(ft) * dp) < STATIONARY_TOL:
+            assert np.min(bloch.measurement_distance((ft, fp), kept), initial=np.pi) < MERGE_TOL
 
 
 @pytest.mark.parametrize(
@@ -860,7 +919,9 @@ def test_closed_form_hessian_matches_second_differences_on_great_circles(rho):
     rng = np.random.default_rng(5)
     theta = np.concatenate([rng.uniform(0.05, np.pi - 0.05, 6), [1e-3, 4e-4, 0.0, 0.0]])
     phi = rng.uniform(0.0, 2 * np.pi, theta.size)
-    _, _, _, htt, htp, hpp, ng = correlations._sphere_terms(ch, gamma, theta, phi, "hessian")
+    _, _, _, htt, htp, hpp, ng = correlations._sphere_terms(
+        correlations._outcome_form(ch, gamma), theta, phi, "hessian"
+    )
     for d in ([1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]):
         want = d[0] ** 2 * htt + 2.0 * d[0] * d[1] * htp + d[1] ** 2 * hpp - ng
         coarse = np.abs(great_circle_second_difference(ch, gamma, theta, phi, d, 1e-2) - want)
@@ -888,14 +949,17 @@ def test_sphere_terms_gradient_matches_the_chart_gradient(rho):
     ch, gamma = channel_of(rho)
     rng = np.random.default_rng(8)
     theta, phi = rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2 * np.pi, 40)
-    _, g_th, g_ph, *_ = correlations._sphere_terms(ch, gamma, theta, phi, "hessian")
+    _, g_th, g_ph, *_ = correlations._sphere_terms(correlations._outcome_form(ch, gamma), theta, phi, "hessian")
     for want in ("entropy", "gradient"):
-        assert np.array_equal(np.array([g_th, g_ph]), correlations._sphere_terms(ch, gamma, theta, phi, want)[1:])
+        assert np.array_equal(
+            np.array([g_th, g_ph]),
+            correlations._sphere_terms(correlations._outcome_form(ch, gamma), theta, phi, want)[1:],
+        )
     _, want_th, want_ph = reference_chart_terms(ch, gamma, theta, phi)
     assert_allclose(g_th, want_th, rtol=0, atol=1e-13)
     assert_allclose(np.sin(theta) * g_ph, want_ph, rtol=0, atol=1e-13)
     pole = np.zeros_like(phi)
-    _, g_th, g_ph, *_ = correlations._sphere_terms(ch, gamma, pole, phi, "hessian")
+    _, g_th, g_ph, *_ = correlations._sphere_terms(correlations._outcome_form(ch, gamma), pole, phi, "hessian")
     assert_allclose(g_th, reference_chart_terms(ch, gamma, pole, phi)[1], rtol=0, atol=1e-13)
     assert_allclose(g_ph, reference_chart_terms(ch, gamma, pole, phi + np.pi / 2)[1], rtol=0, atol=1e-13)
 

@@ -20,9 +20,9 @@ def count_gradient_calls(monkeypatch):
     calls = []
     terms = correlations._sphere_terms
 
-    def counted(ch, gamma, theta, phi, want):
+    def counted(form, theta, phi, want):
         calls.append(np.broadcast(theta, phi).size)
-        return terms(ch, gamma, theta, phi, want)
+        return terms(form, theta, phi, want)
 
     monkeypatch.setattr(correlations, "_sphere_terms", counted)
     return calls
@@ -114,12 +114,12 @@ def reference_conditional_entropy_direct(rho, theta, phi):
 def ungated_universal_candidates(ch, gamma):
     """``correlations.universal_candidates`` with every sign-change bracket of
     the equatorial dJ/dphi scan bisected, whatever dJ/dtheta is there."""
-    sa = correlations.output_marginal_entropy(ch, gamma)
+    sa, form = correlations.output_marginal_entropy(ch, gamma), correlations._outcome_form(ch, gamma)
     # one kernel call scans the equator and evaluates the pole (0, 0), where
     # the frame is (e_x, e_y), as its last point
     phis = np.linspace(0.0, np.pi, 1441)
     ce, gt, g = correlations._sphere_terms(
-        ch, gamma, np.append(np.full_like(phis, np.pi / 2), 0.0), np.append(phis, 0.0), "entropy"
+        form, np.append(np.full_like(phis, np.pi / 2), 0.0), np.append(phis, 0.0), "entropy"
     )
     a, b, g = float(gt[-1]), float(g[-1]), g[:-1]
     phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
@@ -136,7 +136,7 @@ def ungated_universal_candidates(ch, gamma):
         return correlations.grad_objective(ch, gamma, np.full_like(phi, np.pi / 2), phi)[1]
 
     roots = np.zeros(1) if np.max(np.abs(g)) < 1e-12 else correlations._bisect_roots(dphi, phis, g)
-    return correlations._merge(ch, gamma, sa, np.full_like(roots, np.pi / 2), roots, [polar])
+    return correlations._merge(form, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
 
 def same_points(got, want):
