@@ -14,8 +14,10 @@ from .qmat import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    DensityState,
     binary_entropy,
     check_density_matrix,
+    density_state,
     herm_eig,
     partial_trace_a,
     partial_trace_b,

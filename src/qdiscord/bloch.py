@@ -166,9 +166,24 @@ def normalize_angles(theta, phi):
     The pairs (theta, phi) and (pi - theta, phi + pi) label the same
     measurement with outcomes swapped; the canonical member has
     theta in [0, pi/2] (and phi in [0, pi) when theta = pi/2).  Arrays fold
-    elementwise; scalars come back as floats.  A non-finite angle raises
-    ValueError.
+    elementwise; scalars come back as floats, by the same arithmetic on
+    floats.  A non-finite angle raises ValueError.
     """
+    if np.ndim(theta) == 0 and np.ndim(phi) == 0:
+        theta, phi = float(theta), float(phi)
+        if not (abs(theta) < np.inf and abs(phi) < np.inf):
+            raise ValueError("measurement angles must be finite")
+        theta %= 2 * np.pi
+        over = theta > np.pi
+        if over:
+            theta = 2 * np.pi - theta
+        flip = theta > np.pi / 2 + 1e-12
+        if flip:
+            theta = np.pi - theta
+        phi = (phi + np.pi * over + np.pi * flip) % (2 * np.pi)
+        if abs(theta - np.pi / 2) <= 1e-12:
+            phi %= np.pi
+        return theta, 0.0 if theta <= 1e-15 else phi
     theta, phi = finite_angles(theta, phi)
     theta = theta % (2 * np.pi)
     over = theta > np.pi
@@ -177,10 +192,7 @@ def normalize_angles(theta, phi):
     theta = np.where(flip, np.pi - theta, theta)
     phi = (phi + np.pi * over + np.pi * flip) % (2 * np.pi)
     phi = np.where(np.abs(theta - np.pi / 2) <= 1e-12, phi % np.pi, phi)
-    phi = np.where(theta <= 1e-15, 0.0, phi)
-    if theta.ndim == 0:
-        return float(theta), float(phi)
-    return theta, phi
+    return theta, np.where(theta <= 1e-15, 0.0, phi)
 
 
 def measurement_distance(a1, a2):

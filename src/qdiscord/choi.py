@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import I2, check_density_matrix, dagger, frobenius, herm_eig, partial_trace_a, tensor
+from .qmat import I2, dagger, density_state, frobenius, herm_eig, tensor
 
 #: Marginal eigenvalues at or below this are treated as a singular marginal.
 RANK_TOL = 1e-8
@@ -102,7 +102,9 @@ class CJDecomposition:
 
 def rotate_b(rho, v):
     """Conjugate a two-qubit state by I (x) v."""
-    u = tensor(I2, np.asarray(v, dtype=complex))
+    # I (x) v is block diagonal: cheaper built so than by np.kron, same entries
+    u = np.zeros((4, 4), dtype=complex)
+    u[:2, :2] = u[2:, 2:] = v
     return u @ np.asarray(rho, dtype=complex) @ dagger(u)
 
 
@@ -111,8 +113,9 @@ def decompose(rho):
 
     Parameters
     ----------
-    rho : array_like
-        Valid two-qubit density matrix.
+    rho : array_like or DensityState
+        Valid two-qubit density matrix; a :class:`qdiscord.qmat.DensityState`
+        lends its validation and the eigendecomposition of its b marginal.
 
     Returns
     -------
@@ -124,9 +127,8 @@ def decompose(rho):
         If the smaller eigenvalue of the b marginal is <= :data:`RANK_TOL`; the
         state is then a product with a pure b factor and carries no channel.
     """
-    rho = check_density_matrix(rho)
-    rho_b = partial_trace_a(rho)
-    bvals, bvecs = herm_eig(rho_b)
+    state = density_state(rho)
+    bvals, bvecs = state.b_vals, state.b_vecs
     if bvals[-1] <= RANK_TOL:
         raise SingularMarginalError(
             f"marginal eigenvalue {bvals[-1]:.3e} <= {RANK_TOL:.1e}; "
@@ -134,7 +136,7 @@ def decompose(rho):
         )
     # rotate b so its marginal is diag(cos^2(g/2), sin^2(g/2)), larger first
     v = dagger(bvecs)
-    rho_rot = rotate_b(rho, v)
+    rho_rot = rotate_b(state.rho, v)
     half = np.arccos(min(1.0, np.sqrt(bvals[0])))
     gamma = 2.0 * half
     omega = np.diag([np.cos(half), np.sin(half)]).astype(complex)

@@ -20,6 +20,11 @@ one damped-Newton batch for the rest; on the direct path, a brute-force
 grid oracle with a zoom refinement: a 13 x 13 patch of angles around the
 best point, shrunk 6x a round, which stops once a patch that would shrink
 is flat to rounding (its values span 4 eps or less).
+
+Each public function here that takes a state validates it as a
+:class:`qdiscord.qmat.DensityState`, and passes that on: one
+:func:`discord` call validates rho once and diagonalises rho_b once, and
+every layer below it reads those results instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -31,13 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bloch, choi
-from .qmat import (
-    binary_entropy_arr,
-    check_density_matrix,
-    partial_trace_a,
-    partial_trace_b,
-    von_neumann_entropy,
-)
+from .qmat import binary_entropy_arr, density_state, partial_trace_b, spectrum_entropy, von_neumann_entropy
 
 LN2 = np.log(2.0)
 #: Purities this close to 1 are clamped inside logarithms.
@@ -125,12 +124,13 @@ class DiscordReport:
 
 
 def mutual_information(rho):
-    """S(rho_a) + S(rho_b) - S(rho_ab), in bits."""
-    rho = check_density_matrix(rho)
+    """S(rho_a) + S(rho_b) - S(rho_ab), in bits; S(rho_b) and S(rho_ab) from
+    the spectra of the state's :class:`qdiscord.qmat.DensityState`."""
+    state = density_state(rho)
     return float(
-        von_neumann_entropy(partial_trace_b(rho))
-        + von_neumann_entropy(partial_trace_a(rho))
-        - von_neumann_entropy(rho)
+        von_neumann_entropy(partial_trace_b(state.rho))
+        + spectrum_entropy(state.b_vals)
+        - spectrum_entropy(state.spectrum)
     )
 
 
@@ -588,8 +588,8 @@ def find_stationary_points(ch, gamma):
     th_scan, ph_scan = _landscape_grid()
     ce_scan, gt_scan, gp_scan = _sphere_terms(form, th_scan[:, :1], ph_scan[:1], "entropy")
     if float(np.ptp(ce_scan)) < 1e-12:
-        obj = sa - float(ce_scan.mean())
-        return [StationaryPoint(np.pi / 2, 0.0, obj, 0.0, SYMMETRIC)]
+        # the objective at the reported point, the scan's own (pi/2, 0)
+        return [StationaryPoint(np.pi / 2, 0.0, sa - float(ce_scan[-1, 0]), 0.0, SYMMETRIC)]
     if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11:
         def dtheta(theta):
             return _sphere_terms(form, theta, 0.0, "gradient")[1]
@@ -630,7 +630,8 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
     first round that would shrink the patch when its values span no more
     than 4 eps: conditional entropies are at most 1 bit, so that patch is
     flat to rounding.  Deterministic, and never below the grid maximum;
-    ties resolve to the smallest theta, then the smallest phi.
+    ties resolve to the smallest theta, then the smallest phi.  ``rho`` may
+    be a :class:`qdiscord.qmat.DensityState`; only its matrix is read.
 
     Returns
     -------
@@ -639,7 +640,7 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
         basis, canonically folded.
     """
     check_oracle_resolution(n_theta, n_phi)
-    rho = check_density_matrix(rho)
+    rho = density_state(rho).rho
     sa = von_neumann_entropy(partial_trace_b(rho))
 
     th = np.linspace(0.0, np.pi, n_theta)
@@ -699,7 +700,7 @@ def discord(rho, method="stationary", oracle_resolution=(64, 128)):
 
     Parameters
     ----------
-    rho : array_like
+    rho : array_like or DensityState
         Two-qubit density matrix.
     method : str
         ``"stationary"`` (channel decomposition + stationary-point search),
@@ -720,26 +721,34 @@ def discord(rho, method="stationary", oracle_resolution=(64, 128)):
     A state whose b marginal is numerically pure is a product state with
     zero correlations; once the method and the oracle resolution are
     checked, it short-circuits to C = I and Q = 0 without a decomposition.
+
+    One call validates ``rho`` once, as a :class:`qdiscord.qmat.DensityState`
+    (which may be passed in its place), and diagonalises rho_b once.  Every
+    later layer reads those results: the singular-marginal test and
+    :func:`choi.decompose` test the same smallest eigenvalue of rho_b; I(rho)
+    takes S(rho) from the validation's spectrum and S(rho_b) from rho_b's;
+    the decomposition's basis rotation and gamma, and the closed form's I/2
+    test, read that one eigendecomposition.
     """
     if method not in ("stationary", "oracle", "xstate_analytic"):
         raise ValueError(f"unknown method {method!r}")
     if method == "oracle":
         check_oracle_resolution(*oracle_resolution)
-    rho = check_density_matrix(rho)
-    singular = np.linalg.eigvalsh(partial_trace_a(rho)).min() <= choi.RANK_TOL
+    state = density_state(rho)
+    singular = state.b_vals[-1] <= choi.RANK_TOL
     if method == "xstate_analytic" and not singular:
         from .xstate import analytic_discord_x
 
-        return analytic_discord_x(rho)
+        return analytic_discord_x(state)
 
-    info = mutual_information(rho)
+    info = mutual_information(state)
     if singular:
         return DiscordReport(info, info, 0.0, np.pi / 2, 0.0, method)
 
     if method == "oracle":
-        corr, (theta, phi) = grid_oracle(rho, *oracle_resolution)
+        corr, (theta, phi) = grid_oracle(state, *oracle_resolution)
         return DiscordReport(info, corr, info - corr, theta, phi, method)
 
-    d = choi.decompose(rho)
+    d = choi.decompose(state)
     pts = find_stationary_points(bloch.affine_from_kraus(d.kraus), d.gamma)
     return report_from_points(info, pts, d.basis_rotation, method)

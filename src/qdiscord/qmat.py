@@ -3,6 +3,8 @@
 Everything here works on plain numpy arrays: 2x2 and 4x4 complex matrices,
 row-major, with the two-qubit basis ordered |00>, |01>, |10>, |11> (first
 factor = subsystem a, second = subsystem b).  All entropies are in bits.
+A :class:`DensityState` is a two-qubit state validated once, carrying the
+spectra that later layers read instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ def check_density_matrix(rho):
     ValueError
         If the shape is wrong or any invariant fails.
     """
+    return _validated(rho)[0]
+
+
+def _validated(rho):
+    """(rho as complex ndarray, the eigenvalues of its Hermitian part
+    ascending): the checks of :func:`check_density_matrix`, which keep the
+    spectrum the positivity check computes."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
@@ -70,10 +79,43 @@ def check_density_matrix(rho):
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) >= HERM_TOL:
         raise ValueError(f"matrix trace is {tr.real:.12f}, expected 1")
-    lo = float(np.linalg.eigvalsh((rho + dagger(rho)) / 2).min())
+    spectrum = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
+    lo = float(spectrum.min())
     if lo < PSD_TOL:
         raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {lo:.3e})")
-    return rho
+    return rho, spectrum
+
+
+class DensityState:
+    """A two-qubit density matrix validated once, with the spectra that
+    every layer of a discord solve reads.
+
+    ``DensityState(rho)`` runs the checks of :func:`check_density_matrix`
+    (ValueError as there) and keeps these arrays, read-only:
+
+    * ``rho``, a copy of the matrix, dtype complex;
+    * ``spectrum``, the eigenvalues of its Hermitian part, ascending: the
+      ones the positivity check computes, and those of S(rho);
+    * ``b_vals`` and ``b_vecs``, the :func:`herm_eig` of the b marginal
+      rho_b: its rank test, S(rho_b) and the channel decomposition's basis
+      rotation all read this one eigendecomposition.
+
+    ``discord``, ``mutual_information``, ``grid_oracle``, ``decompose`` and
+    ``analytic_discord_x`` accept one in place of the matrix, and then skip
+    the checks it has passed.
+    """
+
+    def __init__(self, rho):
+        rho, self.spectrum = _validated(rho)
+        self.rho = rho.copy()
+        self.b_vals, self.b_vecs = herm_eig(partial_trace_a(self.rho))
+        for arr in (self.rho, self.spectrum, self.b_vals, self.b_vecs):
+            arr.flags.writeable = False
+
+
+def density_state(rho):
+    """``rho`` as a :class:`DensityState`: validated unless it is one already."""
+    return rho if isinstance(rho, DensityState) else DensityState(rho)
 
 
 def partial_trace_a(rho):
@@ -121,7 +163,13 @@ def von_neumann_entropy(rho):
     with unit trace (the trace is the caller's responsibility).
     """
     rho = np.asarray(rho, dtype=complex)
-    vals = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
+    return spectrum_entropy(np.linalg.eigvalsh((rho + dagger(rho)) / 2))
+
+
+def spectrum_entropy(vals):
+    """-sum v log2 v over the eigenvalues ``vals`` of a density matrix, in
+    bits, clamped and checked as in :func:`von_neumann_entropy`."""
+    vals = np.asarray(vals, dtype=float)
     if not vals.min() >= PSD_TOL:
         raise ValueError(f"smallest eigenvalue {vals.min():.3e} is NaN or a negative eigenvalue below tolerance")
     vals = np.clip(vals, 0.0, None)

@@ -31,7 +31,7 @@ from .correlations import (
     output_marginal_entropy,
     report_from_points,
 )
-from .qmat import binary_entropy, check_density_matrix, partial_trace_a
+from .qmat import binary_entropy, density_state
 
 #: Absolute magnitude below which an off-pattern entry still counts as zero.
 X_PATTERN_TOL = 1e-10
@@ -178,16 +178,17 @@ def analytic_discord_x(rho):
     * polar: s' = |c_z + eta_zz|, t' = |c_z - eta_zz| at theta = 0.
 
     Tied candidates resolve as in :func:`qdiscord.correlations.discord`: to
-    the polar one, the smaller theta.
+    the polar one, the smaller theta.  ``rho`` may be a
+    :class:`qdiscord.qmat.DensityState`, whose b-marginal spectrum the I/2
+    test reads and which the decomposition and I(rho) share.
     """
-    rho = check_density_matrix(rho)
-    if not is_x_state(rho):
+    state = density_state(rho)
+    if not is_x_state(state.rho):
         raise NotApplicableError("state does not have the X entry pattern")
-    bvals = np.linalg.eigvalsh(partial_trace_a(rho))
-    if abs(bvals[1] - bvals[0]) >= 1e-10:
+    if abs(state.b_vals[0] - state.b_vals[1]) >= 1e-10:
         raise NotApplicableError("b marginal is not maximally mixed")
 
-    d = choi.decompose(rho)
+    d = choi.decompose(state)
     ch = bloch.affine_from_kraus(d.kraus)
     params = x_params(ch)
     if not universal_sufficient(params):
@@ -195,7 +196,7 @@ def analytic_discord_x(rho):
             f"shape parameter k = {params.k:.6f} lies in the gap (-1, -2/3)"
         )
 
-    info = mutual_information(rho)
+    info = mutual_information(state)
     sa = output_marginal_entropy(ch, d.gamma)
 
     s_eq = np.sqrt(max(params.a, 0.0))

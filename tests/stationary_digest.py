@@ -1,17 +1,21 @@
-"""Print a SHA-256 digest of the stationary solver's output on a fixed corpus.
+"""Print a SHA-256 digest of the discord solvers' output on a fixed corpus.
 
 Run from the repository root with the package on the path:
 
     PYTHONPATH=src python tests/stationary_digest.py
 
 Each corpus group prints one line: its name, its state count and a SHA-256
-over every state's ``DiscordReport`` fields (method "stationary"), the
-fields of each of its ``StationaryPoint`` and its ``index_sum``, floats by
-their round-trip ``repr``.  Two commits that print the same lines give the
-same answers bit for bit on these states.  The last bits of a float depend
-on the numpy build and on how BLAS runs a matmul, so compare logs made on
-one machine, with one numpy, with BLAS at one thread
-(``OPENBLAS_NUM_THREADS=1``).
+over every state's ``DiscordReport`` fields, the fields of each of its
+``StationaryPoint`` and, for the stationary method, its ``index_sum``,
+floats by their round-trip ``repr``; a state the method refuses records
+the error instead.  Five groups run the stationary method; the group
+``closed_form`` runs ``xstate_analytic`` on the ``x_state`` and
+``bell_diagonal`` states, and ``random_state_oracle`` runs the grid oracle
+on the first 50 ``random_state`` states.  Two commits that print the same
+lines give the same answers bit for bit on these states, by all three
+methods.  The last bits of a float depend on the numpy build and on how
+BLAS runs a matmul, so compare logs made on one machine, with one numpy,
+with BLAS at one thread (``OPENBLAS_NUM_THREADS=1``).
 
 The name does not start with ``test_``, so pytest does not collect it.
 """
@@ -47,25 +51,30 @@ def near_singular_band(n=150, seed=2):
 
 
 def corpus():
-    """(group name, states) of the digest, in a fixed order."""
+    """(group name, discord method, states) of the digest, in a fixed order."""
     rng = np.random.default_rng(0)
-    yield "random_state", [random_state(s, 2 + s % 3) for s in range(300)]
-    yield "x_state", [random_x_maximally_mixed(rng) for _ in range(100)]
-    yield "bell_diagonal", [bell_diagonal(*feasible_bell_triple(rng)) for _ in range(100)]
-    yield "tied_bell_and_lu", [bell_diagonal(*c) for c in TIED_BELL] + [lu_state()]
-    yield "near_singular_band", list(near_singular_band())
+    randoms = [random_state(s, 2 + s % 3) for s in range(300)]
+    xs = [random_x_maximally_mixed(rng) for _ in range(100)]
+    bells = [bell_diagonal(*feasible_bell_triple(rng)) for _ in range(100)]
+    yield "random_state", "stationary", randoms
+    yield "x_state", "stationary", xs
+    yield "bell_diagonal", "stationary", bells
+    yield "tied_bell_and_lu", "stationary", [bell_diagonal(*c) for c in TIED_BELL] + [lu_state()]
+    yield "near_singular_band", "stationary", list(near_singular_band())
+    yield "closed_form", "xstate_analytic", xs + bells
+    yield "random_state_oracle", "oracle", randoms[:50]
 
 
-def solve_record(rho):
+def solve_record(rho, method):
     """The text of one state's report, stationary points and index sum."""
     try:
-        rep = discord(rho, method="stationary")
+        rep = discord(rho, method=method)
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}\n"
     head = (rep.mutual_info, rep.classical_corr, rep.discord, rep.theta, rep.phi, rep.method)
     rows = [repr((q.kind, q.critical, q.theta, q.phi, q.objective, q.grad_norm)) for q in rep.stationary_points]
     total = None
-    if rep.stationary_points:
+    if rep.stationary_points and method == "stationary":
         d = decompose(rho)
         total = index_sum(affine_from_kraus(d.kraus), d.gamma, rep.stationary_points)
     return "\n".join([repr(head), *rows, repr(total)]) + "\n"
@@ -73,10 +82,10 @@ def solve_record(rho):
 
 def main():
     t0 = time.perf_counter()
-    for name, states in corpus():
+    for name, method, states in corpus():
         digest = hashlib.sha256()
         for rho in states:
-            digest.update(solve_record(rho).encode())
+            digest.update(solve_record(rho, method).encode())
         print(f"{name:<20} {len(states):4d} {digest.hexdigest()}")
     print(f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)
 

@@ -319,6 +319,28 @@ def test_folded_polar_angles_differ_by_at_most_the_measurement_distance(t1, p1, 
     assert abs(a[0] - b[0]) <= measurement_distance(a, b) + 2e-12 + 4 * np.finfo(float).eps
 
 
+def float_bits(x):
+    """A float's exact value, the sign of zero included."""
+    return float(x).hex()
+
+
+#: Angles at the folds of normalize_angles, and any others.
+FOLD_ANGLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-16, 1e-15, np.pi / 2 - 1e-12, np.pi / 2 + 1e-12, np.pi / 2, np.pi, 2 * np.pi]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(theta=FOLD_ANGLE, phi=FOLD_ANGLE)
+def test_normalize_angles_folds_a_scalar_pair_as_the_array_path_does(theta, phi):
+    # scalars take a path of their own, on floats: the same arithmetic, bit for bit
+    scalar = normalize_angles(theta, phi)
+    arrays = normalize_angles(np.array([theta]), np.array([phi]))
+    assert all(type(x) is float for x in scalar)
+    assert [float_bits(x) for x in scalar] == [float_bits(x[0]) for x in arrays]
+
+
 def test_angle_helpers_accept_arrays():
     rng = np.random.default_rng(10)
     th = rng.uniform(-1.0, 2 * np.pi + 1.0, 50)

@@ -14,7 +14,7 @@ from qdiscord.choi import (
     sandwich_identity_check,
     vectorize,
 )
-from qdiscord.qmat import I2, I4, SIGMA_X, SIGMA_Y, dagger, herm_eig, partial_trace_a, partial_trace_b
+from qdiscord.qmat import I2, I4, SIGMA_X, SIGMA_Y, dagger, herm_eig, partial_trace_a, partial_trace_b, tensor
 from qdiscord.states import lu_state, random_state, werner
 from util import random_unitary
 
@@ -109,6 +109,15 @@ def test_marginal_transpose_identity():
         rho_rot = rotate_b(rho, d.basis_rotation)
         acc = sum(l * (dagger(g) @ g) for l, g in zip(d.lambdas, d.gamma_ops))
         assert np.linalg.norm(acc - partial_trace_a(rho_rot).T) < 1e-10
+
+
+def test_rotate_b_conjugates_by_the_kronecker_product():
+    # rotate_b builds I (x) v block by block; the Kronecker product gives the same entries
+    rng = np.random.default_rng(12)
+    for seed in range(10):
+        rho, v = random_state(seed), random_unitary(rng)
+        u = tensor(I2, v)
+        np.testing.assert_array_equal(rotate_b(rho, v), u @ rho @ dagger(u))
 
 
 def test_apply_channel_identity():

@@ -1,5 +1,6 @@
 import functools
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qdiscord import bloch, choi, correlations
+from qdiscord import bloch, choi, correlations, qmat
 from qdiscord.bloch import affine_from_kraus
 from qdiscord.choi import KrausSet, decompose, rotate_b
 from qdiscord.correlations import (
@@ -30,7 +31,7 @@ from qdiscord.correlations import (
     report_from_points,
     universal_candidates,
 )
-from qdiscord.qmat import I2, I4, binary_entropy, partial_trace_a, partial_trace_b, von_neumann_entropy
+from qdiscord.qmat import I2, I4, binary_entropy, herm_eig, partial_trace_a, partial_trace_b, von_neumann_entropy
 from qdiscord.states import bell_diagonal, lu_state, random_state, werner
 from util import (
     brute_conditional_entropy,
@@ -237,6 +238,20 @@ def test_find_stationary_points_flat_objective():
     assert pts[0].theta == np.pi / 2 and pts[0].phi == 0.0
 
 
+def test_flat_landscape_reports_its_objective_at_the_reported_point(monkeypatch):
+    # the flat branch once reported S(rho_a) minus the mean of the scan, a
+    # mean of rounding noise that depends on the grid: on 13 x 25 the
+    # product state's Q came out at -1.1e-16
+    monkeypatch.setattr(correlations, "SEED_GRID", (13, 25))
+    correlations._landscape_grid.cache_clear()
+    try:
+        rep = discord(product_state())
+    finally:
+        correlations._landscape_grid.cache_clear()
+    assert len(rep.stationary_points) == 1
+    assert rep.discord >= 0.0
+
+
 def test_grid_oracle_product_state():
     corr, _ = grid_oracle(product_state())
     assert abs(corr) < 1e-9
@@ -295,6 +310,68 @@ def test_discord_singular_marginal_shortcut():
     assert rep.discord == 0.0
     assert rep.classical_corr == rep.mutual_info
     assert abs(rep.mutual_info) < 1e-10
+
+
+#: A state whose b marginal's smaller eigenvalue is within 1e-17 of
+#: choi.RANK_TOL: eigvalsh of the unsymmetrised rho_b puts it above, herm_eig
+#: of the symmetrised one below.  The draw at index 28 of: rng =
+#: default_rng(5); lam = 1e-8 (1 + U(-4e-9, 4e-9)); q from the QR of a complex
+#: 2 x 2 Gaussian; rho = kron(diag(.3, .7), q diag(1 - lam, lam) q^+).
+RANK_TOL_EDGE = np.array(
+    [
+        [0.10833614908139709 + 1.4462403928106594e-18j, 0.12213587567610193 + 0.07646535489660798j, 0j, 0j],
+        [0.12213587567610192 - 0.07646535489660797j, 0.1916638509186029 + 1.2522254711181356e-18j, 0j, 0j],
+        [0j, 0j, 0.2527843478565932 + 3.374560916558205e-18j, 0.2849837099109045 + 0.17841916142541864j],
+        [0j, 0j, 0.28498370991090444 - 0.17841916142541858j, 0.44721565214340675 + 2.921859432608983e-18j],
+    ]
+)
+
+
+def test_discord_short_circuits_a_marginal_at_the_rank_tolerance():
+    # discord() once tested the rank with eigvalsh of the unsymmetrised rho_b
+    # and decompose() with herm_eig of the symmetrised one; on this state they
+    # disagree, and discord() raised SingularMarginalError on a valid state
+    b = partial_trace_a(RANK_TOL_EDGE)
+    assert np.linalg.eigvalsh(b)[0] > choi.RANK_TOL >= herm_eig(b)[0][-1]
+    with pytest.raises(choi.SingularMarginalError):
+        decompose(RANK_TOL_EDGE)
+    for method in ("stationary", "oracle", "xstate_analytic"):
+        rep = discord(RANK_TOL_EDGE, method=method)
+        assert rep.discord == 0.0 and rep.classical_corr == rep.mutual_info
+
+
+#: Validations of rho, eigvalsh calls and eigh calls one discord() call may
+#: make.  One validation gives the spectrum of S(rho) and one herm_eig of
+#: rho_b serves the rank test, S(rho_b) and the basis rotation; eigvalsh's
+#: other call is S(rho_a) (the oracle takes its own), and eigh's the rotated
+#: state of the decomposition (the closed form adds maximize_f's Gram matrix).
+@pytest.mark.parametrize(
+    "method, rho, budget",
+    [
+        ("stationary", lu_state(), (1, 2, 2)),
+        ("oracle", lu_state(), (1, 3, 1)),
+        ("xstate_analytic", bell_diagonal(0.7, -0.5, 0.3), (1, 2, 3)),
+        ("stationary", SINGULAR_B_MARGINAL, (1, 2, 1)),
+    ],
+    ids=["stationary", "oracle", "xstate_analytic", "singular"],
+)
+def test_linear_algebra_budget_per_solve(monkeypatch, method, rho, budget):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # check_density_matrix and DensityState both validate through qmat._validated
+    monkeypatch.setattr(qmat, "_validated", counted("validate", qmat._validated))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    discord(rho, method=method)
+    assert calls["validate"] == budget[0]
+    assert 0 < calls["eigvalsh"] <= budget[1] and calls["eigh"] <= budget[2]
 
 
 def test_discord_unknown_method():
