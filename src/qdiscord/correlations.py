@@ -41,11 +41,13 @@ from .qmat import binary_entropy_arr, density_state, partial_trace_b, spectrum_e
 LN2 = np.log(2.0)
 #: Purities this close to 1 are clamped inside logarithms.
 SATURATION_CLAMP = 1e-12
-#: Scaled gradient norm required of a reported stationary point.
+#: Scaled gradient norm required of a reported stationary point, times the solve's :func:`_tolerance_scale`.
 STATIONARY_TOL = 1e-7
-#: Raw gradient norm below which a Newton start counts as a root; a start
+#: Raw gradient norm below which a Newton start counts as a root, times the solve's scale; a start
 #: below it stops at its first step that does not lower the norm.
 NEWTON_TOL = 1e-10
+#: Landscape gradient norm from which a solve's zero-gradient tolerances are not scaled down.
+GRAD_REF = 1e-2
 #: Landscape grid of the objective and gradient scans, points per axis:
 #: theta in [0, pi/2] and phi in [0, 2 pi], ends included.
 SEED_GRID = (25, 49)
@@ -352,17 +354,18 @@ def _classify(theta):
     return STATE_DEPENDENT
 
 
-def _merge(form, sa, theta, phi, kept=()):
+def _merge(form, sa, theta, phi, kept=(), scale=1.0):
     """``kept`` followed by the stationary points at the roots (theta, phi).
 
     Roots are folded to canonical angles; one channel-path call then gives
-    the gradient that verifies them (scaled norm below STATIONARY_TOL) and
-    the objective that scores them.  A root within MERGE_TOL (measurement
-    distance) of a ``critical`` point in ``kept``, or of a better converged
-    root (smaller gradient norm), is dropped: one call measures the distances
-    from the critical kept points and from every root to every root.  The
-    survivors come in (theta, phi) order, classified by their polar angle;
-    ``form`` is the channel's :func:`_outcome_form`, ``sa`` is S(rho_a).
+    the gradient that verifies them (scaled norm below STATIONARY_TOL times
+    ``scale``, the solve's :func:`_tolerance_scale`) and the objective that
+    scores them.  A root within MERGE_TOL (measurement distance) of a
+    ``critical`` point in ``kept``, or of a better converged root (smaller
+    gradient norm), is dropped: one call measures the distances from the
+    critical kept points and from every root to every root.  The survivors
+    come in (theta, phi) order, classified by their polar angle; ``form`` is
+    the channel's :func:`_outcome_form`, ``sa`` is S(rho_a).
     """
     if not np.size(theta):
         return list(kept)
@@ -375,7 +378,7 @@ def _merge(form, sa, theta, phi, kept=()):
     crit = np.array([(q.theta, q.phi) for q in kept if q.critical]).reshape(-1, 2)
     rows = np.concatenate([crit, np.stack([th, ph], axis=1)])
     near = bloch.measurement_distance((rows[:, :1], rows[:, 1:]), (th, ph)) < MERGE_TOL
-    free = (gn < STATIONARY_TOL) & ~np.any(near[: len(crit)], axis=0)
+    free = (gn < STATIONARY_TOL * scale) & ~np.any(near[: len(crit)], axis=0)
     take = []
     for r in np.argsort(gn, kind="stable"):
         if free[r]:
@@ -392,18 +395,22 @@ def universal_candidates(ch, gamma):
 
     Returns the polar candidate theta = 0, unverified, and the equatorial
     candidates theta = pi/2 at every azimuth where dJ/dphi vanishes, each
-    verified with scaled gradient norm below 1e-7.  No such root can lie
-    in a bracket where dJ/dtheta keeps one sign and exceeds STATIONARY_TOL
-    + d2 at both ends, d2 the larger |second difference| of dJ/dtheta there
-    (8x its chord's error bound), so those are not bisected.  The polar
-    candidate solves the (theta, phi) equations by construction, so its
-    ``grad_norm`` is ~0 whatever the state; it is ``critical`` only when the
-    pole is a critical point of J on the sphere, that is when hypot(A, B) is
-    below STATIONARY_TOL.  A, B and its objective (at theta = 0, J does not
-    depend on phi) come from the frame (e_x, e_y) at the one point (0, 0).
+    verified with scaled gradient norm below tol = STATIONARY_TOL (1e-7;
+    :func:`find_stationary_points` scales it).  No such root can lie in a
+    bracket where dJ/dtheta keeps one sign and exceeds tol + d2 at both
+    ends, d2 the larger |second difference| of dJ/dtheta there (8x its
+    chord's error bound), so those are not bisected.  The polar candidate
+    solves the (theta, phi) equations by construction, so its ``grad_norm``
+    is ~0 whatever the state; it is ``critical`` only when the pole is a
+    critical point of J on the sphere, that is when hypot(A, B) is below
+    tol.  A, B and its objective (at theta = 0, J does not depend on phi)
+    come from the frame (e_x, e_y) at the one point (0, 0).
     """
-    sa, form = output_marginal_entropy(ch, gamma), _outcome_form(ch, gamma)
+    return _universal_candidates(_outcome_form(ch, gamma), output_marginal_entropy(ch, gamma), 1.0)
 
+
+def _universal_candidates(form, sa, scale):
+    """:func:`universal_candidates` at tol = STATIONARY_TOL * ``scale``; ``form`` and ``sa`` as in :func:`_merge`."""
     # equatorial candidates: zeros of dJ/dphi along theta = pi/2, where it
     # is the frame component itself
     def dphi(phi):
@@ -420,16 +427,16 @@ def universal_candidates(ch, gamma):
     # azimuth is kept as found: folding would reset it to 0.
     phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
     g0 = a * np.cos(phi0) + b * np.sin(phi0)
-    polar = StationaryPoint(0.0, phi0, sa - ce, abs(g0), ASYMMETRIC, bool(np.hypot(a, b) < STATIONARY_TOL))
+    polar = StationaryPoint(0.0, phi0, sa - ce, abs(g0), ASYMMETRIC, bool(np.hypot(a, b) < STATIONARY_TOL * scale))
 
     d2, ag = np.abs(np.diff(np.concatenate([gt[:1], gt, gt[-1:]]), 2)), np.abs(gt)
-    clear = np.minimum(ag[:-1], ag[1:]) > STATIONARY_TOL + np.maximum(d2[:-1], d2[1:])
+    clear = np.minimum(ag[:-1], ag[1:]) > STATIONARY_TOL * scale + np.maximum(d2[:-1], d2[1:])
     brackets = ~((gt[:-1] * gt[1:] > 0.0) & clear)
     roots = np.zeros(1) if np.max(np.abs(gp)) < 1e-12 else _bisect_roots(dphi, phis, gp, brackets)
-    return _merge(form, sa, np.full_like(roots, np.pi / 2), roots, [polar])
+    return _merge(form, sa, np.full_like(roots, np.pi / 2), roots, [polar], scale)
 
 
-def _newton_batch(form, th0, ph0):
+def _newton_batch(form, th0, ph0, scale=1.0):
     """Damped Newton on the sphere from many starts, batched over the
     starts still iterating; returns the roots, in start order.
 
@@ -440,13 +447,13 @@ def _newton_batch(form, th0, ph0):
     step factor per start, 1 at first.  A trial that lowers the
     gradient norm is taken with its Hessian and resets alpha to 1; otherwise
     alpha halves (backtracking, Nocedal & Wright, Numerical Optimization,
-    2006, sec. 3.1), or the start stops once its norm is below NEWTON_TOL.
-    A start also stops when its Hessian is singular or not finite, or its
-    trial point is its current point, and after NEWTON_MAX_ITER iterations,
-    halvings included.  It is a root if its norm is then below NEWTON_TOL,
-    so a root does not depend on which start reached it.
+    2006, sec. 3.1), or the start stops once its norm is below tol =
+    NEWTON_TOL * ``scale`` (under the merge's tolerance).  A start also stops
+    when its Hessian is singular or not finite, or its trial point is its
+    current point, and after NEWTON_MAX_ITER iterations, halvings included.
+    It is a root if its norm is then below tol, so a root does not depend on which start reached it.
     """
-    th, ph = np.asarray(th0, float), np.asarray(ph0, float)
+    th, ph, tol = np.asarray(th0, float), np.asarray(ph0, float), NEWTON_TOL * scale
     # one column per start: theta, phi, the gradient norm and the kernel's terms
     state = np.array((th, ph, th, *_sphere_terms(form, th, ph, "hessian")[1:]))
     state[2] = np.hypot(state[3], state[4])
@@ -478,9 +485,9 @@ def _newton_batch(form, th0, ph0):
         lower = trial[2] < norm
         state[:, live[lower]] = trial[:, lower]
         alpha[live] = np.where(lower, 1.0, 0.5 * a)
-        live = live[lower | (norm >= NEWTON_TOL)]
+        live = live[lower | (norm >= tol)]
 
-    root = state[2] < NEWTON_TOL
+    root = state[2] < tol
     return state[0, root], state[1, root]
 
 
@@ -556,6 +563,11 @@ def _landscape_seeds(th, ph, grad):
     return t[t > 0.0], p[t > 0.0]
 
 
+def _tolerance_scale(th, gt, gp):
+    """min(1, G / GRAD_REF), G the largest :func:`_merge` gradient norm of a scan at theta ``th`` (kernel terms)."""
+    return min(1.0, float(np.max(np.hypot(gt, np.sin(th) * (np.sin(th) * gp)))) / GRAD_REF)
+
+
 def find_stationary_points(ch, gamma):
     """All stationary points of J: the universal candidates plus the roots
     found between them.
@@ -581,7 +593,8 @@ def find_stationary_points(ch, gamma):
 
     Either way the roots go through one :func:`_merge` against
     :func:`universal_candidates`: folded, merged within an angle of 1e-5,
-    verified to scaled gradient norm < 1e-7 and classified, in one call.
+    verified to scaled gradient norm < 1e-7 s and classified, in one call:
+    s = :func:`_tolerance_scale` of the scan, 1 unless J is nearly flat.
     """
     sa, form = output_marginal_entropy(ch, gamma), _outcome_form(ch, gamma)
 
@@ -590,6 +603,7 @@ def find_stationary_points(ch, gamma):
     if float(np.ptp(ce_scan)) < 1e-12:
         # the objective at the reported point, the scan's own (pi/2, 0)
         return [StationaryPoint(np.pi / 2, 0.0, sa - float(ce_scan[-1, 0]), 0.0, SYMMETRIC)]
+    scale = _tolerance_scale(th_scan[:, :1], gt_scan, gp_scan)
     if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11:
         def dtheta(theta):
             return _sphere_terms(form, theta, 0.0, "gradient")[1]
@@ -600,8 +614,8 @@ def find_stationary_points(ch, gamma):
     else:
         th, ph = _landscape_seeds(th_scan, ph_scan, (gt_scan, np.sin(th_scan[:, :1]) * gp_scan))
         k = int(np.argmin(ce_scan))
-        th, ph = _newton_batch(form, np.append(th, th_scan.flat[k]), np.append(ph, ph_scan.flat[k]))
-    return sorted(_merge(form, sa, th, ph, universal_candidates(ch, gamma)), key=_point_key)
+        th, ph = _newton_batch(form, np.append(th, th_scan.flat[k]), np.append(ph, ph_scan.flat[k]), scale)
+    return sorted(_merge(form, sa, th, ph, _universal_candidates(form, sa, scale), scale), key=_point_key)
 
 
 # ---------------------------------------------------------------------------

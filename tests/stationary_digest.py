@@ -17,6 +17,11 @@ methods.  The last bits of a float depend on the numpy build and on how
 BLAS runs a matmul, so compare logs made on one machine, with one numpy,
 with BLAS at one thread (``OPENBLAS_NUM_THREADS=1``).
 
+After the digest lines, standard error gets the cost of the
+``near_singular_band`` group, which varies from run to run: the median and
+largest number of stationary points a state reports, and the median and
+slowest ``discord`` call, each timed once; then the total run time.
+
 The name does not start with ``test_``, so pytest does not collect it.
 """
 
@@ -66,27 +71,40 @@ def corpus():
 
 
 def solve_record(rho, method):
-    """The text of one state's report, stationary points and index sum."""
+    """The text of one state's report, stationary points and index sum, the
+    number of its points and the seconds its discord call took."""
+    t0 = time.perf_counter()
     try:
         rep = discord(rho, method=method)
     except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}\n"
+        return f"{type(exc).__name__}: {exc}\n", 0, time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
     head = (rep.mutual_info, rep.classical_corr, rep.discord, rep.theta, rep.phi, rep.method)
     rows = [repr((q.kind, q.critical, q.theta, q.phi, q.objective, q.grad_norm)) for q in rep.stationary_points]
     total = None
     if rep.stationary_points and method == "stationary":
         d = decompose(rho)
         total = index_sum(affine_from_kraus(d.kraus), d.gamma, rep.stationary_points)
-    return "\n".join([repr(head), *rows, repr(total)]) + "\n"
+    return "\n".join([repr(head), *rows, repr(total)]) + "\n", len(rows), seconds
 
 
 def main():
     t0 = time.perf_counter()
     for name, method, states in corpus():
-        digest = hashlib.sha256()
+        digest, costs = hashlib.sha256(), []
         for rho in states:
-            digest.update(solve_record(rho, method).encode())
+            text, *cost = solve_record(rho, method)
+            digest.update(text.encode())
+            costs.append(cost)
         print(f"{name:<20} {len(states):4d} {digest.hexdigest()}")
+        if name == "near_singular_band":
+            points, seconds = np.array(costs).T
+    sys.stdout.flush()
+    print(
+        f"near_singular_band points median {np.median(points):g} largest {points.max():g}, "
+        f"solve median {1e3 * np.median(seconds):.1f} ms slowest {1e3 * seconds.max():.1f} ms",
+        file=sys.stderr,
+    )
     print(f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)
 
 

@@ -640,7 +640,11 @@ def test_channel_views_broadcast_the_angles(theta, phi):
 
 
 #: States of the call budget named other than by their random_state seed.
-BUDGET_STATES = {"lu": lu_state(), "werner(0.8)": werner(0.8)}
+BUDGET_STATES = {
+    "lu": lu_state(),
+    "werner(0.8)": werner(0.8),
+    **{f"near_singular({eps:.0e})": near_singular_state(eps) for eps in (1e-3, 1e-4)},
+}
 
 
 @pytest.mark.parametrize(
@@ -663,6 +667,8 @@ BUDGET_STATES = {"lu": lu_state(), "werner(0.8)": werner(0.8)}
         (find_stationary_points, 1003, 13),
         (find_stationary_points, 1050, 14),
         (find_stationary_points, 1177, 12),
+        (find_stationary_points, "near_singular(1e-03)", 12),
+        (find_stationary_points, "near_singular(1e-04)", 24),
     ],
 )
 def test_gradient_call_budget(monkeypatch, solve, state, budget):
@@ -673,12 +679,88 @@ def test_gradient_call_budget(monkeypatch, solve, state, budget):
     # starts only, one trial step each, halved after a step that does not
     # lower the norm; bisection takes eight steps per call, stops once its
     # brackets stop changing, and skips the equatorial brackets where
-    # dJ/dtheta keeps clear of zero; lu's landscape does not depend on phi,
-    # and werner(0.8)'s is flat.  Every channel-path call counts, objective,
+    # dJ/dtheta keeps clear of zero, by the solve's tolerance scale on the
+    # near-singular states; lu's landscape does not depend on phi, and
+    # werner(0.8)'s is flat.  Every channel-path call counts, objective,
     # gradient and Hessian alike
     calls = count_gradient_calls(monkeypatch)
     solve(*channel_of(BUDGET_STATES[state] if isinstance(state, str) else random_state(state)))
     assert 0 < len(calls) <= budget
+
+
+def test_near_singular_solves_bisect_no_equatorial_bracket(monkeypatch):
+    # on eps 1e-3 and 1e-4 every equatorial root of dJ/dphi has |dJ/dtheta|
+    # well above the scaled tolerance, so the gate skips every bracket; the
+    # unscaled public universal_candidates still bisects them at 1e-4
+    bisection = 2**correlations.BISECT_LEVELS - 1
+    terms, widths = correlations._sphere_terms, []
+
+    def recorded(form, theta, phi, want):
+        if want == "gradient":
+            widths.append(np.broadcast(theta, phi).size)
+        return terms(form, theta, phi, want)
+
+    monkeypatch.setattr(correlations, "_sphere_terms", recorded)
+    for eps in (1e-3, 1e-4):
+        widths.clear()
+        find_stationary_points(*channel_of(near_singular_state(eps)))
+        assert not any(w % bisection == 0 for w in widths), eps
+    universal_candidates(*channel_of(near_singular_state(1e-4)))
+    assert any(w % bisection == 0 for w in widths)
+
+
+def tolerance_scale_of(rho):
+    """The tolerance scale of the solve of rho: that of its landscape scan."""
+    ch, gamma = channel_of(rho)
+    th, ph = correlations._landscape_grid()
+    _, gt, gp = correlations._sphere_terms(correlations._outcome_form(ch, gamma), th[:, :1], ph[:1], "entropy")
+    return correlations._tolerance_scale(th[:, :1], gt, gp)
+
+
+def test_tolerance_scale_is_one_on_general_states():
+    # a general landscape's largest scaled gradient norm is above GRAD_REF,
+    # so its solve takes every tolerance as it is, bit for bit
+    rng = np.random.default_rng(0)
+    states = [random_state(s, 2 + s % 3) for s in range(36)]
+    states += [random_x_maximally_mixed(rng) for _ in range(12)]
+    states += [bell_diagonal(0.7, -0.5, 0.3), bell_diagonal(0.5, -0.2, 0.5), bell_diagonal(-0.3, 0.6, 0.6)]
+    assert [tolerance_scale_of(rho) for rho in states] == [1.0] * len(states)
+
+
+@pytest.mark.parametrize(
+    "rho", [lu_state(), bell_diagonal(-0.1, -0.07, -0.115)], ids=["lu", "bell_diagonal(-0.1, -0.07, -0.115)"]
+)
+def test_a_scale_below_one_leaves_these_stationary_lists_alone(monkeypatch, rho):
+    # lu's gradient peaks at ~9e-5 and this weakly correlated Bell-diagonal
+    # state's at ~6e-3, so their scales are below 1; their points are
+    # critical points to rounding, and the list is the one at scale 1
+    assert tolerance_scale_of(rho) < 1.0
+    got = find_stationary_points(*channel_of(rho))
+    monkeypatch.setattr(correlations, "_tolerance_scale", lambda th, gt, gp: 1.0)
+    assert same_points(got, find_stationary_points(*channel_of(rho)))
+
+
+@pytest.mark.parametrize("eps", NEAR_SINGULAR_EPS, ids=lambda eps: f"eps{eps:.0e}")
+def test_near_singular_points_verify_at_the_scaled_tolerance(eps):
+    # J spans only about 0.15 eps there, and every reported point's
+    # gradient is below the tolerance scaled to that landscape
+    rho = near_singular_state(eps)
+    scale = tolerance_scale_of(rho)
+    assert scale < 1.0
+    assert all(q.grad_norm < STATIONARY_TOL * scale for q in find_stationary_points(*channel_of(rho)))
+
+
+def test_merge_verifies_at_the_scale_it_is_given():
+    # the public candidates of near_singular_state(1e-4), at scale 1, hold
+    # two equatorial roots whose gradients (3.5e-9, 5.8e-10) are above the
+    # tolerance scaled to that landscape: a merge at the solve's scale drops them
+    rho = near_singular_state(1e-4)
+    ch, gamma = channel_of(rho)
+    eq = [q for q in universal_candidates(ch, gamma) if q.kind == SYMMETRIC]
+    th, ph = np.array([q.theta for q in eq]), np.array([q.phi for q in eq])
+    form, sa = correlations._outcome_form(ch, gamma), output_marginal_entropy(ch, gamma)
+    assert len(correlations._merge(form, sa, th, ph)) == len(eq) == 2
+    assert correlations._merge(form, sa, th, ph, (), tolerance_scale_of(rho)) == []
 
 
 def test_find_stationary_points_evaluates_each_point_set_once(monkeypatch):
@@ -770,9 +852,9 @@ def test_newton_calls_are_no_wider_than_its_starts(monkeypatch, rho):
     calls, widths = count_gradient_calls(monkeypatch), []
     newton = correlations._newton_batch
 
-    def recorded(form, th0, ph0):
+    def recorded(form, th0, ph0, *args):
         calls.clear()
-        roots = newton(form, th0, ph0)
+        roots = newton(form, th0, ph0, *args)
         widths.append((np.size(th0), max(calls)))
         return roots
 
@@ -890,23 +972,25 @@ def test_a_zero_on_a_shared_cell_edge_yields_one_root():
 
 def test_merge_drops_a_root_within_merge_tol_only():
     # near_singular_state(1e-4)'s J is flat to ~1e-9, so roots next to its
-    # stationary points all verify and only their distance decides: 1e-6
-    # apart they merge into the better converged one, across the equator
-    # fold too (the outcome swap maps theta to pi - theta, phi to phi + pi),
-    # and 1e-3 apart both stay
+    # stationary points all verify at the unscaled tolerance and only their
+    # distance decides: 1e-6 apart they merge into the better converged
+    # one, and 1e-3 apart both stay.  Two roots 1e-7 from a Bell-diagonal
+    # state's equatorial critical point merge across the equator fold too
+    # (the outcome swap maps theta to pi - theta, phi to phi + pi)
     ch, gamma = channel_of(near_singular_state(1e-4))
     pts = find_stationary_points(ch, gamma)
     t0, p0 = next((q.theta, q.phi) for q in pts if q.kind == STATE_DEPENDENT and q.theta > 0.1)
-    pe = next(q.phi for q in pts if q.kind == SYMMETRIC)
+    bell = channel_of(bell_diagonal(0.7, -0.5, 0.3))
+    pe = next(q.phi for q in find_stationary_points(*bell) if q.kind == SYMMETRIC)
 
-    def merged(theta, phi):
+    def merged(theta, phi, ch=ch, gamma=gamma):
         return correlations._merge(
             correlations._outcome_form(ch, gamma), output_marginal_entropy(ch, gamma), np.array(theta), np.array(phi)
         )
 
     best = min((merged([t], [p0])[0] for t in (t0, t0 + 1e-6)), key=lambda q: q.grad_norm)
     assert [(q.theta, q.phi) for q in merged([t0 + 1e-6, t0], [p0, p0])] == [(best.theta, best.phi)]
-    assert len(merged([np.pi / 2 - 1e-7, np.pi / 2 + 1e-7], [pe, pe + np.pi])) == 1
+    assert len(merged([np.pi / 2 - 1e-7, np.pi / 2 + 1e-7], [pe, pe + np.pi], *bell)) == 1
     assert len(merged([t0, t0 + 1e-3], [p0, p0])) == 2
 
 
