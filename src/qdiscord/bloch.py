@@ -10,7 +10,8 @@ angles (theta, phi).  Conditioned on the outcome, qubit a collapses to a
 pure state whose Bloch direction depends on (theta, phi) and on the
 entanglement angle gamma of the reference state; the channel then maps that
 direction to the output Bloch vector whose length ("purity") drives the
-conditional entropy.
+conditional entropy.  :func:`fold_angles` carries angles found in a frame
+rotated by a 2x2 unitary on b back through that unitary, on the spinor.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choi import apply_channel
 from .qmat import I2, PAULIS, dagger
 
 #: Outcome probabilities below this are degenerate (measurement pinned to a
@@ -65,8 +67,6 @@ def affine_from_kraus(kraus):
     sigma_z) and one Pauli expansion.  Together they satisfy
     ``to_bloch(apply_channel(k, rho)) == eta @ to_bloch(rho) + c``.
     """
-    from .choi import apply_channel
-
     r = to_bloch(apply_channel(kraus, np.concatenate([I2[None], PAULIS]))) / 2
     # C order: a transposed view would change the summation order, and so
     # the last bits, of every matmul with eta in the solver
@@ -129,35 +129,19 @@ def angles_to_direction(theta, phi):
     return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
 
 
-def direction_to_angles(n):
-    """Inverse of :func:`angles_to_direction`; phi in [0, 2pi).
-
-    ``n`` need not be normalized, but a zero or non-finite vector has no
-    direction and raises ValueError.
-    """
-    n = np.asarray(n, dtype=float)
-    norm = np.linalg.norm(n)
-    if not 0.0 < norm < np.inf:
-        raise ValueError(f"vector {n} has no direction")
-    n = n / norm
-    theta = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
-    phi = float(np.arctan2(n[1], n[0])) % (2 * np.pi)
-    if theta < 1e-15 or theta > np.pi - 1e-15:
-        phi = 0.0
-    return theta, phi
-
-
-def unitary_to_rotation(u):
-    """SO(3) rotation R of a 2x2 unitary: u (n.sigma) u^+ = (R n).sigma."""
-    u = np.asarray(u, dtype=complex)
-    return np.ascontiguousarray(to_bloch(u @ PAULIS @ dagger(u)).T) / 2
-
-
 def fold_angles(v, theta, phi):
     """Measurement angles in the original b frame, given angles in the frame
-    rotated by the 2x2 unitary ``v`` (projectors P -> v^+ P v)."""
-    n = unitary_to_rotation(dagger(v)) @ angles_to_direction(theta, phi)
-    return normalize_angles(*direction_to_angles(n))
+    rotated by the 2x2 unitary ``v`` (projectors P -> v^+ P v).
+
+    The spinor psi = (cos th/2, e^{i ph} sin th/2) goes through v^+ itself:
+    th' = 2 atan2(|u_1|, |u_0|) and ph' = arg(u_1 conj(u_0)) for u = v^+ psi.
+    atan2 keeps a polar angle's relative accuracy next to the pole, where
+    arccos of a Bloch z component rounds every th' below 1.3e-8 to 0.  A
+    non-finite angle raises ValueError.
+    """
+    theta, phi = finite_angles(theta, phi)
+    u0, u1 = dagger(v) @ np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    return normalize_angles(2.0 * np.arctan2(abs(u1), abs(u0)), np.angle(u1 * np.conj(u0)))
 
 
 def normalize_angles(theta, phi):

@@ -57,9 +57,10 @@ def _stack(kraus):
 
 @dataclass
 class KrausSet:
-    """Trace-preserving channel as operators {E_m}, sum E_m^+ E_m = I."""
+    """Trace-preserving channel as operators {E_m}, sum E_m^+ E_m = I: a list
+    of 2x2 arrays, or one (m, 2, 2) array as :func:`decompose` builds."""
 
-    operators: list = field(default_factory=list)
+    operators: list | np.ndarray = field(default_factory=list)
 
     def completeness_residual(self):
         e = _stack(self)
@@ -79,8 +80,9 @@ class CJDecomposition:
         rotated by V (larger marginal eigenvalue first on the diagonal).
     lambdas : np.ndarray
         Eigenvalues of the rotated state, descending, length 4.
-    gamma_ops : list of np.ndarray
-        The 2x2 operators whose vectorizations are the eigenvectors.
+    gamma_ops : np.ndarray
+        Shape (4, 2, 2): the operators whose vectorizations are the
+        eigenvectors, in the order of ``lambdas``.
     kraus : KrausSet
         Kraus operators of the extracted channel (near-zero weights dropped).
     omega : np.ndarray
@@ -90,7 +92,7 @@ class CJDecomposition:
     gamma: float
     basis_rotation: np.ndarray
     lambdas: np.ndarray
-    gamma_ops: list
+    gamma_ops: np.ndarray
     kraus: KrausSet
     omega: np.ndarray
 
@@ -144,14 +146,10 @@ def decompose(rho):
 
     lambdas, psis = herm_eig(rho_rot)
     lambdas = np.clip(lambdas, 0.0, None)
-    gamma_ops = [devectorize(psis[:, m]) for m in range(4)]
-    kraus = KrausSet(
-        [
-            np.sqrt(lam) * g @ omega_inv
-            for lam, g in zip(lambdas, gamma_ops)
-            if lam >= KRAUS_DROP_TOL
-        ]
-    )
+    # column m of psis is vec(gamma_m), row-major: one reshape devectorizes all four
+    gamma_ops = psis.T.reshape(4, 2, 2)
+    keep = lambdas >= KRAUS_DROP_TOL
+    kraus = KrausSet(np.sqrt(lambdas[keep])[:, None, None] * gamma_ops[keep] @ omega_inv)
     return CJDecomposition(
         gamma=float(gamma),
         basis_rotation=v,

@@ -31,7 +31,7 @@ from .correlations import (
     output_marginal_entropy,
     report_from_points,
 )
-from .qmat import binary_entropy, density_state
+from .qmat import binary_entropy_arr, density_state
 
 #: Absolute magnitude below which an off-pattern entry still counts as zero.
 X_PATTERN_TOL = 1e-10
@@ -199,14 +199,12 @@ def analytic_discord_x(rho):
     info = mutual_information(state)
     sa = output_marginal_entropy(ch, d.gamma)
 
-    s_eq = np.sqrt(max(params.a, 0.0))
-    obj_eq = sa - binary_entropy(min(1.0, (1.0 + s_eq) / 2.0))
-    s_pol = abs(params.c_z + params.eta_zz)
-    t_pol = abs(params.c_z - params.eta_zz)
-    obj_pol = sa - 0.5 * (
-        binary_entropy(min(1.0, (1.0 + s_pol) / 2.0))
-        + binary_entropy(min(1.0, (1.0 + t_pol) / 2.0))
-    )
+    # the equatorial purity s' = t', then the polar s' and t'
+    c_z, eta_zz = params.c_z, params.eta_zz
+    purities = np.array([np.sqrt(max(params.a, 0.0)), abs(c_z + eta_zz), abs(c_z - eta_zz)])
+    h_eq, h_s, h_t = binary_entropy_arr(np.minimum(1.0, (1.0 + purities) / 2.0)).tolist()
+    obj_eq = sa - h_eq
+    obj_pol = sa - 0.5 * (h_s + h_t)
 
     # the conditional direction rotates against the measurement azimuth, so
     # the objective peaks at the reflection of the f-maximizing azimuth

@@ -12,13 +12,11 @@ from qdiscord.bloch import (
     conditional_bloch_in,
     conditional_probabilities,
     conditional_purities,
-    direction_to_angles,
     fold_angles,
     from_bloch,
     measurement_distance,
     normalize_angles,
     to_bloch,
-    unitary_to_rotation,
 )
 from qdiscord.choi import KrausSet, decompose
 from qdiscord.qmat import I2, I4, PAULIS, SIGMA_X, partial_trace_a, partial_trace_b
@@ -210,21 +208,6 @@ def test_probability_weighted_directions_recover_marginals():
         assert np.linalg.norm(avg - rho_a) < 1e-10
 
 
-def test_angle_helpers_roundtrip():
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        th, ph = rng.uniform(0.01, np.pi - 0.01), rng.uniform(0, 2 * np.pi)
-        t2, p2 = direction_to_angles(angles_to_direction(th, ph))
-        assert abs(t2 - th) < 1e-12
-        assert min(abs(p2 - ph), 2 * np.pi - abs(p2 - ph)) < 1e-12
-
-
-@pytest.mark.parametrize("n", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]])
-def test_direction_to_angles_rejects_a_vector_without_direction(n):
-    with pytest.raises(ValueError, match="no direction"):
-        direction_to_angles(n)
-
-
 #: Angle pairs with a NaN or an infinite entry, scalar and array.
 NON_FINITE_ANGLES = [(np.nan, 0.0), (np.inf, 0.0), (0.3, -np.inf), (np.array([0.3, np.nan]), np.zeros(2))]
 
@@ -269,15 +252,6 @@ def test_normalize_angles_folds_hemisphere():
     assert normalize_angles(0.0, 2.5) == (0.0, 0.0)
 
 
-def test_unitary_to_rotation_is_orthogonal():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        u = random_unitary(rng)
-        r = unitary_to_rotation(u)
-        assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
-        assert abs(np.linalg.det(r) - 1.0) < 1e-12
-
-
 def test_fold_angles_preserves_projection_statistics():
     # measuring the rotated state at (th, ph) equals measuring the original
     # state at the folded angles
@@ -298,6 +272,33 @@ def test_fold_angles_preserves_projection_statistics():
         # folded angles may swap the outcome pair
         p_orig = prob(rho, th0, ph0)
         assert min(abs(p_orig - p_rot), abs((1 - p_orig) - p_rot)) < 1e-10
+
+
+@pytest.mark.parametrize("theta", [1e-12, 1e-9, 7e-8, 1e-6])
+def test_fold_angles_keeps_a_polar_angle_next_to_the_pole(theta):
+    # arccos of a Bloch z component once folded every theta below 1.3e-8 onto the pole
+    th, ph = fold_angles(I2, theta, 0.3)
+    assert abs(th - theta) <= 2 * np.spacing(theta)
+    assert abs(ph - 0.3) <= 2 * np.spacing(0.3)
+
+
+def test_fold_angles_matches_the_conjugated_projector():
+    # reference: the Bloch vector of v^+ P v, by matrix products and the
+    # Pauli expansion; the fold goes through neither
+    rng = np.random.default_rng(11)
+    for k in range(1200):
+        v = random_unitary(rng)
+        th, ph = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
+        if k >= 1000:
+            # the last 200 fold to 1e-6 .. 1e-1 from the pole: the spinor at that
+            # polar angle, carried into the rotated frame
+            a = 10 ** rng.uniform(-6, -1)
+            chi = v @ np.array([np.cos(a / 2), np.sin(a / 2) * np.exp(1j * ph)])
+            th, ph = 2 * np.arctan2(abs(chi[1]), abs(chi[0])), np.angle(chi[1] * np.conj(chi[0]))
+        psi = np.array([np.cos(th / 2), np.sin(th / 2) * np.exp(1j * ph)])
+        ref = to_bloch(v.conj().T @ np.outer(psi, psi.conj()) @ v)
+        n = angles_to_direction(*fold_angles(v, th, ph))
+        assert min(np.abs(n - ref).max(), np.abs(n + ref).max()) <= 3e-15
 
 
 def test_measurement_distance_folding():
