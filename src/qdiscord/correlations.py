@@ -14,12 +14,13 @@ evaluation paths are kept deliberately separate:
   operators and never touches the decomposition (angles live in the original
   frame).
 
-The maximization itself also runs twice: on the channel path, the
-universal stationary points of J (the pole and the equatorial roots) and
-one damped-Newton batch for the rest; on the direct path, a brute-force
-grid oracle with a zoom refinement: a 13 x 13 patch of angles around the
-best point, shrunk 6x a round, which stops once a patch that would shrink
-is flat to rounding (its values span 4 eps or less).
+The maximization itself also runs twice: on the channel path, one
+landscape scan that gives the pole and seeds one damped-Newton batch for
+every other stationary point of J, the equatorial ones included; on the
+direct path, a brute-force grid oracle with a zoom refinement: a 13 x 13
+patch of angles around the best point, shrunk 6x a round, which stops once
+a patch that would shrink is flat to rounding (its values span 4 eps or
+less).
 
 Each public function here that takes a state validates it as a
 :class:`qdiscord.qmat.DensityState`, and passes that on: one
@@ -49,7 +50,8 @@ NEWTON_TOL = 1e-10
 #: Landscape gradient norm from which a solve's zero-gradient tolerances are not scaled down.
 GRAD_REF = 1e-2
 #: Landscape grid of the objective and gradient scans, points per axis:
-#: theta in [0, pi/2] and phi in [0, 2 pi], ends included.
+#: theta in [0, pi/2] and phi in [0, 2 pi], ends included; the grid adds
+#: one theta row past the equator, the mirror of the row below it.
 SEED_GRID = (25, 49)
 #: Newton iterations per start, step halvings included.
 NEWTON_MAX_ITER = 100
@@ -390,27 +392,41 @@ def _merge(form, sa, theta, phi, kept=(), scale=1.0):
     ]
 
 
+def _polar_candidate(sa, terms, tol):
+    """The polar candidate theta = 0 from the kernel's ``terms`` (entropy, A, B) at the point (0, 0), where
+    the frame is (e_x, e_y); ``critical`` when hypot(A, B) is below ``tol``."""
+    ce, a, b = map(float, terms)
+    # dJ/dphi vanishes identically at theta = 0, while the theta derivative
+    # there is A cos(phi) + B sin(phi); pick its zero.  The azimuth is kept
+    # as found: folding would reset it to 0.
+    phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
+    g0 = a * np.cos(phi0) + b * np.sin(phi0)
+    return StationaryPoint(0.0, phi0, sa - ce, abs(g0), ASYMMETRIC, bool(np.hypot(a, b) < tol))
+
+
 def universal_candidates(ch, gamma):
-    """The stationary settings that exist for every state.
+    """The stationary settings that exist for every state (Ali, Rau & Alber,
+    PRA 81, 042105 (2010)).
 
     Returns the polar candidate theta = 0, unverified, and the equatorial
     candidates theta = pi/2 at every azimuth where dJ/dphi vanishes, each
-    verified with scaled gradient norm below tol = STATIONARY_TOL (1e-7;
-    :func:`find_stationary_points` scales it).  No such root can lie in a
-    bracket where dJ/dtheta keeps one sign and exceeds tol + d2 at both
-    ends, d2 the larger |second difference| of dJ/dtheta there (8x its
-    chord's error bound), so those are not bisected.  The polar candidate
-    solves the (theta, phi) equations by construction, so its ``grad_norm``
-    is ~0 whatever the state; it is ``critical`` only when the pole is a
-    critical point of J on the sphere, that is when hypot(A, B) is below
-    tol.  A, B and its objective (at theta = 0, J does not depend on phi)
-    come from the frame (e_x, e_y) at the one point (0, 0).
+    verified with scaled gradient norm below tol = STATIONARY_TOL (1e-7).
+    No such root can lie in a bracket where dJ/dtheta keeps one sign and
+    exceeds tol + d2 at both ends, d2 the larger |second difference| of
+    dJ/dtheta there (8x its chord's error bound), so those are not
+    bisected.  The polar candidate solves the (theta, phi) equations by
+    construction, so its ``grad_norm`` is ~0 whatever the state; it is
+    ``critical`` only when the pole is a critical point of J on the sphere,
+    that is when hypot(A, B) is below tol.  A, B and its objective (at
+    theta = 0, J does not depend on phi) come from the frame (e_x, e_y) at
+    the one point (0, 0).
+
+    :func:`find_stationary_points` does not call this: its landscape scan
+    gives the pole, and its Newton batch the equatorial roots, which the
+    tests check against this scan and bisection.
     """
-    return _universal_candidates(_outcome_form(ch, gamma), output_marginal_entropy(ch, gamma), 1.0)
+    sa, form = output_marginal_entropy(ch, gamma), _outcome_form(ch, gamma)
 
-
-def _universal_candidates(form, sa, scale):
-    """:func:`universal_candidates` at tol = STATIONARY_TOL * ``scale``; ``form`` and ``sa`` as in :func:`_merge`."""
     # equatorial candidates: zeros of dJ/dphi along theta = pi/2, where it
     # is the frame component itself
     def dphi(phi):
@@ -420,20 +436,13 @@ def _universal_candidates(form, sa, scale):
     phis = np.linspace(0.0, np.pi, 1441)
     th = np.append(np.full_like(phis, np.pi / 2), 0.0)
     ce, gt, gp = _sphere_terms(form, th, np.append(phis, 0.0), "entropy")
-    ce, a, b, gt, gp = float(ce[-1]), float(gt[-1]), float(gp[-1]), gt[:-1], gp[:-1]
-
-    # polar candidate: dJ/dphi vanishes identically at theta = 0, while the
-    # theta derivative there is A cos(phi) + B sin(phi); pick its zero.  The
-    # azimuth is kept as found: folding would reset it to 0.
-    phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
-    g0 = a * np.cos(phi0) + b * np.sin(phi0)
-    polar = StationaryPoint(0.0, phi0, sa - ce, abs(g0), ASYMMETRIC, bool(np.hypot(a, b) < STATIONARY_TOL * scale))
+    polar, gt, gp = _polar_candidate(sa, (ce[-1], gt[-1], gp[-1]), STATIONARY_TOL), gt[:-1], gp[:-1]
 
     d2, ag = np.abs(np.diff(np.concatenate([gt[:1], gt, gt[-1:]]), 2)), np.abs(gt)
-    clear = np.minimum(ag[:-1], ag[1:]) > STATIONARY_TOL * scale + np.maximum(d2[:-1], d2[1:])
+    clear = np.minimum(ag[:-1], ag[1:]) > STATIONARY_TOL + np.maximum(d2[:-1], d2[1:])
     brackets = ~((gt[:-1] * gt[1:] > 0.0) & clear)
     roots = np.zeros(1) if np.max(np.abs(gp)) < 1e-12 else _bisect_roots(dphi, phis, gp, brackets)
-    return _merge(form, sa, np.full_like(roots, np.pi / 2), roots, [polar], scale)
+    return _merge(form, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
 
 def _newton_batch(form, th0, ph0, scale=1.0):
@@ -523,9 +532,12 @@ def index_sum(ch, gamma, points):
 
 @functools.cache
 def _landscape_grid():
-    """(theta, phi) meshes of the SEED_GRID, built once, read-only; the outcome swap maps it onto the sphere."""
+    """(theta, phi) meshes of the SEED_GRID and one theta row past the equator, pi - theta[-2], built once,
+    read-only; the outcome swap maps them onto the sphere.  With that row, theta = pi/2 lies inside the
+    grid's last band of cells, which seed the equatorial critical points like any others."""
     th, ph = np.linspace(0.0, np.pi / 2, SEED_GRID[0]), np.linspace(0.0, 2 * np.pi, SEED_GRID[1])
-    return np.broadcast_to(th[:, None], SEED_GRID), np.broadcast_to(ph, SEED_GRID)
+    th, shape = np.append(th, np.pi - th[-2]), (SEED_GRID[0] + 1, SEED_GRID[1])
+    return np.broadcast_to(th[:, None], shape), np.broadcast_to(ph, shape)
 
 
 def _landscape_seeds(th, ph, grad):
@@ -544,7 +556,8 @@ def _landscape_seeds(th, ph, grad):
     component whose denominator c + d u is the larger in magnitude.
 
     Zeros at theta = 0, where dJ/dphi vanishes along the cell edge, are
-    dropped: the pole is the polar candidate's."""
+    dropped: the pole is the polar candidate's.  Zeros on the equator or
+    past it are kept: Newton converges them, and the merge folds them."""
     g = np.stack(grad)
     g00, g10, g01, g11 = g[:, :-1, :-1], g[:, 1:, :-1], g[:, :-1, 1:], g[:, 1:, 1:]
     # axes: component, the two roots in u, theta cell, phi cell: cells innermost, one long loop a call;
@@ -569,32 +582,38 @@ def _tolerance_scale(th, gt, gp):
 
 
 def find_stationary_points(ch, gamma):
-    """All stationary points of J: the universal candidates plus the roots
-    found between them.
+    """All stationary points of J: the polar candidate and the roots off the pole.
 
-    One channel-path call scans J and its gradient together on a 25 x 49
-    grid over theta in [0, pi/2] and phi in [0, 2 pi]; the outcome-swap
-    symmetry maps the grid onto the rest of the sphere.  That one scan
-    serves the flat and phi-independence checks and the Newton starts.  A
-    flat objective (constant channel) reports the single canonical point
-    (pi/2, 0).  Otherwise the scan only chooses where the roots come from:
+    One channel-path call scans J and its gradient together on the
+    landscape grid (:func:`_landscape_grid`): theta in [0, pi/2] and one
+    row past the equator, phi in [0, 2 pi]; the outcome-swap symmetry maps
+    the grid onto the rest of the sphere.  That one scan serves the flat
+    and phi-independence checks, the polar candidate (its point (0, 0)) and
+    the Newton starts.  A flat objective (constant channel) reports the
+    single canonical point (pi/2, 0), at the scan's own value there.
+    Otherwise the scan only chooses where the roots come from:
 
     * in general, one Newton batch on the sphere (:func:`_newton_batch`)
       from the common zeros of the two gradient components' bilinear
       interpolants in each grid cell off the pole (:func:`_landscape_seeds`;
-      Helman & Hesselink, IEEE Computer 22(8), 1989) and from the scan's
-      best sample, which reaches maxima no cell seeds (the narrow one
-      beside the pole when rho_b is near rank one);
+      Helman & Hesselink, IEEE Computer 22(8), 1989), the equatorial roots
+      included, and from the scan's best sample, which reaches maxima no
+      cell seeds (the narrow one beside the pole when rho_b is near rank
+      one);
     * on a phi-independent objective (xy-isotropic channel), whose
       stationary points form circles about z that Newton cannot converge
       along, bisection of dJ/dtheta on 1999 points of the meridian phi = 0
-      strictly between the pole and the equator, so each circle is reported
-      once, at phi = 0.
+      strictly between the pole and the equator, plus (pi/2, 0), since
+      J(theta) = J(pi - theta) makes the equator a circle too; each circle
+      is reported once, at phi = 0.
 
-    Either way the roots go through one :func:`_merge` against
-    :func:`universal_candidates`: folded, merged within an angle of 1e-5,
-    verified to scaled gradient norm < 1e-7 s and classified, in one call:
-    s = :func:`_tolerance_scale` of the scan, 1 unless J is nearly flat.
+    Either way the roots go through one :func:`_merge` against the polar
+    candidate: folded, merged within an angle of 1e-5, verified to scaled
+    gradient norm < 1e-7 s and classified, in one call: s =
+    :func:`_tolerance_scale` of the scan, 1 unless J is nearly flat, which
+    also scales the polar candidate's ``critical`` test.  The equatorial
+    points match :func:`universal_candidates`, which finds them by
+    bisecting the equator instead.
     """
     sa, form = output_marginal_entropy(ch, gamma), _outcome_form(ch, gamma)
 
@@ -602,20 +621,22 @@ def find_stationary_points(ch, gamma):
     ce_scan, gt_scan, gp_scan = _sphere_terms(form, th_scan[:, :1], ph_scan[:1], "entropy")
     if float(np.ptp(ce_scan)) < 1e-12:
         # the objective at the reported point, the scan's own (pi/2, 0)
-        return [StationaryPoint(np.pi / 2, 0.0, sa - float(ce_scan[-1, 0]), 0.0, SYMMETRIC)]
+        return [StationaryPoint(np.pi / 2, 0.0, sa - float(ce_scan[-2, 0]), 0.0, SYMMETRIC)]
     scale = _tolerance_scale(th_scan[:, :1], gt_scan, gp_scan)
     if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11:
         def dtheta(theta):
             return _sphere_terms(form, theta, 0.0, "gradient")[1]
 
         thetas = np.linspace(0.0, np.pi / 2, 2001)[1:-1]
-        th = _bisect_roots(dtheta, thetas, dtheta(thetas))
+        # J(theta) = J(pi - theta) makes the equator a stationary circle too
+        th = np.append(_bisect_roots(dtheta, thetas, dtheta(thetas)), np.pi / 2)
         ph = np.zeros_like(th)
     else:
         th, ph = _landscape_seeds(th_scan, ph_scan, (gt_scan, np.sin(th_scan[:, :1]) * gp_scan))
         k = int(np.argmin(ce_scan))
         th, ph = _newton_batch(form, np.append(th, th_scan.flat[k]), np.append(ph, ph_scan.flat[k]), scale)
-    return sorted(_merge(form, sa, th, ph, _universal_candidates(form, sa, scale), scale), key=_point_key)
+    polar = _polar_candidate(sa, (ce_scan[0, 0], gt_scan[0, 0], gp_scan[0, 0]), STATIONARY_TOL * scale)
+    return sorted(_merge(form, sa, th, ph, [polar], scale), key=_point_key)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from util import (
     brute_conditional_entropy,
     count_gradient_calls,
     entropy_bits,
+    feasible_bell_triple,
     random_unitary,
     random_x_maximally_mixed,
     reference_chart_terms,
@@ -643,7 +644,8 @@ def test_channel_views_broadcast_the_angles(theta, phi):
 BUDGET_STATES = {
     "lu": lu_state(),
     "werner(0.8)": werner(0.8),
-    **{f"near_singular({eps:.0e})": near_singular_state(eps) for eps in (1e-3, 1e-4)},
+    "bell_diagonal(0.7, -0.5, 0.3)": bell_diagonal(0.7, -0.5, 0.3),
+    **{f"near_singular({eps:.0e})": near_singular_state(eps) for eps in (1e-3, 1e-4, 1e-5)},
 }
 
 
@@ -669,6 +671,8 @@ BUDGET_STATES = {
         (find_stationary_points, 1177, 12),
         (find_stationary_points, "near_singular(1e-03)", 12),
         (find_stationary_points, "near_singular(1e-04)", 24),
+        (find_stationary_points, "bell_diagonal(0.7, -0.5, 0.3)", 4),
+        (find_stationary_points, "near_singular(1e-05)", 21),
     ],
 )
 def test_gradient_call_budget(monkeypatch, solve, state, budget):
@@ -677,21 +681,22 @@ def test_gradient_call_budget(monkeypatch, solve, state, budget):
     # on the sphere with the closed-form gradient and Hessian, and makes one
     # call per iteration that gives both at the trial points of its live
     # starts only, one trial step each, halved after a step that does not
-    # lower the norm; bisection takes eight steps per call, stops once its
-    # brackets stop changing, and skips the equatorial brackets where
-    # dJ/dtheta keeps clear of zero, by the solve's tolerance scale on the
-    # near-singular states; lu's landscape does not depend on phi, and
-    # werner(0.8)'s is flat.  Every channel-path call counts, objective,
-    # gradient and Hessian alike
+    # lower the norm; the solve finds the equatorial roots by Newton too, so
+    # the Bell-diagonal state's two take no bisection; bisection takes eight
+    # steps per call, stops once its brackets stop changing, and the public
+    # candidates skip the equatorial brackets where dJ/dtheta keeps clear of
+    # zero; lu's landscape does not depend on phi, and werner(0.8)'s is
+    # flat.  Every channel-path call counts, objective, gradient and Hessian
+    # alike
     calls = count_gradient_calls(monkeypatch)
     solve(*channel_of(BUDGET_STATES[state] if isinstance(state, str) else random_state(state)))
     assert 0 < len(calls) <= budget
 
 
 def test_near_singular_solves_bisect_no_equatorial_bracket(monkeypatch):
-    # on eps 1e-3 and 1e-4 every equatorial root of dJ/dphi has |dJ/dtheta|
-    # well above the scaled tolerance, so the gate skips every bracket; the
-    # unscaled public universal_candidates still bisects them at 1e-4
+    # the solve seeds its equatorial roots from the landscape's cells and
+    # bisects nothing on these phi-dependent landscapes; the unscaled public
+    # universal_candidates still bisects the equator's brackets at 1e-4
     bisection = 2**correlations.BISECT_LEVELS - 1
     terms, widths = correlations._sphere_terms, []
 
@@ -701,12 +706,58 @@ def test_near_singular_solves_bisect_no_equatorial_bracket(monkeypatch):
         return terms(form, theta, phi, want)
 
     monkeypatch.setattr(correlations, "_sphere_terms", recorded)
-    for eps in (1e-3, 1e-4):
+    for eps in (1e-3, 1e-4, 1e-5, 1e-6):
         widths.clear()
         find_stationary_points(*channel_of(near_singular_state(eps)))
         assert not any(w % bisection == 0 for w in widths), eps
     universal_candidates(*channel_of(near_singular_state(1e-4)))
     assert any(w % bisection == 0 for w in widths)
+
+
+def test_a_general_solve_makes_one_wide_scan_one_merge_and_no_bisection(monkeypatch):
+    # the landscape scan reaches one row past the equator, so its cells seed
+    # the equatorial roots for the one Newton batch, and its (0, 0) gives
+    # the polar candidate: a solve makes one kernel call wider than 300
+    # points, bisects nothing and merges once
+    calls, stages = count_gradient_calls(monkeypatch), []
+    for name in ("_bisect_roots", "_merge"):
+        f = getattr(correlations, name)
+        monkeypatch.setattr(correlations, name, lambda *a, f=f, name=name: stages.append(name) or f(*a))
+    for s in range(60):
+        calls.clear()
+        stages.clear()
+        find_stationary_points(*channel_of(random_state(s, 2 + s % 3)))
+        assert sum(w > 300 for w in calls) == 1, s
+        assert stages == ["_merge"], s
+
+
+@pytest.mark.parametrize("eps", NEAR_SINGULAR_EPS[:4], ids=lambda eps: f"eps{eps:.0e}")
+def test_near_singular_states_report_no_equatorial_point(eps):
+    # the equatorial bisection once reported (pi/2, 1.840) at eps 1e-5 and
+    # (pi/2, 0) at 1e-6: residues of order eps**2 whose gradient norm is at
+    # least 0.19 |J| there, so no critical point of J
+    assert not [q for q in find_stationary_points(*channel_of(near_singular_state(eps))) if q.kind == SYMMETRIC]
+
+
+def test_the_solve_finds_every_public_equatorial_candidate():
+    # the solve's equatorial points come from Newton, the public
+    # universal_candidates' from bisecting the equator: on states with
+    # equatorial critical points, each of the latter is among the former
+    rng = np.random.default_rng(29)
+    states = [random_x_maximally_mixed(rng) for _ in range(200)]
+    states += [bell_diagonal(*feasible_bell_triple(rng)) for _ in range(200)]
+    matched = 0
+    for i, rho in enumerate(states):
+        ch, gamma = channel_of(rho)
+        got = find_stationary_points(ch, gamma)
+        at = (np.array([q.theta for q in got]), np.array([q.phi for q in got]))
+        for q in universal_candidates(ch, gamma):
+            if q.kind == SYMMETRIC:
+                d = bloch.measurement_distance(at, (q.theta, q.phi))
+                k = int(np.argmin(d))
+                assert d[k] < 1e-12 and abs(got[k].objective - q.objective) <= 1e-15, i
+                matched += 1
+    assert matched == 800
 
 
 def tolerance_scale_of(rho):
@@ -765,9 +816,9 @@ def test_merge_verifies_at_the_scale_it_is_given():
 
 def test_find_stationary_points_evaluates_each_point_set_once(monkeypatch):
     # J and its gradient come from one forward pass, so the landscape grid,
-    # the equatorial scan with the pole and each merged batch of roots are
-    # evaluated once each; Newton's calls, which add the Hessian, are not
-    # recorded, since the merge evaluates its roots again
+    # which holds the pole, and each merged batch of roots are evaluated
+    # once each; Newton's calls, which add the Hessian, are not recorded,
+    # since the merge evaluates its roots again
     terms, seen = correlations._sphere_terms, []
 
     def recorded(form, theta, phi, want):
