@@ -461,6 +461,17 @@ def _newton_batch(form, th0, ph0, scale=1.0):
     when its Hessian is singular or not finite, or its trial point is its
     current point, and after NEWTON_MAX_ITER iterations, halvings included.
     It is a root if its norm is then below tol, so a root does not depend on which start reached it.
+
+    A start above tol stops too, and is no root, once it has left its seed's
+    landscape cell (:func:`_landscape_cell` of its first point) while
+    another start has converged to a root in that cell: the cell's root is
+    found, and the start was only the cell's bilinear guess for it.  Left
+    on, such a start can crawl to a root found elsewhere: on near-singular
+    landscapes the pole ring's seed grew ~1.36x a step along its meridian,
+    past the equator, to a saddle, 11-14 of a solve's ~20 kernel calls.
+    The rule runs only after an iteration that leaves every live start
+    above tol, so starts that converge together, as in a general solve,
+    never pay for it.
     """
     th, ph, tol = np.asarray(th0, float), np.asarray(ph0, float), NEWTON_TOL * scale
     # one column per start: theta, phi, the gradient norm and the kernel's terms
@@ -495,6 +506,12 @@ def _newton_batch(form, th0, ph0, scale=1.0):
         state[:, live[lower]] = trial[:, lower]
         alpha[live] = np.where(lower, 1.0, 0.5 * a)
         live = live[lower | (norm >= tol)]
+        # once no live start is below tol: a live start that has left its seed's cell, where another start
+        # has converged, stops
+        done = state[2] < tol
+        if live.size and done.any() and not done[live].any():
+            seed, now = _landscape_cell(np.stack((th, state[0])), np.stack((ph, state[1])))
+            live = live[(now[live] == seed[live]) | ~np.isin(seed[live], now[done])]
 
     root = state[2] < tol
     return state[0, root], state[1, root]
@@ -540,6 +557,16 @@ def _landscape_grid():
     return np.broadcast_to(th[:, None], shape), np.broadcast_to(ph, shape)
 
 
+def _landscape_cell(theta, phi):
+    """The landscape cell that holds each point (theta, phi), row-major over the SEED_GRID's cells, after
+    the outcome fold to theta <= pi/2: the extra row past the equator is row SEED_GRID[0] - 2 at phi + pi."""
+    rows, cols = SEED_GRID[0] - 1, SEED_GRID[1] - 1
+    over = theta > np.pi / 2
+    theta, phi = np.where(over, np.pi - theta, theta), np.where(over, phi + np.pi, phi) % (2 * np.pi)
+    i = np.minimum((theta * (rows / (np.pi / 2))).astype(int), rows - 1)
+    return i * cols + np.minimum((phi * (cols / (2 * np.pi))).astype(int), cols - 1)
+
+
 def _landscape_seeds(th, ph, grad):
     """Newton starts from the gradient scan ``grad`` = (dJ/dtheta, dJ/dphi)
     on the landscape grid (th, ph): every common zero of the two components'
@@ -557,7 +584,12 @@ def _landscape_seeds(th, ph, grad):
 
     Zeros at theta = 0, where dJ/dphi vanishes along the cell edge, are
     dropped: the pole is the polar candidate's.  Zeros on the equator or
-    past it are kept: Newton converges them, and the merge folds them."""
+    past it are kept: Newton converges them, and the merge folds them.
+
+    Each start lies in the cell that seeded it (a zero on the cell's far
+    edge counts in the cell past it), so :func:`_newton_batch` reads a
+    start's seed cell from its position, by the same :func:`_landscape_cell`
+    it bins roots with."""
     g = np.stack(grad)
     g00, g10, g01, g11 = g[:, :-1, :-1], g[:, 1:, :-1], g[:, :-1, 1:], g[:, 1:, 1:]
     # axes: component, the two roots in u, theta cell, phi cell: cells innermost, one long loop a call;
@@ -599,7 +631,8 @@ def find_stationary_points(ch, gamma):
       Helman & Hesselink, IEEE Computer 22(8), 1989), the equatorial roots
       included, and from the scan's best sample, which reaches maxima no
       cell seeds (the narrow one beside the pole when rho_b is near rank
-      one);
+      one); a start that leaves its cell once another start has converged
+      to that cell's root stops there, no root;
     * on a phi-independent objective (xy-isotropic channel), whose
       stationary points form circles about z that Newton cannot converge
       along, bisection of dJ/dtheta on 1999 points of the meridian phi = 0

@@ -67,20 +67,23 @@ def check_density_matrix(rho):
 def _validated(rho):
     """(rho as complex ndarray, the eigenvalues of its Hermitian part
     ascending): the checks of :func:`check_density_matrix`, which keep the
-    spectrum the positivity check computes."""
+    spectrum the positivity check computes.  Around the one LAPACK call it
+    makes array methods and in-place arithmetic only, whose bits are those
+    of the numpy functions they stand for."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.view(float))):
+    if not np.isfinite(rho).all():
         raise ValueError("matrix contains NaN or Inf entries")
-    herm = frobenius(rho - dagger(rho))
+    herm, part = _hermitian_part(rho)
     if herm >= HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
-    tr = complex(np.trace(rho))
+    tr = complex(rho.trace())
     if abs(tr - 1.0) >= HERM_TOL:
         raise ValueError(f"matrix trace is {tr.real:.12f}, expected 1")
-    spectrum = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    lo = float(spectrum.min())
+    spectrum = np.linalg.eigvalsh(part)
+    # ascending, and finite once rho is
+    lo = float(spectrum[0])
     if lo < PSD_TOL:
         raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {lo:.3e})")
     return rho, spectrum
@@ -131,6 +134,14 @@ def partial_trace_b(rho):
     return np.einsum("ijkj->ik", rho)
 
 
+def _hermitian_part(m):
+    """(Frobenius norm of m - m^dagger, (m + m^dagger) / 2) of a complex ndarray, from one conjugate transpose."""
+    adj = m.conj().T
+    part = m + adj
+    part *= 0.5
+    return frobenius(m - adj), part
+
+
 def herm_eig(m):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -145,13 +156,12 @@ def herm_eig(m):
         ``values`` sorted descending; ``vectors[:, k]`` is the eigenvector
         for ``values[k]``, orthonormal columns.
     """
-    m = np.asarray(m, dtype=complex)
-    res = frobenius(m - dagger(m))
+    res, part = _hermitian_part(np.asarray(m, dtype=complex))
     if res >= EIG_HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (residual {res:.3e})")
-    vals, vecs = np.linalg.eigh((m + dagger(m)) / 2)
+    vals, vecs = np.linalg.eigh(part)
     # stable: degenerate eigenvalues keep the solver's emitted order
-    order = np.argsort(-vals, kind="stable")
+    order = (-vals).argsort(kind="stable")
     return vals[order], vecs[:, order]
 
 

@@ -139,6 +139,40 @@ def ungated_universal_candidates(ch, gamma):
     return correlations._merge(form, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
 
+def unretired_newton_batch(form, th0, ph0, scale=1.0):
+    """``correlations._newton_batch`` without the retirement of starts: every
+    start iterates until it stops on its own, whatever the other starts have
+    found."""
+    th, ph, tol = np.asarray(th0, float), np.asarray(ph0, float), correlations.NEWTON_TOL * scale
+    state = np.array((th, ph, th, *correlations._sphere_terms(form, th, ph, "hessian")[1:]))
+    state[2] = np.hypot(state[3], state[4])
+    alpha, live = np.ones(th.size), np.arange(th.size)
+    for _ in range(correlations.NEWTON_MAX_ITER):
+        t0, p0, norm, gt, gp, htt, htp, hpp, ng = state[:, live]
+        htt, hpp = htt - ng, hpp - ng
+        det = htt * hpp - htp * htp
+        regular = (np.abs(det) >= 1e-30) & np.isfinite(det)
+        safe = np.where(regular, det, 1.0)
+        a, st, ct = alpha[live], np.sin(t0), np.cos(t0)
+        xt = -(hpp * gt - htp * gp) / safe
+        xp = -(htt * gp - htp * gt) / safe
+        out, across = st + a * (xt * ct), a * xp
+        tt = np.arctan2(np.hypot(out, across), ct - a * (xt * st))
+        pp = p0 + np.arctan2(across, out)
+        moves = regular & ((tt != t0) | (pp != p0))
+        live, tt, pp, a, norm = live[moves], tt[moves], pp[moves], a[moves], norm[moves]
+        if not live.size:
+            break
+        trial = np.array((tt, pp, tt, *correlations._sphere_terms(form, tt, pp, "hessian")[1:]))
+        trial[2] = np.hypot(trial[3], trial[4])
+        lower = trial[2] < norm
+        state[:, live[lower]] = trial[:, lower]
+        alpha[live] = np.where(lower, 1.0, 0.5 * a)
+        live = live[lower | (norm >= tol)]
+    root = state[2] < tol
+    return state[0, root], state[1, root]
+
+
 def same_points(got, want):
     """True when two stationary lists agree bit for bit."""
     rows = [np.array([q.as_row()[1:] for q in pts]).tobytes() for pts in (got, want)]
