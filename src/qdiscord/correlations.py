@@ -74,8 +74,7 @@ ORACLE_MIN_GRID = (64, 128)
 #: largest temporaries of :func:`conditional_entropy_direct` hold the three
 #: a-state entries of both outcomes, (2, 3, rows, n_phi) complex: 96 KiB at
 #: 8 x 128.  They must stay under glibc's initial 128 KiB mmap threshold,
-#: above which each is mapped and page-faulted afresh on every call (600-700
-#: faults per oracle call for a whole 64 x 128 grid in one call), and the
+#: above which each is mapped and page-faulted afresh on every call, and the
 #: oracle's time depends on what the process allocated before.  A grid wider
 #: than 128 in phi crosses it at 8 rows and needs proportionally fewer.
 ORACLE_BLOCK_ROWS = 8
@@ -304,11 +303,10 @@ def conditional_entropy_direct(rho, theta, phi):
 # stationary-point search
 # ---------------------------------------------------------------------------
 
-def _bisect_roots(f, x, fx, brackets=True):
+def _bisect_roots(f, x, fx):
     """Roots of f on the grid x, where fx = f(x): every sign change between
-    neighbours where the mask ``brackets`` (one entry per neighbour pair) is
-    set, all bisected at once to machine precision (64 steps at most), and
-    every grid point but the last where f is exactly zero, masked or not.
+    neighbours, all bisected at once to machine precision (64 steps at
+    most), and every grid point but the last where f is exactly zero.
     Sorted.
 
     One call of f serves BISECT_LEVELS steps of every bracket: a table of
@@ -319,7 +317,7 @@ def _bisect_roots(f, x, fx, brackets=True):
     Bisection stops early once a step leaves every bracket as it was: each
     later step would repeat it."""
     exact = x[:-1][fx[:-1] == 0.0]
-    k = np.flatnonzero((fx[:-1] * fx[1:] < 0.0) & brackets)
+    k = np.flatnonzero(fx[:-1] * fx[1:] < 0.0)
     n, cols, flo = 2**BISECT_LEVELS, np.arange(k.size), fx[k]
     e, i, j = np.stack([x[k], x[k + 1]]), np.zeros(k.size, int), np.ones(k.size, int)
     for step in range(64 if k.size else 0):
@@ -409,12 +407,10 @@ def universal_candidates(ch, gamma):
     PRA 81, 042105 (2010)).
 
     Returns the polar candidate theta = 0, unverified, and the equatorial
-    candidates theta = pi/2 at every azimuth where dJ/dphi vanishes, each
+    candidates theta = pi/2 at every azimuth where dJ/dphi vanishes: each
+    sign change of dJ/dphi on 1441 points of the equator, bisected, and
     verified with scaled gradient norm below tol = STATIONARY_TOL (1e-7).
-    No such root can lie in a bracket where dJ/dtheta keeps one sign and
-    exceeds tol + d2 at both ends, d2 the larger |second difference| of
-    dJ/dtheta there (8x its chord's error bound), so those are not
-    bisected.  The polar candidate solves the (theta, phi) equations by
+    The polar candidate solves the (theta, phi) equations by
     construction, so its ``grad_norm`` is ~0 whatever the state; it is
     ``critical`` only when the pole is a critical point of J on the sphere,
     that is when hypot(A, B) is below tol.  A, B and its objective (at
@@ -436,12 +432,8 @@ def universal_candidates(ch, gamma):
     phis = np.linspace(0.0, np.pi, 1441)
     th = np.append(np.full_like(phis, np.pi / 2), 0.0)
     ce, gt, gp = _sphere_terms(form, th, np.append(phis, 0.0), "entropy")
-    polar, gt, gp = _polar_candidate(sa, (ce[-1], gt[-1], gp[-1]), STATIONARY_TOL), gt[:-1], gp[:-1]
-
-    d2, ag = np.abs(np.diff(np.concatenate([gt[:1], gt, gt[-1:]]), 2)), np.abs(gt)
-    clear = np.minimum(ag[:-1], ag[1:]) > STATIONARY_TOL + np.maximum(d2[:-1], d2[1:])
-    brackets = ~((gt[:-1] * gt[1:] > 0.0) & clear)
-    roots = np.zeros(1) if np.max(np.abs(gp)) < 1e-12 else _bisect_roots(dphi, phis, gp, brackets)
+    polar, gp = _polar_candidate(sa, (ce[-1], gt[-1], gp[-1]), STATIONARY_TOL), gp[:-1]
+    roots = np.zeros(1) if np.max(np.abs(gp)) < 1e-12 else _bisect_roots(dphi, phis, gp)
     return _merge(form, sa, np.full_like(roots, np.pi / 2), roots, [polar])
 
 
@@ -466,12 +458,10 @@ def _newton_batch(form, th0, ph0, scale=1.0):
     landscape cell (:func:`_landscape_cell` of its first point) while
     another start has converged to a root in that cell: the cell's root is
     found, and the start was only the cell's bilinear guess for it.  Left
-    on, such a start can crawl to a root found elsewhere: on near-singular
-    landscapes the pole ring's seed grew ~1.36x a step along its meridian,
-    past the equator, to a saddle, 11-14 of a solve's ~20 kernel calls.
-    The rule runs only after an iteration that leaves every live start
-    above tol, so starts that converge together, as in a general solve,
-    never pay for it.
+    on, such a start can crawl to a root found elsewhere, one kernel call a
+    step.  The rule runs only after an iteration that leaves every live
+    start above tol, so starts that converge together, as in a general
+    solve, never pay for it.
     """
     th, ph, tol = np.asarray(th0, float), np.asarray(ph0, float), NEWTON_TOL * scale
     # one column per start: theta, phi, the gradient norm and the kernel's terms
@@ -633,12 +623,13 @@ def find_stationary_points(ch, gamma):
       cell seeds (the narrow one beside the pole when rho_b is near rank
       one); a start that leaves its cell once another start has converged
       to that cell's root stops there, no root;
-    * on a phi-independent objective (xy-isotropic channel), whose
-      stationary points form circles about z that Newton cannot converge
-      along, bisection of dJ/dtheta on 1999 points of the meridian phi = 0
-      strictly between the pole and the equator, plus (pi/2, 0), since
-      J(theta) = J(pi - theta) makes the equator a circle too; each circle
-      is reported once, at phi = 0.
+    * on a phi-independent objective (xy-isotropic channel: no theta row
+      of the scan varies by 1e-11 s or more, s the tolerance scale below),
+      whose stationary points form circles about z that Newton cannot
+      converge along, bisection of dJ/dtheta on 1999 points of the
+      meridian phi = 0 strictly between the pole and the equator, plus
+      (pi/2, 0), since J(theta) = J(pi - theta) makes the equator a circle
+      too; each circle is reported once, at phi = 0.
 
     Either way the roots go through one :func:`_merge` against the polar
     candidate: folded, merged within an angle of 1e-5, verified to scaled
@@ -656,7 +647,7 @@ def find_stationary_points(ch, gamma):
         # the objective at the reported point, the scan's own (pi/2, 0)
         return [StationaryPoint(np.pi / 2, 0.0, sa - float(ce_scan[-2, 0]), 0.0, SYMMETRIC)]
     scale = _tolerance_scale(th_scan[:, :1], gt_scan, gp_scan)
-    if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11:
+    if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11 * scale:
         def dtheta(theta):
             return _sphere_terms(form, theta, 0.0, "gradient")[1]
 

@@ -10,12 +10,15 @@ over every state's ``DiscordReport`` fields, the fields of each of its
 floats by their round-trip ``repr``; a state the method refuses records
 the error instead.  Five groups run the stationary method; the group
 ``closed_form`` runs ``xstate_analytic`` on the ``x_state`` and
-``bell_diagonal`` states, and ``random_state_oracle`` runs the grid oracle
-on the first 50 ``random_state`` states.  Two commits that print the same
-lines give the same answers bit for bit on these states, by all three
-methods.  The last bits of a float depend on the numpy build and on how
-BLAS runs a matmul, so compare logs made on one machine, with one numpy,
-with BLAS at one thread (``OPENBLAS_NUM_THREADS=1``).
+``bell_diagonal`` states, ``random_state_oracle`` runs the grid oracle
+on the first 50 ``random_state`` states, and ``universal_candidates``
+lists the points of the public reference ``universal_candidates`` on the
+``random_state``, ``x_state``, ``bell_diagonal`` and
+``near_singular_band`` states.  Two commits that print the same lines
+give the same answers bit for bit on these states, by all three methods
+and the reference.  The last bits of a float depend on the numpy build
+and on how BLAS runs a matmul, so compare logs made on one machine, with
+one numpy, with BLAS at one thread (``OPENBLAS_NUM_THREADS=1``).
 
 After the digest lines, standard error gets the cost of the
 ``near_singular_band`` group, which varies from run to run: the median and
@@ -33,7 +36,7 @@ import numpy as np
 from util import feasible_bell_triple, random_unitary, random_x_maximally_mixed
 
 from qdiscord import affine_from_kraus, decompose, discord
-from qdiscord.correlations import index_sum
+from qdiscord.correlations import index_sum, universal_candidates
 from qdiscord.states import bell_diagonal, lu_state, random_state
 
 #: Bell-diagonal states whose two largest |c_i| are equal: their optimum is
@@ -61,26 +64,37 @@ def corpus():
     randoms = [random_state(s, 2 + s % 3) for s in range(300)]
     xs = [random_x_maximally_mixed(rng) for _ in range(100)]
     bells = [bell_diagonal(*feasible_bell_triple(rng)) for _ in range(100)]
+    band = list(near_singular_band())
     yield "random_state", "stationary", randoms
     yield "x_state", "stationary", xs
     yield "bell_diagonal", "stationary", bells
     yield "tied_bell_and_lu", "stationary", [bell_diagonal(*c) for c in TIED_BELL] + [lu_state()]
-    yield "near_singular_band", "stationary", list(near_singular_band())
+    yield "near_singular_band", "stationary", band
     yield "closed_form", "xstate_analytic", xs + bells
     yield "random_state_oracle", "oracle", randoms[:50]
+    yield "universal_candidates", "universal_candidates", randoms + xs + bells + band
+
+
+def point_rows(points):
+    return [repr((q.kind, q.critical, q.theta, q.phi, q.objective, q.grad_norm)) for q in points]
 
 
 def solve_record(rho, method):
-    """The text of one state's report, stationary points and index sum, the
-    number of its points and the seconds its discord call took."""
+    """The text of one state's report, stationary points and index sum (or,
+    for the method "universal_candidates", of that function's points), the
+    number of its points and the seconds its call took."""
     t0 = time.perf_counter()
     try:
+        if method == "universal_candidates":
+            d = decompose(rho)
+            rows = point_rows(universal_candidates(affine_from_kraus(d.kraus), d.gamma))
+            return "\n".join(rows) + "\n", len(rows), time.perf_counter() - t0
         rep = discord(rho, method=method)
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}\n", 0, time.perf_counter() - t0
     seconds = time.perf_counter() - t0
     head = (rep.mutual_info, rep.classical_corr, rep.discord, rep.theta, rep.phi, rep.method)
-    rows = [repr((q.kind, q.critical, q.theta, q.phi, q.objective, q.grad_norm)) for q in rep.stationary_points]
+    rows = point_rows(rep.stationary_points)
     total = None
     if rep.stationary_points and method == "stationary":
         d = decompose(rho)

@@ -9,8 +9,6 @@ hypothesis for both the stationary solver and the grid oracle.
 * the stationary list holds every critical point of J: the signs of their
   Hessian determinants sum to 1, the Euler characteristic of the projective
   plane (Poincare-Hopf);
-* the equatorial gate of the universal candidates drops no candidate that
-  bisecting every bracket would verify;
 * with the b marginal near rank one, the stationary solver reaches the
   narrow maximum of J next to the pole.
 
@@ -31,11 +29,10 @@ from qdiscord.correlations import (
     grad_objective,
     index_sum,
     objective_channel,
-    universal_candidates,
 )
 from qdiscord.qmat import partial_trace_a, partial_trace_b, von_neumann_entropy
 from qdiscord.states import random_state
-from util import random_unitary, same_points, ungated_universal_candidates
+from util import random_unitary
 
 TOL = 1e-8
 METHODS = pytest.mark.parametrize("method", ["stationary", "oracle"])
@@ -115,14 +112,6 @@ def test_stationary_points_index_sum_is_one(seed, rank):
     d = decompose(random_state(seed, rank))
     ch = affine_from_kraus(d.kraus)
     assert index_sum(ch, d.gamma, find_stationary_points(ch, d.gamma)) == 1
-
-
-@SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(2, 4))
-def test_equatorial_gate_keeps_the_candidates(seed, rank):
-    d = decompose(random_state(seed, rank))
-    ch = affine_from_kraus(d.kraus)
-    assert same_points(universal_candidates(ch, d.gamma), ungated_universal_candidates(ch, d.gamma))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

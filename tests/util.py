@@ -111,34 +111,6 @@ def reference_conditional_entropy_direct(rho, theta, phi):
     return branch(a00, a01, a11) + branch(b00, b01, b11)
 
 
-def ungated_universal_candidates(ch, gamma):
-    """``correlations.universal_candidates`` with every sign-change bracket of
-    the equatorial dJ/dphi scan bisected, whatever dJ/dtheta is there."""
-    sa, form = correlations.output_marginal_entropy(ch, gamma), correlations._outcome_form(ch, gamma)
-    # one kernel call scans the equator and evaluates the pole (0, 0), where
-    # the frame is (e_x, e_y), as its last point
-    phis = np.linspace(0.0, np.pi, 1441)
-    ce, gt, g = correlations._sphere_terms(
-        form, np.append(np.full_like(phis, np.pi / 2), 0.0), np.append(phis, 0.0), "entropy"
-    )
-    a, b, g = float(gt[-1]), float(g[-1]), g[:-1]
-    phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
-    polar = correlations.StationaryPoint(
-        0.0,
-        phi0,
-        sa - float(ce[-1]),
-        abs(a * np.cos(phi0) + b * np.sin(phi0)),
-        correlations.ASYMMETRIC,
-        bool(np.hypot(a, b) < correlations.STATIONARY_TOL),
-    )
-
-    def dphi(phi):
-        return correlations.grad_objective(ch, gamma, np.full_like(phi, np.pi / 2), phi)[1]
-
-    roots = np.zeros(1) if np.max(np.abs(g)) < 1e-12 else correlations._bisect_roots(dphi, phis, g)
-    return correlations._merge(form, sa, np.full_like(roots, np.pi / 2), roots, [polar])
-
-
 def unretired_newton_batch(form, th0, ph0, scale=1.0):
     """``correlations._newton_batch`` without the retirement of starts: every
     start iterates until it stops on its own, whatever the other starts have
