@@ -57,11 +57,8 @@ SEED_GRID = (25, 49)
 NEWTON_MAX_ITER = 100
 #: The signs of T n in the two outcomes' p v = (a +- T n) / 2, one per row.
 _OUTCOME_SIGNS = np.array([[1.0], [-1.0]])
-#: Bisection steps per gradient call: one call evaluates the 2**8 - 1
-#: midpoints of the next eight levels of every bracket's bisection tree.
+#: Bisection steps per gradient call, which evaluates each bracket's 2**8 - 1 interior dyadic edges.
 BISECT_LEVELS = 8
-#: Midpoint rows of 2**BISECT_LEVELS + 1 dyadic edges by level: (2 j + 1) 2**(BISECT_LEVELS - 1 - l).
-_HEAP_ROWS = np.concatenate([(2 * np.arange(2**l) + 1) << (BISECT_LEVELS - 1 - l) for l in range(BISECT_LEVELS)])
 #: Stationary points closer than this (measurement angle) are merged.
 MERGE_TOL = 1e-5
 #: Angular slack when classifying a root as polar/equatorial.
@@ -115,6 +112,9 @@ class DiscordReport:
     ``theta``/``phi`` are the optimal measurement angles in the original
     basis of qubit b; ``stationary_points`` (when the stationary method ran)
     are expressed in the decomposition frame.
+
+    ``discord`` = I - C is not clamped at 0: I and C are entropy differences
+    of order one bit, so where I is about 1e-9, Q carries their rounding.
     """
 
     mutual_info: float
@@ -312,31 +312,30 @@ def _bisect_roots(f, x, fx):
     One call of f serves BISECT_LEVELS steps of every bracket: a table of
     each bracket's 2**BISECT_LEVELS + 1 dyadic edges is filled level by
     level, e[h::2h] = (e[:-h:2h] + e[2h::2h]) / 2, the midpoints the steps
-    take; f evaluates them in heap order (by level), and the steps walk down
-    the table by edge index, each keeping the half where f changes sign.
-    Bisection stops early once a step leaves every bracket as it was: each
-    later step would repeat it."""
+    take; f evaluates the interior rows, and row 0 of its values carries f
+    at the lower edge.  The steps walk down the table by edge index, each
+    keeping the half where f changes sign.  Bisection stops early once a
+    step leaves every bracket as it was: each later step would repeat it."""
     exact = x[:-1][fx[:-1] == 0.0]
     k = np.flatnonzero(fx[:-1] * fx[1:] < 0.0)
-    n, cols, flo = 2**BISECT_LEVELS, np.arange(k.size), fx[k]
-    e, i, j = np.stack([x[k], x[k + 1]]), np.zeros(k.size, int), np.ones(k.size, int)
+    n, cols = 2**BISECT_LEVELS, np.arange(k.size)
+    e, fe, i, j = np.stack([x[k], x[k + 1]]), fx[k][None], np.zeros(k.size, int), np.ones(k.size, int)
     for step in range(64 if k.size else 0):
         if step % BISECT_LEVELS == 0:
-            lo, hi, e = e[i, cols], e[j, cols], np.empty((n + 1, k.size))
-            e[0], e[n], i, j = lo, hi, np.zeros(k.size, int), np.full(k.size, n)
+            lo, hi, flo = e[i, cols], e[j, cols], fe[i, cols]
+            e, fe = np.empty((n + 1, k.size)), np.empty((n + 1, k.size))
+            e[0], e[n], fe[0], i, j = lo, hi, flo, np.zeros(k.size, int), np.full(k.size, n)
             for h in n >> np.arange(1, BISECT_LEVELS + 1):
                 e[h :: 2 * h] = 0.5 * (e[: -h : 2 * h] + e[2 * h :: 2 * h])
-            heap = _HEAP_ROWS[: 2 ** min(BISECT_LEVELS, 64 - step) - 1]
-            fe = np.empty_like(e)
-            fe[heap] = f(e[heap].ravel()).reshape(heap.size, k.size)
+            fe[1:n] = f(e[1:n].ravel()).reshape(n - 1, k.size)
             # a step can leave a bracket as it was only where two edges are equal
             may_stall = np.all(np.any(e[1:] == e[:-1], axis=0))
         m = (i + j) // 2
-        fm = fe[m, cols]
+        flo, fm = fe[i, cols], fe[m, cols]
         left = flo * fm <= 0.0
         if may_stall and np.all(np.where(left, e[m, cols] == e[j, cols], (e[m, cols] == e[i, cols]) & (fm == flo))):
             break
-        i, j, flo = np.where(left, i, m), np.where(left, m, j), np.where(left, flo, fm)
+        i, j = np.where(left, i, m), np.where(left, m, j)
     return np.sort(np.concatenate([exact, 0.5 * (e[i, cols] + e[j, cols])]))
 
 

@@ -811,6 +811,15 @@ def test_the_near_singular_band_is_solved_on_its_own_scale():
         assert rep.classical_corr >= patch_max - 1e-14, i
 
 
+def test_the_near_singular_band_reports_q_no_further_below_zero_than_rounding():
+    # Q = I - C is not clamped: where I is about 1e-9, Q carries the rounding
+    # of two entropy differences of order one bit, some 1e-15, and no more
+    band = [rho for rho in near_singular_band() if qmat.density_state(rho).b_vals[-1] > choi.RANK_TOL]
+    assert len(band) == 139
+    q = np.array([discord(rho, method="stationary").discord for rho in band])
+    assert q.min() >= -1e-14, int(np.argmin(q))
+
+
 def test_the_solve_finds_every_public_equatorial_candidate():
     # the solve's equatorial points come from Newton, the public
     # universal_candidates' from bisecting the equator: on states with
@@ -996,6 +1005,28 @@ def test_newton_halves_a_step_that_overshoots_the_narrow_polar_maximum():
     )
     assert th.size == 1
     assert objective_channel(ch, gamma, th[0], ph[0]) >= 1.49933e-4
+
+
+@pytest.mark.parametrize(
+    "seed, start",
+    [
+        (0, (1.3702155773309277, 3.6957918793507267)),
+        (1, (1.1987600990568812, 5.807724344310421)),
+        (2, (0.9250368369625721, 4.210296461279582)),
+    ],
+)
+def test_newton_keeps_a_start_whose_cell_holds_no_found_root(seed, start):
+    # one start sits at the first state-dependent root R1; the other starts
+    # in a cell that holds neither R1 nor R2 and leaves it on its way to R2.
+    # A start retires only when its own seed cell's root is found, so this
+    # one goes on and reaches R2
+    ch, gamma = channel_of(random_state(seed, 4))
+    r1, r2 = [q for q in find_stationary_points(ch, gamma) if q.kind == STATE_DEPENDENT][:2]
+    th, ph = correlations._newton_batch(
+        correlations._outcome_form(ch, gamma), [r1.theta, start[0]], [r1.phi, start[1]]
+    )
+    assert th.size == 2
+    assert bloch.measurement_distance((th[1], ph[1]), (r2.theta, r2.phi)) < 1e-8
 
 
 # (kind, theta, phi, objective) of every stationary point, as computed by the
