@@ -73,7 +73,7 @@ ORACLE_MIN_GRID = (64, 128)
 #: 8 x 128.  They must stay under glibc's initial 128 KiB mmap threshold,
 #: above which each is mapped and page-faulted afresh on every call, and the
 #: oracle's time depends on what the process allocated before.  A grid wider
-#: than 128 in phi crosses it at 8 rows and needs proportionally fewer.
+#: than 128 in phi crosses it at 8 rows, yet fewer rows per call are slower.
 ORACLE_BLOCK_ROWS = 8
 #: Oracle zoom: points per axis of the patch, rounds at most, and the factor
 #: by which the patch shrinks (to the spacing of its own points).
@@ -366,8 +366,6 @@ def _merge(form, sa, theta, phi, kept=(), scale=1.0):
     come in (theta, phi) order, classified by their polar angle; ``form`` is
     the channel's :func:`_outcome_form`, ``sa`` is S(rho_a).
     """
-    if not np.size(theta):
-        return list(kept)
     th, ph = bloch.normalize_angles(np.asarray(theta, float), np.asarray(phi, float))
     order = np.lexsort((ph, th))
     th, ph = th[order], ph[order]

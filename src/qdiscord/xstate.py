@@ -2,17 +2,18 @@
 
 An X state (nonzero entries only on the diagonal and anti-diagonal) yields
 a channel whose affine form is block structured: a 2x2 block in the xy
-plane, a lone zz element and a z shift.  When the b marginal is maximally
-mixed the conditional purities reduce to
+plane, a lone zz element eta_zz and a z shift c_z.  When the b marginal is
+maximally mixed the conditional purities at the best azimuth are
 
-    s'(theta)^2 = a + 2 b cos(theta) + c cos(theta)^2   (at the best azimuth)
+    s'(theta), t'(theta) = hypot(eta_perp sin(theta), c_z +- eta_zz cos(theta))
 
-with a, b, c built from the block data, and a single shape parameter
-k = c / (b^2 - c a) decides whether the polar and equatorial settings are
-the only stationary points.  Inside that parameter range the discord is a
-comparison of two closed-form candidates; outside it (and for any state
-with a non-maximally-mixed marginal) callers must fall back to the general
-solver.
+with eta_perp^2 the block's top squared stretch (:func:`maximize_f`).  A
+single shape parameter k = c / (b^2 - c a), from the expansion
+s'^2 = a + 2 b cos(theta) + c cos(theta)^2, decides whether the polar and
+equatorial settings are the only stationary points.  Inside that range the
+discord is a comparison of two closed-form candidates; outside it (and for
+any state with a non-maximally-mixed marginal) callers must fall back to
+the general solver.
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ def f_phi(ch, phi):
 def maximize_f(ch):
     """Exact maximum of :func:`f_phi` over the azimuth.
 
-    f is a quadratic form in (cos phi, sin phi), so the maximum is the top
-    eigenvalue of the 2x2 Gram matrix M^T M of the upper-left block, with
-    the maximizing azimuth read off the eigenvector.  The isotropic case
-    reports azimuth 0.
+    With G = M^T M for the upper-left block M, f(phi) = F + H cos(2 phi)
+    + g01 sin(2 phi), F = (g00 + g11) / 2 and H = (g00 - g11) / 2, so the
+    maximum is F + R, R = hypot(H, g01), at phi* = atan2(g01, H) / 2 mod pi.
+    The isotropic case (2 R below 1e-14) reports azimuth 0.
 
     Returns
     -------
@@ -85,13 +86,11 @@ def maximize_f(ch):
     """
     _require_block_form(ch)
     m = ch.eta[:2, :2]
-    gram = m.T @ m
-    vals, vecs = np.linalg.eigh(gram)
-    if vals[1] - vals[0] < 1e-14:
-        return float(vals[1]), 0.0
-    u = vecs[:, 1]
-    phi_star = float(np.arctan2(u[1], u[0])) % np.pi
-    return float(vals[1]), phi_star
+    (g00, g01), (_, g11) = m.T @ m
+    h = (g00 - g11) / 2
+    r = np.hypot(h, g01)
+    phi_star = 0.0 if 2 * r < 1e-14 else float(np.arctan2(g01, h) / 2) % np.pi
+    return float((g00 + g11) / 2 + r), phi_star
 
 
 @dataclass
@@ -111,7 +110,7 @@ class XStateParams:
 def x_params(ch):
     """Extract :class:`XStateParams` from an X-block affine channel."""
     eta_perp_sq, phi_star = maximize_f(ch)
-    eta_perp = np.sqrt(max(eta_perp_sq, 0.0))
+    eta_perp = np.sqrt(eta_perp_sq)
     c_z = float(ch.c[2])
     eta_zz = float(ch.eta[2, 2])
     a = eta_perp_sq + c_z**2
@@ -159,11 +158,11 @@ def G_func(x, k):
 
 
 def closed_form_purities(p, theta):
-    """(s', t') from the reduced parameters, at the optimal azimuth."""
-    ct = np.cos(theta)
-    s = np.sqrt(max(p.a + 2 * p.b * ct + p.c * ct * ct, 0.0))
-    t = np.sqrt(max(p.a - 2 * p.b * ct + p.c * ct * ct, 0.0))
-    return float(s), float(t)
+    """(s', t') = hypot(eta_perp sin(theta), c_z +- eta_zz cos(theta)) at the
+    optimal azimuth: sqrt(a +- 2 b cos(theta) + c cos(theta)^2) without its
+    cancellation near a zero purity, and exactly |c_z +- eta_zz| at theta = 0."""
+    st, ct = p.eta_perp * np.sin(theta), p.eta_zz * np.cos(theta)
+    return float(np.hypot(st, p.c_z + ct)), float(np.hypot(st, p.c_z - ct))
 
 
 def analytic_discord_x(rho):
@@ -200,8 +199,7 @@ def analytic_discord_x(rho):
     sa = output_marginal_entropy(ch, d.gamma)
 
     # the equatorial purity s' = t', then the polar s' and t'
-    c_z, eta_zz = params.c_z, params.eta_zz
-    purities = np.array([np.sqrt(max(params.a, 0.0)), abs(c_z + eta_zz), abs(c_z - eta_zz)])
+    purities = np.array([closed_form_purities(params, np.pi / 2)[0], *closed_form_purities(params, 0.0)])
     h_eq, h_s, h_t = binary_entropy_arr(np.minimum(1.0, (1.0 + purities) / 2.0)).tolist()
     obj_eq = sa - h_eq
     obj_pol = sa - 0.5 * (h_s + h_t)

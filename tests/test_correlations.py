@@ -346,7 +346,7 @@ def test_discord_short_circuits_a_marginal_at_the_rank_tolerance():
 #: make.  One validation gives the spectrum of S(rho) and one herm_eig of
 #: rho_b serves the rank test, S(rho_b) and the basis rotation; eigvalsh's
 #: other call is S(rho_a) (the oracle takes its own), and eigh's the rotated
-#: state of the decomposition (the closed form adds maximize_f's Gram matrix).
+#: state of the decomposition (the closed form's budget holds one spare).
 @pytest.mark.parametrize(
     "method, rho, budget",
     [
@@ -1146,6 +1146,20 @@ def test_merge_drops_a_root_within_merge_tol_only():
     assert [(q.theta, q.phi) for q in merged([t0 + 1e-6, t0], [p0, p0])] == [(best.theta, best.phi)]
     assert len(merged([np.pi / 2 - 1e-7, np.pi / 2 + 1e-7], [pe, pe + np.pi], *bell)) == 1
     assert len(merged([t0, t0 + 1e-3], [p0, p0])) == 2
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("rho, critical", [(random_state(3), False), (lu_state(), True)], ids=["random", "lu"])
+def test_merge_of_no_roots_returns_the_kept_points(rho, critical, scale):
+    # no roots: verification, distances and selection run on empty arrays
+    # without a RuntimeWarning (an error here) and leave ``kept`` as given;
+    # the random state's polar candidate is not critical, lu's is
+    ch, gamma = channel_of(rho)
+    form, sa = correlations._outcome_form(ch, gamma), output_marginal_entropy(ch, gamma)
+    polar = universal_candidates(ch, gamma)[0]
+    assert polar.theta == 0.0 and polar.critical == critical
+    for kept in ([], [polar]):
+        assert correlations._merge(form, sa, np.zeros(0), np.zeros(0), kept, scale) == kept
 
 
 @functools.cache

@@ -179,3 +179,6 @@ def test_resolve_errors():
         resolve("werner:0.5,0.5")
     with pytest.raises(ValueError, match="no parameters"):
         resolve("lu:1")
+    for text in ("random", "random:1,2,3"):
+        with pytest.raises(ValueError, match=r"seed\[,rank\]"):
+            resolve(text)

@@ -11,6 +11,7 @@ from qdiscord.xstate import (
     G_func,
     H_func,
     NotApplicableError,
+    XStateParams,
     analytic_discord_x,
     closed_form_purities,
     f_phi,
@@ -71,6 +72,33 @@ def test_maximize_f_matches_dense_sweep():
     top, _ = maximize_f(ch)
     sweep = max(f_phi(ch, ph) for ph in np.linspace(0, np.pi, 10_000))
     assert abs(top - sweep) < 1e-10
+
+
+def _xy_blocks(rng):
+    """Random 2x2 blocks: general ones, diagonal ones and rotated near-isotropic
+    ones whose Gram matrix has a relative eigen-gap of 1e-12 to 1e-2."""
+    for _ in range(800):
+        yield rng.uniform(-1, 1, (2, 2))
+    for _ in range(400):
+        yield np.diag(rng.uniform(-1, 1, 2))
+    for _ in range(800):
+        top, gap = rng.uniform(0.05, 1), 10.0 ** rng.uniform(-12, -2)
+        rot = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]) for a in rng.uniform(0, 2 * np.pi, 2)]
+        yield rot[0] @ np.diag([top, top * np.sqrt(1 - gap)]) @ rot[1]
+
+
+def test_maximize_f_matches_the_eigensolver():
+    # the closed form against the top eigenpair of M^T M from np.linalg.eigh;
+    # the azimuth is compared where the gap is at least 1e-3 of the top
+    for m in _xy_blocks(np.random.default_rng(11)):
+        eta = np.eye(3)
+        eta[:2, :2] = m
+        top, phi_star = maximize_f(AffineChannel(eta=eta, c=np.zeros(3)))
+        vals, vecs = np.linalg.eigh(m.T @ m)
+        assert abs(top - vals[1]) <= 1e-15 * vals[1]
+        if vals[1] - vals[0] >= 1e-3 * vals[1]:
+            gap = abs(phi_star - np.arctan2(vecs[1, 1], vecs[0, 1])) % np.pi
+            assert min(gap, np.pi - gap) < 1e-12
 
 
 def test_f_phi_rejects_non_block_channel():
@@ -164,6 +192,19 @@ def test_closed_form_purities_match_affine():
             sp, tp, _, _ = conditional_purities(ch, d.gamma, th, phi_obj)
             assert abs(s_cf - sp) < 1e-12
             assert abs(t_cf - tp) < 1e-12
+
+
+def test_closed_form_purities_keep_their_digits_near_a_zero_purity():
+    # c_z = -eta_zz: s' -> 0 at the pole, where the expansion
+    # sqrt(a + 2 b cos(theta) + c cos(theta)^2) cancels to its rounding
+    eta_perp, c_z, eta_zz = 0.5, 0.3, -0.3
+    a, b, c = eta_perp**2 + c_z**2, eta_zz * c_z, eta_zz**2 - eta_perp**2
+    p = XStateParams(eta_perp, c_z, eta_zz, a, b, c, c / (b * b - c * a), 0.0)
+    for th in (1e-3, 1e-5, 1e-7):
+        s, _ = closed_form_purities(p, th)
+        expect = np.hypot(eta_perp * np.sin(th), eta_zz * 2 * np.sin(th / 2) ** 2)
+        assert abs(s - expect) <= 1e-14 * expect
+    assert closed_form_purities(p, 0.0) == (0.0, 0.6)
 
 
 def test_analytic_bell_diagonal_closed_form():
