@@ -44,8 +44,8 @@ LN2 = np.log(2.0)
 SATURATION_CLAMP = 1e-12
 #: Scaled gradient norm required of a reported stationary point, times the solve's :func:`_tolerance_scale`.
 STATIONARY_TOL = 1e-7
-#: Raw gradient norm below which a Newton start counts as a root, times the solve's scale; a start
-#: below it stops at its first step that does not lower the norm.
+#: Raw gradient norm below which a Newton start counts as a root, times the solve's scale; a start below
+#: it ends with one unevaluated Newton step if that is shorter than MERGE_TOL, else at one not lowering it.
 NEWTON_TOL = 1e-10
 #: Landscape gradient norm from which a solve's zero-gradient tolerances are not scaled down.
 GRAD_REF = 1e-2
@@ -446,9 +446,13 @@ def _newton_batch(form, th0, ph0, scale=1.0):
     gradient norm is taken with its Hessian and resets alpha to 1; otherwise
     alpha halves (backtracking, Nocedal & Wright, Numerical Optimization,
     2006, sec. 3.1), or the start stops once its norm is below tol =
-    NEWTON_TOL * ``scale`` (under the merge's tolerance).  A start also stops
-    when its Hessian is singular or not finite, or its trial point is its
-    current point, and after NEWTON_MAX_ITER iterations, halvings included.
+    NEWTON_TOL * ``scale`` (under the merge's tolerance).  A start below tol
+    whose full step xi is shorter than MERGE_TOL (a flat floor of J, whose
+    Hessian is rounding noise, gives longer ones) moves by xi unevaluated and
+    stops: Newton converges quadratically (sec. 3.3), and :func:`_merge`
+    verifies the point.  A start also stops when its Hessian is singular or
+    not finite, or its trial point is its current point, and after
+    NEWTON_MAX_ITER iterations, halvings included.
     It is a root if its norm is then below tol, so a root does not depend on which start reached it.
 
     A start above tol stops too, and is no root, once it has left its seed's
@@ -471,9 +475,10 @@ def _newton_batch(form, th0, ph0, scale=1.0):
         det = htt * hpp - htp * htp
         regular = (np.abs(det) >= 1e-30) & np.isfinite(det)
         safe = np.where(regular, det, 1.0)
-        a, st, ct = alpha[live], np.sin(t0), np.cos(t0)
         xt = -(hpp * gt - htp * gp) / safe
         xp = -(htt * gp - htp * gt) / safe
+        last = regular & (norm < tol) & (np.hypot(xt, xp) < MERGE_TOL)
+        a, st, ct = np.where(last, 1.0, alpha[live]), np.sin(t0), np.cos(t0)
 
         # n + alpha xi: sin theta + alpha xt cos theta along (cos phi, sin phi,
         # 0), alpha xp along e_phi and cos theta - alpha xt sin theta along z;
@@ -481,7 +486,8 @@ def _newton_batch(form, th0, ph0, scale=1.0):
         out, across = st + a * (xt * ct), a * xp
         tt = np.arctan2(np.hypot(out, across), ct - a * (xt * st))
         pp = p0 + np.arctan2(across, out)
-        moves = regular & ((tt != t0) | (pp != p0))
+        state[:2, live[last]] = tt[last], pp[last]
+        moves = regular & ~last & ((tt != t0) | (pp != p0))
         live, tt, pp, a, norm = live[moves], tt[moves], pp[moves], a[moves], norm[moves]
         if not live.size:
             break

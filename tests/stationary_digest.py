@@ -24,7 +24,9 @@ After the digest lines, standard error gets the cost of the
 ``near_singular_band`` group, which varies from run to run: the median and
 largest number of stationary points a state reports, and the median and
 slowest ``discord`` call, each state's call timed best of three; then the
-total run time.
+channel-path kernel calls (``util.count_gradient_calls``) of one
+``random_state`` solve, median, 90th percentile and largest; then the total
+run time.
 
 The name does not start with ``test_``, so pytest does not collect it.
 """
@@ -32,9 +34,10 @@ The name does not start with ``test_``, so pytest does not collect it.
 import hashlib
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
-from util import feasible_bell_triple, random_unitary, random_x_maximally_mixed
+from util import count_gradient_calls, feasible_bell_triple, random_unitary, random_x_maximally_mixed
 
 from qdiscord import affine_from_kraus, decompose, discord
 from qdiscord.correlations import index_sum, universal_candidates
@@ -80,45 +83,55 @@ def point_rows(points):
     return [repr((q.kind, q.critical, q.theta, q.phi, q.objective, q.grad_norm)) for q in points]
 
 
-def solve_record(rho, method):
+def solve_record(rho, method, kernel):
     """The text of one state's report, stationary points and index sum (or,
     for the method "universal_candidates", of that function's points), the
-    number of its points and the seconds its call took."""
-    t0 = time.perf_counter()
+    number of its points, the seconds its call took and the entries that
+    call added to ``kernel``, a list of :func:`util.count_gradient_calls`."""
+    t0, k0 = time.perf_counter(), len(kernel)
     try:
         if method == "universal_candidates":
             d = decompose(rho)
             rows = point_rows(universal_candidates(affine_from_kraus(d.kraus), d.gamma))
-            return "\n".join(rows) + "\n", len(rows), time.perf_counter() - t0
+            return "\n".join(rows) + "\n", len(rows), time.perf_counter() - t0, len(kernel) - k0
         rep = discord(rho, method=method)
     except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}\n", 0, time.perf_counter() - t0
-    seconds = time.perf_counter() - t0
+        return f"{type(exc).__name__}: {exc}\n", 0, time.perf_counter() - t0, len(kernel) - k0
+    seconds, calls = time.perf_counter() - t0, len(kernel) - k0
     head = (rep.mutual_info, rep.classical_corr, rep.discord, rep.theta, rep.phi, rep.method)
     rows = point_rows(rep.stationary_points)
     total = None
     if rep.stationary_points and method == "stationary":
         d = decompose(rho)
         total = index_sum(affine_from_kraus(d.kraus), d.gamma, rep.stationary_points)
-    return "\n".join([repr(head), *rows, repr(total)]) + "\n", len(rows), seconds
+    return "\n".join([repr(head), *rows, repr(total)]) + "\n", len(rows), seconds, calls
 
 
 def main():
     t0 = time.perf_counter()
+    # counts every kernel call of the run: the counter's patch is never undone
+    kernel = count_gradient_calls(SimpleNamespace(setattr=setattr))
     for name, method, states in corpus():
         digest, costs = hashlib.sha256(), []
         for rho in states:
-            runs = [solve_record(rho, method) for _ in range(3 if name == "near_singular_band" else 1)]
-            text, count, _ = runs[0]
+            runs = [solve_record(rho, method, kernel) for _ in range(3 if name == "near_singular_band" else 1)]
+            text, count, _, calls = runs[0]
             digest.update(text.encode())
-            costs.append((count, min(seconds for *_, seconds in runs)))
+            costs.append((count, min(run[2] for run in runs), calls))
         print(f"{name:<20} {len(states):4d} {digest.hexdigest()}")
         if name == "near_singular_band":
-            points, seconds = np.array(costs).T
+            points, seconds, _ = np.array(costs).T
+        elif name == "random_state":
+            per_solve = np.array(costs)[:, 2]
     sys.stdout.flush()
     print(
         f"near_singular_band points median {np.median(points):g} largest {points.max():g}, "
         f"solve median {1e3 * np.median(seconds):.1f} ms slowest {1e3 * seconds.max():.1f} ms",
+        file=sys.stderr,
+    )
+    print(
+        f"random_state kernel calls per solve median {np.median(per_solve):g} "
+        f"p90 {np.percentile(per_solve, 90):g} largest {per_solve.max():g}",
         file=sys.stderr,
     )
     print(f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)

@@ -346,13 +346,13 @@ def test_discord_short_circuits_a_marginal_at_the_rank_tolerance():
 #: make.  One validation gives the spectrum of S(rho) and one herm_eig of
 #: rho_b serves the rank test, S(rho_b) and the basis rotation; eigvalsh's
 #: other call is S(rho_a) (the oracle takes its own), and eigh's the rotated
-#: state of the decomposition (the closed form's budget holds one spare).
+#: state of the decomposition.
 @pytest.mark.parametrize(
     "method, rho, budget",
     [
         ("stationary", lu_state(), (1, 2, 2)),
         ("oracle", lu_state(), (1, 3, 1)),
-        ("xstate_analytic", bell_diagonal(0.7, -0.5, 0.3), (1, 2, 3)),
+        ("xstate_analytic", bell_diagonal(0.7, -0.5, 0.3), (1, 2, 2)),
         ("stationary", SINGULAR_B_MARGINAL, (1, 2, 1)),
     ],
     ids=["stationary", "oracle", "xstate_analytic", "singular"],
@@ -672,6 +672,12 @@ BUDGET_STATES = {
         (find_stationary_points, "bell_diagonal(0.7, -0.5, 0.3)", 4),
         (find_stationary_points, "near_singular(1e-05)", 9),
         (find_stationary_points, "near_singular(1e-06)", 9),
+        (find_stationary_points, 1003, 6),
+        (find_stationary_points, 1050, 6),
+        (find_stationary_points, 1177, 6),
+        (find_stationary_points, "near_singular(1e-03)", 7),
+        (find_stationary_points, "near_singular(1e-04)", 6),
+        (find_stationary_points, "near_singular(1e-05)", 6),
     ],
 )
 def test_gradient_call_budget(monkeypatch, solve, state, budget):
@@ -685,11 +691,45 @@ def test_gradient_call_budget(monkeypatch, solve, state, budget):
     # steps per call and stops once its brackets stop changing; lu's
     # landscape does not depend on phi, and werner(0.8)'s is flat.  A
     # Newton start that has left its seed's cell, once another start has
-    # converged in that cell, stops.  Every channel-path call counts,
-    # objective, gradient and Hessian alike
+    # converged in that cell, stops.  A start below NEWTON_TOL whose Newton
+    # step is shorter than MERGE_TOL takes that step without a call.  Every
+    # channel-path call counts, objective, gradient and Hessian alike
     calls = count_gradient_calls(monkeypatch)
     solve(*channel_of(BUDGET_STATES[state] if isinstance(state, str) else random_state(state)))
     assert 0 < len(calls) <= budget
+
+
+def test_newton_started_at_a_root_makes_one_call(monkeypatch):
+    # a start already below NEWTON_TOL, whose Newton step is shorter than
+    # MERGE_TOL, takes that step unevaluated and stops: the one call is the
+    # starts' own, and the root stays within MERGE_TOL of the start
+    ch, gamma = channel_of(random_state(3))
+    points = [q for q in find_stationary_points(ch, gamma) if q.kind == STATE_DEPENDENT]
+    assert len(points) == 3
+    calls = count_gradient_calls(monkeypatch)
+    for q in points:
+        calls.clear()
+        th, ph = correlations._newton_batch(correlations._outcome_form(ch, gamma), [q.theta], [q.phi])
+        assert len(calls) == 1 and th.size == 1
+        assert bloch.measurement_distance((q.theta, q.phi), (th[0], ph[0])) < MERGE_TOL
+
+
+def test_newton_does_not_polish_below_its_tolerance(monkeypatch):
+    # converged starts end with one unevaluated step instead of stepping on,
+    # one Hessian call a step, while their norm still falls below NEWTON_TOL
+    terms, wants = correlations._sphere_terms, []
+
+    def recorded(form, theta, phi, want):
+        wants.append(want)
+        return terms(form, theta, phi, want)
+
+    monkeypatch.setattr(correlations, "_sphere_terms", recorded)
+    hessian = []
+    for s in range(100):
+        wants.clear()
+        find_stationary_points(*channel_of(random_state(s, 2 + s % 3)))
+        hessian.append(wants.count("hessian"))
+    assert np.percentile(hessian, 90) <= 5 and max(hessian) <= 8
 
 
 @pytest.mark.parametrize("eps", NEAR_SINGULAR_EPS[1:4], ids=lambda eps: f"eps{eps:.0e}")

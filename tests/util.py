@@ -114,7 +114,7 @@ def reference_conditional_entropy_direct(rho, theta, phi):
 def unretired_newton_batch(form, th0, ph0, scale=1.0):
     """``correlations._newton_batch`` without the retirement of starts: every
     start iterates until it stops on its own, whatever the other starts have
-    found."""
+    found.  A start below tol takes the same unevaluated last step as there."""
     th, ph, tol = np.asarray(th0, float), np.asarray(ph0, float), correlations.NEWTON_TOL * scale
     state = np.array((th, ph, th, *correlations._sphere_terms(form, th, ph, "hessian")[1:]))
     state[2] = np.hypot(state[3], state[4])
@@ -125,13 +125,15 @@ def unretired_newton_batch(form, th0, ph0, scale=1.0):
         det = htt * hpp - htp * htp
         regular = (np.abs(det) >= 1e-30) & np.isfinite(det)
         safe = np.where(regular, det, 1.0)
-        a, st, ct = alpha[live], np.sin(t0), np.cos(t0)
         xt = -(hpp * gt - htp * gp) / safe
         xp = -(htt * gp - htp * gt) / safe
+        last = regular & (norm < tol) & (np.hypot(xt, xp) < correlations.MERGE_TOL)
+        a, st, ct = np.where(last, 1.0, alpha[live]), np.sin(t0), np.cos(t0)
         out, across = st + a * (xt * ct), a * xp
         tt = np.arctan2(np.hypot(out, across), ct - a * (xt * st))
         pp = p0 + np.arctan2(across, out)
-        moves = regular & ((tt != t0) | (pp != p0))
+        state[:2, live[last]] = tt[last], pp[last]
+        moves = regular & ~last & ((tt != t0) | (pp != p0))
         live, tt, pp, a, norm = live[moves], tt[moves], pp[moves], a[moves], norm[moves]
         if not live.size:
             break
