@@ -40,7 +40,6 @@ from .bloch import (
     AffineChannel,
     DegenerateOutcomeError,
     affine_from_kraus,
-    conditional_bloch_in,
     conditional_probabilities,
     conditional_purities,
     from_bloch,

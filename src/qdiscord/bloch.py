@@ -6,12 +6,12 @@ r -> eta r + c with a real 3x3 matrix eta and a shift c.  The Pauli
 expansion :func:`to_bloch` and its inverse also map stacks of matrices.
 
 The projective measurement on qubit b is parametrized by polar/azimuthal
-angles (theta, phi).  Conditioned on the outcome, qubit a collapses to a
-pure state whose Bloch direction depends on (theta, phi) and on the
-entanglement angle gamma of the reference state; the channel then maps that
-direction to the output Bloch vector whose length ("purity") drives the
-conditional entropy.  :func:`fold_angles` carries angles found in a frame
-rotated by a 2x2 unitary on b back through that unitary, on the spinor.
+angles (theta, phi), the unit vector n.  Each outcome leaves qubit a in the
+channel's image of the reference state's conditional state, and
+:func:`outcome_form` writes both as one affine form in n: p v = (a +- T n)
+/ 2, whose length over p ("purity") drives the conditional entropy.
+:func:`fold_angles` carries angles found in a frame rotated by a 2x2
+unitary on b back through that unitary, on the spinor.
 """
 
 from __future__ import annotations
@@ -79,28 +79,32 @@ def conditional_probabilities(gamma, theta):
     return 0.5 * (1.0 + x), 0.5 * (1.0 - x)
 
 
-def conditional_bloch_in(gamma, theta, phi):
-    """Pre-channel Bloch directions (s, t) of the two conditional states,
-    unit vectors; s belongs to the outcome along the measurement vector.
-    Their y components rotate against the measurement azimuth, as the
-    conditional amplitudes carry exp(-i phi): that keeps the channel path
-    equal to the direct projection.  Raises :class:`DegenerateOutcomeError`
-    when one outcome probability vanishes (theta ~ 0 together with gamma ~
-    0), where the corresponding direction is undefined; ValueError on a
-    non-finite angle."""
-    p = np.array(conditional_probabilities(gamma, theta))
-    if p.min() < DEGENERATE_TOL:
-        raise DegenerateOutcomeError(f"outcome probability {p.min():.3e} below {DEGENERATE_TOL:.0e}")
+def outcome_form(ch, gamma):
+    """(sin gamma, cos gamma, a, T) of the two outcomes' conditional states
+    through the channel ``ch`` at the reference angle ``gamma``: outcome
+    +-1 of the measurement along n has probability p = (1 +- cos(gamma)
+    n_z) / 2 and Bloch vector v with p v = (a +- T n) / 2, where
+    a = cos(gamma) eta e_z + c is the Bloch vector of rho_a and
+    T = eta diag(sin gamma, -sin gamma, 1) + cos(gamma) c e_z^T.  The
+    -sin gamma holds because the conditional amplitudes carry exp(-i phi),
+    which keeps the channel path equal to the direct projection."""
     sg, cg = np.sin(gamma), np.cos(gamma)
-    st, ct, cp, sp = angle_trig(*finite_angles(theta, phi))
-    ax, ay = sg * st * cp, sg * st * sp
-    return np.array([ax, -ay, cg + ct]) / (2.0 * p[0]), np.array([-ax, ay, cg - ct]) / (2.0 * p[1])
+    a, t = cg * ch.eta[:, 2] + ch.c, ch.eta * np.array([sg, -sg, 1.0])
+    t[:, 2] += cg * ch.c
+    return sg, cg, a, t
 
 
 def conditional_purities(ch, gamma, theta, phi):
-    """Post-channel purities and probabilities (s', t', p1, p2); ValueError on a non-finite angle."""
-    s, t = conditional_bloch_in(gamma, theta, phi)
-    return float(np.linalg.norm(ch(s))), float(np.linalg.norm(ch(t))), *conditional_probabilities(gamma, theta)
+    """Post-channel purities and probabilities (|v1|, |v2|, p1, p2) of the
+    :func:`outcome_form`.  Raises :class:`DegenerateOutcomeError` when one
+    outcome probability vanishes (theta ~ 0 together with gamma ~ 0), where
+    its state is undefined; ValueError on a non-finite angle."""
+    p = conditional_probabilities(gamma, theta)
+    if min(p) < DEGENERATE_TOL:
+        raise DegenerateOutcomeError(f"outcome probability {min(p):.3e} below {DEGENERATE_TOL:.0e}")
+    _, _, a, t = outcome_form(ch, gamma)
+    tn = t @ angles_to_direction(theta, phi)
+    return float(np.linalg.norm(a + tn) / (2.0 * p[0])), float(np.linalg.norm(a - tn) / (2.0 * p[1])), *p
 
 
 def angle_trig(theta, phi):

@@ -158,7 +158,8 @@ def output_marginal_entropy(ch, gamma):
 
 def conditional_entropy_channel(ch, gamma, theta, phi):
     """sum_j p_j S(rho_j) through the affine channel form; angle arrays that broadcast together give an array."""
-    return _scalar_or_array(_sphere_terms(_outcome_form(ch, gamma), *bloch.finite_angles(theta, phi), "entropy")[0])
+    form = bloch.outcome_form(ch, gamma)
+    return _scalar_or_array(_sphere_terms(form, *bloch.finite_angles(theta, phi), "entropy")[0])
 
 
 def objective_channel(ch, gamma, theta, phi):
@@ -178,17 +179,8 @@ def grad_objective(ch, gamma, theta, phi):
     """Analytic gradient (dJ/dtheta, dJ/dphi) on the channel path; angle
     arrays that broadcast together give a pair of arrays."""
     th, ph = bloch.finite_angles(theta, phi)
-    _, g_th, g_ph = _sphere_terms(_outcome_form(ch, gamma), th, ph, "gradient")
+    _, g_th, g_ph = _sphere_terms(bloch.outcome_form(ch, gamma), th, ph, "gradient")
     return _scalar_or_array(g_th), _scalar_or_array(np.sin(th) * g_ph)
-
-
-def _outcome_form(ch, gamma):
-    """(sin gamma, cos gamma, a, T) of p v = (a +- T n) / 2 through ``ch``, the data of :func:`_sphere_terms`;
-    each public function of the channel path computes it once per call, from ``ch`` as it is then."""
-    sg, cg = np.sin(gamma), np.cos(gamma)
-    a, t = cg * ch.eta[:, 2] + ch.c, ch.eta * np.array([sg, -sg, 1.0])
-    t[:, 2] += cg * ch.c
-    return sg, cg, a, t
 
 
 def _sphere_terms(form, theta, phi, want):
@@ -202,11 +194,10 @@ def _sphere_terms(form, theta, phi, want):
     the identity; Absil, Mahony & Sepulchre, Optimization Algorithms on
     Matrix Manifolds, 2008, ch. 5).  The gradient's bits do not depend on ``want``.
 
-    ``form`` is the channel's :func:`_outcome_form`: the outcomes' p v =
-    (a +- T n) / 2 are affine in n, with 2 p = m = 1 +- cos(gamma) n_z,
-    a = cos(gamma) eta e_z + c and T = eta diag(sin gamma, -sin gamma, 1)
-    + cos(gamma) c e_z^T.  An outcome's p H2((1 + r) / 2) depends on n
-    through rho = |q|, q = a +- T n, and m only, homogeneously, so it adds
+    ``form`` is the channel's :func:`bloch.outcome_form`, which defines a,
+    T and the outcomes' p v = (a +- T n) / 2; here m = 2 p.  An outcome's
+    p H2((1 + r) / 2) depends on n through rho = |q|, q = a +- T n, and m
+    only, homogeneously, so it adds
     +-[l (T x) . q / (2 m) + cos(gamma) x_z log2(1 - r**2) / 4] to the
     derivative of J along x, and [l (T^T T - T^T v v^T T) + g w w^T] / (2 m)
     to its Hessian, with v = q / rho, r = rho / m, w = T^T v - r cos(gamma)
@@ -214,7 +205,8 @@ def _sphere_terms(form, theta, phi, want):
     The purity r is clamped at 1 - 1e-12 inside the logarithms, so the
     derivatives are finite (and still ~0 where they should vanish) even for
     a channel that keeps the conditional states pure; an outcome of
-    probability below DEGENERATE_TOL adds no entropy.
+    probability below DEGENERATE_TOL adds no entropy, and a pure one
+    (r >= 1) none either: the entropy is :func:`qmat.binary_entropy_arr`.
     """
     # trig before broadcasting: a scan along one angle takes the other's once
     trig = bloch.angle_trig(theta, phi)
@@ -253,10 +245,7 @@ def _sphere_terms(form, theta, phi, want):
         block = gram * (lam[0] + lam[1]) + np.add.reduce(lw - lu)
         out += block[0, 0], block[0, 1], block[1, 1], ng[0]
     if want == "entropy":
-        # H2((1 + r) / 2), cheaper than with qmat.binary_entropy_arr's masks; r >= 1 gives ~1e-305
-        hp = np.minimum((1.0 + r) / 2.0, 1.0)
-        hq = np.maximum(1.0 - hp, sys.float_info.min)
-        e = np.where(two_p > 2.0 * bloch.DEGENERATE_TOL, 0.5 * two_p * (-hp * np.log2(hp) - hq * np.log2(hq)), 0.0)
+        e = np.where(two_p > 2.0 * bloch.DEGENERATE_TOL, 0.5 * two_p * binary_entropy_arr((1.0 + r) / 2.0), 0.0)
         out = e[0] + e[1], g_th, g_ph
     return out if len(shape) == 1 else tuple(y if y is None else y.reshape(shape) for y in out)
 
@@ -364,7 +353,7 @@ def _merge(form, sa, theta, phi, kept=(), scale=1.0):
     gradient norm), is dropped: one call measures the distances from the
     critical kept points and from every root to every root.  The survivors
     come in (theta, phi) order, classified by their polar angle; ``form`` is
-    the channel's :func:`_outcome_form`, ``sa`` is S(rho_a).
+    the channel's :func:`bloch.outcome_form`, ``sa`` is S(rho_a).
     """
     th, ph = bloch.normalize_angles(np.asarray(theta, float), np.asarray(phi, float))
     order = np.lexsort((ph, th))
@@ -418,7 +407,7 @@ def universal_candidates(ch, gamma):
     gives the pole, and its Newton batch the equatorial roots, which the
     tests check against this scan and bisection.
     """
-    sa, form = output_marginal_entropy(ch, gamma), _outcome_form(ch, gamma)
+    sa, form = output_marginal_entropy(ch, gamma), bloch.outcome_form(ch, gamma)
 
     # equatorial candidates: zeros of dJ/dphi along theta = pi/2, where it
     # is the frame component itself
@@ -439,8 +428,8 @@ def _newton_batch(form, th0, ph0, scale=1.0):
     starts still iterating; returns the roots, in start order.
 
     One call of :func:`_sphere_terms` on ``form``, the channel's
-    :func:`_outcome_form`, gives the gradient and the Hessian in the frame
-    (e_theta, e_phi) at the starts, and one per iteration at the trial
+    :func:`bloch.outcome_form`, gives the gradient and the Hessian in the
+    frame (e_theta, e_phi) at the starts, and one per iteration at the trial
     points (n + alpha xi) / |n + alpha xi|, xi the Newton step and alpha a
     step factor per start, 1 at first.  A trial that lowers the
     gradient norm is taken with its Hessian and resets alpha to 1; otherwise
@@ -531,7 +520,7 @@ def index_sum(ch, gamma, points):
     if not crit:
         return None
     t, p = np.array([[q.theta, q.phi] for q in crit]).T
-    _, _, _, *block, ng = _sphere_terms(_outcome_form(ch, gamma), t, p, "hessian")
+    _, _, _, *block, ng = _sphere_terms(bloch.outcome_form(ch, gamma), t, p, "hessian")
     hess = np.stack([block[0] - ng, block[1], block[2] - ng])
     det = hess[0] * hess[2] - hess[1] ** 2
     floor = max(1e-4 * np.max(np.abs(hess)), np.finfo(float).eps * np.max(np.abs([*block, ng])))
@@ -642,7 +631,7 @@ def find_stationary_points(ch, gamma):
     points match :func:`universal_candidates`, which finds them by
     bisecting the equator instead.
     """
-    sa, form = output_marginal_entropy(ch, gamma), _outcome_form(ch, gamma)
+    sa, form = output_marginal_entropy(ch, gamma), bloch.outcome_form(ch, gamma)
 
     th_scan, ph_scan = _landscape_grid()
     ce_scan, gt_scan, gp_scan = _sphere_terms(form, th_scan[:, :1], ph_scan[:1], "entropy")

@@ -39,7 +39,7 @@ X_PATTERN_TOL = 1e-10
 #: Tolerance on the affine block structure of an extracted channel.
 BLOCK_TOL = 1e-8
 #: b^2 - c a below this is treated as degenerate (k undefined).
-DEGENERATE_TOL = 1e-12
+SHAPE_DEGENERATE_TOL = 1e-12
 
 # entries that must vanish for the X pattern: all but both diagonals
 _OFF_PATTERN = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
@@ -117,7 +117,7 @@ def x_params(ch):
     b = eta_zz * c_z
     c = eta_zz**2 - eta_perp_sq
     denom = b * b - c * a
-    k = None if abs(denom) < DEGENERATE_TOL else c / denom
+    k = None if abs(denom) < SHAPE_DEGENERATE_TOL else c / denom
     return XStateParams(eta_perp, c_z, eta_zz, a, b, c, k, phi_star)
 
 
@@ -200,7 +200,7 @@ def analytic_discord_x(rho):
 
     # the equatorial purity s' = t', then the polar s' and t'
     purities = np.array([closed_form_purities(params, np.pi / 2)[0], *closed_form_purities(params, 0.0)])
-    h_eq, h_s, h_t = binary_entropy_arr(np.minimum(1.0, (1.0 + purities) / 2.0)).tolist()
+    h_eq, h_s, h_t = binary_entropy_arr((1.0 + purities) / 2.0).tolist()
     obj_eq = sa - h_eq
     obj_pol = sa - 0.5 * (h_s + h_t)
 

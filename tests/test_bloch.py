@@ -9,13 +9,13 @@ from qdiscord.bloch import (
     DegenerateOutcomeError,
     affine_from_kraus,
     angles_to_direction,
-    conditional_bloch_in,
     conditional_probabilities,
     conditional_purities,
     fold_angles,
     from_bloch,
     measurement_distance,
     normalize_angles,
+    outcome_form,
     to_bloch,
 )
 from qdiscord.choi import KrausSet, decompose
@@ -118,14 +118,27 @@ def test_conditional_probabilities():
     assert abs(p1 - 1.0) < 1e-15 and p2 >= 0.0
 
 
+#: The identity channel, whose outcome form holds the reference state's own
+#: conditional vectors: unit vectors for every measurement.
+IDENTITY = affine_from_kraus(KrausSet([I2.copy()]))
+
+
+def conditional_vectors(ch, gamma, theta, phi):
+    """The two outcomes' Bloch vectors (a +- T n) / (2 p) of :func:`outcome_form`."""
+    _, _, a, t = outcome_form(ch, gamma)
+    tn = t @ angles_to_direction(theta, phi)
+    p1, p2 = conditional_probabilities(gamma, theta)
+    return (a + tn) / (2.0 * p1), (a - tn) / (2.0 * p2)
+
+
 def test_conditional_bloch_equator():
-    s, t = conditional_bloch_in(np.pi / 2, np.pi / 2, 0.0)
+    s, t = conditional_vectors(IDENTITY, np.pi / 2, np.pi / 2, 0.0)
     assert_allclose(s, [1, 0, 0], atol=1e-15)
     assert_allclose(t, [-1, 0, 0], atol=1e-15)
 
 
 def test_conditional_bloch_poles():
-    s, t = conditional_bloch_in(0.7, 0.0, 1.3)
+    s, t = conditional_vectors(IDENTITY, 0.7, 0.0, 1.3)
     assert_allclose(s, [0, 0, 1], atol=1e-15)
     assert_allclose(t, [0, 0, -1], atol=1e-15)
 
@@ -136,16 +149,16 @@ def test_conditional_bloch_unit_norm_and_interchange():
         g = rng.uniform(0.05, np.pi / 2)
         th = rng.uniform(0, np.pi)
         ph = rng.uniform(0, 2 * np.pi)
-        s, t = conditional_bloch_in(g, th, ph)
+        s, t = conditional_vectors(IDENTITY, g, th, ph)
         assert abs(np.linalg.norm(s) - 1) < 1e-12
         assert abs(np.linalg.norm(t) - 1) < 1e-12
-        s2, _ = conditional_bloch_in(g, np.pi - th, ph + np.pi)
+        s2, _ = conditional_vectors(IDENTITY, g, np.pi - th, ph + np.pi)
         assert_allclose(s2, t, atol=1e-12)
 
 
 def test_conditional_bloch_degenerate_outcome():
     with pytest.raises(DegenerateOutcomeError):
-        conditional_bloch_in(1e-9, 1e-9, 0.0)
+        conditional_purities(IDENTITY, 1e-9, 1e-9, 0.0)
 
 
 def test_conditional_purities_identity_channel():
@@ -192,19 +205,22 @@ def test_interchange_symmetry_of_purities():
 
 
 def test_probability_weighted_directions_recover_marginals():
+    # the form's a is the a marginal's Bloch vector, and the outcomes'
+    # probability-weighted vectors and states average to it
     rho = random_state(17)
     d = decompose(rho)
     ch = affine_from_kraus(d.kraus)
-    rng = np.random.default_rng(6)
     rho_a = partial_trace_b(rho)
+    _, _, a, _ = outcome_form(ch, d.gamma)
+    assert_allclose(a, to_bloch(rho_a), atol=1e-12)
+    rng = np.random.default_rng(6)
     for _ in range(20):
         th, ph = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-        s, t = conditional_bloch_in(d.gamma, th, ph)
+        v1, v2 = conditional_vectors(ch, d.gamma, th, ph)
         p1, p2 = conditional_probabilities(d.gamma, th)
-        # inputs average to the rotated b marginal
-        assert_allclose(p1 * s + p2 * t, [0, 0, np.cos(d.gamma)], atol=1e-12)
-        # outputs average to the a marginal
-        avg = p1 * from_bloch(ch(s)) + p2 * from_bloch(ch(t))
+        assert_allclose(p1 * v1 + p2 * v2, a, atol=1e-12)
+        assert_allclose(conditional_purities(ch, d.gamma, th, ph)[:2], np.linalg.norm([v1, v2], axis=1), atol=1e-12)
+        avg = p1 * from_bloch(v1) + p2 * from_bloch(v2)
         assert np.linalg.norm(avg - rho_a) < 1e-10
 
 
@@ -234,10 +250,8 @@ def test_measurement_distance_refuses_non_finite_angles(theta, phi):
 
 @pytest.mark.parametrize("theta, phi", NON_FINITE_ANGLES)
 def test_conditional_states_refuse_non_finite_angles(theta, phi):
-    # a NaN angle once gave NaN probabilities, directions and purities
+    # a NaN angle once gave NaN probabilities and purities
     ch = affine_from_kraus(decompose(lu_state()).kraus)
-    with pytest.raises(ValueError, match="finite"):
-        conditional_bloch_in(0.5, theta, phi)
     with pytest.raises(ValueError, match="finite"):
         conditional_purities(ch, 0.5, theta, phi)
     # the probabilities take theta only; theta + phi is finite only when both are

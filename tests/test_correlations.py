@@ -67,6 +67,28 @@ def test_mutual_information_product():
     assert abs(mutual_information(product_state())) < 1e-12
 
 
+def random_full_rank_b():
+    g = np.random.default_rng(35).standard_normal((2, 2, 2)) @ [1.0, 1j]
+    return g @ g.conj().T / np.trace(g @ g.conj().T).real
+
+
+@pytest.mark.parametrize(
+    "rho_b, exact", [(np.diag([0.6, 0.4]), True), (random_full_rank_b(), False)], ids=["diag", "random"]
+)
+def test_pure_a_marginal_gives_no_negative_classical_correlation(rho_b, exact):
+    # |0><0| (x) rho_b: every conditional state of qubit a is pure, and
+    # H2((1 + r) / 2) = 0 at r = 1; a kernel that floored the logarithm's
+    # argument reported C = -2.274e-305 on the diagonal rho_b, which now
+    # gives 0 exactly.  Q is not checked: I is ~1e-16 of rounding, so Q may
+    # be too
+    rho = np.kron(np.diag([1.0, 0.0]), rho_b).astype(complex)
+    stationary, oracle = discord(rho), discord(rho, method="oracle")
+    assert stationary.classical_corr >= 0.0 and oracle.classical_corr >= 0.0
+    assert stationary.stationary_points and all(q.objective >= 0.0 for q in stationary.stationary_points)
+    if exact:
+        assert stationary.classical_corr == 0.0
+
+
 def test_mutual_information_maximally_entangled():
     assert abs(mutual_information(phi_plus()) - 2.0) < 1e-12
 
@@ -709,7 +731,7 @@ def test_newton_started_at_a_root_makes_one_call(monkeypatch):
     calls = count_gradient_calls(monkeypatch)
     for q in points:
         calls.clear()
-        th, ph = correlations._newton_batch(correlations._outcome_form(ch, gamma), [q.theta], [q.phi])
+        th, ph = correlations._newton_batch(bloch.outcome_form(ch, gamma), [q.theta], [q.phi])
         assert len(calls) == 1 and th.size == 1
         assert bloch.measurement_distance((q.theta, q.phi), (th[0], ph[0])) < MERGE_TOL
 
@@ -885,7 +907,7 @@ def tolerance_scale_of(rho):
     """The tolerance scale of the solve of rho: that of its landscape scan."""
     ch, gamma = channel_of(rho)
     th, ph = correlations._landscape_grid()
-    _, gt, gp = correlations._sphere_terms(correlations._outcome_form(ch, gamma), th[:, :1], ph[:1], "entropy")
+    _, gt, gp = correlations._sphere_terms(bloch.outcome_form(ch, gamma), th[:, :1], ph[:1], "entropy")
     return correlations._tolerance_scale(th[:, :1], gt, gp)
 
 
@@ -930,7 +952,7 @@ def test_merge_verifies_at_the_scale_it_is_given():
     ch, gamma = channel_of(rho)
     eq = [q for q in universal_candidates(ch, gamma) if q.kind == SYMMETRIC]
     th, ph = np.array([q.theta for q in eq]), np.array([q.phi for q in eq])
-    form, sa = correlations._outcome_form(ch, gamma), output_marginal_entropy(ch, gamma)
+    form, sa = bloch.outcome_form(ch, gamma), output_marginal_entropy(ch, gamma)
     assert len(correlations._merge(form, sa, th, ph)) == len(eq) == 2
     assert correlations._merge(form, sa, th, ph, (), tolerance_scale_of(rho)) == []
 
@@ -991,7 +1013,7 @@ def test_sphere_terms_match_the_per_outcome_reference(case):
     # every width the solver evaluates
     ch, gamma = KERNEL_CASES[case]()
     for theta, phi in kernel_angle_sets():
-        ce, g_th, g_ph = correlations._sphere_terms(correlations._outcome_form(ch, gamma), theta, phi, "entropy")
+        ce, g_th, g_ph = correlations._sphere_terms(bloch.outcome_form(ch, gamma), theta, phi, "entropy")
         got = ce, g_th, np.sin(theta) * g_ph
         for g, w in zip(got, reference_chart_terms(ch, gamma, theta, phi)):
             assert np.shape(g) == np.shape(theta)
@@ -1041,7 +1063,7 @@ def test_newton_halves_a_step_that_overshoots_the_narrow_polar_maximum():
     # finds no root, with halving it reaches the narrow maximum near the pole
     ch, gamma = channel_of(near_singular_state(1e-3))
     th, ph = correlations._newton_batch(
-        correlations._outcome_form(ch, gamma), [0.014494225223338741], [0.42804342653743266]
+        bloch.outcome_form(ch, gamma), [0.014494225223338741], [0.42804342653743266]
     )
     assert th.size == 1
     assert objective_channel(ch, gamma, th[0], ph[0]) >= 1.49933e-4
@@ -1063,7 +1085,7 @@ def test_newton_keeps_a_start_whose_cell_holds_no_found_root(seed, start):
     ch, gamma = channel_of(random_state(seed, 4))
     r1, r2 = [q for q in find_stationary_points(ch, gamma) if q.kind == STATE_DEPENDENT][:2]
     th, ph = correlations._newton_batch(
-        correlations._outcome_form(ch, gamma), [r1.theta, start[0]], [r1.phi, start[1]]
+        bloch.outcome_form(ch, gamma), [r1.theta, start[0]], [r1.phi, start[1]]
     )
     assert th.size == 2
     assert bloch.measurement_distance((th[1], ph[1]), (r2.theta, r2.phi)) < 1e-8
@@ -1158,8 +1180,8 @@ def test_a_zero_on_a_shared_cell_edge_yields_one_root():
     seeds = correlations._landscape_seeds(th, ph, grad)
     assert seeds[0].size == 2
     assert_allclose(np.stack(seeds), [[t0, t0], [p0, p0]], rtol=0, atol=1e-15)
-    rth, rph, *_ = correlations._newton_batch(correlations._outcome_form(ch, gamma), *seeds)
-    pts = correlations._merge(correlations._outcome_form(ch, gamma), output_marginal_entropy(ch, gamma), rth, rph)
+    rth, rph, *_ = correlations._newton_batch(bloch.outcome_form(ch, gamma), *seeds)
+    pts = correlations._merge(bloch.outcome_form(ch, gamma), output_marginal_entropy(ch, gamma), rth, rph)
     assert [q.kind for q in pts] == [kind]
     assert_allclose(pts[0].as_row()[1:4], (t0, p0, objective), rtol=0, atol=1e-12)
 
@@ -1179,7 +1201,7 @@ def test_merge_drops_a_root_within_merge_tol_only():
 
     def merged(theta, phi, ch=ch, gamma=gamma):
         return correlations._merge(
-            correlations._outcome_form(ch, gamma), output_marginal_entropy(ch, gamma), np.array(theta), np.array(phi)
+            bloch.outcome_form(ch, gamma), output_marginal_entropy(ch, gamma), np.array(theta), np.array(phi)
         )
 
     best = min((merged([t], [p0])[0] for t in (t0, t0 + 1e-6)), key=lambda q: q.grad_norm)
@@ -1195,7 +1217,7 @@ def test_merge_of_no_roots_returns_the_kept_points(rho, critical, scale):
     # without a RuntimeWarning (an error here) and leave ``kept`` as given;
     # the random state's polar candidate is not critical, lu's is
     ch, gamma = channel_of(rho)
-    form, sa = correlations._outcome_form(ch, gamma), output_marginal_entropy(ch, gamma)
+    form, sa = bloch.outcome_form(ch, gamma), output_marginal_entropy(ch, gamma)
     polar = universal_candidates(ch, gamma)[0]
     assert polar.theta == 0.0 and polar.critical == critical
     for kept in ([], [polar]):
@@ -1232,7 +1254,7 @@ def test_merge_leaves_no_pair_within_merge_tol_and_covers_every_verified_root(ro
         t, p = pts[k % len(pts)].theta + dt, pts[k % len(pts)].phi + dp
         th.append(np.pi - t if swap else t)
         ph.append(p + np.pi if swap else p)
-    got = correlations._merge(correlations._outcome_form(ch, gamma), sa, np.array(th), np.array(ph))
+    got = correlations._merge(bloch.outcome_form(ch, gamma), sa, np.array(th), np.array(ph))
     kept = np.array([(q.theta, q.phi) for q in got]).reshape(-1, 2).T
     for k in range(kept.shape[1]):
         assert np.all(bloch.measurement_distance(kept[:, k], kept[:, k + 1 :]) >= MERGE_TOL)
@@ -1289,7 +1311,7 @@ def test_closed_form_hessian_matches_second_differences_on_great_circles(rho):
     theta = np.concatenate([rng.uniform(0.05, np.pi - 0.05, 6), [1e-3, 4e-4, 0.0, 0.0]])
     phi = rng.uniform(0.0, 2 * np.pi, theta.size)
     _, _, _, htt, htp, hpp, ng = correlations._sphere_terms(
-        correlations._outcome_form(ch, gamma), theta, phi, "hessian"
+        bloch.outcome_form(ch, gamma), theta, phi, "hessian"
     )
     for d in ([1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]):
         want = d[0] ** 2 * htt + 2.0 * d[0] * d[1] * htp + d[1] ** 2 * hpp - ng
@@ -1318,17 +1340,17 @@ def test_sphere_terms_gradient_matches_the_chart_gradient(rho):
     ch, gamma = channel_of(rho)
     rng = np.random.default_rng(8)
     theta, phi = rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2 * np.pi, 40)
-    _, g_th, g_ph, *_ = correlations._sphere_terms(correlations._outcome_form(ch, gamma), theta, phi, "hessian")
+    _, g_th, g_ph, *_ = correlations._sphere_terms(bloch.outcome_form(ch, gamma), theta, phi, "hessian")
     for want in ("entropy", "gradient"):
         assert np.array_equal(
             np.array([g_th, g_ph]),
-            correlations._sphere_terms(correlations._outcome_form(ch, gamma), theta, phi, want)[1:],
+            correlations._sphere_terms(bloch.outcome_form(ch, gamma), theta, phi, want)[1:],
         )
     _, want_th, want_ph = reference_chart_terms(ch, gamma, theta, phi)
     assert_allclose(g_th, want_th, rtol=0, atol=1e-13)
     assert_allclose(np.sin(theta) * g_ph, want_ph, rtol=0, atol=1e-13)
     pole = np.zeros_like(phi)
-    _, g_th, g_ph, *_ = correlations._sphere_terms(correlations._outcome_form(ch, gamma), pole, phi, "hessian")
+    _, g_th, g_ph, *_ = correlations._sphere_terms(bloch.outcome_form(ch, gamma), pole, phi, "hessian")
     assert_allclose(g_th, reference_chart_terms(ch, gamma, pole, phi)[1], rtol=0, atol=1e-13)
     assert_allclose(g_ph, reference_chart_terms(ch, gamma, pole, phi + np.pi / 2)[1], rtol=0, atol=1e-13)
 

@@ -3,13 +3,22 @@ channel-path call counter.
 
 The oracles here are deliberately written from the definitions (explicit
 projectors, eigenvalue sums, finite differences) and never call back into
-the code paths they are used to check.
+the code paths they are used to check.  One helper does:
+:func:`unretired_newton_batch` is a variant of the solver's Newton batch,
+not an oracle, and runs that batch itself, so a change to Newton reaches
+both sides of the comparison it serves and only the retirement rule differs.
 """
 
 import numpy as np
+import pytest
 
 from qdiscord import correlations
 from qdiscord.qmat import check_density_matrix
+
+#: The solver's Newton batch as imported: a test that patches
+#: ``correlations._newton_batch`` with :func:`unretired_newton_batch` would
+#: otherwise make that helper call itself.
+_newton_batch = correlations._newton_batch
 
 
 def count_gradient_calls(monkeypatch):
@@ -114,37 +123,11 @@ def reference_conditional_entropy_direct(rho, theta, phi):
 def unretired_newton_batch(form, th0, ph0, scale=1.0):
     """``correlations._newton_batch`` without the retirement of starts: every
     start iterates until it stops on its own, whatever the other starts have
-    found.  A start below tol takes the same unevaluated last step as there."""
-    th, ph, tol = np.asarray(th0, float), np.asarray(ph0, float), correlations.NEWTON_TOL * scale
-    state = np.array((th, ph, th, *correlations._sphere_terms(form, th, ph, "hessian")[1:]))
-    state[2] = np.hypot(state[3], state[4])
-    alpha, live = np.ones(th.size), np.arange(th.size)
-    for _ in range(correlations.NEWTON_MAX_ITER):
-        t0, p0, norm, gt, gp, htt, htp, hpp, ng = state[:, live]
-        htt, hpp = htt - ng, hpp - ng
-        det = htt * hpp - htp * htp
-        regular = (np.abs(det) >= 1e-30) & np.isfinite(det)
-        safe = np.where(regular, det, 1.0)
-        xt = -(hpp * gt - htp * gp) / safe
-        xp = -(htt * gp - htp * gt) / safe
-        last = regular & (norm < tol) & (np.hypot(xt, xp) < correlations.MERGE_TOL)
-        a, st, ct = np.where(last, 1.0, alpha[live]), np.sin(t0), np.cos(t0)
-        out, across = st + a * (xt * ct), a * xp
-        tt = np.arctan2(np.hypot(out, across), ct - a * (xt * st))
-        pp = p0 + np.arctan2(across, out)
-        state[:2, live[last]] = tt[last], pp[last]
-        moves = regular & ~last & ((tt != t0) | (pp != p0))
-        live, tt, pp, a, norm = live[moves], tt[moves], pp[moves], a[moves], norm[moves]
-        if not live.size:
-            break
-        trial = np.array((tt, pp, tt, *correlations._sphere_terms(form, tt, pp, "hessian")[1:]))
-        trial[2] = np.hypot(trial[3], trial[4])
-        lower = trial[2] < norm
-        state[:, live[lower]] = trial[:, lower]
-        alpha[live] = np.where(lower, 1.0, 0.5 * a)
-        live = live[lower | (norm >= tol)]
-    root = state[2] < tol
-    return state[0, root], state[1, root]
+    found.  It runs the solver's own batch with ``_landscape_cell`` putting
+    every point in one cell, so no start ever leaves its seed's cell."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(correlations, "_landscape_cell", lambda theta, phi: np.zeros(np.shape(theta), int))
+        return _newton_batch(form, th0, ph0, scale)
 
 
 def same_points(got, want):
