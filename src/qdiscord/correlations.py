@@ -10,17 +10,15 @@ evaluation paths are kept deliberately separate:
 * the *channel* path evaluates J from the affine Bloch form of the channel
   extracted by :mod:`qdiscord.choi` (angles live in the decomposition frame),
   through one kernel that gives J, its gradient and its Hessian on the sphere;
-* the *direct* path projects the state itself with explicit measurement
-  operators and never touches the decomposition (angles live in the original
-  frame).
+* the *direct* path evaluates J from the state's own Pauli coefficients,
+  read once per oracle call, and never touches the decomposition (angles
+  live in the original frame).
 
 The maximization itself also runs twice: on the channel path, one
 landscape scan that gives the pole and seeds one damped-Newton batch for
 every other stationary point of J, the equatorial ones included; on the
-direct path, a brute-force grid oracle with a zoom refinement: a 13 x 13
-patch of angles around the best point, shrunk 6x a round, which stops once
-a patch that would shrink is flat to rounding (its values span 4 eps or
-less).
+direct path, a brute-force grid oracle with a zoom refinement
+(:func:`grid_oracle`).
 
 Each public function here that takes a state validates it as a
 :class:`qdiscord.qmat.DensityState`, and passes that on: one
@@ -37,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bloch, choi
-from .qmat import binary_entropy_arr, density_state, partial_trace_b, spectrum_entropy, von_neumann_entropy
+from .qmat import I2, PAULIS, binary_entropy_arr, density_state, partial_trace_b, spectrum_entropy, von_neumann_entropy
 
 LN2 = np.log(2.0)
 #: Purities this close to 1 are clamped inside logarithms.
@@ -67,14 +65,6 @@ CLASSIFY_TOL = 1e-6
 OPTIMUM_TIE_TOL = 1e-10
 #: Smallest (n_theta, n_phi) grid the oracle accepts.
 ORACLE_MIN_GRID = (64, 128)
-#: Theta rows of the oracle grid evaluated per call of the objective.  The
-#: largest temporaries of :func:`conditional_entropy_direct` hold the three
-#: a-state entries of both outcomes, (2, 3, rows, n_phi) complex: 96 KiB at
-#: 8 x 128.  They must stay under glibc's initial 128 KiB mmap threshold,
-#: above which each is mapped and page-faulted afresh on every call, and the
-#: oracle's time depends on what the process allocated before.  A grid wider
-#: than 128 in phi crosses it at 8 rows, yet fewer rows per call are slower.
-ORACLE_BLOCK_ROWS = 8
 #: Oracle zoom: points per axis of the patch, rounds at most, and the factor
 #: by which the patch shrinks (to the spacing of its own points).
 ZOOM_POINTS = 13
@@ -255,37 +245,41 @@ def _sphere_terms(form, theta, phi, want):
 # ---------------------------------------------------------------------------
 
 def conditional_entropy_direct(rho, theta, phi):
-    """sum_j p_j S(rho_j) by explicit projection of the state itself.
+    """sum_j p_j S(rho_j) of the state itself, by :func:`_direct_entropy`.
 
     The measurement acts on qubit b in the original basis; the channel
     decomposition is never consulted.  Outcomes with probability below
     1e-14 contribute zero.  Angle arrays broadcast together and give an
     array of values.  A non-finite angle raises ValueError.
     """
-    th, ph = bloch.finite_angles(theta, phi)
-    chh = np.cos(th / 2.0)
-    shh = np.sin(th / 2.0)
-    e = np.exp(1j * ph)
-    uu, vv, uv = chh * chh, shh * shh, chh * shh
+    return _scalar_or_array(_direct_entropy(_pauli_table(rho), *bloch.finite_angles(theta, phi)))
 
-    # <i b| rho |j b'> for the a-state entries ij = 00, 01, 11 along a
-    # leading axis of 3, one array per bb', shaped to broadcast against the angles
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)[[0, 0, 1], :, [0, 1, 1], :]
-    r00, r01, r10, r11 = r.reshape(3, 4).T.reshape(4, 3, *(1,) * max(th.ndim, ph.ndim))
 
-    # unnormalized conditional a-state for outcome 1 (vector (cos, sin e^{i phi}));
-    # outcome 2 is the complement against the a marginal.  Both outcomes then
-    # share one pass along a leading axis of 2, each elementwise step the one
-    # a pass per outcome would take, so every bit of an array result is the same
-    a = uu * r00 + uv * (e * r01 + e.conj() * r10) + vv * r11
-    x = np.stack([a, (r00 + r11) - a])
-    p = np.real(x[:, 0] + x[:, 2])
-    det = np.real(x[:, 0] * x[:, 2] - x[:, 1] * np.conj(x[:, 1]))
-    live = p > bloch.DEGENERATE_TOL
-    safe = np.where(live, p, 1.0)
-    purity = np.sqrt(np.clip(1.0 - 4.0 * det / (safe * safe), 0.0, 1.0))
-    ce = np.where(live, p * binary_entropy_arr((1.0 + purity) / 2.0), 0.0)
-    return _scalar_or_array(ce[0] + ce[1])
+def _pauli_table(rho):
+    """The real 4 x 4 table c_ij = tr rho (s_i (x) s_j), s = (I, sigma_x, sigma_y, sigma_z): row 0 holds
+    b's Bloch vector, column 0 a's, and the 3 x 3 block the correlation matrix R."""
+    s = np.concatenate([I2[None], PAULIS])
+    return np.einsum("ilk,jnm,kmln->ij", s, s, np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)).real
+
+
+def _direct_entropy(c, theta, phi):
+    """sum_j p_j S(rho_j) from the Pauli table ``c`` at angle arrays that broadcast together: measuring b
+    along n with the effects (I +- n . sigma) / 2 gives 2 p = 1 +- b . n and conditional Bloch vectors
+    (a +- R n) / (2 p) (Luo, PRA 77, 042303 (2008)); an outcome with p <= DEGENERATE_TOL adds no entropy.
+    One outcome and one component at a time: a temporary of an oracle block's 64 x 128 points is then
+    64 KiB, under glibc's 128 KiB mmap threshold, above which a fresh process maps and faults it anew on
+    every call."""
+    st = np.sin(theta)
+    n = st * np.cos(phi), st * np.sin(phi), np.cos(theta)
+    # b . n, then R n: row i of c against n
+    y = [c[i, 1] * n[0] + c[i, 2] * n[1] + c[i, 3] * n[2] for i in range(4)]
+    total = 0.0
+    for pm in (np.add, np.subtract):
+        p = 0.5 * pm(c[0, 0], y[0])
+        live = p > bloch.DEGENERATE_TOL
+        q = np.sqrt(pm(c[1, 0], y[1]) ** 2 + pm(c[2, 0], y[2]) ** 2 + pm(c[3, 0], y[3]) ** 2)
+        total = total + np.where(live, p * binary_entropy_arr((1.0 + q / np.where(live, 2.0 * p, 1.0)) / 2.0), 0.0)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -670,19 +664,21 @@ def check_oracle_resolution(*grid):
 def grid_oracle(rho, n_theta=64, n_phi=128):
     """Brute-force maximization of J over the measurement angles.
 
-    Evaluates the direct-projection objective on an n_theta x n_phi grid
-    (theta in [0, pi], phi in [0, 2 pi)), ORACLE_BLOCK_ROWS rows at a time,
-    and zooms in on the best cell: each round evaluates a ZOOM_POINTS x
-    ZOOM_POINTS (13 x 13) patch around the incumbent, one grid cell wide at
-    first, clipped to theta in [0, pi].  The patch shrinks to the spacing of
-    its own points (6x) while the incumbent stays inside it, and only moves
-    with the incumbent when that lands on its edge, where the maximum may
-    lie beyond.  The zoom ends after ZOOM_ROUNDS (15) rounds, or at the
-    first round that would shrink the patch when its values span no more
-    than 4 eps: conditional entropies are at most 1 bit, so that patch is
-    flat to rounding.  Deterministic, and never below the grid maximum;
-    ties resolve to the smallest theta, then the smallest phi.  ``rho`` may
-    be a :class:`qdiscord.qmat.DensityState`; only its matrix is read.
+    Reads the state's :func:`_pauli_table` once and evaluates
+    :func:`_direct_entropy` on an n_theta x n_phi grid (theta in [0, pi],
+    phi in [0, 2 pi)), in blocks of whole rows of at most 64 x 128 points
+    (ORACLE_MIN_GRID; one row at least), so memory stays bounded; then it
+    zooms in: each round evaluates a ZOOM_POINTS x ZOOM_POINTS (13 x 13)
+    patch around the incumbent, one grid cell wide at first, clipped to
+    theta in [0, pi].  The patch shrinks to the spacing of its own points
+    (6x) while the incumbent stays inside it, and only moves with the
+    incumbent when that lands on its edge, where the maximum may lie
+    beyond.  The zoom ends after ZOOM_ROUNDS (15) rounds, or at the first
+    round that would shrink the patch when its values span no more than
+    4 eps: conditional entropies are at most 1 bit, so that patch is flat
+    to rounding.  Deterministic, and never below the grid maximum; ties
+    resolve to the smallest theta, then the smallest phi.  ``rho`` may be
+    a :class:`qdiscord.qmat.DensityState`; only its matrix is read.
 
     Returns
     -------
@@ -694,26 +690,27 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
     rho = density_state(rho).rho
     sa = von_neumann_entropy(partial_trace_b(rho))
 
+    c = _pauli_table(rho)
     th = np.linspace(0.0, np.pi, n_theta)
     ph = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    blocks = [th[i : i + ORACLE_BLOCK_ROWS, None] for i in range(0, n_theta, ORACLE_BLOCK_ROWS)]
-    ce = np.concatenate([conditional_entropy_direct(rho, b, ph[None, :]) for b in blocks])
-    i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
-    t, p, fv = float(th[i]), float(ph[j]), float(ce[i, j])
+    rows, fv = max(1, ORACLE_MIN_GRID[0] * ORACLE_MIN_GRID[1] // n_phi), np.inf
+    for k in range(0, n_theta, rows):
+        ce = _direct_entropy(c, th[k : k + rows, None], ph)
+        i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
+        if ce[i, j] < fv:
+            t, p, fv = float(th[k + i]), float(ph[j]), float(ce[i, j])
 
     wt, wp = np.pi / (n_theta - 1), 2 * np.pi / n_phi
     steps = np.linspace(-1.0, 1.0, ZOOM_POINTS)
     for _ in range(ZOOM_ROUNDS):
         pt = np.clip(t + wt * steps, 0.0, np.pi)
         pq = p + wp * steps
-        ce = conditional_entropy_direct(rho, pt[:, None], pq[None, :])
+        ce = _direct_entropy(c, pt[:, None], pq)
         i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
-        edge = False
         if ce[i, j] < fv:
             t, p, fv = float(pt[i]), float(pq[j]), float(ce[i, j])
-            edge = j in (0, ZOOM_POINTS - 1) or (i in (0, ZOOM_POINTS - 1) and 0.0 < t < np.pi)
-        if edge:
-            continue
+            if j in (0, ZOOM_POINTS - 1) or (i in (0, ZOOM_POINTS - 1) and 0.0 < t < np.pi):
+                continue
         # a patch spanning no more than 4 eps is flat to rounding:
         # conditional entropies are at most 1 bit
         if np.ptp(ce) <= 4 * np.finfo(float).eps:

@@ -19,6 +19,13 @@ give the same answers bit for bit on these states, by all three methods
 and the reference.  The last bits of a float depend on the numpy build
 and on how BLAS runs a matmul, so compare logs made on one machine, with
 one numpy, with BLAS at one thread (``OPENBLAS_NUM_THREADS=1``).
+``stationary_digest.txt`` holds the lines expected with numpy 2.4.6, and CI
+fails there when the output differs:
+
+    PYTHONPATH=src python tests/stationary_digest.py | diff tests/stationary_digest.txt -
+
+A change that moves answers rewrites that file, and CHANGES.md says which
+lines moved and why.
 
 After the digest lines, standard error gets the cost of the
 ``near_singular_band`` group, which varies from run to run: the median and

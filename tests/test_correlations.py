@@ -151,14 +151,41 @@ def test_direct_path_bell_diagonal_axis_value():
 
 
 def test_direct_path_matches_brute_force():
-    rng = np.random.default_rng(2)
-    for seed in range(4):
-        rho = random_state(seed + 10)
-        for _ in range(5):
-            th, ph = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            assert abs(
-                conditional_entropy_direct(rho, th, ph) - brute_conditional_entropy(rho, th, ph)
-            ) < 1e-12
+    # the Pauli-coefficient evaluator against explicit 4x4 projectors; phi_plus
+    # keeps both conditional states pure, where H2 is steep, and the product
+    # state has an outcome below DEGENERATE_TOL at each pole; the grid and the
+    # scalar pairs hold both poles
+    rng = np.random.default_rng(21)
+    th = np.linspace(0.0, np.pi, 8)
+    ph = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
+    grids = [(th, ph)]
+    for n in (7, 13):
+        grids.append((rng.uniform(0.0, np.pi, n), rng.uniform(0.0, 2 * np.pi, n)))
+    pairs = (rng.uniform(0.0, np.pi, 50), rng.uniform(0.0, 2 * np.pi, 50))
+    states = {
+        "lu": lu_state(),
+        "random_state(3)": random_state(3),
+        "phi_plus": phi_plus(),
+        "product": product_state(),
+        "near_singular(1e-04)": near_singular_state(1e-4),
+        **{f"random_state({seed})": random_state(seed) for seed in range(10, 14)},
+    }
+    for name, rho in states.items():
+        tol = 1e-14 if name == "phi_plus" else 2e-15
+        for t, p in grids:
+            want = np.array([[brute_conditional_entropy(rho, a, b) for b in p] for a in t])
+            for theta, phi in [np.meshgrid(t, p, indexing="ij"), (t[:, None], p[None, :])]:
+                got = conditional_entropy_direct(rho, theta, phi)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= tol, name
+        got = conditional_entropy_direct(rho, *pairs)
+        assert got.shape == (50,)
+        assert np.max(np.abs(got - [brute_conditional_entropy(rho, a, b) for a, b in zip(*pairs)])) <= tol, name
+        # a scalar pair gives a float
+        for t, p in [(0.0, 0.0), (0.3, 1.1), (np.pi / 2, 2.0), (2.5, 4.0), (np.pi, 0.7)]:
+            got = conditional_entropy_direct(rho, t, p)
+            assert isinstance(got, float)
+            assert abs(got - brute_conditional_entropy(rho, t, p)) <= tol, name
 
 
 def test_gradient_matches_finite_differences():
@@ -527,33 +554,41 @@ def test_grid_oracle_value_at_returned_angles(rho):
 
 @pytest.mark.parametrize("grid", [(64, 128), (100, 200)])
 def test_grid_oracle_blocks_give_the_whole_grid_result(monkeypatch, grid):
-    # the grid is evaluated a few rows at a time only to keep temporaries
-    # small; the result is bitwise that of one call on the whole grid
+    # the grid is evaluated in blocks of rows only to bound memory, keeping
+    # the best point so far; the result, ties included, is bitwise that of
+    # one call on the whole grid (a block as large as the grid)
     states = [lu_state(), random_state(5), bell_diagonal(0.5, -0.2, 0.5)]
     blocked = [grid_oracle(rho, *grid) for rho in states]
-    monkeypatch.setattr(correlations, "ORACLE_BLOCK_ROWS", grid[0])
+    monkeypatch.setattr(correlations, "ORACLE_MIN_GRID", grid)
     assert blocked == [grid_oracle(rho, *grid) for rho in states]
 
 
 def test_grid_oracle_call_budget(monkeypatch):
-    # one call per block of grid rows, then at most ZOOM_ROUNDS zoom rounds;
-    # a flat landscape stops after its first zoom round
+    # the Pauli table is read once, and one evaluator serves the grid and the
+    # zoom: one grid call, then at most ZOOM_ROUNDS zoom rounds; a flat
+    # landscape stops after its first zoom round
     calls = []
+    direct = correlations._direct_entropy
 
-    def counted(rho, theta, phi):
+    def counted(c, theta, phi):
         calls.append(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
-        return conditional_entropy_direct(rho, theta, phi)
+        return direct(c, theta, phi)
 
-    monkeypatch.setattr(correlations, "conditional_entropy_direct", counted)
-    blocks = -(-64 // correlations.ORACLE_BLOCK_ROWS)
+    monkeypatch.setattr(correlations, "_direct_entropy", counted)
     for rho in [lu_state(), random_state(3), bell_diagonal(0.7, -0.5, 0.3), near_singular_state(1e-4)]:
         calls.clear()
         grid_oracle(rho)
-        assert blocks < len(calls) <= blocks + correlations.ZOOM_ROUNDS
+        assert calls[0] == (64, 128)
+        assert 1 < len(calls) <= 1 + correlations.ZOOM_ROUNDS
     calls.clear()
     grid_oracle(product_state())
-    assert len(calls) == blocks + 1
-    assert calls[-1] == (correlations.ZOOM_POINTS, correlations.ZOOM_POINTS)
+    assert calls == [(64, 128), (correlations.ZOOM_POINTS, correlations.ZOOM_POINTS)]
+    # a larger grid goes in blocks of whole rows, none larger than the default grid
+    calls.clear()
+    grid_oracle(lu_state(), 512, 1024)
+    grid = [shape for shape in calls if shape[1] == 1024]
+    assert sum(shape[0] for shape in grid) == 512
+    assert max(np.prod(shape) for shape in calls) <= 64 * 128
 
 
 @pytest.mark.parametrize(
@@ -562,10 +597,14 @@ def test_grid_oracle_call_budget(monkeypatch):
     ids=["lu", "random_state(3)", "phi_plus", "product", "near_singular(1e-04)"],
 )
 def test_conditional_entropy_direct_matches_the_per_outcome_reference_bit_for_bit(rho):
-    # both outcomes and the three a-state entries share one pass, but every
-    # floating-point operation is the one-at-a-time computation's, in the
-    # same order; phi_plus keeps both conditional states pure, and the
-    # product state has an outcome below DEGENERATE_TOL at each pole
+    # every floating-point operation of the evaluator is the per-outcome
+    # computation's, in the same order; phi_plus keeps both conditional
+    # states pure, and the product state has an outcome below
+    # DEGENERATE_TOL at each pole
+    s = np.concatenate([I2[None], qmat.PAULIS])
+    c = correlations._pauli_table(rho)
+    explicit = [[np.trace(rho @ np.kron(si, sj)).real for sj in s] for si in s]
+    assert np.max(np.abs(c - explicit)) <= 4 * np.finfo(float).eps
     rng = np.random.default_rng(21)
     th = np.linspace(0.0, np.pi, 64)[:8]
     ph = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
@@ -577,13 +616,23 @@ def test_conditional_entropy_direct_matches_the_per_outcome_reference_bit_for_bi
     for theta, phi in angle_sets:
         got = conditional_entropy_direct(rho, theta, phi)
         assert np.shape(got) == np.broadcast_shapes(np.shape(theta), np.shape(phi))
-        assert np.array_equal(got, reference_conditional_entropy_direct(rho, theta, phi))
+        assert np.array_equal(got, reference_conditional_entropy_direct(c, theta, phi))
     # numpy's scalar arithmetic rounds apart from its array loops: a scalar
     # is the one-point array's value, within 1 ulp of the reference's scalar
     for t, p in [(0.0, 0.0), (0.3, 1.1), (np.pi / 2, 2.0), (2.5, 4.0), (np.pi, 0.7)]:
         got = conditional_entropy_direct(rho, t, p)
-        assert got == reference_conditional_entropy_direct(rho, np.array([t]), np.array([p]))[0]
-        assert abs(got - reference_conditional_entropy_direct(rho, t, p)) <= np.finfo(float).eps
+        assert isinstance(got, float)
+        assert got == reference_conditional_entropy_direct(c, np.array([t]), np.array([p]))[0]
+        assert abs(got - reference_conditional_entropy_direct(c, t, p)) <= np.finfo(float).eps
+
+
+def test_grid_oracle_reads_s_rho_a_on_pure_states():
+    # a pure state's best measurement leaves both conditional states of a
+    # pure, so C = S(rho_a) exactly
+    for seed in range(50):
+        rho = random_state(seed, 1)
+        corr, _ = grid_oracle(rho)
+        assert abs(corr - von_neumann_entropy(partial_trace_b(rho))) <= 1e-15, seed
 
 
 def test_conditional_entropies_and_gradient_accept_arrays():

@@ -90,34 +90,24 @@ def reference_chart_terms(ch, gamma, theta, phi):
     return ce, g_th, g_ph
 
 
-def reference_conditional_entropy_direct(rho, theta, phi):
-    """The direct path's sum_j p_j S(rho_j), with the two measurement
-    outcomes and the three a-state entries computed one after the other,
-    one array each.  ``correlations.conditional_entropy_direct``, which
-    stacks them, must reproduce every bit of it on array input."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+def reference_conditional_entropy_direct(c, theta, phi):
+    """The direct path's sum_j p_j S(rho_j) from the Pauli table ``c`` of
+    ``correlations._pauli_table``, one measurement outcome per call: outcome
+    s = +-1 has 2 p = 1 + s b . n and conditional Bloch vector
+    (a + s R n) / (2 p).  ``correlations.conditional_entropy_direct`` must
+    reproduce every bit of it on array input."""
     th, ph = np.asarray(theta, float), np.asarray(phi, float)
-    chh = np.cos(th / 2.0)
-    shh = np.sin(th / 2.0)
-    e = np.exp(1j * ph)
-    uu, vv, uv = chh * chh, shh * shh, chh * shh
+    st = np.sin(th)
+    n = st * np.cos(ph), st * np.sin(ph), np.cos(th)
 
-    a00 = uu * r[0, 0, 0, 0] + uv * (e * r[0, 0, 0, 1] + e.conj() * r[0, 1, 0, 0]) + vv * r[0, 1, 0, 1]
-    a01 = uu * r[0, 0, 1, 0] + uv * (e * r[0, 0, 1, 1] + e.conj() * r[0, 1, 1, 0]) + vv * r[0, 1, 1, 1]
-    a11 = uu * r[1, 0, 1, 0] + uv * (e * r[1, 0, 1, 1] + e.conj() * r[1, 1, 1, 0]) + vv * r[1, 1, 1, 1]
-    b00 = (r[0, 0, 0, 0] + r[0, 1, 0, 1]) - a00
-    b01 = (r[0, 0, 1, 0] + r[0, 1, 1, 1]) - a01
-    b11 = (r[1, 0, 1, 0] + r[1, 1, 1, 1]) - a11
-
-    def branch(x00, x01, x11):
-        p = np.real(x00 + x11)
-        det = np.real(x00 * x11 - x01 * np.conj(x01))
+    def outcome(s):
+        p = 0.5 * (c[0, 0] + s * (c[0, 1] * n[0] + c[0, 2] * n[1] + c[0, 3] * n[2]))
+        v = [c[i, 0] + s * (c[i, 1] * n[0] + c[i, 2] * n[1] + c[i, 3] * n[2]) for i in (1, 2, 3)]
+        q = np.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
         live = p > 1e-14
-        safe = np.where(live, p, 1.0)
-        purity = np.sqrt(np.clip(1.0 - 4.0 * det / (safe * safe), 0.0, 1.0))
-        return np.where(live, p * masked_binary_entropy((1.0 + purity) / 2.0), 0.0)
+        return np.where(live, p * masked_binary_entropy((1.0 + q / np.where(live, 2.0 * p, 1.0)) / 2.0), 0.0)
 
-    return branch(a00, a01, a11) + branch(b00, b01, b11)
+    return outcome(1.0) + outcome(-1.0)
 
 
 def unretired_newton_batch(form, th0, ph0, scale=1.0):
