@@ -80,18 +80,18 @@ def conditional_probabilities(gamma, theta):
 
 
 def outcome_form(ch, gamma):
-    """(sin gamma, cos gamma, a, T) of the two outcomes' conditional states
-    through the channel ``ch`` at the reference angle ``gamma``: outcome
-    +-1 of the measurement along n has probability p = (1 +- cos(gamma)
-    n_z) / 2 and Bloch vector v with p v = (a +- T n) / 2, where
-    a = cos(gamma) eta e_z + c is the Bloch vector of rho_a and
-    T = eta diag(sin gamma, -sin gamma, 1) + cos(gamma) c e_z^T.  The
-    -sin gamma holds because the conditional amplitudes carry exp(-i phi),
-    which keeps the channel path equal to the direct projection."""
+    """(cos gamma, a, T) of the two outcomes' conditional states through the
+    channel ``ch`` at the reference angle ``gamma``: outcome +-1 of the
+    measurement along n has probability p = (1 +- cos(gamma) n_z) / 2 and
+    Bloch vector v with p v = (a +- T n) / 2, where a = cos(gamma) eta e_z
+    + c is the Bloch vector of rho_a and T = eta diag(sin gamma,
+    -sin gamma, 1) + cos(gamma) c e_z^T.  The -sin gamma holds because the
+    conditional amplitudes carry exp(-i phi), which keeps the channel path
+    equal to the direct projection."""
     sg, cg = np.sin(gamma), np.cos(gamma)
     a, t = cg * ch.eta[:, 2] + ch.c, ch.eta * np.array([sg, -sg, 1.0])
     t[:, 2] += cg * ch.c
-    return sg, cg, a, t
+    return cg, a, t
 
 
 def conditional_purities(ch, gamma, theta, phi):
@@ -102,17 +102,9 @@ def conditional_purities(ch, gamma, theta, phi):
     p = conditional_probabilities(gamma, theta)
     if min(p) < DEGENERATE_TOL:
         raise DegenerateOutcomeError(f"outcome probability {min(p):.3e} below {DEGENERATE_TOL:.0e}")
-    _, _, a, t = outcome_form(ch, gamma)
+    _, a, t = outcome_form(ch, gamma)
     tn = t @ angles_to_direction(theta, phi)
     return float(np.linalg.norm(a + tn) / (2.0 * p[0])), float(np.linalg.norm(a - tn) / (2.0 * p[1])), *p
-
-
-def angle_trig(theta, phi):
-    """(sin theta, cos theta, cos phi, sin phi) of angle arrays: the
-    measurement direction and the frame (e_theta, e_phi) the channel path
-    works in are built from them."""
-    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
-    return np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)
 
 
 # measurement-direction helpers ------------------------------------------------

@@ -22,8 +22,9 @@ direct path, a brute-force grid oracle with a zoom refinement
 
 Each public function here that takes a state validates it as a
 :class:`qdiscord.qmat.DensityState`, and passes that on: one
-:func:`discord` call validates rho once and diagonalises rho_b once, and
-every layer below it reads those results instead of recomputing them.
+:func:`discord` call validates rho once and diagonalises rho_a and rho_b
+once, and every layer below it reads those results instead of recomputing
+them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bloch, choi
-from .qmat import I2, PAULIS, binary_entropy_arr, density_state, partial_trace_b, spectrum_entropy, von_neumann_entropy
+from .qmat import I2, PAULIS, binary_entropy_arr, density_state, spectrum_entropy
 
 LN2 = np.log(2.0)
 #: Purities this close to 1 are clamped inside logarithms.
@@ -117,14 +118,10 @@ class DiscordReport:
 
 
 def mutual_information(rho):
-    """S(rho_a) + S(rho_b) - S(rho_ab), in bits; S(rho_b) and S(rho_ab) from
-    the spectra of the state's :class:`qdiscord.qmat.DensityState`."""
+    """S(rho_a) + S(rho_b) - S(rho_ab), in bits, each from a spectrum the
+    state's :class:`qdiscord.qmat.DensityState` holds."""
     state = density_state(rho)
-    return float(
-        von_neumann_entropy(partial_trace_b(state.rho))
-        + spectrum_entropy(state.b_vals)
-        - spectrum_entropy(state.spectrum)
-    )
+    return float(spectrum_entropy(state.a_vals) + spectrum_entropy(state.b_vals) - spectrum_entropy(state.spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +181,10 @@ def _sphere_terms(form, theta, phi, want):
     the identity; Absil, Mahony & Sepulchre, Optimization Algorithms on
     Matrix Manifolds, 2008, ch. 5).  The gradient's bits do not depend on ``want``.
 
-    ``form`` is the channel's :func:`bloch.outcome_form`, which defines a,
-    T and the outcomes' p v = (a +- T n) / 2; here m = 2 p.  An outcome's
-    p H2((1 + r) / 2) depends on n through rho = |q|, q = a +- T n, and m
-    only, homogeneously, so it adds
+    ``form`` is the channel's :func:`bloch.outcome_form` (cos gamma, a,
+    T), which defines the outcomes' p v = (a +- T n) / 2; here m = 2 p.  An
+    outcome's p H2((1 + r) / 2) depends on n through rho = |q|,
+    q = a +- T n, and m only, homogeneously, so it adds
     +-[l (T x) . q / (2 m) + cos(gamma) x_z log2(1 - r**2) / 4] to the
     derivative of J along x, and [l (T^T T - T^T v v^T T) + g w w^T] / (2 m)
     to its Hessian, with v = q / rho, r = rho / m, w = T^T v - r cos(gamma)
@@ -199,12 +196,13 @@ def _sphere_terms(form, theta, phi, want):
     (r >= 1) none either: the entropy is :func:`qmat.binary_entropy_arr`.
     """
     # trig before broadcasting: a scan along one angle takes the other's once
-    trig = bloch.angle_trig(theta, phi)
-    if trig[0].shape != trig[2].shape:
+    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
+    trig = np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)
+    if theta.shape != phi.shape:
         trig = np.broadcast_arrays(*trig)
     shape = trig[0].shape
     st, ct, cp, sp = (y.ravel() for y in trig)
-    sg, cg, a, t = form
+    cg, a, t = form
     # the frame n, e_theta, e_phi as (component, vector, point), and its image under T
     frame = np.array([[st * cp, ct * cp, -sp], [st * sp, ct * sp, cp], [ct, -st, 0.0 * st]])
     tf = (t @ frame.reshape(3, -1)).reshape(frame.shape)
@@ -296,30 +294,28 @@ def _bisect_roots(f, x, fx):
     each bracket's 2**BISECT_LEVELS + 1 dyadic edges is filled level by
     level, e[h::2h] = (e[:-h:2h] + e[2h::2h]) / 2, the midpoints the steps
     take; f evaluates the interior rows, and row 0 of its values carries f
-    at the lower edge.  The steps walk down the table by edge index, each
-    keeping the half where f changes sign.  Bisection stops early once a
-    step leaves every bracket as it was: each later step would repeat it."""
+    at the lower edge.  The steps then halve each bracket by edge index,
+    keeping the half where f changes sign.  Bisection stops before a call
+    once every edge of every bracket equals one of that bracket's ends:
+    then no step can move a bracket."""
     exact = x[:-1][fx[:-1] == 0.0]
     k = np.flatnonzero(fx[:-1] * fx[1:] < 0.0)
     n, cols = 2**BISECT_LEVELS, np.arange(k.size)
-    e, fe, i, j = np.stack([x[k], x[k + 1]]), fx[k][None], np.zeros(k.size, int), np.ones(k.size, int)
-    for step in range(64 if k.size else 0):
-        if step % BISECT_LEVELS == 0:
-            lo, hi, flo = e[i, cols], e[j, cols], fe[i, cols]
-            e, fe = np.empty((n + 1, k.size)), np.empty((n + 1, k.size))
-            e[0], e[n], fe[0], i, j = lo, hi, flo, np.zeros(k.size, int), np.full(k.size, n)
-            for h in n >> np.arange(1, BISECT_LEVELS + 1):
-                e[h :: 2 * h] = 0.5 * (e[: -h : 2 * h] + e[2 * h :: 2 * h])
-            fe[1:n] = f(e[1:n].ravel()).reshape(n - 1, k.size)
-            # a step can leave a bracket as it was only where two edges are equal
-            may_stall = np.all(np.any(e[1:] == e[:-1], axis=0))
-        m = (i + j) // 2
-        flo, fm = fe[i, cols], fe[m, cols]
-        left = flo * fm <= 0.0
-        if may_stall and np.all(np.where(left, e[m, cols] == e[j, cols], (e[m, cols] == e[i, cols]) & (fm == flo))):
+    e, fe = np.empty((n + 1, k.size)), np.empty((n + 1, k.size))
+    e[0], e[n], fe[0] = x[k], x[k + 1], fx[k]
+    for _ in range(64 // BISECT_LEVELS):
+        for h in n >> np.arange(1, BISECT_LEVELS + 1):
+            e[h :: 2 * h] = 0.5 * (e[: -h : 2 * h] + e[2 * h :: 2 * h])
+        if np.all((e == e[0]) | (e == e[n])):
             break
-        i, j = np.where(left, i, m), np.where(left, m, j)
-    return np.sort(np.concatenate([exact, 0.5 * (e[i, cols] + e[j, cols])]))
+        fe[1:n] = f(e[1:n].ravel()).reshape(n - 1, k.size)
+        i, j = np.zeros(k.size, int), np.full(k.size, n)
+        for _ in range(BISECT_LEVELS):
+            m = (i + j) // 2
+            left = fe[i, cols] * fe[m, cols] <= 0.0
+            i, j = np.where(left, i, m), np.where(left, m, j)
+        e[0], e[n], fe[0] = e[i, cols], e[j, cols], fe[i, cols]
+    return np.sort(np.concatenate([exact, 0.5 * (e[0] + e[n])]))
 
 
 def _point_key(q):
@@ -678,7 +674,8 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
     4 eps: conditional entropies are at most 1 bit, so that patch is flat
     to rounding.  Deterministic, and never below the grid maximum; ties
     resolve to the smallest theta, then the smallest phi.  ``rho`` may be
-    a :class:`qdiscord.qmat.DensityState`; only its matrix is read.
+    a :class:`qdiscord.qmat.DensityState`; only its matrix and rho_a's
+    spectrum, which gives S(rho_a), are read.
 
     Returns
     -------
@@ -687,10 +684,10 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
         basis, canonically folded.
     """
     check_oracle_resolution(n_theta, n_phi)
-    rho = density_state(rho).rho
-    sa = von_neumann_entropy(partial_trace_b(rho))
+    state = density_state(rho)
+    sa = spectrum_entropy(state.a_vals)
 
-    c = _pauli_table(rho)
+    c = _pauli_table(state.rho)
     th = np.linspace(0.0, np.pi, n_theta)
     ph = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     rows, fv = max(1, ORACLE_MIN_GRID[0] * ORACLE_MIN_GRID[1] // n_phi), np.inf
@@ -771,12 +768,13 @@ def discord(rho, method="stationary", oracle_resolution=(64, 128)):
     checked, it short-circuits to C = I and Q = 0 without a decomposition.
 
     One call validates ``rho`` once, as a :class:`qdiscord.qmat.DensityState`
-    (which may be passed in its place), and diagonalises rho_b once.  Every
-    later layer reads those results: the singular-marginal test and
-    :func:`choi.decompose` test the same smallest eigenvalue of rho_b; I(rho)
-    takes S(rho) from the validation's spectrum and S(rho_b) from rho_b's;
+    (which may be passed in its place), and diagonalises rho_a and rho_b
+    once.  Every later layer reads those results: the singular-marginal test
+    and :func:`choi.decompose` test the same smallest eigenvalue of rho_b;
+    I(rho) takes S(rho) from the validation's spectrum and S(rho_a) and
+    S(rho_b) from the marginals'; the oracle reads the same S(rho_a);
     the decomposition's basis rotation and gamma, and the closed form's I/2
-    test, read that one eigendecomposition.
+    test, read rho_b's one eigendecomposition.
     """
     if method not in ("stationary", "oracle", "xstate_analytic"):
         raise ValueError(f"unknown method {method!r}")

@@ -99,6 +99,9 @@ class DensityState:
     * ``rho``, a copy of the matrix, dtype complex;
     * ``spectrum``, the eigenvalues of its Hermitian part, ascending: the
       ones the positivity check computes, and those of S(rho);
+    * ``a_vals``, the eigenvalues of the Hermitian part of the a marginal
+      rho_a, ascending, computed as :func:`von_neumann_entropy` computes
+      them: S(rho_a) of the mutual information and of the grid oracle;
     * ``b_vals`` and ``b_vecs``, the :func:`herm_eig` of the b marginal
       rho_b: its rank test, S(rho_b) and the channel decomposition's basis
       rotation all read this one eigendecomposition.
@@ -111,8 +114,10 @@ class DensityState:
     def __init__(self, rho):
         rho, self.spectrum = _validated(rho)
         self.rho = rho.copy()
+        rho_a = partial_trace_b(self.rho)
+        self.a_vals = np.linalg.eigvalsh((rho_a + dagger(rho_a)) / 2)
         self.b_vals, self.b_vecs = herm_eig(partial_trace_a(self.rho))
-        for arr in (self.rho, self.spectrum, self.b_vals, self.b_vecs):
+        for arr in (self.rho, self.spectrum, self.a_vals, self.b_vals, self.b_vecs):
             arr.flags.writeable = False
 
 

@@ -32,8 +32,9 @@ After the digest lines, standard error gets the cost of the
 largest number of stationary points a state reports, and the median and
 slowest ``discord`` call, each state's call timed best of three; then the
 channel-path kernel calls (``util.count_gradient_calls``) of one
-``random_state`` solve, median, 90th percentile and largest; then the total
-run time.
+``random_state`` solve, median, 90th percentile and largest; then those of
+one ``universal_candidates`` call, which bisects, in total, median and
+largest; then the total run time.
 
 The name does not start with ``test_``, so pytest does not collect it.
 """
@@ -130,6 +131,8 @@ def main():
             points, seconds, _ = np.array(costs).T
         elif name == "random_state":
             per_solve = np.array(costs)[:, 2]
+        elif name == "universal_candidates":
+            per_scan = np.array(costs)[:, 2]
     sys.stdout.flush()
     print(
         f"near_singular_band points median {np.median(points):g} largest {points.max():g}, "
@@ -139,6 +142,11 @@ def main():
     print(
         f"random_state kernel calls per solve median {np.median(per_solve):g} "
         f"p90 {np.percentile(per_solve, 90):g} largest {per_solve.max():g}",
+        file=sys.stderr,
+    )
+    print(
+        f"universal_candidates kernel calls total {per_scan.sum():g} median {np.median(per_scan):g} "
+        f"largest {per_scan.max():g}",
         file=sys.stderr,
     )
     print(f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)

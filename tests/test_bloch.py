@@ -125,7 +125,7 @@ IDENTITY = affine_from_kraus(KrausSet([I2.copy()]))
 
 def conditional_vectors(ch, gamma, theta, phi):
     """The two outcomes' Bloch vectors (a +- T n) / (2 p) of :func:`outcome_form`."""
-    _, _, a, t = outcome_form(ch, gamma)
+    _, a, t = outcome_form(ch, gamma)
     tn = t @ angles_to_direction(theta, phi)
     p1, p2 = conditional_probabilities(gamma, theta)
     return (a + tn) / (2.0 * p1), (a - tn) / (2.0 * p2)
@@ -211,7 +211,7 @@ def test_probability_weighted_directions_recover_marginals():
     d = decompose(rho)
     ch = affine_from_kraus(d.kraus)
     rho_a = partial_trace_b(rho)
-    _, _, a, _ = outcome_form(ch, d.gamma)
+    _, a, _ = outcome_form(ch, d.gamma)
     assert_allclose(a, to_bloch(rho_a), atol=1e-12)
     rng = np.random.default_rng(6)
     for _ in range(20):

@@ -1,4 +1,7 @@
+import ast
+import builtins
 import functools
+import inspect
 import time
 from collections import Counter
 
@@ -39,6 +42,7 @@ from util import (
     count_gradient_calls,
     entropy_bits,
     feasible_bell_triple,
+    koashi_winter_classical_correlation,
     random_unitary,
     random_x_maximally_mixed,
     reference_chart_terms,
@@ -394,13 +398,13 @@ def test_discord_short_circuits_a_marginal_at_the_rank_tolerance():
 #: Validations of rho, eigvalsh calls and eigh calls one discord() call may
 #: make.  One validation gives the spectrum of S(rho) and one herm_eig of
 #: rho_b serves the rank test, S(rho_b) and the basis rotation; eigvalsh's
-#: other call is S(rho_a) (the oracle takes its own), and eigh's the rotated
-#: state of the decomposition.
+#: other call is rho_a's spectrum, which I and the oracle both read, and
+#: eigh's the rotated state of the decomposition.
 @pytest.mark.parametrize(
     "method, rho, budget",
     [
         ("stationary", lu_state(), (1, 2, 2)),
-        ("oracle", lu_state(), (1, 3, 1)),
+        ("oracle", lu_state(), (1, 2, 1)),
         ("xstate_analytic", bell_diagonal(0.7, -0.5, 0.3), (1, 2, 2)),
         ("stationary", SINGULAR_B_MARGINAL, (1, 2, 1)),
     ],
@@ -1490,3 +1494,110 @@ def test_bisect_roots_matches_one_step_bisection(rho, grid):
     assert got.tobytes() == one_step_bisect_roots(f, x, fx).tobytes()
     assert len(calls) <= 10
 
+
+def density(*amplitudes):
+    """The projector onto the normalised vector of ``amplitudes``."""
+    v = np.array(amplitudes, dtype=complex) / np.linalg.norm(amplitudes)
+    return np.outer(v, v.conj())
+
+
+Z0, Z1, PLUS = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.full((2, 2), 0.5)
+
+
+@pytest.mark.parametrize(
+    "states, bounds",
+    [
+        ([random_state(s, 2) for s in range(200)], (1e-14, 1e-14)),
+        ([random_state(s, 1) for s in range(50)], (4e-14, 1e-15)),
+        (
+            [
+                0.5 * (density(1, 0, 0, 1) + density(0, 1, 1, 0)),
+                0.7 * density(1, 0, 0, 1) + 0.3 * density(1, 0, 0, -1),
+                0.5 * (np.kron(Z0, Z0) + np.kron(Z1, PLUS)),
+                0.5 * (np.kron(Z0, Z0) + np.kron(PLUS, Z1)),
+            ],
+            (4e-14, 1e-15),
+        ),
+    ],
+    ids=["rank2", "pure", "special"],
+)
+def test_both_methods_match_koashi_winter_on_rank_two(states, bounds):
+    # for rank <= 2, C = S(rho_a) - E_F(rho_ac), with E_F in Wootters' closed
+    # form: a yardstick that shares no code with either method.  Pure states
+    # have E_F = 0, and the stationary C falls short of S(rho_a) there by
+    # the rounding of a steep H2 at a pure conditional state (up to 3e-14)
+    for rho in states:
+        want = koashi_winter_classical_correlation(rho)
+        for method, bound in zip(("stationary", "oracle"), bounds):
+            assert abs(discord(rho, method=method).classical_corr - want) <= bound, method
+
+
+#: Kernel points of the call-width test: the pole, the equator, points
+#: beside the pole and one past the equator.
+KERNEL_POINTS = [(0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 2, 2.5), (1e-9, 0.3), (1e-3, 4.0), (0.7, 1.1), (1.2, 5.9), (2.8, 3.3)]
+
+
+def test_kernel_bits_do_not_depend_on_the_call():
+    # a point gives the same bits alone and at the head of a call of any
+    # width, in every mode, and the landscape scan's broadcast call the bits
+    # of its flattened call: the bisection's one-step replay, Newton and
+    # the merge rely on it when they batch points
+    rng = np.random.default_rng(7)
+    fill_th, fill_ph = rng.uniform(0.0, np.pi, 1273), rng.uniform(0.0, 2 * np.pi, 1273)
+    th_scan, ph_scan = correlations._landscape_grid()
+    for s in range(20):
+        form = bloch.outcome_form(*channel_of(random_state(s, 2 + s % 3)))
+        for want in ("entropy", "gradient", "hessian"):
+            for th, ph in KERNEL_POINTS:
+                alone = correlations._sphere_terms(form, np.array([th]), np.array([ph]), want)
+                for width in (2, 3, 17, 255, 1274):
+                    head = np.append(th, fill_th[: width - 1]), np.append(ph, fill_ph[: width - 1])
+                    wide = correlations._sphere_terms(form, *head, want)
+                    for one, many in zip(alone, wide):
+                        assert (one is None) == (many is None)
+                        assert one is None or one.tobytes() == many[:1].tobytes(), (s, want, th, ph, width)
+        scan = correlations._sphere_terms(form, th_scan[:, :1], ph_scan[:1], "entropy")
+        flat = correlations._sphere_terms(form, th_scan.ravel(), ph_scan.ravel(), "entropy")
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(scan, flat)), s
+
+
+#: The direct path's functions in correlations.py, and the only globals they
+#: may read besides builtins and numpy.
+DIRECT_PATH = ("conditional_entropy_direct", "_pauli_table", "_direct_entropy", "check_oracle_resolution", "grid_oracle")
+DIRECT_QMAT = ("I2", "PAULIS", "binary_entropy_arr", "density_state", "spectrum_entropy")
+DIRECT_GLOBALS = {
+    "np",
+    *DIRECT_QMAT,
+    "bloch.finite_angles",
+    "bloch.normalize_angles",
+    "bloch.DEGENERATE_TOL",
+    "ORACLE_MIN_GRID",
+    "ZOOM_POINTS",
+    "ZOOM_ROUNDS",
+    "ZOOM_SHRINK",
+    "_scalar_or_array",
+    *DIRECT_PATH,
+}
+
+
+def test_the_direct_path_reads_nothing_of_the_channel_path():
+    # the oracle is a yardstick only while it shares no code with the
+    # channel path: the global names its functions load, a bloch.X read as
+    # one name, are numpy, builtins and the helpers above
+    tree = ast.parse(inspect.getsource(correlations))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in DIRECT_PATH]
+    assert sorted(f.name for f in functions) == sorted(DIRECT_PATH)
+    loaded = set()
+    for f in functions:
+        local = {a.arg for a in ast.walk(f.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(f) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        qualified = {}
+        for n in ast.walk(f):
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "bloch":
+                qualified[id(n.value)] = f"bloch.{n.attr}"
+        for n in ast.walk(f):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in local:
+                loaded.add(qualified.get(id(n), n.id))
+    foreign = loaded - DIRECT_GLOBALS - set(dir(builtins))
+    assert not foreign, foreign
+    assert all(getattr(correlations, name) is getattr(qmat, name) for name in DIRECT_QMAT)

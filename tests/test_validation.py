@@ -10,7 +10,16 @@ import pytest
 
 from qdiscord.choi import decompose
 from qdiscord.correlations import discord, grid_oracle, mutual_information
-from qdiscord.qmat import I4, DensityState, density_state, herm_eig, partial_trace_a
+from qdiscord.qmat import (
+    I4,
+    DensityState,
+    density_state,
+    herm_eig,
+    partial_trace_a,
+    partial_trace_b,
+    spectrum_entropy,
+    von_neumann_entropy,
+)
 from qdiscord.states import bell_diagonal, lu_state
 from qdiscord.xstate import analytic_discord_x
 
@@ -57,6 +66,18 @@ def test_density_state_keeps_what_validation_computed_read_only():
     assert state.rho[0, 0] != 5.0
     for arr in (state.rho, state.spectrum, state.b_vals, state.b_vecs):
         assert not arr.flags.writeable
+
+
+def test_density_state_keeps_rho_a_spectrum_as_von_neumann_entropy_reads_it():
+    # I and the oracle read S(rho_a) from this spectrum: its bits are those
+    # von_neumann_entropy(partial_trace_b(rho)) computes
+    rho = lu_state()
+    state = density_state(rho)
+    rho_a = partial_trace_b(rho)
+    np.testing.assert_array_equal(state.a_vals, np.linalg.eigvalsh((rho_a + rho_a.conj().T) / 2))
+    assert not state.a_vals.flags.writeable
+    want = von_neumann_entropy(rho_a) + spectrum_entropy(state.b_vals) - spectrum_entropy(state.spectrum)
+    assert mutual_information(state) == want
 
 
 @pytest.mark.parametrize("rho", [lu_state(), bell_diagonal(0.7, -0.5, 0.3)], ids=["lu", "bell_diagonal"])

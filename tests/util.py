@@ -151,6 +151,34 @@ def brute_conditional_entropy(rho, theta, phi):
     return total
 
 
+def koashi_winter_classical_correlation(rho):
+    """C = S(rho_a) - E_F(rho_ac) of a two-qubit state of rank at most 2,
+    measured on b, numpy only: the Koashi-Winter relation (PRA 69, 022309
+    (2004)) for a purification |Psi> of rho on abc, c one qubit, with the
+    entanglement of formation in Wootters' closed form (PRL 80, 2245
+    (1998)).  Tr_b |Psi><Psi| = rho_ac = sum_b phi_b phi_b^+ with
+    phi_b = (<b| (x) I) |Psi>; stacked as the columns of the 4 x 2 matrix
+    Psi, its concurrence is s1 - s2, the singular values of
+    Psi^T (sigma_y (x) sigma_y) Psi."""
+    rho = np.asarray(rho, dtype=complex)
+    w, v = np.linalg.eigh(rho)
+    keep = w > 1e-14
+    assert keep.sum() <= 2
+    # psi[a, b, c] = sum_k sqrt(w_k) <ab|v_k> delta_kc
+    psi = np.zeros((2, 2, 2), dtype=complex)
+    psi[:, :, : keep.sum()] = (v[:, keep] * np.sqrt(w[keep])).reshape(2, 2, -1)
+    phi = psi.transpose(0, 2, 1).reshape(4, 2)
+    sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    s1, s2 = np.linalg.svd(phi.T @ np.kron(sigma_y, sigma_y) @ phi, compute_uv=False)
+    # E_F = h((1 + sqrt(1 - conc**2)) / 2) = h(1 - y), with y = (1 - sqrt(1 - conc**2)) / 2 written without
+    # cancellation
+    conc = min(s1 - s2, 1.0)
+    y = conc**2 / (2.0 * (1.0 + np.sqrt(1.0 - conc**2)))
+    e_f = 0.0 if y == 0.0 else -((1.0 - y) * np.log1p(-y) + y * np.log(y)) / np.log(2.0)
+    rho_a = np.einsum("ijkj->ik", rho.reshape(2, 2, 2, 2))
+    return entropy_bits(np.linalg.eigvalsh(rho_a)) - e_f
+
+
 def random_unitary(rng, n=2):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
