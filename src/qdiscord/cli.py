@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bloch, choi, correlations, states, xstate
-from .qmat import partial_trace_b, von_neumann_entropy
+from .qmat import density_state, spectrum_entropy
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -150,11 +150,12 @@ def cmd_stationary(args, out):
 def cmd_sweep(args, out):
     rho, _ = _resolve_state(args)
     n_theta, n_phi = args.grid
-    sa = von_neumann_entropy(partial_trace_b(rho))
+    state = density_state(rho)
+    sa = spectrum_entropy(state.a_vals)
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    ce = correlations.conditional_entropy_direct(rho, tt, pp)
+    ce = correlations.conditional_entropy_direct(state, tt, pp)
 
     rows = np.column_stack([tt.ravel(), pp.ravel(), ce.ravel(), sa - ce.ravel()])
     csv = dict(fmt="%.17g", delimiter=",", header="theta,phi,cond_entropy,objective", comments="")

@@ -82,7 +82,11 @@ class StationaryPoint:
     """A measurement setting where both partial derivatives of J vanish.
 
     ``critical`` is False for a polar candidate that solves the (theta, phi)
-    equations but is not a critical point of J on the sphere.
+    equations but is not a critical point of J on the sphere.  A
+    ``grad_norm`` of 0.0 marks a point that is stationary by construction:
+    the single point of a flat objective (:func:`find_stationary_points`)
+    and the two candidates of the X-state closed form
+    (:func:`qdiscord.xstate.analytic_discord_x`).
     """
 
     theta: float
@@ -101,8 +105,9 @@ class DiscordReport:
     """Mutual information split into classical and quantum parts.
 
     ``theta``/``phi`` are the optimal measurement angles in the original
-    basis of qubit b; ``stationary_points`` (when the stationary method ran)
-    are expressed in the decomposition frame.
+    basis of qubit b; ``stationary_points`` (filled by the stationary method
+    and by the X-state closed form, empty for the oracle and for a state
+    with a singular b marginal) are expressed in the decomposition frame.
 
     ``discord`` = I - C is not clamped at 0: I and C are entropy differences
     of order one bit, so where I is about 1e-9, Q carries their rounding.
@@ -248,9 +253,11 @@ def conditional_entropy_direct(rho, theta, phi):
     The measurement acts on qubit b in the original basis; the channel
     decomposition is never consulted.  Outcomes with probability below
     1e-14 contribute zero.  Angle arrays broadcast together and give an
-    array of values.  A non-finite angle raises ValueError.
+    array of values.  A non-finite angle raises ValueError.  ``rho`` is
+    validated as a :class:`qdiscord.qmat.DensityState`, which may be passed
+    in its place.
     """
-    return _scalar_or_array(_direct_entropy(_pauli_table(rho), *bloch.finite_angles(theta, phi)))
+    return _scalar_or_array(_direct_entropy(_pauli_table(density_state(rho).rho), *bloch.finite_angles(theta, phi)))
 
 
 def _pauli_table(rho):

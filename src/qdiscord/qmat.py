@@ -106,7 +106,8 @@ class DensityState:
       rho_b: its rank test, S(rho_b) and the channel decomposition's basis
       rotation all read this one eigendecomposition.
 
-    ``discord``, ``mutual_information``, ``grid_oracle``, ``decompose`` and
+    ``discord``, ``mutual_information``, ``grid_oracle``,
+    ``conditional_entropy_direct``, ``decompose`` and
     ``analytic_discord_x`` accept one in place of the matrix, and then skip
     the checks it has passed.
     """

@@ -27,7 +27,6 @@ from .correlations import (
     ASYMMETRIC,
     SYMMETRIC,
     StationaryPoint,
-    grad_objective,
     mutual_information,
     output_marginal_entropy,
     report_from_points,
@@ -176,6 +175,16 @@ def analytic_discord_x(rho):
     * equatorial: s' = t' = sqrt(a) at theta = pi/2, the best azimuth;
     * polar: s' = |c_z + eta_zz|, t' = |c_z - eta_zz| at theta = 0.
 
+    Both candidates are stationary by construction, so each is reported
+    ``critical`` with ``grad_norm`` 0.0, in the decomposition frame:
+
+    * pole: the X block form gives J(theta, phi + pi) = J(theta, phi), so the
+      gradient vanishes at theta = 0;
+    * equator: an I/2 b marginal (cos gamma = 0) makes the outcome swap
+      theta -> pi - theta a symmetry, so dJ/dtheta = 0 at theta = pi/2, and
+      the reflected f-maximizing azimuth maximizes J along the equator, so
+      dJ/dphi = 0 there.
+
     Tied candidates resolve as in :func:`qdiscord.correlations.discord`: to
     the polar one, the smaller theta.  ``rho`` may be a
     :class:`qdiscord.qmat.DensityState`, whose b-marginal spectrum the I/2
@@ -207,11 +216,8 @@ def analytic_discord_x(rho):
     # the conditional direction rotates against the measurement azimuth, so
     # the objective peaks at the reflection of the f-maximizing azimuth
     phi_eq = (-params.phi_star) % np.pi
-    th = np.array([np.pi / 2, 0.0])
-    gt, gp = grad_objective(ch, d.gamma, th, np.array([phi_eq, 0.0]))
-    gn = np.hypot(gt, np.sin(th) * gp)
     candidates = [
-        StationaryPoint(np.pi / 2, phi_eq, obj_eq, float(gn[0]), SYMMETRIC),
-        StationaryPoint(0.0, 0.0, obj_pol, float(gn[1]), ASYMMETRIC),
+        StationaryPoint(np.pi / 2, phi_eq, obj_eq, 0.0, SYMMETRIC),
+        StationaryPoint(0.0, 0.0, obj_pol, 0.0, ASYMMETRIC),
     ]
     return report_from_points(info, candidates, d.basis_rotation, "xstate_analytic")

@@ -774,6 +774,19 @@ def test_gradient_call_budget(monkeypatch, solve, state, budget):
     assert 0 < len(calls) <= budget
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [bell_diagonal(0.7, -0.5, 0.3), random_x_maximally_mixed(np.random.default_rng(1))],
+    ids=["bell_diagonal", "random_x"],
+)
+def test_closed_form_makes_no_kernel_call(monkeypatch, rho):
+    # the closed form's two candidates are stationary by symmetry: it reads
+    # no gradient, and so no channel-path kernel call
+    calls = count_gradient_calls(monkeypatch)
+    rep = discord(rho, method="xstate_analytic")
+    assert rep.method == "xstate_analytic" and calls == []
+
+
 def test_newton_started_at_a_root_makes_one_call(monkeypatch):
     # a start already below NEWTON_TOL, whose Newton step is shorter than
     # MERGE_TOL, takes that step unevaluated and stops: the one call is the

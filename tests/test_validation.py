@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qdiscord.choi import decompose
-from qdiscord.correlations import discord, grid_oracle, mutual_information
+from qdiscord.correlations import conditional_entropy_direct, discord, grid_oracle, mutual_information
 from qdiscord.qmat import (
     I4,
     DensityState,
@@ -41,6 +41,7 @@ ENTRY_POINTS = {
     "decompose": decompose,
     "analytic_discord_x": analytic_discord_x,
     "grid_oracle": grid_oracle,
+    "conditional_entropy_direct": lambda rho: conditional_entropy_direct(rho, 0.3, 1.1),
 }
 
 

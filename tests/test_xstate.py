@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from qdiscord.bloch import AffineChannel, affine_from_kraus, conditional_purities, measurement_distance
 from qdiscord.choi import decompose
-from qdiscord.correlations import ASYMMETRIC, SYMMETRIC, discord, grid_oracle
+from qdiscord.correlations import ASYMMETRIC, SYMMETRIC, discord, grad_objective, grid_oracle
 from qdiscord.qmat import I4, binary_entropy
 from qdiscord.states import bell_diagonal, lu_state, random_state, x_state
 from qdiscord.xstate import (
@@ -20,7 +20,7 @@ from qdiscord.xstate import (
     universal_sufficient,
     x_params,
 )
-from util import random_x_maximally_mixed
+from util import feasible_bell_triple, random_x_maximally_mixed
 
 
 def _diag_channel(ex, ey, ez, cz=0.0):
@@ -289,3 +289,34 @@ def test_tied_optimum_resolves_alike_in_both_channel_methods(triple):
     rep_x = discord(rho, method="xstate_analytic")
     assert measurement_distance((rep_s.theta, rep_s.phi), (rep_x.theta, rep_x.phi)) < 1e-9
     assert abs(rep_s.classical_corr - rep_x.classical_corr) < 1e-12
+
+
+def _accepted_closed_forms(draw, n, rng):
+    """(rho, report) of the first ``n`` states from ``draw(rng)`` that the closed form accepts."""
+    out = []
+    while len(out) < n:
+        rho = draw(rng)
+        try:
+            out.append((rho, analytic_discord_x(rho)))
+        except NotApplicableError:
+            continue
+    return out
+
+
+def test_closed_form_points_are_stationary_by_symmetry():
+    # both candidates are reported critical with grad_norm 0.0, by symmetry
+    # rather than by evaluation; the channel path's gradient there, in the
+    # decomposition frame, agrees to rounding
+    rng = np.random.default_rng(39)
+    cases = _accepted_closed_forms(random_x_maximally_mixed, 1000, rng)
+    cases += _accepted_closed_forms(lambda g: bell_diagonal(*feasible_bell_triple(g)), 200, rng)
+    worst = 0.0
+    for rho, rep in cases:
+        pts = rep.stationary_points
+        assert sorted(q.kind for q in pts) == [ASYMMETRIC, SYMMETRIC]
+        assert all(q.critical and q.grad_norm == 0.0 for q in pts)
+        d = decompose(rho)
+        th, ph = np.array([q.theta for q in pts]), np.array([q.phi for q in pts])
+        gt, gp = grad_objective(affine_from_kraus(d.kraus), d.gamma, th, ph)
+        worst = max(worst, float(np.max(np.hypot(gt, np.sin(th) * gp))))
+    assert worst <= 1e-14
