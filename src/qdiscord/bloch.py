@@ -17,11 +17,12 @@ unitary on b back through that unitary, on the spinor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite, pi
 
 import numpy as np
 
 from .choi import apply_channel
-from .qmat import I2, PAULIS, dagger
+from .qmat import I2, PAULIS, dagger, scalar_or_array
 
 #: Outcome probabilities below this are degenerate (measurement pinned to a
 #: zero-probability branch); scalar APIs raise, vector paths zero the branch.
@@ -145,34 +146,35 @@ def normalize_angles(theta, phi):
 
     The pairs (theta, phi) and (pi - theta, phi + pi) label the same
     measurement with outcomes swapped; the canonical member has
-    theta in [0, pi/2] (and phi in [0, pi) when theta = pi/2).  Arrays fold
-    elementwise; scalars come back as floats, by the same arithmetic on
-    floats.  A non-finite angle raises ValueError.
+    theta in [0, pi/2] (and phi in [0, pi) when theta = pi/2, phi = 0 at
+    the pole).  One fold does it: theta mod 2pi, the flip past
+    pi/2 + 1e-12 with phi + pi, phi mod pi on the equator and phi = 0 at
+    the pole.  Arrays fold elementwise, choosing by ``np.where``; scalars
+    run the same fold on Python floats, choosing by a conditional
+    expression, and come back as floats.  A non-finite angle raises
+    ValueError.
     """
     if np.ndim(theta) == 0 and np.ndim(phi) == 0:
         theta, phi = float(theta), float(phi)
-        if not (abs(theta) < np.inf and abs(phi) < np.inf):
+        if not (isfinite(theta) and isfinite(phi)):
             raise ValueError("measurement angles must be finite")
-        theta %= 2 * np.pi
-        over = theta > np.pi
-        if over:
-            theta = 2 * np.pi - theta
-        flip = theta > np.pi / 2 + 1e-12
-        if flip:
-            theta = np.pi - theta
-        phi = (phi + np.pi * over + np.pi * flip) % (2 * np.pi)
-        if abs(theta - np.pi / 2) <= 1e-12:
-            phi %= np.pi
-        return theta, 0.0 if theta <= 1e-15 else phi
-    theta, phi = finite_angles(theta, phi)
-    theta = theta % (2 * np.pi)
-    over = theta > np.pi
-    theta = np.where(over, 2 * np.pi - theta, theta)
-    flip = theta > np.pi / 2 + 1e-12
-    theta = np.where(flip, np.pi - theta, theta)
-    phi = (phi + np.pi * over + np.pi * flip) % (2 * np.pi)
-    phi = np.where(np.abs(theta - np.pi / 2) <= 1e-12, phi % np.pi, phi)
-    return theta, np.where(theta <= 1e-15, 0.0, phi)
+        pick = _pick_float
+    else:
+        theta, phi = finite_angles(theta, phi)
+        pick = np.where
+    theta = theta % (2 * pi)
+    over = theta > pi
+    theta = pick(over, 2 * pi - theta, theta)
+    flip = theta > pi / 2 + 1e-12
+    theta = pick(flip, pi - theta, theta)
+    phi = (phi + pi * over + pi * flip) % (2 * pi)
+    phi = pick(abs(theta - pi / 2) <= 1e-12, phi % pi, phi)
+    return theta, pick(theta <= 1e-15, 0.0, phi)
+
+
+def _pick_float(cond, a, b):
+    """``np.where`` for one float: ``a`` if ``cond``, else ``b``."""
+    return a if cond else b
 
 
 def measurement_distance(a1, a2):
@@ -188,4 +190,4 @@ def measurement_distance(a1, a2):
     n2 = angles_to_direction(t2, p2)
     chord = np.minimum(np.linalg.norm(n1 - n2, axis=0), np.linalg.norm(n1 + n2, axis=0))
     dist = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
-    return float(dist) if dist.ndim == 0 else dist
+    return scalar_or_array(dist)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bloch, choi
-from .qmat import I2, PAULIS, binary_entropy_arr, density_state, spectrum_entropy
+from .qmat import I2, PAULIS, binary_entropy_arr, density_state, scalar_or_array, spectrum_entropy
 
 LN2 = np.log(2.0)
 #: Purities this close to 1 are clamped inside logarithms.
@@ -130,15 +130,6 @@ def mutual_information(rho):
 
 
 # ---------------------------------------------------------------------------
-# helpers shared by both paths
-# ---------------------------------------------------------------------------
-
-def _scalar_or_array(x):
-    """A float for a 0-d result, the array itself otherwise."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
-# ---------------------------------------------------------------------------
 # channel path
 # ---------------------------------------------------------------------------
 
@@ -151,7 +142,7 @@ def output_marginal_entropy(ch, gamma):
 def conditional_entropy_channel(ch, gamma, theta, phi):
     """sum_j p_j S(rho_j) through the affine channel form; angle arrays that broadcast together give an array."""
     form = bloch.outcome_form(ch, gamma)
-    return _scalar_or_array(_sphere_terms(form, *bloch.finite_angles(theta, phi), "entropy")[0])
+    return scalar_or_array(_sphere_terms(form, *bloch.finite_angles(theta, phi), "entropy")[0])
 
 
 def objective_channel(ch, gamma, theta, phi):
@@ -172,7 +163,7 @@ def grad_objective(ch, gamma, theta, phi):
     arrays that broadcast together give a pair of arrays."""
     th, ph = bloch.finite_angles(theta, phi)
     _, g_th, g_ph = _sphere_terms(bloch.outcome_form(ch, gamma), th, ph, "gradient")
-    return _scalar_or_array(g_th), _scalar_or_array(np.sin(th) * g_ph)
+    return scalar_or_array(g_th), scalar_or_array(np.sin(th) * g_ph)
 
 
 def _sphere_terms(form, theta, phi, want):
@@ -257,7 +248,7 @@ def conditional_entropy_direct(rho, theta, phi):
     validated as a :class:`qdiscord.qmat.DensityState`, which may be passed
     in its place.
     """
-    return _scalar_or_array(_direct_entropy(_pauli_table(density_state(rho).rho), *bloch.finite_angles(theta, phi)))
+    return scalar_or_array(_direct_entropy(_pauli_table(density_state(rho).rho), *bloch.finite_angles(theta, phi)))
 
 
 def _pauli_table(rho):
@@ -538,10 +529,10 @@ def _landscape_grid():
 
 def _landscape_cell(theta, phi):
     """The landscape cell that holds each point (theta, phi), row-major over the SEED_GRID's cells, after
-    the outcome fold to theta <= pi/2: the extra row past the equator is row SEED_GRID[0] - 2 at phi + pi."""
+    :func:`bloch.normalize_angles`, the one outcome fold: a point and its swapped label share a cell, and
+    the extra row past the equator is row SEED_GRID[0] - 2 at phi + pi."""
     rows, cols = SEED_GRID[0] - 1, SEED_GRID[1] - 1
-    over = theta > np.pi / 2
-    theta, phi = np.where(over, np.pi - theta, theta), np.where(over, phi + np.pi, phi) % (2 * np.pi)
+    theta, phi = bloch.normalize_angles(theta, phi)
     i = np.minimum((theta * (rows / (np.pi / 2))).astype(int), rows - 1)
     return i * cols + np.minimum((phi * (cols / (2 * np.pi))).astype(int), cols - 1)
 

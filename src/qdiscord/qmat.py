@@ -193,6 +193,11 @@ def spectrum_entropy(vals):
     return float(-np.sum(nz * np.log2(nz)))
 
 
+def scalar_or_array(x):
+    """A float for a 0-d result, the array itself otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def binary_entropy(p):
     """Binary entropy H2(p) = -p log2 p - (1-p) log2(1-p), in bits.
 
@@ -212,4 +217,4 @@ def binary_entropy_arr(p):
     q = 1.0 - p
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where((p > 0.0) & (p < 1.0), -p * np.log2(p) - q * np.log2(q), 0.0)
-    return out if out.ndim else float(out)
+    return scalar_or_array(out)

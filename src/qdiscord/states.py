@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .qmat import SIGMA_X, SIGMA_Y, SIGMA_Z, I4, check_density_matrix, tensor
+from .qmat import SIGMA_X, SIGMA_Y, SIGMA_Z, I4, check_density_matrix, partial_trace_a, tensor
 
 #: |trace - 1| below this is accepted verbatim (no renormalization).
 TRACE_EXACT_TOL = 1e-12
@@ -108,8 +108,7 @@ def random_state(seed, rank=4):
         g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        rho_b = rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-        if np.linalg.eigvalsh(rho_b).min() >= 1e-6:
+        if np.linalg.eigvalsh(partial_trace_a(rho)).min() >= 1e-6:
             return check_density_matrix(rho)
     raise ValueError(f"seed {seed!r} keeps producing a near-singular b marginal")
 
@@ -140,9 +139,9 @@ def serialize(rho):
 def parse(text):
     """Parse the text format into a validated density matrix.
 
-    Raises ``ValueError`` with the offending line number for malformed
-    tokens, wrong counts, non-Hermitian entry pairs, out-of-range traces
-    and indefinite matrices.
+    Raises ``ValueError`` with the offending line number for malformed or
+    overflowing tokens, wrong counts, non-Hermitian entry pairs,
+    out-of-range traces and indefinite matrices.
     """
     rows = []
     row_lines = []
@@ -156,11 +155,11 @@ def parse(text):
         row = []
         for pos, tok in enumerate(tokens, start=1):
             m = _TOKEN_RE.match(tok)
-            if m is None:
-                raise ValueError(
-                    f"line {lineno}: entry {pos} ({tok!r}) is not of the form RE+IMj"
-                )
-            row.append(complex(float(m.group("re")), float(m.group("im"))))
+            # a token such as 1e400+0j matches the pattern and overflows
+            z = complex(float(m.group("re")), float(m.group("im"))) if m else None
+            if z is None or not np.isfinite(z):
+                raise ValueError(f"line {lineno}: entry {pos} ({tok!r}) is not a finite number of the form RE+IMj")
+            row.append(z)
         rows.append(row)
         row_lines.append(lineno)
     if len(rows) != 4:

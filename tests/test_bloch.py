@@ -349,7 +349,8 @@ FOLD_ANGLE = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(theta=FOLD_ANGLE, phi=FOLD_ANGLE)
 def test_normalize_angles_folds_a_scalar_pair_as_the_array_path_does(theta, phi):
-    # scalars take a path of their own, on floats: the same arithmetic, bit for bit
+    # scalars and arrays run one fold; floats only choose by a conditional expression where arrays use
+    # np.where, so the same arithmetic gives the same bits
     scalar = normalize_angles(theta, phi)
     arrays = normalize_angles(np.array([theta]), np.array([phi]))
     assert all(type(x) is float for x in scalar)

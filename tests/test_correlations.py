@@ -1235,6 +1235,15 @@ def test_landscape_seeds_skip_a_cell_whose_zero_curves_do_not_cross():
     assert all(s.size == 0 for s in correlations._landscape_seeds(th, ph, grad))
 
 
+@pytest.mark.parametrize("phi", [0.3, 4.0, 2 * np.pi - 1e-9])
+def test_landscape_cell_bins_both_labels_of_a_measurement_together(phi):
+    # (pi/2 - 1e-15, phi), (pi/2 + 1e-15, phi) and (pi/2 + 1e-15, phi - pi) are one equatorial measurement,
+    # to rounding: the retirement rule bins them through normalize_angles, so they share a cell
+    theta = np.array([np.pi / 2 - 1e-15, np.pi / 2 + 1e-15, np.pi / 2 + 1e-15])
+    cells = correlations._landscape_cell(theta, np.array([phi, phi, phi - np.pi]))
+    assert np.unique(cells).size == 1
+
+
 def test_a_zero_on_a_shared_cell_edge_yields_one_root():
     # a field whose common zero is the pinned maximum of random_state(1003),
     # on a theta line of the grid: both cells beside it seed there, and
@@ -1577,7 +1586,7 @@ def test_kernel_bits_do_not_depend_on_the_call():
 #: The direct path's functions in correlations.py, and the only globals they
 #: may read besides builtins and numpy.
 DIRECT_PATH = ("conditional_entropy_direct", "_pauli_table", "_direct_entropy", "check_oracle_resolution", "grid_oracle")
-DIRECT_QMAT = ("I2", "PAULIS", "binary_entropy_arr", "density_state", "spectrum_entropy")
+DIRECT_QMAT = ("I2", "PAULIS", "binary_entropy_arr", "density_state", "scalar_or_array", "spectrum_entropy")
 DIRECT_GLOBALS = {
     "np",
     *DIRECT_QMAT,
@@ -1588,7 +1597,6 @@ DIRECT_GLOBALS = {
     "ZOOM_POINTS",
     "ZOOM_ROUNDS",
     "ZOOM_SHRINK",
-    "_scalar_or_array",
     *DIRECT_PATH,
 }
 

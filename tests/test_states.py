@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -118,6 +120,15 @@ def test_parse_rejects_malformed_token():
     text = "0.25+0j 0+0j 0+0j 0+0j\n0+0j 0.25 0+0j 0+0j\n0+0j 0+0j 0.25+0j 0+0j\n0+0j 0+0j 0+0j 0.25+0j"
     with pytest.raises(ValueError, match="line 2"):
         parse(text)
+
+
+@pytest.mark.parametrize("row, col, token", [(2, 2, "1e400+0j"), (1, 3, "0+1e400j")])
+def test_parse_rejects_an_overflowing_entry_before_the_hermitian_check(row, col, token):
+    # the token fits the pattern but parses to inf; inf - inf in the Hermitian check would warn
+    lines = [["0.25+0j" if i == j else "0+0j" for j in range(4)] for i in range(4)]
+    lines[row - 1][col - 1] = token
+    with pytest.raises(ValueError, match=re.escape(f"line {row}: entry {col} ('{token}')")):
+        parse("\n".join(" ".join(line) for line in lines))
 
 
 def test_parse_rejects_wrong_counts():
