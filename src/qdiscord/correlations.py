@@ -63,7 +63,7 @@ MERGE_TOL = 1e-5
 #: Angular slack when classifying a root as polar/equatorial.
 CLASSIFY_TOL = 1e-6
 #: Points whose objectives are this close to the best count as tied optima.
-OPTIMUM_TIE_TOL = 1e-10
+OPTIMUM_TIE_TOL = 1e-14
 #: Smallest (n_theta, n_phi) grid the oracle accepts.
 ORACLE_MIN_GRID = (64, 128)
 #: Oracle zoom: points per axis of the patch, rounds at most, and the factor
@@ -331,7 +331,7 @@ def _classify(theta):
 
 
 def _merge(form, sa, theta, phi, kept=(), scale=1.0):
-    """``kept`` followed by the stationary points at the roots (theta, phi).
+    """``kept`` followed by the stationary points at the roots (theta, phi), angles that broadcast together.
 
     Roots are folded to canonical angles; one channel-path call then gives
     the gradient that verifies them (scaled norm below STATIONARY_TOL times
@@ -343,7 +343,7 @@ def _merge(form, sa, theta, phi, kept=(), scale=1.0):
     come in (theta, phi) order, classified by their polar angle; ``form`` is
     the channel's :func:`bloch.outcome_form`, ``sa`` is S(rho_a).
     """
-    th, ph = bloch.normalize_angles(np.asarray(theta, float), np.asarray(phi, float))
+    th, ph = bloch.normalize_angles(*np.broadcast_arrays(theta, phi))
     order = np.lexsort((ph, th))
     th, ph = th[order], ph[order]
     ce, gt, gp = _sphere_terms(form, th, ph, "entropy")
@@ -606,10 +606,13 @@ def find_stationary_points(ch, gamma):
     * on a phi-independent objective (xy-isotropic channel: no theta row
       of the scan varies by 1e-11 s or more, s the tolerance scale below),
       whose stationary points form circles about z that Newton cannot
-      converge along, bisection of dJ/dtheta on 1999 points of the
-      meridian phi = 0 strictly between the pole and the equator, plus
-      (pi/2, 0), since J(theta) = J(pi - theta) makes the equator a circle
-      too; each circle is reported once, at phi = 0.
+      converge along, bisection of dJ/dtheta on the scan's own meridian
+      phi = 0 from the pole to the equator, plus (pi/2, 0), since
+      J(theta) = J(pi - theta) makes the equator a circle too; each circle
+      is reported once, at phi = 0.  J(theta) = J(-theta) = J(pi - theta)
+      also closes the meridian's end cells: one Hessian call at (0, 0) and
+      (pi/2, 0) gives J''(0) and -J''(pi/2), the signs of dJ/dtheta just
+      inside the pole and the equator, in place of the scan's values there.
 
     Either way the roots go through one :func:`_merge` against the polar
     candidate: folded, merged within an angle of 1e-5, verified to scaled
@@ -631,10 +634,10 @@ def find_stationary_points(ch, gamma):
         def dtheta(theta):
             return _sphere_terms(form, theta, 0.0, "gradient")[1]
 
-        thetas = np.linspace(0.0, np.pi / 2, 2001)[1:-1]
-        # J(theta) = J(pi - theta) makes the equator a stationary circle too
-        th = np.append(_bisect_roots(dtheta, thetas, dtheta(thetas)), np.pi / 2)
-        ph = np.zeros_like(th)
+        # the scan's meridian, its end cells closed by J''(0) and -J''(pi/2); the equator is a stationary circle too
+        h = np.subtract(*_sphere_terms(form, np.array([0.0, np.pi / 2]), np.zeros(2), "hessian")[3::3])
+        fx = np.concatenate([h[:1], gt_scan[1 : SEED_GRID[0] - 1, 0], -h[1:]])
+        th, ph = np.append(_bisect_roots(dtheta, th_scan[: SEED_GRID[0], 0], fx), np.pi / 2), 0.0
     else:
         th, ph = _landscape_seeds(th_scan, ph_scan, (gt_scan, np.sin(th_scan[:, :1]) * gp_scan))
         k = int(np.argmin(ce_scan))
@@ -755,7 +758,7 @@ def discord(rho, method="stationary", oracle_resolution=(64, 128)):
     Notes
     -----
     Both channel-path methods pick the optimum by one rule, in
-    :func:`report_from_points`: of the points within 1e-10 of the best
+    :func:`report_from_points`: of the points within 1e-14 of the best
     objective, the one with the smallest decomposition-frame (theta, phi),
     critical points first; C is that point's objective.  Tied optima, such
     as the polar and equatorial settings of a Bell-diagonal state with two

@@ -54,12 +54,21 @@ def lu_state():
     return check_density_matrix(m / np.trace(m).real)
 
 
+def _check_finite(family, **params):
+    """ValueError naming the first of ``params`` that is not a finite number."""
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{family} parameter {name} = {value} is not finite")
+
+
 def bell_diagonal(ex, ey, ez):
     """State (I + ex XX + ey YY + ez ZZ) / 4, diagonal in the Bell basis.
 
     The four Bell weights (1 + s.eta)/4 must all be nonnegative;
-    parameter triples outside that tetrahedron are rejected.
+    parameter triples outside that tetrahedron are rejected, and so is a
+    parameter that is not finite.
     """
+    _check_finite("bell_diagonal", ex=ex, ey=ey, ez=ez)
     weights = {
         name: (1.0 + sx * ex + sy * ey + sz * ez) / 4.0
         for name, (sx, sy, sz) in _BELL_SIGNS.items()
@@ -87,7 +96,9 @@ def werner(p):
 
 
 def x_state(r11, r22, r33, r44, r14, r23):
-    """X-pattern state from real diagonal entries and real cross terms."""
+    """X-pattern state from real diagonal entries and real cross terms; a
+    parameter that is not finite is rejected."""
+    _check_finite("x_state", r11=r11, r22=r22, r33=r33, r44=r44, r14=r14, r23=r23)
     m = np.diag(np.array([r11, r22, r33, r44], dtype=complex))
     m[0, 3] = m[3, 0] = r14
     m[1, 2] = m[2, 1] = r23

@@ -1,5 +1,5 @@
-"""Error paths of the command line: a method off its domain and a malformed
-option value."""
+"""Error paths of the command line: a method off its domain, a malformed
+option value and a state parameter that is not finite."""
 
 import pytest
 
@@ -32,3 +32,19 @@ def test_non_numeric_grid_is_usage_error(capsys, grid):
         main(["sweep", "--state", "lu", "--grid", grid])
     assert exc.value.code == 2
     assert "grid must look like 64x128" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "state, named",
+    [
+        ("bell-diag:nan,0,0", "bell_diagonal parameter ex = nan"),
+        ("x:0.25,0.25,0.25,0.25,inf,0", "x_state parameter r14 = inf"),
+    ],
+    ids=["bell-diag-nan", "x-inf"],
+)
+def test_non_finite_state_parameter_exits_2_and_names_it(capsys, state, named):
+    code = main(["discord", "--state", state])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert named in captured.err
+    assert captured.out == ""

@@ -35,7 +35,7 @@ from qdiscord.correlations import (
     universal_candidates,
 )
 from qdiscord.qmat import I2, I4, binary_entropy, herm_eig, partial_trace_a, partial_trace_b, von_neumann_entropy
-from qdiscord.states import bell_diagonal, lu_state, random_state, werner
+from qdiscord.states import LU_DIAG, bell_diagonal, lu_state, random_state, werner, x_state
 from stationary_digest import near_singular_band
 from util import (
     brute_conditional_entropy,
@@ -892,21 +892,73 @@ def test_near_singular_solves_bisect_no_equatorial_bracket(monkeypatch):
     assert any(w % bisection == 0 for w in widths)
 
 
+def record_stages(monkeypatch):
+    """A list that grows by the name of each ``_bisect_roots`` and ``_merge`` call."""
+    stages = []
+    for name in ("_bisect_roots", "_merge"):
+        f = getattr(correlations, name)
+        monkeypatch.setattr(correlations, name, lambda *a, f=f, name=name: stages.append(name) or f(*a))
+    return stages
+
+
 def test_a_general_solve_makes_one_wide_scan_one_merge_and_no_bisection(monkeypatch):
     # the landscape scan reaches one row past the equator, so its cells seed
     # the equatorial roots for the one Newton batch, and its (0, 0) gives
     # the polar candidate: a solve makes one kernel call wider than 300
     # points, bisects nothing and merges once
-    calls, stages = count_gradient_calls(monkeypatch), []
-    for name in ("_bisect_roots", "_merge"):
-        f = getattr(correlations, name)
-        monkeypatch.setattr(correlations, name, lambda *a, f=f, name=name: stages.append(name) or f(*a))
+    calls, stages = count_gradient_calls(monkeypatch), record_stages(monkeypatch)
     for s in range(60):
         calls.clear()
         stages.clear()
         find_stationary_points(*channel_of(random_state(s, 2 + s % 3)))
         assert sum(w > 300 for w in calls) == 1, s
         assert stages == ["_merge"], s
+
+
+#: phi-independent states, two of them with the state-dependent root inside
+#: the landscape scan's first and last cells of the meridian
+PHI_INDEPENDENT = {
+    "lu": lu_state(),
+    "bell(0.5,0.5,-0.3)": bell_diagonal(0.5, 0.5, -0.3),
+    "bell(0.4,-0.4,0.1)": bell_diagonal(0.4, -0.4, 0.1),
+    "lu_family(0.0999)": x_state(*LU_DIAG, 0.0, 0.0999),
+    "lu_family(0.100253)": x_state(*LU_DIAG, 0.0, 0.100253),
+}
+
+
+@pytest.mark.parametrize("rho", PHI_INDEPENDENT.values(), ids=PHI_INDEPENDENT.keys())
+def test_a_phi_independent_solve_makes_one_wide_scan(monkeypatch, rho):
+    # the meridian's brackets come from the landscape scan itself, so the
+    # solve evaluates no second grid: one kernel call of 1,000 points or
+    # more, one bisection and one merge
+    calls, stages = count_gradient_calls(monkeypatch), record_stages(monkeypatch)
+    find_stationary_points(*channel_of(rho))
+    assert sum(w >= 1000 for w in calls) == 1
+    assert stages == ["_bisect_roots", "_merge"]
+
+
+@pytest.mark.parametrize("c, theta", [(0.0999, 0.0474), (0.100253, 1.5428)])
+def test_phi_independent_roots_in_the_scan_end_cells_are_found(c, theta):
+    # each root lies within pi/48 of the pole or the equator, in the first
+    # or last cell of the scan's meridian: J''(0) and -J''(pi/2) close those
+    # cells, since J is even about both ends
+    rho = x_state(*LU_DIAG, 0.0, c)
+    rep = discord(rho)
+    roots = [q.theta for q in rep.stationary_points if q.kind == STATE_DEPENDENT]
+    assert len(roots) == 1 and abs(roots[0] - theta) < 1e-4
+    ch, gamma = channel_of(rho)
+    meridian = objective_channel(ch, gamma, np.linspace(0.0, np.pi / 2, 20001), 0.0)
+    assert rep.classical_corr >= meridian.max() - 1e-15
+
+
+def test_the_reported_optimum_is_the_best_listed_point():
+    # here the pole's objective lies 2.8e-11 below the state-dependent
+    # root's; a tie rule as wide as that reported the pole, below the point
+    # it listed and below the oracle
+    rho = x_state(*LU_DIAG, 0.0, 0.09989905)
+    rep = discord(rho)
+    assert rep.classical_corr == max(q.objective for q in rep.stationary_points)
+    assert rep.classical_corr >= grid_oracle(rho)[0] - 1e-15
 
 
 @pytest.mark.parametrize("eps", NEAR_SINGULAR_EPS, ids=lambda eps: f"eps{eps:.0e}")
@@ -1159,14 +1211,16 @@ def test_newton_keeps_a_start_whose_cell_holds_no_found_root(seed, start):
 
 # (kind, theta, phi, objective) of every stationary point, as computed by the
 # full-width Newton multistart that evaluated every start until the last
-# one finished; the batched search must take the same steps to the same roots
+# one finished; the batched search must take the same steps to the same roots.
+# lu's landscape is phi-independent, so its state-dependent root comes from
+# bisecting dJ/dtheta on the landscape scan's meridian instead
 PINNED_POINTS = {
     "lu": [
-        # the root of lu's rounded channel, to 50 digits, is theta =
-        # 0.48830647886721715; with dJ/dtheta rounded to ~8e-17 and |J''| =
-        # 2.3e-4 the bisection fixes theta to ~3.4e-13 only, so the pin holds
-        # the kernel's last bits, 2.5e-14 from that root
-        (STATE_DEPENDENT, 0.48830647886724254, 0.0, 0.033597366537359896),
+        # the root of lu's rounded channel, to 50 digits; with dJ/dtheta
+        # rounded to ~8e-17 and |J''| = 2.3e-4 the bisection fixes theta to
+        # ~3.4e-13 only (LU_ROOT_TOL), so the pin holds that root, not the
+        # kernel's last bits
+        (STATE_DEPENDENT, 0.48830647886721715, 0.0, 0.033597366537359896),
         (ASYMMETRIC, 0.0, 0.0, 0.03358771880935019),
         (SYMMETRIC, 1.5707963267948966, 0.0, 0.033535492210052364),
     ],
@@ -1179,12 +1233,19 @@ PINNED_POINTS = {
 }
 
 
+#: How far lu's bisected theta may lie from its 50-digit root: the rounding of dJ/dtheta over |J''|.
+LU_ROOT_TOL = 3.4e-13
+
+
 @pytest.mark.parametrize("name, rho", [("lu", lu_state()), ("random_state(1003)", random_state(1003))])
 def test_stationary_points_pinned(name, rho):
     pts = find_stationary_points(*channel_of(rho))
     assert [q.kind for q in pts] == [row[0] for row in PINNED_POINTS[name]]
     got = np.array([q.as_row()[1:4] for q in pts])
-    assert_allclose(got, np.array([row[1:] for row in PINNED_POINTS[name]]), rtol=0, atol=1e-15)
+    tol = np.full(got.shape, 1e-15)
+    if name == "lu":
+        tol[0, 0] = LU_ROOT_TOL
+    assert np.all(np.abs(got - np.array([row[1:] for row in PINNED_POINTS[name]])) <= tol), got
     assert max(q.grad_norm for q in pts) < 1e-15
 
 
@@ -1489,9 +1550,11 @@ def one_step_bisect_roots(f, x, fx):
 @pytest.mark.parametrize(
     "rho", [lu_state(), random_state(1003), bell_diagonal(0.7, -0.5, 0.3), near_singular_state(1e-4)]
 )
-@pytest.mark.parametrize("grid", ["equator dJ/dphi", "meridian dJ/dtheta"])
+@pytest.mark.parametrize("grid", ["equator dJ/dphi", "meridian dJ/dtheta", "closed scan meridian dJ/dtheta"])
 def test_bisect_roots_matches_one_step_bisection(rho, grid):
-    # near_singular_state(1e-4) gives the equator two brackets
+    # near_singular_state(1e-4) gives the equator two brackets; the closed
+    # scan meridian is the landscape scan's phi = 0 column with J''(0) and
+    # -J''(pi/2) at its ends, as the phi-independent solve brackets it
     ch, gamma = channel_of(rho)
     if grid == "equator dJ/dphi":
         x = np.linspace(0.0, np.pi, 1441)
@@ -1501,6 +1564,8 @@ def test_bisect_roots_matches_one_step_bisection(rho, grid):
 
     else:
         x = np.linspace(0.0, np.pi / 2, 2001)[1:-1]
+        if grid == "closed scan meridian dJ/dtheta":
+            x = correlations._landscape_grid()[0][: correlations.SEED_GRID[0], 0]
 
         def f(v):
             return grad_objective(ch, gamma, v, np.zeros_like(v))[0]
@@ -1512,6 +1577,9 @@ def test_bisect_roots_matches_one_step_bisection(rho, grid):
         return f(v)
 
     fx = f(x)
+    if grid == "closed scan meridian dJ/dtheta":
+        terms = correlations._sphere_terms(bloch.outcome_form(ch, gamma), x[[0, -1]], np.zeros(2), "hessian")
+        fx[[0, -1]] = (terms[3] - terms[6]) * (1.0, -1.0)
     got = correlations._bisect_roots(counted, x, fx)
     assert got.tobytes() == one_step_bisect_roots(f, x, fx).tobytes()
     assert len(calls) <= 10

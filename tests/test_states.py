@@ -66,6 +66,21 @@ def test_werner_limits():
         werner(-0.5)
 
 
+@pytest.mark.parametrize(
+    "build, args, named",
+    [
+        (bell_diagonal, (float("nan"), 0.0, 0.0), "bell_diagonal parameter ex = nan"),
+        (bell_diagonal, (0.0, 0.0, float("-inf")), "bell_diagonal parameter ez = -inf"),
+        (x_state, (0.25, 0.25, 0.25, 0.25, float("inf"), 0.0), "x_state parameter r14 = inf"),
+        (x_state, (0.25, float("nan"), 0.25, 0.25, 0.0, 0.0), "x_state parameter r22 = nan"),
+    ],
+    ids=["bell-ex-nan", "bell-ez-minus-inf", "x-r14-inf", "x-r22-nan"],
+)
+def test_non_finite_parameters_are_rejected_by_name(build, args, named):
+    with pytest.raises(ValueError, match=named):
+        build(*args)
+
+
 def test_x_state_constructor():
     rho = x_state(0.3, 0.2, 0.2, 0.3, 0.1, 0.05)
     assert is_x_state(rho)
