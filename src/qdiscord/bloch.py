@@ -186,8 +186,11 @@ def measurement_distance(a1, a2):
     angle raises ValueError.
     """
     t1, p1, t2, p2 = np.broadcast_arrays(*a1, *a2)
-    n1 = angles_to_direction(t1, p1)
-    n2 = angles_to_direction(t2, p2)
-    chord = np.minimum(np.linalg.norm(n1 - n2, axis=0), np.linalg.norm(n1 + n2, axis=0))
-    dist = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
-    return scalar_or_array(dist)
+    return scalar_or_array(direction_distance(angles_to_direction(t1, p1), angles_to_direction(t2, p2)))
+
+
+def direction_distance(n1, n2):
+    """:func:`measurement_distance` between the unit vectors ``n1`` and ``n2``, component axis first, arrays that
+    broadcast together: 2 arcsin(c / 2) of the chord c = min(|n1 - n2|, |n1 + n2|)."""
+    d, s = n1 - n2, n1 + n2
+    return 2.0 * np.arcsin(np.minimum(np.sqrt(np.minimum(np.add.reduce(d * d), np.add.reduce(s * s))) / 2.0, 1.0))

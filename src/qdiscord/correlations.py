@@ -135,8 +135,12 @@ def mutual_information(rho):
 
 def output_marginal_entropy(ch, gamma):
     """S(rho_a) computed from the channel alone (image of the b marginal)."""
-    r = ch(np.array([0.0, 0.0, np.cos(gamma)]))
-    return float(binary_entropy_arr((1.0 + np.linalg.norm(r)) / 2.0))
+    return _output_entropy(bloch.outcome_form(ch, gamma))
+
+
+def _output_entropy(form):
+    """S(rho_a) from a channel's :func:`bloch.outcome_form` (cos gamma, a, T): a is rho_a's Bloch vector."""
+    return float(binary_entropy_arr((1.0 + np.linalg.norm(form[1])) / 2.0))
 
 
 def conditional_entropy_channel(ch, gamma, theta, phi):
@@ -338,10 +342,12 @@ def _merge(form, sa, theta, phi, kept=(), scale=1.0):
     ``scale``, the solve's :func:`_tolerance_scale`) and the objective that
     scores them.  A root within MERGE_TOL (measurement distance) of a
     ``critical`` point in ``kept``, or of a better converged root (smaller
-    gradient norm), is dropped: one call measures the distances from the
-    critical kept points and from every root to every root.  The survivors
-    come in (theta, phi) order, classified by their polar angle; ``form`` is
-    the channel's :func:`bloch.outcome_form`, ``sa`` is S(rho_a).
+    gradient norm), is dropped: the distances from the critical kept points
+    and from every root to every root come from each point's unit vector,
+    formed once, by :func:`bloch.direction_distance`, the chord/arcsin
+    comparison of :func:`bloch.measurement_distance`.  The survivors come in
+    (theta, phi) order, classified by their polar angle; ``form`` is the
+    channel's :func:`bloch.outcome_form`, ``sa`` is S(rho_a).
     """
     th, ph = bloch.normalize_angles(*np.broadcast_arrays(theta, phi))
     order = np.lexsort((ph, th))
@@ -349,19 +355,18 @@ def _merge(form, sa, theta, phi, kept=(), scale=1.0):
     ce, gt, gp = _sphere_terms(form, th, ph, "entropy")
     # the scaled norm hypot(dJ/dtheta, sin theta dJ/dphi), dJ/dphi = sin theta gp
     gn = np.hypot(gt, np.sin(th) * (np.sin(th) * gp))
-    crit = np.array([(q.theta, q.phi) for q in kept if q.critical]).reshape(-1, 2)
-    rows = np.concatenate([crit, np.stack([th, ph], axis=1)])
-    near = bloch.measurement_distance((rows[:, :1], rows[:, 1:]), (th, ph)) < MERGE_TOL
-    free = (gn < STATIONARY_TOL * scale) & ~np.any(near[: len(crit)], axis=0)
+    # unit vectors of the critical kept points, then of the roots, as (component, point)
+    crit = np.reshape([(q.theta, q.phi) for q in kept if q.critical], (-1, 2))
+    n = bloch.angles_to_direction(np.concatenate((crit[:, 0], th)), np.concatenate((crit[:, 1], ph)))
+    near = bloch.direction_distance(n[:, :, None], n[:, None, len(crit) :]) < MERGE_TOL
+    free = (gn < STATIONARY_TOL * scale) & ~near[: len(crit)].any(axis=0)
     take = []
-    for r in np.argsort(gn, kind="stable"):
+    for r in np.argsort(gn, kind="stable").tolist():
         if free[r]:
             take.append(r)
             free[near[len(crit) + r]] = False
-    return list(kept) + [
-        StationaryPoint(float(th[r]), float(ph[r]), float(sa - ce[r]), float(gn[r]), _classify(th[r]))
-        for r in sorted(take)
-    ]
+    rows = np.stack((th, ph, sa - ce, gn))[:, sorted(take)].T.tolist()
+    return list(kept) + [StationaryPoint(t, p, objective, g, _classify(t)) for t, p, objective, g in rows]
 
 
 def _polar_candidate(sa, terms, tol):
@@ -395,7 +400,8 @@ def universal_candidates(ch, gamma):
     gives the pole, and its Newton batch the equatorial roots, which the
     tests check against this scan and bisection.
     """
-    sa, form = output_marginal_entropy(ch, gamma), bloch.outcome_form(ch, gamma)
+    form = bloch.outcome_form(ch, gamma)
+    sa = _output_entropy(form)
 
     # equatorial candidates: zeros of dJ/dphi along theta = pi/2, where it
     # is the frame component itself
@@ -419,8 +425,9 @@ def _newton_batch(form, th0, ph0, scale=1.0):
     :func:`bloch.outcome_form`, gives the gradient and the Hessian in the
     frame (e_theta, e_phi) at the starts, and one per iteration at the trial
     points (n + alpha xi) / |n + alpha xi|, xi the Newton step and alpha a
-    step factor per start, 1 at first.  A trial that lowers the
-    gradient norm is taken with its Hessian and resets alpha to 1; otherwise
+    step factor per start, 1 at first; an iteration reads each live start's
+    column (point, gradient norm, kernel terms, alpha) once.  A trial that
+    lowers the gradient norm is taken with its Hessian and resets alpha to 1; otherwise
     alpha halves (backtracking, Nocedal & Wright, Numerical Optimization,
     2006, sec. 3.1), or the start stops once its norm is below tol =
     NEWTON_TOL * ``scale`` (under the merge's tolerance).  A start below tol
@@ -442,20 +449,19 @@ def _newton_batch(form, th0, ph0, scale=1.0):
     solve, never pay for it.
     """
     th, ph, tol = np.asarray(th0, float), np.asarray(ph0, float), NEWTON_TOL * scale
-    # one column per start: theta, phi, the gradient norm and the kernel's terms
-    state = np.array((th, ph, th, *_sphere_terms(form, th, ph, "hessian")[1:]))
-    state[2] = np.hypot(state[3], state[4])
-    alpha, live = np.ones(th.size), np.arange(th.size)
+    # one column per start: theta, phi, the gradient norm, the kernel's terms and the step factor alpha
+    state = np.array((th, ph, th, *_sphere_terms(form, th, ph, "hessian")[1:], np.ones(th.size)))
+    state[2], live = np.hypot(state[3], state[4]), np.arange(th.size)
     for _ in range(NEWTON_MAX_ITER):
-        t0, p0, norm, gt, gp, htt, htp, hpp, ng = state[:, live]
+        t0, p0, norm, gt, gp, htt, htp, hpp, ng, alpha = state[:, live]
         htt, hpp = htt - ng, hpp - ng
         det = htt * hpp - htp * htp
         regular = (np.abs(det) >= 1e-30) & np.isfinite(det)
         safe = np.where(regular, det, 1.0)
-        xt = -(hpp * gt - htp * gp) / safe
-        xp = -(htt * gp - htp * gt) / safe
+        xt = (htp * gp - hpp * gt) / safe
+        xp = (htp * gt - htt * gp) / safe
         last = regular & (norm < tol) & (np.hypot(xt, xp) < MERGE_TOL)
-        a, st, ct = np.where(last, 1.0, alpha[live]), np.sin(t0), np.cos(t0)
+        a, st, ct = np.where(last, 1.0, alpha), np.sin(t0), np.cos(t0)
 
         # n + alpha xi: sin theta + alpha xt cos theta along (cos phi, sin phi,
         # 0), alpha xp along e_phi and cos theta - alpha xt sin theta along z;
@@ -469,12 +475,12 @@ def _newton_batch(form, th0, ph0, scale=1.0):
         if not live.size:
             break
 
-        trial = np.array((tt, pp, tt, *_sphere_terms(form, tt, pp, "hessian")[1:]))
+        trial = np.array((tt, pp, tt, *_sphere_terms(form, tt, pp, "hessian")[1:], np.ones(tt.size)))
         trial[2] = np.hypot(trial[3], trial[4])
-        # a norm that is not finite is never lower
+        # a norm that is not finite is never lower; alpha halves, or resets to 1 with the trial taken
         lower = trial[2] < norm
+        state[9, live] = 0.5 * a
         state[:, live[lower]] = trial[:, lower]
-        alpha[live] = np.where(lower, 1.0, 0.5 * a)
         live = live[lower | (norm >= tol)]
         # once no live start is below tol: a live start that has left its seed's cell, where another start
         # has converged, stops
@@ -543,7 +549,10 @@ def _landscape_seeds(th, ph, grad):
     bilinear interpolants inside a cell, the way vector-field topology
     locates the critical points of a sampled 2-D field (Helman & Hesselink,
     IEEE Computer 22(8), 1989).  A cell gives up to two starts, and none
-    where the zero curves of the interpolants do not cross.
+    where the zero curves of the interpolants do not cross.  Only cells
+    where both components have a corner <= 0 and one >= 0 are solved: an
+    interpolant is a convex combination of its cell's corners, so where all
+    four share a strict sign it has no zero in the cell.
 
     On the unit cell (u along theta, v along phi) each component is
     a + b u + c v + d u v.  Eliminating v = -(a + b u) / (c + d u) between
@@ -561,26 +570,33 @@ def _landscape_seeds(th, ph, grad):
     start's seed cell from its position, by the same :func:`_landscape_cell`
     it bins roots with."""
     g = np.stack(grad)
-    g00, g10, g01, g11 = g[:, :-1, :-1], g[:, 1:, :-1], g[:, :-1, 1:], g[:, 1:, 1:]
-    # axes: component, the two roots in u, theta cell, phi cell: cells innermost, one long loop a call;
-    # the starts then come in cell order, then root order within a cell
-    a, b, c, d = (x[:, None] for x in (g00, g10 - g00, g01 - g00, g11 - g10 - g01 + g00))
+    # a corner <= 0, then a corner >= 0, of each component: any along theta, then along phi
+    s = np.concatenate((g <= 0.0, g >= 0.0))
+    s = s[:, :-1] | s[:, 1:]
+    s = s[:, :, :-1] | s[:, :, 1:]
+    i, j = np.nonzero(s[0] & s[1] & s[2] & s[3])
+    # axes: component, then the cells with a sign change; u and v add the two roots in u as a leading axis
+    g00, g10, g01, g11 = g[:, i, j], g[:, i + 1, j], g[:, i, j + 1], g[:, i + 1, j + 1]
+    a, b, c, d = g00, g10 - g00, g01 - g00, g11 - g10 - g01 + g00
     qa = b[1] * d[0] - b[0] * d[1]
     qb = a[1] * d[0] + b[1] * c[0] - a[0] * d[1] - b[0] * c[1]
     qc = a[1] * c[0] - a[0] * c[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
-        u = np.concatenate([q / qa, qc / q])
-        num, den = a + b * u, c + d * u
+        u = np.stack([q / qa, qc / q])
+        num, den = a[:, None] + b[:, None] * u, c[:, None] + d[:, None] * u
         v = -np.where(np.abs(den[0]) >= np.abs(den[1]), num[0] / den[0], num[1] / den[1])
-    i, j, r = np.nonzero(((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)).transpose(1, 2, 0))
-    t, p = th[i, j] + u[r, i, j] * (th[i + 1, j] - th[i, j]), ph[i, j] + v[r, i, j] * (ph[i, j + 1] - ph[i, j])
+    # the starts in cell order, then root order within a cell
+    n, r = np.nonzero(((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)).T)
+    i, j, th, ph = i[n], j[n], th[:, 0], ph[0]
+    t, p = th[i] + u[r, n] * (th[i + 1] - th[i]), ph[j] + v[r, n] * (ph[j + 1] - ph[j])
     return t[t > 0.0], p[t > 0.0]
 
 
-def _tolerance_scale(th, gt, gp):
-    """min(1, G / GRAD_REF), G the largest :func:`_merge` gradient norm of a scan at theta ``th`` (kernel terms)."""
-    return min(1.0, float(np.max(np.hypot(gt, np.sin(th) * (np.sin(th) * gp)))) / GRAD_REF)
+def _tolerance_scale(th, gt, g_ph):
+    """min(1, G / GRAD_REF), G the largest :func:`_merge` gradient norm of a scan at theta ``th``: ``gt`` is
+    dJ/dtheta, ``g_ph`` dJ/dphi, sin theta times the kernel's third term."""
+    return min(1.0, float(np.max(np.hypot(gt, np.sin(th) * g_ph))) / GRAD_REF)
 
 
 def find_stationary_points(ch, gamma):
@@ -596,13 +612,12 @@ def find_stationary_points(ch, gamma):
     Otherwise the scan only chooses where the roots come from:
 
     * in general, one Newton batch on the sphere (:func:`_newton_batch`)
-      from the common zeros of the two gradient components' bilinear
-      interpolants in each grid cell off the pole (:func:`_landscape_seeds`;
-      Helman & Hesselink, IEEE Computer 22(8), 1989), the equatorial roots
-      included, and from the scan's best sample, which reaches maxima no
-      cell seeds (the narrow one beside the pole when rho_b is near rank
-      one); a start that leaves its cell once another start has converged
-      to that cell's root stops there, no root;
+      from the seeds of :func:`_landscape_seeds`, the equatorial roots
+      included, and from the scan's best sample when it lies on the first
+      two theta rows (the narrow maximum beside the pole when rho_b is near
+      rank one) or no seed lies within a grid step of it in both angles,
+      in the four cells it is a corner of: it reaches maxima no cell seeds,
+      while beside a seed it would only repeat that seed's root;
     * on a phi-independent objective (xy-isotropic channel: no theta row
       of the scan varies by 1e-11 s or more, s the tolerance scale below),
       whose stationary points form circles about z that Newton cannot
@@ -622,15 +637,18 @@ def find_stationary_points(ch, gamma):
     points match :func:`universal_candidates`, which finds them by
     bisecting the equator instead.
     """
-    sa, form = output_marginal_entropy(ch, gamma), bloch.outcome_form(ch, gamma)
+    form = bloch.outcome_form(ch, gamma)
+    sa = _output_entropy(form)
 
     th_scan, ph_scan = _landscape_grid()
     ce_scan, gt_scan, gp_scan = _sphere_terms(form, th_scan[:, :1], ph_scan[:1], "entropy")
-    if float(np.ptp(ce_scan)) < 1e-12:
+    hi, lo = ce_scan.max(axis=1), ce_scan.min(axis=1)
+    if float(hi.max() - lo.min()) < 1e-12:
         # the objective at the reported point, the scan's own (pi/2, 0)
         return [StationaryPoint(np.pi / 2, 0.0, sa - float(ce_scan[-2, 0]), 0.0, SYMMETRIC)]
-    scale = _tolerance_scale(th_scan[:, :1], gt_scan, gp_scan)
-    if float(np.max(np.ptp(ce_scan, axis=1))) < 1e-11 * scale:
+    gph_scan = np.sin(th_scan[:, :1]) * gp_scan
+    scale = _tolerance_scale(th_scan[:, :1], gt_scan, gph_scan)
+    if float((hi - lo).max()) < 1e-11 * scale:
         def dtheta(theta):
             return _sphere_terms(form, theta, 0.0, "gradient")[1]
 
@@ -639,9 +657,14 @@ def find_stationary_points(ch, gamma):
         fx = np.concatenate([h[:1], gt_scan[1 : SEED_GRID[0] - 1, 0], -h[1:]])
         th, ph = np.append(_bisect_roots(dtheta, th_scan[: SEED_GRID[0], 0], fx), np.pi / 2), 0.0
     else:
-        th, ph = _landscape_seeds(th_scan, ph_scan, (gt_scan, np.sin(th_scan[:, :1]) * gp_scan))
-        k = int(np.argmin(ce_scan))
-        th, ph = _newton_batch(form, np.append(th, th_scan.flat[k]), np.append(ph, ph_scan.flat[k]), scale)
+        th, ph = _landscape_seeds(th_scan, ph_scan, (gt_scan, gph_scan))
+        # the best sample starts too on the first two theta rows, or with no seed a grid step from it (phi wraps)
+        i, j = divmod(int(np.argmin(ce_scan)), SEED_GRID[1])
+        dp = np.abs(ph - ph_scan[i, j])
+        near = (np.abs(th - th_scan[i, j]) <= th_scan[1, 0]) & (np.minimum(dp, 2 * np.pi - dp) <= ph_scan[0, 1])
+        if i < 2 or not near.any():
+            th, ph = np.append(th, th_scan[i, j]), np.append(ph, ph_scan[i, j])
+        th, ph = _newton_batch(form, th, ph, scale)
     polar = _polar_candidate(sa, (ce_scan[0, 0], gt_scan[0, 0], gp_scan[0, 0]), STATIONARY_TOL * scale)
     return sorted(_merge(form, sa, th, ph, [polar], scale), key=_point_key)
 
@@ -757,25 +780,18 @@ def discord(rho, method="stationary", oracle_resolution=(64, 128)):
 
     Notes
     -----
-    Both channel-path methods pick the optimum by one rule, in
-    :func:`report_from_points`: of the points within 1e-14 of the best
-    objective, the one with the smallest decomposition-frame (theta, phi),
-    critical points first; C is that point's objective.  Tied optima, such
-    as the polar and equatorial settings of a Bell-diagonal state with two
-    equal largest |c_i|, thus resolve alike whichever method found them.
+    Both channel-path methods pick the optimum by the one rule of
+    :func:`report_from_points` (ties within 1e-14), so tied optima, such as
+    the polar and equatorial settings of a Bell-diagonal state with two
+    equal largest |c_i|, resolve alike whichever method found them.
 
     A state whose b marginal is numerically pure is a product state with
     zero correlations; once the method and the oracle resolution are
     checked, it short-circuits to C = I and Q = 0 without a decomposition.
 
-    One call validates ``rho`` once, as a :class:`qdiscord.qmat.DensityState`
-    (which may be passed in its place), and diagonalises rho_a and rho_b
-    once.  Every later layer reads those results: the singular-marginal test
-    and :func:`choi.decompose` test the same smallest eigenvalue of rho_b;
-    I(rho) takes S(rho) from the validation's spectrum and S(rho_a) and
-    S(rho_b) from the marginals'; the oracle reads the same S(rho_a);
-    the decomposition's basis rotation and gamma, and the closed form's I/2
-    test, read rho_b's one eigendecomposition.
+    ``rho`` is validated once, as a :class:`qdiscord.qmat.DensityState`
+    (which may be passed in its place), whose spectra every later layer
+    reads (see the module docstring).
     """
     if method not in ("stationary", "oracle", "xstate_analytic"):
         raise ValueError(f"unknown method {method!r}")

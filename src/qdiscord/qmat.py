@@ -9,6 +9,8 @@ spectra that later layers read instead of recomputing them.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -43,24 +45,8 @@ def tensor(a, b):
 
 
 def check_density_matrix(rho):
-    """Validate a two-qubit density matrix and return it as complex ndarray.
-
-    Parameters
-    ----------
-    rho : array_like
-        4x4 matrix expected to be Hermitian, unit trace and positive
-        semidefinite (within small numerical slack).
-
-    Returns
-    -------
-    np.ndarray
-        The validated matrix, dtype complex.
-
-    Raises
-    ------
-    ValueError
-        If the shape is wrong or any invariant fails.
-    """
+    """``rho`` as a complex ndarray, once it is a 4x4 matrix of finite entries that is Hermitian and of unit
+    trace (within HERM_TOL) and positive semidefinite (eigenvalues above PSD_TOL); ValueError otherwise."""
     return _validated(rho)[0]
 
 
@@ -101,7 +87,8 @@ class DensityState:
       ones the positivity check computes, and those of S(rho);
     * ``a_vals``, the eigenvalues of the Hermitian part of the a marginal
       rho_a, ascending, computed as :func:`von_neumann_entropy` computes
-      them: S(rho_a) of the mutual information and of the grid oracle;
+      them, on first read: S(rho_a) of the mutual information and of the
+      grid oracle (:func:`qdiscord.choi.decompose` never reads them);
     * ``b_vals`` and ``b_vecs``, the :func:`herm_eig` of the b marginal
       rho_b: its rank test, S(rho_b) and the channel decomposition's basis
       rotation all read this one eigendecomposition.
@@ -115,11 +102,16 @@ class DensityState:
     def __init__(self, rho):
         rho, self.spectrum = _validated(rho)
         self.rho = rho.copy()
-        rho_a = partial_trace_b(self.rho)
-        self.a_vals = np.linalg.eigvalsh((rho_a + dagger(rho_a)) / 2)
         self.b_vals, self.b_vecs = herm_eig(partial_trace_a(self.rho))
-        for arr in (self.rho, self.spectrum, self.a_vals, self.b_vals, self.b_vecs):
+        for arr in (self.rho, self.spectrum, self.b_vals, self.b_vecs):
             arr.flags.writeable = False
+
+    @functools.cached_property
+    def a_vals(self):
+        rho_a = partial_trace_b(self.rho)
+        vals = np.linalg.eigvalsh((rho_a + dagger(rho_a)) / 2)
+        vals.flags.writeable = False
+        return vals
 
 
 def density_state(rho):
@@ -149,19 +141,8 @@ def _hermitian_part(m):
 
 
 def herm_eig(m):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Parameters
-    ----------
-    m : array_like
-        Square Hermitian matrix, to within :data:`EIG_HERM_TOL`.
-
-    Returns
-    -------
-    (values, vectors)
-        ``values`` sorted descending; ``vectors[:, k]`` is the eigenvector
-        for ``values[k]``, orthonormal columns.
-    """
+    """(values, vectors) of a square matrix Hermitian to within EIG_HERM_TOL: the eigenvalues descending,
+    ``vectors[:, k]`` the orthonormal eigenvector of ``values[k]``."""
     res, part = _hermitian_part(np.asarray(m, dtype=complex))
     if res >= EIG_HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (residual {res:.3e})")

@@ -81,6 +81,23 @@ def test_density_state_keeps_rho_a_spectrum_as_von_neumann_entropy_reads_it():
     assert mutual_information(state) == want
 
 
+def test_density_state_diagonalises_rho_a_on_first_read_only(monkeypatch):
+    # the channel decomposition of a raw matrix and a refused closed form
+    # never read S(rho_a), so they skip its eigvalsh; the first read of
+    # a_vals makes it, once, and keeps the spectrum read-only
+    rho, calls = lu_state(), []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    decompose(rho)
+    with pytest.raises(ValueError):
+        analytic_discord_x(rho)
+    # one each: the validation's spectrum
+    assert len(calls) == 2
+    state = density_state(rho)
+    first = state.a_vals
+    assert len(calls) == 4 and state.a_vals is first and not first.flags.writeable
+
+
 @pytest.mark.parametrize("rho", [lu_state(), bell_diagonal(0.7, -0.5, 0.3)], ids=["lu", "bell_diagonal"])
 def test_a_density_state_gives_the_bits_of_its_matrix(rho):
     state = DensityState(rho)

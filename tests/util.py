@@ -120,6 +120,27 @@ def unretired_newton_batch(form, th0, ph0, scale=1.0):
         return _newton_batch(form, th0, ph0, scale)
 
 
+def all_cells_landscape_seeds(th, ph, grad):
+    """``correlations._landscape_seeds`` solving the bilinear quadratic in
+    every cell of the scan, a sign change among its corners or not: the
+    starts in cell order, then root order within a cell, zeros at theta = 0
+    dropped."""
+    g = np.stack(grad)
+    g00, g10, g01, g11 = g[:, :-1, :-1], g[:, 1:, :-1], g[:, :-1, 1:], g[:, 1:, 1:]
+    a, b, c, d = (x[:, None] for x in (g00, g10 - g00, g01 - g00, g11 - g10 - g01 + g00))
+    qa = b[1] * d[0] - b[0] * d[1]
+    qb = a[1] * d[0] + b[1] * c[0] - a[0] * d[1] - b[0] * c[1]
+    qc = a[1] * c[0] - a[0] * c[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        u = np.concatenate([q / qa, qc / q])
+        num, den = a + b * u, c + d * u
+        v = -np.where(np.abs(den[0]) >= np.abs(den[1]), num[0] / den[0], num[1] / den[1])
+    i, j, r = np.nonzero(((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)).transpose(1, 2, 0))
+    t, p = th[i, j] + u[r, i, j] * (th[i + 1, j] - th[i, j]), ph[i, j] + v[r, i, j] * (ph[i, j + 1] - ph[i, j])
+    return t[t > 0.0], p[t > 0.0]
+
+
 def same_points(got, want):
     """True when two stationary lists agree bit for bit."""
     rows = [np.array([q.as_row()[1:] for q in pts]).tobytes() for pts in (got, want)]
