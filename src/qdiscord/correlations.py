@@ -264,22 +264,21 @@ def _pauli_table(rho):
 
 def _direct_entropy(c, theta, phi):
     """sum_j p_j S(rho_j) from the Pauli table ``c`` at angle arrays that broadcast together: measuring b
-    along n with the effects (I +- n . sigma) / 2 gives 2 p = 1 +- b . n and conditional Bloch vectors
-    (a +- R n) / (2 p) (Luo, PRA 77, 042303 (2008)); an outcome with p <= DEGENERATE_TOL adds no entropy.
-    One outcome and one component at a time: a temporary of an oracle block's 64 x 128 points is then
-    64 KiB, under glibc's 128 KiB mmap threshold, above which a fresh process maps and faults it anew on
-    every call."""
+    along n with the effects (I + s n . sigma) / 2, s = +-1, gives 2 p = 1 + s b . n and conditional Bloch
+    vectors (a + s R n) / (2 p) (Luo, PRA 77, 042303 (2008)); an outcome with p <= DEGENERATE_TOL adds no
+    entropy.  Both outcomes in one pass, stacked along a leading axis: c + (-1) y rounds as c - y.  A block
+    of 64 x 128 (outcome, point) values keeps each temporary at 64 KiB, under glibc's 128 KiB mmap
+    threshold, above which a fresh process maps and faults it anew on every call."""
     st = np.sin(theta)
     n = st * np.cos(phi), st * np.sin(phi), np.cos(theta)
     # b . n, then R n: row i of c against n
     y = [c[i, 1] * n[0] + c[i, 2] * n[1] + c[i, 3] * n[2] for i in range(4)]
-    total = 0.0
-    for pm in (np.add, np.subtract):
-        p = 0.5 * pm(c[0, 0], y[0])
-        live = p > bloch.DEGENERATE_TOL
-        q = np.sqrt(pm(c[1, 0], y[1]) ** 2 + pm(c[2, 0], y[2]) ** 2 + pm(c[3, 0], y[3]) ** 2)
-        total = total + np.where(live, p * binary_entropy_arr((1.0 + q / np.where(live, 2.0 * p, 1.0)) / 2.0), 0.0)
-    return total
+    s = np.array([1.0, -1.0]).reshape(2, *[1] * np.ndim(y[0]))
+    p = 0.5 * (c[0, 0] + s * y[0])
+    live = p > bloch.DEGENERATE_TOL
+    q = np.sqrt((c[1, 0] + s * y[1]) ** 2 + (c[2, 0] + s * y[2]) ** 2 + (c[3, 0] + s * y[3]) ** 2)
+    e = np.where(live, p * binary_entropy_arr((1.0 + q / np.where(live, 2.0 * p, 1.0)) / 2.0), 0.0)
+    return e[0] + e[1]
 
 
 # ---------------------------------------------------------------------------
@@ -686,19 +685,21 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
 
     Reads the state's :func:`_pauli_table` once and evaluates
     :func:`_direct_entropy` on an n_theta x n_phi grid (theta in [0, pi],
-    phi in [0, 2 pi)), in blocks of whole rows of at most 64 x 128 points
-    (ORACLE_MIN_GRID; one row at least), so memory stays bounded; then it
-    zooms in: each round evaluates a ZOOM_POINTS x ZOOM_POINTS (13 x 13)
-    patch around the incumbent, one grid cell wide at first, clipped to
-    theta in [0, pi].  The patch shrinks to the spacing of its own points
-    (6x) while the incumbent stays inside it, and only moves with the
-    incumbent when that lands on its edge, where the maximum may lie
-    beyond.  The zoom ends after ZOOM_ROUNDS (15) rounds, or at the first
-    round that would shrink the patch when its values span no more than
-    4 eps: conditional entropies are at most 1 bit, so that patch is flat
-    to rounding.  Deterministic, and never below the grid maximum; ties
-    resolve to the smallest theta, then the smallest phi.  ``rho`` may be
-    a :class:`qdiscord.qmat.DensityState`; only its matrix and rho_a's
+    phi in [0, 2 pi)), in blocks of whole rows holding at most 64 x 128
+    (outcome, point) values (ORACLE_MIN_GRID: 32 rows of the default grid;
+    one row at least), so memory stays bounded; then it zooms in: each
+    round evaluates a ZOOM_POINTS x ZOOM_POINTS (13 x 13) patch around the
+    incumbent, one grid cell wide at first, clipped to theta in [0, pi].
+    The patch shrinks to the spacing of its own points (6x) while the
+    incumbent stays inside it, and only moves with the incumbent when that
+    lands on its edge, where the maximum may lie beyond.  The zoom ends
+    after ZOOM_ROUNDS (15) rounds, or at the first round that would shrink
+    the patch when its values span no more than 16 eps, the evaluator's
+    rounding: over patches narrower than 1e-9 the span has a median of
+    4 eps and reaches 11 eps on the bench's random mixed states.
+    Deterministic, and never below the grid maximum; ties resolve to the
+    smallest theta, then the smallest phi.  ``rho`` may be a
+    :class:`qdiscord.qmat.DensityState`; only its matrix and rho_a's
     spectrum, which gives S(rho_a), are read.
 
     Returns
@@ -714,7 +715,7 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
     c = _pauli_table(state.rho)
     th = np.linspace(0.0, np.pi, n_theta)
     ph = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    rows, fv = max(1, ORACLE_MIN_GRID[0] * ORACLE_MIN_GRID[1] // n_phi), np.inf
+    rows, fv = max(1, ORACLE_MIN_GRID[0] * ORACLE_MIN_GRID[1] // (2 * n_phi)), np.inf
     for k in range(0, n_theta, rows):
         ce = _direct_entropy(c, th[k : k + rows, None], ph)
         i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
@@ -732,9 +733,8 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
             t, p, fv = float(pt[i]), float(pq[j]), float(ce[i, j])
             if j in (0, ZOOM_POINTS - 1) or (i in (0, ZOOM_POINTS - 1) and 0.0 < t < np.pi):
                 continue
-        # a patch spanning no more than 4 eps is flat to rounding:
-        # conditional entropies are at most 1 bit
-        if np.ptp(ce) <= 4 * np.finfo(float).eps:
+        # a patch spanning no more than 16 eps is flat to the evaluator's rounding
+        if np.ptp(ce) <= 16 * np.finfo(float).eps:
             break
         wt, wp = wt * ZOOM_SHRINK, wp * ZOOM_SHRINK
 

@@ -11,12 +11,15 @@ floats by their round-trip ``repr``; a state the method refuses records
 the error instead.  Five groups run the stationary method; the group
 ``closed_form`` runs ``xstate_analytic`` on the ``x_state`` and
 ``bell_diagonal`` states, ``random_state_oracle`` runs the grid oracle
-on the first 50 ``random_state`` states, and ``universal_candidates``
+on the first 50 ``random_state`` states, ``universal_candidates``
 lists the points of the public reference ``universal_candidates`` on the
 ``random_state``, ``x_state``, ``bell_diagonal`` and
-``near_singular_band`` states.  Two commits that print the same lines
-give the same answers bit for bit on these states, by all three methods
-and the reference.  The last bits of a float depend on the numpy build
+``near_singular_band`` states, and ``direct_entropy`` records the direct
+path's ``conditional_entropy_direct`` on DIRECT_GRID, poles included, for
+the ``random_state``, ``x_state`` and ``near_singular_band`` states.  Two
+commits that print the same lines give the same answers bit for bit on
+these states, by all three methods, the reference and the direct path's
+evaluator.  The last bits of a float depend on the numpy build
 and on how BLAS runs a matmul, so compare logs made on one machine, with
 one numpy, with BLAS at one thread (``OPENBLAS_NUM_THREADS=1``).
 ``stationary_digest.txt`` holds the lines expected with numpy 2.4.6, and CI
@@ -48,12 +51,14 @@ import numpy as np
 from util import count_gradient_calls, feasible_bell_triple, random_unitary, random_x_maximally_mixed
 
 from qdiscord import affine_from_kraus, decompose, discord
-from qdiscord.correlations import index_sum, universal_candidates
+from qdiscord.correlations import conditional_entropy_direct, index_sum, universal_candidates
 from qdiscord.states import bell_diagonal, lu_state, random_state
 
 #: Bell-diagonal states whose two largest |c_i| are equal: their optimum is
 #: a tie between settings, or a circle of them.
 TIED_BELL = [(0.5, -0.2, 0.5), (-0.4, 0.1, 0.4), (0.2, -0.6, 0.6), (0.5, 0.5, -0.3), (-0.3, 0.6, 0.6), (0.4, -0.4, 0.1)]
+#: (theta, phi) of the ``direct_entropy`` group: 13 x 24 angles, both poles included.
+DIRECT_GRID = (np.linspace(0.0, np.pi, 13)[:, None], np.linspace(0.0, 2 * np.pi, 24, endpoint=False))
 
 
 def near_singular_band(n=150, seed=2):
@@ -85,6 +90,7 @@ def corpus():
     yield "closed_form", "xstate_analytic", xs + bells
     yield "random_state_oracle", "oracle", randoms[:50]
     yield "universal_candidates", "universal_candidates", randoms + xs + bells + band
+    yield "direct_entropy", "direct_entropy", randoms + xs + band
 
 
 def point_rows(points):
@@ -95,9 +101,14 @@ def solve_record(rho, method, kernel):
     """The text of one state's report, stationary points and index sum (or,
     for the method "universal_candidates", of that function's points), the
     number of its points, the seconds its call took and the entries that
-    call added to ``kernel``, a list of :func:`util.count_gradient_calls`."""
+    call added to ``kernel``, a list of :func:`util.count_gradient_calls`.
+    For the method "direct_entropy" the text holds the values on
+    DIRECT_GRID."""
     t0, k0 = time.perf_counter(), len(kernel)
     try:
+        if method == "direct_entropy":
+            values = conditional_entropy_direct(rho, *DIRECT_GRID)
+            return repr(values.tolist()) + "\n", 0, time.perf_counter() - t0, len(kernel) - k0
         if method == "universal_candidates":
             d = decompose(rho)
             rows = point_rows(universal_candidates(affine_from_kraus(d.kraus), d.gamma))

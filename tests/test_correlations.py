@@ -49,6 +49,7 @@ from util import (
     reference_chart_terms,
     reference_conditional_entropy_direct,
     same_points,
+    two_pass_direct_entropy,
     unretired_newton_batch,
 )
 
@@ -541,7 +542,10 @@ def test_report_prefers_a_critical_point_to_a_tied_polar_candidate():
 
 
 @pytest.mark.parametrize(
-    "rho", [lu_state(), random_state(3), bell_diagonal(0.7, -0.5, 0.3), near_singular_state(1e-4)]
+    "rho",
+    [lu_state(), random_state(3), bell_diagonal(0.7, -0.5, 0.3), near_singular_state(1e-4)]
+    # zoomed all ZOOM_ROUNDS rounds under a 4-eps stop rule
+    + [random_state(s) for s in (9, 15, 18)],
 )
 def test_grid_oracle_value_at_returned_angles(rho):
     corr, (th, ph) = grid_oracle(rho)
@@ -561,16 +565,26 @@ def test_grid_oracle_value_at_returned_angles(rho):
 def test_grid_oracle_blocks_give_the_whole_grid_result(monkeypatch, grid):
     # the grid is evaluated in blocks of rows only to bound memory, keeping
     # the best point so far; the result, ties included, is bitwise that of
-    # one call on the whole grid (a block as large as the grid)
+    # one call on the whole grid (one block holding both outcomes of every point)
     states = [lu_state(), random_state(5), bell_diagonal(0.5, -0.2, 0.5)]
     blocked = [grid_oracle(rho, *grid) for rho in states]
-    monkeypatch.setattr(correlations, "ORACLE_MIN_GRID", grid)
+    calls = []
+    direct = correlations._direct_entropy
+
+    def counted(c, theta, phi):
+        calls.append(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+        return direct(c, theta, phi)
+
+    monkeypatch.setattr(correlations, "_direct_entropy", counted)
+    monkeypatch.setattr(correlations, "ORACLE_MIN_GRID", (2 * grid[0], grid[1]))
+    monkeypatch.setattr(correlations, "check_oracle_resolution", lambda *_: None)
     assert blocked == [grid_oracle(rho, *grid) for rho in states]
+    assert [shape for shape in calls if shape[1] == grid[1]] == len(states) * [grid]
 
 
 def test_grid_oracle_call_budget(monkeypatch):
     # the Pauli table is read once, and one evaluator serves the grid and the
-    # zoom: one grid call, then at most ZOOM_ROUNDS zoom rounds; a flat
+    # zoom: the grid's calls, then at most ZOOM_ROUNDS zoom rounds; a flat
     # landscape stops after its first zoom round
     calls = []
     direct = correlations._direct_entropy
@@ -580,14 +594,20 @@ def test_grid_oracle_call_budget(monkeypatch):
         return direct(c, theta, phi)
 
     monkeypatch.setattr(correlations, "_direct_entropy", counted)
+    # the default grid goes in two blocks of 64 x 128 (outcome, point) values
     for rho in [lu_state(), random_state(3), bell_diagonal(0.7, -0.5, 0.3), near_singular_state(1e-4)]:
         calls.clear()
         grid_oracle(rho)
-        assert calls[0] == (64, 128)
-        assert 1 < len(calls) <= 1 + correlations.ZOOM_ROUNDS
+        assert calls[:2] == [(32, 128), (32, 128)]
+        assert 2 < len(calls) <= 2 + correlations.ZOOM_ROUNDS
     calls.clear()
     grid_oracle(product_state())
-    assert calls == [(64, 128), (correlations.ZOOM_POINTS, correlations.ZOOM_POINTS)]
+    assert calls == [(32, 128), (32, 128), (correlations.ZOOM_POINTS, correlations.ZOOM_POINTS)]
+    # a patch flat to the evaluator's rounding ends the zoom before its last round
+    for s in range(100):
+        calls.clear()
+        grid_oracle(random_state(s))
+        assert len(calls) < 2 + correlations.ZOOM_ROUNDS, s
     # a larger grid goes in blocks of whole rows, none larger than the default grid
     calls.clear()
     grid_oracle(lu_state(), 512, 1024)
@@ -629,6 +649,29 @@ def test_conditional_entropy_direct_matches_the_per_outcome_reference_bit_for_bi
         assert isinstance(got, float)
         assert got == reference_conditional_entropy_direct(c, np.array([t]), np.array([p]))[0]
         assert abs(got - reference_conditional_entropy_direct(c, t, p)) <= np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "rho, theta, phi",
+    [
+        (random_state(3), np.linspace(0.0, np.pi, 64)[:, None], np.linspace(0.0, 2 * np.pi, 128, endpoint=False)),
+        (lu_state(), np.linspace(0.4, 0.7, 13)[:, None], np.linspace(1.0, 1.3, 13)),
+        (random_state(7, 2), np.float64(0.3), np.float64(1.1)),
+        (random_state(7, 2), 2.5, 4.0),
+        # a pure b marginal: at theta = pi the + outcome has p = 0 <= DEGENERATE_TOL
+        (SINGULAR_B_MARGINAL, np.pi, 0.7),
+        (SINGULAR_B_MARGINAL, np.linspace(0.0, np.pi, 64)[:, None], np.linspace(0.0, 2 * np.pi, 128, endpoint=False)),
+    ],
+    ids=["grid", "zoom_patch", "0-d", "python_floats", "degenerate_outcome", "degenerate_grid"],
+)
+def test_direct_entropy_stacks_the_outcomes_bit_for_bit(rho, theta, phi):
+    # both outcomes in one pass, c + s y with s = +-1, round as the
+    # per-outcome c + y and c - y of the two-pass evaluator
+    c = correlations._pauli_table(rho)
+    got = correlations._direct_entropy(c, theta, phi)
+    want = two_pass_direct_entropy(c, theta, phi)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_grid_oracle_reads_s_rho_a_on_pure_states():

@@ -12,8 +12,8 @@ both sides of the comparison it serves and only the retirement rule differs.
 import numpy as np
 import pytest
 
-from qdiscord import correlations
-from qdiscord.qmat import check_density_matrix
+from qdiscord import bloch, correlations
+from qdiscord.qmat import binary_entropy_arr, check_density_matrix
 
 #: The solver's Newton batch as imported: a test that patches
 #: ``correlations._newton_batch`` with :func:`unretired_newton_batch` would
@@ -108,6 +108,24 @@ def reference_conditional_entropy_direct(c, theta, phi):
         return np.where(live, p * masked_binary_entropy((1.0 + q / np.where(live, 2.0 * p, 1.0)) / 2.0), 0.0)
 
     return outcome(1.0) + outcome(-1.0)
+
+
+def two_pass_direct_entropy(c, theta, phi):
+    """``correlations._direct_entropy`` one outcome per pass, as it was
+    before it stacked the two outcomes along a leading axis: the + outcome
+    by ``np.add``, then the - outcome by ``np.subtract``, each on arrays of
+    the points' own shape.  The stacked evaluator must reproduce every bit
+    of it."""
+    st = np.sin(theta)
+    n = st * np.cos(phi), st * np.sin(phi), np.cos(theta)
+    y = [c[i, 1] * n[0] + c[i, 2] * n[1] + c[i, 3] * n[2] for i in range(4)]
+    total = 0.0
+    for pm in (np.add, np.subtract):
+        p = 0.5 * pm(c[0, 0], y[0])
+        live = p > bloch.DEGENERATE_TOL
+        q = np.sqrt(pm(c[1, 0], y[1]) ** 2 + pm(c[2, 0], y[2]) ** 2 + pm(c[3, 0], y[3]) ** 2)
+        total = total + np.where(live, p * binary_entropy_arr((1.0 + q / np.where(live, 2.0 * p, 1.0)) / 2.0), 0.0)
+    return total
 
 
 def unretired_newton_batch(form, th0, ph0, scale=1.0):
