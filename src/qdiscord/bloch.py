@@ -2,16 +2,13 @@
 
 A single-qubit state is rho = (I + r.sigma)/2 with a real vector r of norm
 <= 1.  A trace-preserving channel acts on Bloch vectors as the affine map
-r -> eta r + c with a real 3x3 matrix eta and a shift c.  The Pauli
-expansion :func:`to_bloch` and its inverse also map stacks of matrices.
+r -> eta r + c with a real 3x3 matrix eta and a shift c.
 
 The projective measurement on qubit b is parametrized by polar/azimuthal
 angles (theta, phi), the unit vector n.  Each outcome leaves qubit a in the
 channel's image of the reference state's conditional state, and
 :func:`outcome_form` writes both as one affine form in n: p v = (a +- T n)
 / 2, whose length over p ("purity") drives the conditional entropy.
-:func:`fold_angles` carries angles found in a frame rotated by a 2x2
-unitary on b back through that unitary, on the spinor.
 """
 
 from __future__ import annotations
@@ -24,9 +21,8 @@ import numpy as np
 from .choi import apply_channel
 from .qmat import I2, PAULIS, dagger, scalar_or_array
 
-#: Outcome probabilities below this are degenerate (measurement pinned to a
-#: zero-probability branch); scalar APIs raise, vector paths zero the branch.
-#: It is the one such guard of both discord paths.
+#: Outcome probabilities below this are degenerate, in both discord paths:
+#: scalar APIs raise, vector paths zero the branch.
 DEGENERATE_TOL = 1e-14
 
 
@@ -64,9 +60,7 @@ def affine_from_kraus(kraus):
 
     Columns of eta are the Bloch images of the Pauli inputs,
     eta[j, i] = Tr(sigma_j eps(sigma_i)) / 2, and c is the Bloch vector of
-    eps(I)/2: one channel application to the stack (I, sigma_x, sigma_y,
-    sigma_z) and one Pauli expansion.  Together they satisfy
-    ``to_bloch(apply_channel(k, rho)) == eta @ to_bloch(rho) + c``.
+    eps(I)/2, so ``to_bloch(apply_channel(k, rho)) == eta @ to_bloch(rho) + c``.
     """
     r = to_bloch(apply_channel(kraus, np.concatenate([I2[None], PAULIS]))) / 2
     # C order: a transposed view would change the summation order, and so
@@ -130,11 +124,9 @@ def fold_angles(v, theta, phi):
     """Measurement angles in the original b frame, given angles in the frame
     rotated by the 2x2 unitary ``v`` (projectors P -> v^+ P v).
 
-    The spinor psi = (cos th/2, e^{i ph} sin th/2) goes through v^+ itself:
-    th' = 2 atan2(|u_1|, |u_0|) and ph' = arg(u_1 conj(u_0)) for u = v^+ psi.
-    atan2 keeps a polar angle's relative accuracy next to the pole, where
-    arccos of a Bloch z component rounds every th' below 1.3e-8 to 0.  A
-    non-finite angle raises ValueError.
+    The spinor psi = (cos th/2, e^{i ph} sin th/2) goes through v^+ itself,
+    and atan2 reads th' back: arccos of a Bloch z component would round
+    every th' below 1.3e-8 to 0.  A non-finite angle raises ValueError.
     """
     theta, phi = finite_angles(theta, phi)
     u0, u1 = dagger(v) @ np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
@@ -145,14 +137,10 @@ def normalize_angles(theta, phi):
     """Canonical angles for a projective measurement.
 
     The pairs (theta, phi) and (pi - theta, phi + pi) label the same
-    measurement with outcomes swapped; the canonical member has
-    theta in [0, pi/2] (and phi in [0, pi) when theta = pi/2, phi = 0 at
-    the pole).  One fold does it: theta mod 2pi, the flip past
-    pi/2 + 1e-12 with phi + pi, phi mod pi on the equator and phi = 0 at
-    the pole.  Arrays fold elementwise, choosing by ``np.where``; scalars
-    run the same fold on Python floats, choosing by a conditional
-    expression, and come back as floats.  A non-finite angle raises
-    ValueError.
+    measurement with outcomes swapped; the canonical member has theta in
+    [0, pi/2], phi in [0, pi) on the equator (theta within 1e-12 of pi/2)
+    and phi = 0 at the pole.  Arrays fold elementwise; scalars come back as
+    floats.  A non-finite angle raises ValueError.
     """
     if np.ndim(theta) == 0 and np.ndim(phi) == 0:
         theta, phi = float(theta), float(phi)
@@ -181,9 +169,8 @@ def measurement_distance(a1, a2):
     """Angle between two projective measurements, folding the outcome swap.
 
     Arguments are (theta, phi) pairs, of scalars or of arrays that broadcast
-    together; the result is in [0, pi/2], a float for scalars.  The
-    chord/arcsin form stays accurate near zero separation.  A non-finite
-    angle raises ValueError.
+    together; the result is in [0, pi/2], a float for scalars.  A
+    non-finite angle raises ValueError.
     """
     t1, p1, t2, p2 = np.broadcast_arrays(*a1, *a2)
     return scalar_or_array(direction_distance(angles_to_direction(t1, p1), angles_to_direction(t2, p2)))

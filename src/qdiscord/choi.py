@@ -8,8 +8,7 @@ as a qubit channel acting on one arm of a pure entangled reference state
 after a basis rotation on qubit b that diagonalizes its marginal.  The
 channel comes out as a Kraus set built from the eigendecomposition of the
 state, via the row-major operator <-> vector correspondence
-``vec(A)[2i+j] = A[i, j]``.  A channel applies to one 2x2 operator or to a
-stack of them, shape (..., 2, 2), in one array call.
+``vec(A)[2i+j] = A[i, j]``.
 """
 
 from __future__ import annotations
@@ -71,22 +70,14 @@ class KrausSet:
 class CJDecomposition:
     """Channel-plus-reference-state form of a two-qubit density matrix.
 
-    Attributes
-    ----------
-    gamma : float
-        Entanglement angle of the reference state, in (0, pi/2].
-    basis_rotation : np.ndarray
-        2x2 unitary V; the decomposition lives in the frame where qubit b is
-        rotated by V (larger marginal eigenvalue first on the diagonal).
-    lambdas : np.ndarray
-        Eigenvalues of the rotated state, descending, length 4.
-    gamma_ops : np.ndarray
-        Shape (4, 2, 2): the operators whose vectorizations are the
-        eigenvectors, in the order of ``lambdas``.
-    kraus : KrausSet
-        Kraus operators of the extracted channel (near-zero weights dropped).
-    omega : np.ndarray
-        diag(cos(gamma/2), sin(gamma/2)); vec(omega) is the reference state.
+    ``gamma`` is the reference state's entanglement angle, in (0, pi/2].
+    The decomposition lives in the frame where qubit b is rotated by the
+    2x2 unitary ``basis_rotation`` (larger marginal eigenvalue first on the
+    diagonal).  ``lambdas`` are the rotated state's four eigenvalues,
+    descending, and ``gamma_ops``, shape (4, 2, 2), the operators whose
+    vectorizations are its eigenvectors, in that order.  ``kraus`` holds
+    the extracted channel (near-zero weights dropped), and vec(``omega``),
+    omega = diag(cos(gamma/2), sin(gamma/2)), is the reference state.
     """
 
     gamma: float
@@ -111,23 +102,12 @@ def rotate_b(rho, v):
 
 
 def decompose(rho):
-    """Extract the channel/reference-state form of a two-qubit state.
+    """The :class:`CJDecomposition` of a two-qubit state, which may be a
+    :class:`qdiscord.qmat.DensityState`.
 
-    Parameters
-    ----------
-    rho : array_like or DensityState
-        Valid two-qubit density matrix; a :class:`qdiscord.qmat.DensityState`
-        lends its validation and the eigendecomposition of its b marginal.
-
-    Returns
-    -------
-    CJDecomposition
-
-    Raises
-    ------
-    SingularMarginalError
-        If the smaller eigenvalue of the b marginal is <= :data:`RANK_TOL`; the
-        state is then a product with a pure b factor and carries no channel.
+    Raises :class:`SingularMarginalError` if the smaller eigenvalue of the b
+    marginal is <= :data:`RANK_TOL`: the state is then a product with a pure
+    b factor and carries no channel.
     """
     state = density_state(rho)
     bvals, bvecs = state.b_vals, state.b_vecs
@@ -181,12 +161,9 @@ def apply_channel(kraus, rho):
 
 
 def channel_fidelity(rho, d):
-    """Overlap of the state with the reference state, in the rotated frame.
-
-    Equals 1 for a channel that preserves the reference entanglement
-    perfectly and 1/4 for the completely depolarizing channel at maximal
-    reference entanglement.
-    """
+    """Overlap of the state with the reference state, in the rotated frame:
+    1 for a channel that preserves the reference entanglement perfectly,
+    1/4 for the completely depolarizing channel at maximal entanglement."""
     rho_rot = rotate_b(np.asarray(rho, dtype=complex), d.basis_rotation)
     phi = d.reference_state
     return float(np.real(phi.conj() @ rho_rot @ phi))

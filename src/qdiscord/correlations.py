@@ -10,21 +10,11 @@ evaluation paths are kept deliberately separate:
 * the *channel* path evaluates J from the affine Bloch form of the channel
   extracted by :mod:`qdiscord.choi` (angles live in the decomposition frame),
   through one kernel that gives J, its gradient and its Hessian on the sphere;
-* the *direct* path evaluates J from the state's own Pauli coefficients,
-  read once per oracle call, and never touches the decomposition (angles
-  live in the original frame).
+* the *direct* path evaluates J from the state's own Pauli coefficients and
+  never touches the decomposition (angles live in the original frame).
 
-The maximization itself also runs twice: on the channel path, one
-landscape scan that gives the pole and seeds one damped-Newton batch for
-every other stationary point of J, the equatorial ones included; on the
-direct path, a brute-force grid oracle with a zoom refinement
-(:func:`grid_oracle`).
-
-Each public function here that takes a state validates it as a
-:class:`qdiscord.qmat.DensityState`, and passes that on: one
-:func:`discord` call validates rho once and diagonalises rho_a and rho_b
-once, and every layer below it reads those results instead of recomputing
-them.
+Each path maximizes J its own way: :func:`find_stationary_points` on the
+channel path, the brute-force :func:`grid_oracle` on the direct path.
 """
 
 from __future__ import annotations
@@ -43,13 +33,11 @@ LN2 = np.log(2.0)
 SATURATION_CLAMP = 1e-12
 #: Scaled gradient norm required of a reported stationary point, times the solve's :func:`_tolerance_scale`.
 STATIONARY_TOL = 1e-7
-#: Raw gradient norm below which a Newton start counts as a root, times the solve's scale; a start below
-#: it ends with one unevaluated Newton step if that is shorter than MERGE_TOL, else at one not lowering it.
+#: Raw gradient norm below which a Newton start counts as a root, times the solve's scale.
 NEWTON_TOL = 1e-10
 #: Landscape gradient norm from which a solve's zero-gradient tolerances are not scaled down.
 GRAD_REF = 1e-2
-#: Landscape grid of the objective and gradient scans, points per axis:
-#: theta in [0, pi/2] and phi in [0, 2 pi], ends included; the grid adds
+#: Landscape scan grid, points per axis: theta in [0, pi/2] and phi in [0, 2 pi], ends included, plus
 #: one theta row past the equator, the mirror of the row below it.
 SEED_GRID = (25, 49)
 #: Newton iterations per start, step halvings included.
@@ -83,10 +71,7 @@ class StationaryPoint:
 
     ``critical`` is False for a polar candidate that solves the (theta, phi)
     equations but is not a critical point of J on the sphere.  A
-    ``grad_norm`` of 0.0 marks a point that is stationary by construction:
-    the single point of a flat objective (:func:`find_stationary_points`)
-    and the two candidates of the X-state closed form
-    (:func:`qdiscord.xstate.analytic_discord_x`).
+    ``grad_norm`` of 0.0 marks a point that is stationary by construction.
     """
 
     theta: float
@@ -174,26 +159,24 @@ def _sphere_terms(form, theta, phi, want):
     """The channel path's one kernel at angle arrays that broadcast together:
     (sum_j p_j S(rho_j), dJ/dtheta, dJ/dphi / sin theta), the gradient in
     the frame (e_theta, e_phi), e_phi = (-sin phi, cos phi, 0), defined at
-    the pole too.  ``want`` says what the call reads: "entropy", "gradient"
-    (the entropy is None) or "hessian" (the entropy is None, and h_tt, h_tp,
-    h_pp and n . grad J follow: the tangent block of the Hessian of J(n), n
-    in R^3, whose Hessian on the sphere is the block minus n . grad J times
-    the identity; Absil, Mahony & Sepulchre, Optimization Algorithms on
-    Matrix Manifolds, 2008, ch. 5).  The gradient's bits do not depend on ``want``.
+    the pole too.  ``want`` is "entropy", "gradient" (the entropy is None)
+    or "hessian" (the entropy is None, and the Hessian of J on the sphere,
+    h_tt, h_tp, h_pp, follows, then n . grad J: the tangent block of the
+    Hessian of J(n), n in R^3, minus n . grad J times the identity; Absil,
+    Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+    ch. 5).  The gradient's bits do not depend on ``want``.
 
-    ``form`` is the channel's :func:`bloch.outcome_form` (cos gamma, a,
-    T), which defines the outcomes' p v = (a +- T n) / 2; here m = 2 p.  An
-    outcome's p H2((1 + r) / 2) depends on n through rho = |q|,
-    q = a +- T n, and m only, homogeneously, so it adds
-    +-[l (T x) . q / (2 m) + cos(gamma) x_z log2(1 - r**2) / 4] to the
-    derivative of J along x, and [l (T^T T - T^T v v^T T) + g w w^T] / (2 m)
-    to its Hessian, with v = q / rho, r = rho / m, w = T^T v - r cos(gamma)
-    e_z, l = log2 sqrt((1 + r) / (1 - r)) / r and g = 1 / ((1 - r**2) ln 2).
-    The purity r is clamped at 1 - 1e-12 inside the logarithms, so the
-    derivatives are finite (and still ~0 where they should vanish) even for
-    a channel that keeps the conditional states pure; an outcome of
-    probability below DEGENERATE_TOL adds no entropy, and a pure one
-    (r >= 1) none either: the entropy is :func:`qmat.binary_entropy_arr`.
+    ``form`` is the channel's :func:`bloch.outcome_form` (cos gamma, a, T):
+    the outcomes' p v = (a +- T n) / 2, here m = 2 p.  An outcome's
+    p H2((1 + r) / 2) depends on n through rho = |q|, q = a +- T n, and m
+    only, homogeneously, so it adds +-[l (T x) . q / (2 m) + cos(gamma) x_z
+    log2(1 - r**2) / 4] to the derivative of J along x, and
+    [l (T^T T - T^T v v^T T) + g w w^T] / (2 m) to its ambient Hessian, with
+    v = q / rho, r = rho / m, w = T^T v - r cos(gamma) e_z,
+    l = log2 sqrt((1 + r) / (1 - r)) / r and g = 1 / ((1 - r**2) ln 2).
+    r is clamped at 1 - SATURATION_CLAMP inside the logarithms, so the
+    derivatives stay finite where the conditional states are pure; an
+    outcome of probability below DEGENERATE_TOL, or pure, adds no entropy.
     """
     # trig before broadcasting: a scan along one angle takes the other's once
     theta, phi = np.asarray(theta, float), np.asarray(phi, float)
@@ -210,8 +193,7 @@ def _sphere_terms(form, theta, phi, want):
     # vectors J is differentiated along: e_theta, e_phi, and n for the Hessian
     q = a[:, None] + _OUTCOME_SIGNS[:, None] * tf[:, 0]
     x = slice(0 if want == "hessian" else 1, 3)
-    # summed by component: a (2, 3, 2, n) product would pass glibc's 128 KiB
-    # mmap threshold on the wide scans and be page-faulted afresh each call
+    # summed by component: a (2, 3, 2, n) product would pass glibc's mmap threshold on the wide scans
     k = q[:, 0, None] * tf[0, x] + q[:, 1, None] * tf[1, x] + q[:, 2, None] * tf[2, x]
     rho = np.sqrt(np.add.reduce(q * q, axis=1))
     two_p = 1.0 + _OUTCOME_SIGNS * (cg * ct)
@@ -231,7 +213,7 @@ def _sphere_terms(form, theta, phi, want):
         gram = np.add.reduce(tf[:, 1:, None] * tf[:, None, 1:])
         lw, lu = (mu[:, None] * w)[:, :, None] * w[:, None], (lam[:, None] * u)[:, :, None] * u[:, None]
         block = gram * (lam[0] + lam[1]) + np.add.reduce(lw - lu)
-        out += block[0, 0], block[0, 1], block[1, 1], ng[0]
+        out += block[0, 0] - ng[0], block[0, 1], block[1, 1] - ng[0], ng[0]
     if want == "entropy":
         e = np.where(two_p > 2.0 * bloch.DEGENERATE_TOL, 0.5 * two_p * binary_entropy_arr((1.0 + r) / 2.0), 0.0)
         out = e[0] + e[1], g_th, g_ph
@@ -243,14 +225,11 @@ def _sphere_terms(form, theta, phi, want):
 # ---------------------------------------------------------------------------
 
 def conditional_entropy_direct(rho, theta, phi):
-    """sum_j p_j S(rho_j) of the state itself, by :func:`_direct_entropy`.
+    """sum_j p_j S(rho_j) of the state itself, measured on qubit b in the
+    original basis, without the channel decomposition (:func:`_direct_entropy`).
 
-    The measurement acts on qubit b in the original basis; the channel
-    decomposition is never consulted.  Outcomes with probability below
-    1e-14 contribute zero.  Angle arrays broadcast together and give an
-    array of values.  A non-finite angle raises ValueError.  ``rho`` is
-    validated as a :class:`qdiscord.qmat.DensityState`, which may be passed
-    in its place.
+    Angle arrays that broadcast together give an array; a non-finite angle
+    raises ValueError.  ``rho`` may be a :class:`qdiscord.qmat.DensityState`.
     """
     return scalar_or_array(_direct_entropy(_pauli_table(density_state(rho).rho), *bloch.finite_angles(theta, phi)))
 
@@ -266,9 +245,7 @@ def _direct_entropy(c, theta, phi):
     """sum_j p_j S(rho_j) from the Pauli table ``c`` at angle arrays that broadcast together: measuring b
     along n with the effects (I + s n . sigma) / 2, s = +-1, gives 2 p = 1 + s b . n and conditional Bloch
     vectors (a + s R n) / (2 p) (Luo, PRA 77, 042303 (2008)); an outcome with p <= DEGENERATE_TOL adds no
-    entropy.  Both outcomes in one pass, stacked along a leading axis: c + (-1) y rounds as c - y.  A block
-    of 64 x 128 (outcome, point) values keeps each temporary at 64 KiB, under glibc's 128 KiB mmap
-    threshold, above which a fresh process maps and faults it anew on every call."""
+    entropy.  Both outcomes in one pass, stacked along a leading axis: c + (-1) y rounds as c - y."""
     st = np.sin(theta)
     n = st * np.cos(phi), st * np.sin(phi), np.cos(theta)
     # b . n, then R n: row i of c against n
@@ -286,19 +263,15 @@ def _direct_entropy(c, theta, phi):
 # ---------------------------------------------------------------------------
 
 def _bisect_roots(f, x, fx):
-    """Roots of f on the grid x, where fx = f(x): every sign change between
-    neighbours, all bisected at once to machine precision (64 steps at
-    most), and every grid point but the last where f is exactly zero.
-    Sorted.
+    """Roots of f on the grid x, where fx = f(x), sorted: every sign change
+    between neighbours, all bisected at once to machine precision (64 steps
+    at most), and every grid point but the last where f is exactly zero.
 
-    One call of f serves BISECT_LEVELS steps of every bracket: a table of
-    each bracket's 2**BISECT_LEVELS + 1 dyadic edges is filled level by
-    level, e[h::2h] = (e[:-h:2h] + e[2h::2h]) / 2, the midpoints the steps
-    take; f evaluates the interior rows, and row 0 of its values carries f
-    at the lower edge.  The steps then halve each bracket by edge index,
-    keeping the half where f changes sign.  Bisection stops before a call
-    once every edge of every bracket equals one of that bracket's ends:
-    then no step can move a bracket."""
+    One call of f serves BISECT_LEVELS steps of every bracket: it evaluates
+    the interior of a table of each bracket's dyadic edges, filled level by
+    level with the midpoints the steps take, and the steps then halve each
+    bracket by edge index.  Bisection stops once no step can move a
+    bracket: every edge equals one of its bracket's ends."""
     exact = x[:-1][fx[:-1] == 0.0]
     k = np.flatnonzero(fx[:-1] * fx[1:] < 0.0)
     n, cols = 2**BISECT_LEVELS, np.arange(k.size)
@@ -336,15 +309,11 @@ def _classify(theta):
 def _merge(form, sa, theta, phi, kept=(), scale=1.0):
     """``kept`` followed by the stationary points at the roots (theta, phi), angles that broadcast together.
 
-    Roots are folded to canonical angles; one channel-path call then gives
-    the gradient that verifies them (scaled norm below STATIONARY_TOL times
-    ``scale``, the solve's :func:`_tolerance_scale`) and the objective that
-    scores them.  A root within MERGE_TOL (measurement distance) of a
-    ``critical`` point in ``kept``, or of a better converged root (smaller
-    gradient norm), is dropped: the distances from the critical kept points
-    and from every root to every root come from each point's unit vector,
-    formed once, by :func:`bloch.direction_distance`, the chord/arcsin
-    comparison of :func:`bloch.measurement_distance`.  The survivors come in
+    Roots are folded to canonical angles and verified: scaled gradient norm
+    below STATIONARY_TOL times ``scale``, the solve's
+    :func:`_tolerance_scale`.  A root within MERGE_TOL (measurement
+    distance) of a ``critical`` point in ``kept``, or of a better converged
+    root (smaller gradient norm), is dropped.  The survivors come in
     (theta, phi) order, classified by their polar angle; ``form`` is the
     channel's :func:`bloch.outcome_form`, ``sa`` is S(rho_a).
     """
@@ -372,9 +341,7 @@ def _polar_candidate(sa, terms, tol):
     """The polar candidate theta = 0 from the kernel's ``terms`` (entropy, A, B) at the point (0, 0), where
     the frame is (e_x, e_y); ``critical`` when hypot(A, B) is below ``tol``."""
     ce, a, b = map(float, terms)
-    # dJ/dphi vanishes identically at theta = 0, while the theta derivative
-    # there is A cos(phi) + B sin(phi); pick its zero.  The azimuth is kept
-    # as found: folding would reset it to 0.
+    # dJ/dtheta at the pole is A cos(phi) + B sin(phi): pick its zero, unfolded (folding would reset it to 0)
     phi0 = 0.0 if np.hypot(a, b) < 1e-11 else float(np.arctan2(-a, b)) % np.pi
     g0 = a * np.cos(phi0) + b * np.sin(phi0)
     return StationaryPoint(0.0, phi0, sa - ce, abs(g0), ASYMMETRIC, bool(np.hypot(a, b) < tol))
@@ -385,25 +352,16 @@ def universal_candidates(ch, gamma):
     PRA 81, 042105 (2010)).
 
     Returns the polar candidate theta = 0, unverified, and the equatorial
-    candidates theta = pi/2 at every azimuth where dJ/dphi vanishes: each
-    sign change of dJ/dphi on 1441 points of the equator, bisected, and
-    verified with scaled gradient norm below tol = STATIONARY_TOL (1e-7).
-    The polar candidate solves the (theta, phi) equations by
-    construction, so its ``grad_norm`` is ~0 whatever the state; it is
-    ``critical`` only when the pole is a critical point of J on the sphere,
-    that is when hypot(A, B) is below tol.  A, B and its objective (at
-    theta = 0, J does not depend on phi) come from the frame (e_x, e_y) at
-    the one point (0, 0).
-
-    :func:`find_stationary_points` does not call this: its landscape scan
-    gives the pole, and its Newton batch the equatorial roots, which the
-    tests check against this scan and bisection.
+    candidates theta = pi/2 at every sign change of dJ/dphi on 1441 points
+    of the equator, bisected and verified by :func:`_merge`.  The polar
+    candidate solves the (theta, phi) equations by construction, so its
+    ``grad_norm`` is ~0 whatever the state; it is ``critical`` only when the
+    pole is a critical point of J on the sphere.  An independent reference:
+    :func:`find_stationary_points` does not call it.
     """
     form = bloch.outcome_form(ch, gamma)
     sa = _output_entropy(form)
 
-    # equatorial candidates: zeros of dJ/dphi along theta = pi/2, where it
-    # is the frame component itself
     def dphi(phi):
         return _sphere_terms(form, np.pi / 2, phi, "gradient")[2]
 
@@ -420,40 +378,31 @@ def _newton_batch(form, th0, ph0, scale=1.0):
     """Damped Newton on the sphere from many starts, batched over the
     starts still iterating; returns the roots, in start order.
 
-    One call of :func:`_sphere_terms` on ``form``, the channel's
-    :func:`bloch.outcome_form`, gives the gradient and the Hessian in the
-    frame (e_theta, e_phi) at the starts, and one per iteration at the trial
-    points (n + alpha xi) / |n + alpha xi|, xi the Newton step and alpha a
-    step factor per start, 1 at first; an iteration reads each live start's
-    column (point, gradient norm, kernel terms, alpha) once.  A trial that
-    lowers the gradient norm is taken with its Hessian and resets alpha to 1; otherwise
-    alpha halves (backtracking, Nocedal & Wright, Numerical Optimization,
-    2006, sec. 3.1), or the start stops once its norm is below tol =
-    NEWTON_TOL * ``scale`` (under the merge's tolerance).  A start below tol
-    whose full step xi is shorter than MERGE_TOL (a flat floor of J, whose
-    Hessian is rounding noise, gives longer ones) moves by xi unevaluated and
-    stops: Newton converges quadratically (sec. 3.3), and :func:`_merge`
-    verifies the point.  A start also stops when its Hessian is singular or
-    not finite, or its trial point is its current point, and after
-    NEWTON_MAX_ITER iterations, halvings included.
-    It is a root if its norm is then below tol, so a root does not depend on which start reached it.
+    Each iteration evaluates the trial points (n + alpha xi) / |n + alpha xi|,
+    xi the Newton step of the kernel's Hessian on the sphere and alpha a step
+    factor per start, in one :func:`_sphere_terms` call.  A trial that lowers
+    the gradient norm is taken and resets alpha to 1; otherwise alpha halves
+    (backtracking, Nocedal & Wright, Numerical Optimization, 2006, sec. 3.1),
+    or the start stops once its norm is below tol = NEWTON_TOL * ``scale``.
+    A start below tol whose step xi is shorter than MERGE_TOL (a flat floor
+    of J, whose Hessian is rounding noise, gives longer ones) moves by xi
+    unevaluated and stops: Newton converges quadratically (sec. 3.3), and
+    :func:`_merge` verifies the point.  A start also stops on a singular or
+    non-finite Hessian, on a trial equal to its point, and after
+    NEWTON_MAX_ITER iterations; it is a root if its norm is then below tol.
 
-    A start above tol stops too, and is no root, once it has left its seed's
-    landscape cell (:func:`_landscape_cell` of its first point) while
-    another start has converged to a root in that cell: the cell's root is
-    found, and the start was only the cell's bilinear guess for it.  Left
-    on, such a start can crawl to a root found elsewhere, one kernel call a
-    step.  The rule runs only after an iteration that leaves every live
-    start above tol, so starts that converge together, as in a general
-    solve, never pay for it.
+    A start above tol also stops, as no root, once it has left its seed's
+    :func:`_landscape_cell` while another start has converged in that cell:
+    left on, it can crawl to a root found elsewhere, one kernel call a step.
+    The rule runs only when every live start is above tol, so starts that
+    converge together never pay for it.
     """
     th, ph, tol = np.asarray(th0, float), np.asarray(ph0, float), NEWTON_TOL * scale
     # one column per start: theta, phi, the gradient norm, the kernel's terms and the step factor alpha
-    state = np.array((th, ph, th, *_sphere_terms(form, th, ph, "hessian")[1:], np.ones(th.size)))
+    state = np.array((th, ph, th, *_sphere_terms(form, th, ph, "hessian")[1:6], np.ones(th.size)))
     state[2], live = np.hypot(state[3], state[4]), np.arange(th.size)
     for _ in range(NEWTON_MAX_ITER):
-        t0, p0, norm, gt, gp, htt, htp, hpp, ng, alpha = state[:, live]
-        htt, hpp = htt - ng, hpp - ng
+        t0, p0, norm, gt, gp, htt, htp, hpp, alpha = state[:, live]
         det = htt * hpp - htp * htp
         regular = (np.abs(det) >= 1e-30) & np.isfinite(det)
         safe = np.where(regular, det, 1.0)
@@ -462,9 +411,7 @@ def _newton_batch(form, th0, ph0, scale=1.0):
         last = regular & (norm < tol) & (np.hypot(xt, xp) < MERGE_TOL)
         a, st, ct = np.where(last, 1.0, alpha), np.sin(t0), np.cos(t0)
 
-        # n + alpha xi: sin theta + alpha xt cos theta along (cos phi, sin phi,
-        # 0), alpha xp along e_phi and cos theta - alpha xt sin theta along z;
-        # atan2 keeps theta accurate at the pole
+        # n + alpha xi along (cos phi, sin phi, 0), e_phi and z; atan2 keeps theta accurate at the pole
         out, across = st + a * (xt * ct), a * xp
         tt = np.arctan2(np.hypot(out, across), ct - a * (xt * st))
         pp = p0 + np.arctan2(across, out)
@@ -474,15 +421,13 @@ def _newton_batch(form, th0, ph0, scale=1.0):
         if not live.size:
             break
 
-        trial = np.array((tt, pp, tt, *_sphere_terms(form, tt, pp, "hessian")[1:], np.ones(tt.size)))
+        trial = np.array((tt, pp, tt, *_sphere_terms(form, tt, pp, "hessian")[1:6], np.ones(tt.size)))
         trial[2] = np.hypot(trial[3], trial[4])
         # a norm that is not finite is never lower; alpha halves, or resets to 1 with the trial taken
         lower = trial[2] < norm
-        state[9, live] = 0.5 * a
+        state[8, live] = 0.5 * a
         state[:, live[lower]] = trial[:, lower]
         live = live[lower | (norm >= tol)]
-        # once no live start is below tol: a live start that has left its seed's cell, where another start
-        # has converged, stops
         done = state[2] < tol
         if live.size and done.any() and not done[live].any():
             seed, now = _landscape_cell(np.stack((th, state[0])), np.stack((ph, state[1])))
@@ -502,21 +447,18 @@ def index_sum(ch, gamma, points):
     index +-1 shows as a sum of 0 or 2; a missed pair of opposite index
     cancels.  Points that are not ``critical`` do not count.
 
-    The Hessians come from one closed-form call (:func:`_sphere_terms`),
-    the pole included.  Returns None when some determinant is below
-    (1e-4 s)**2, s the largest Hessian entry, or below (eps t)**2, t the
-    largest of the terms whose difference it is, their rounding floor: a
-    degenerate point (flat and phi-independent landscapes, stationary
-    circles) has no index.
+    Returns None when some determinant is below (1e-4 s)**2, s the largest
+    Hessian entry, or below (eps t)**2, t the largest of the Hessian entries
+    and n . grad J, their rounding floor: a degenerate point (flat and
+    phi-independent landscapes, stationary circles) has no index.
     """
     crit = [q for q in points if q.critical]
     if not crit:
         return None
     t, p = np.array([[q.theta, q.phi] for q in crit]).T
-    _, _, _, *block, ng = _sphere_terms(bloch.outcome_form(ch, gamma), t, p, "hessian")
-    hess = np.stack([block[0] - ng, block[1], block[2] - ng])
-    det = hess[0] * hess[2] - hess[1] ** 2
-    floor = max(1e-4 * np.max(np.abs(hess)), np.finfo(float).eps * np.max(np.abs([*block, ng])))
+    terms = np.array(_sphere_terms(bloch.outcome_form(ch, gamma), t, p, "hessian")[3:])
+    det = terms[0] * terms[2] - terms[1] ** 2
+    floor = max(1e-4 * np.max(np.abs(terms[:3])), np.finfo(float).eps * np.max(np.abs(terms)))
     if np.any(np.abs(det) < floor**2):
         return None
     return int(np.sum(np.sign(det)))
@@ -547,11 +489,9 @@ def _landscape_seeds(th, ph, grad):
     on the landscape grid (th, ph): every common zero of the two components'
     bilinear interpolants inside a cell, the way vector-field topology
     locates the critical points of a sampled 2-D field (Helman & Hesselink,
-    IEEE Computer 22(8), 1989).  A cell gives up to two starts, and none
-    where the zero curves of the interpolants do not cross.  Only cells
-    where both components have a corner <= 0 and one >= 0 are solved: an
-    interpolant is a convex combination of its cell's corners, so where all
-    four share a strict sign it has no zero in the cell.
+    IEEE Computer 22(8), 1989); up to two per cell.  Only cells where both
+    components have a corner <= 0 and one >= 0 are solved: an interpolant
+    is a convex combination of its cell's corners.
 
     On the unit cell (u along theta, v along phi) each component is
     a + b u + c v + d u v.  Eliminating v = -(a + b u) / (c + d u) between
@@ -563,11 +503,8 @@ def _landscape_seeds(th, ph, grad):
     Zeros at theta = 0, where dJ/dphi vanishes along the cell edge, are
     dropped: the pole is the polar candidate's.  Zeros on the equator or
     past it are kept: Newton converges them, and the merge folds them.
-
-    Each start lies in the cell that seeded it (a zero on the cell's far
-    edge counts in the cell past it), so :func:`_newton_batch` reads a
-    start's seed cell from its position, by the same :func:`_landscape_cell`
-    it bins roots with."""
+    Each start lies in the :func:`_landscape_cell` that seeded it (a zero on
+    the cell's far edge counts in the cell past it)."""
     g = np.stack(grad)
     # a corner <= 0, then a corner >= 0, of each component: any along theta, then along phi
     s = np.concatenate((g <= 0.0, g >= 0.0))
@@ -601,40 +538,27 @@ def _tolerance_scale(th, gt, g_ph):
 def find_stationary_points(ch, gamma):
     """All stationary points of J: the polar candidate and the roots off the pole.
 
-    One channel-path call scans J and its gradient together on the
-    landscape grid (:func:`_landscape_grid`): theta in [0, pi/2] and one
-    row past the equator, phi in [0, 2 pi]; the outcome-swap symmetry maps
-    the grid onto the rest of the sphere.  That one scan serves the flat
-    and phi-independence checks, the polar candidate (its point (0, 0)) and
-    the Newton starts.  A flat objective (constant channel) reports the
-    single canonical point (pi/2, 0), at the scan's own value there.
-    Otherwise the scan only chooses where the roots come from:
+    One kernel call scans J and its gradient on :func:`_landscape_grid`;
+    that scan serves the flatness and phi-independence checks, the polar
+    candidate (its point (0, 0)) and the starts.  A flat objective (constant
+    channel) reports the single canonical point (pi/2, 0).  Otherwise:
 
-    * in general, one Newton batch on the sphere (:func:`_newton_batch`)
-      from the seeds of :func:`_landscape_seeds`, the equatorial roots
-      included, and from the scan's best sample when it lies on the first
-      two theta rows (the narrow maximum beside the pole when rho_b is near
-      rank one) or no seed lies within a grid step of it in both angles,
-      in the four cells it is a corner of: it reaches maxima no cell seeds,
-      while beside a seed it would only repeat that seed's root;
-    * on a phi-independent objective (xy-isotropic channel: no theta row
-      of the scan varies by 1e-11 s or more, s the tolerance scale below),
-      whose stationary points form circles about z that Newton cannot
-      converge along, bisection of dJ/dtheta on the scan's own meridian
-      phi = 0 from the pole to the equator, plus (pi/2, 0), since
-      J(theta) = J(pi - theta) makes the equator a circle too; each circle
-      is reported once, at phi = 0.  J(theta) = J(-theta) = J(pi - theta)
-      also closes the meridian's end cells: one Hessian call at (0, 0) and
-      (pi/2, 0) gives J''(0) and -J''(pi/2), the signs of dJ/dtheta just
-      inside the pole and the equator, in place of the scan's values there.
+    * in general, one :func:`_newton_batch` from the :func:`_landscape_seeds`
+      and from the scan's best sample when it lies on the first two theta
+      rows (the narrow maximum beside the pole when rho_b is near rank one)
+      or no seed lies within a grid step of it: it reaches maxima no cell
+      seeds, while beside a seed it would only repeat that seed's root;
+    * on a phi-independent objective (xy-isotropic channel: no theta row of
+      the scan varies by 1e-11 s or more), whose stationary points form
+      circles about z that Newton cannot converge along, bisection of
+      dJ/dtheta on the scan's meridian phi = 0, plus the equator (pi/2, 0);
+      each circle is reported once, at phi = 0.  J is even about the pole
+      and the equator, so J''(0) and -J''(pi/2) are the signs of dJ/dtheta
+      just inside them, and close the meridian's end cells.
 
     Either way the roots go through one :func:`_merge` against the polar
-    candidate: folded, merged within an angle of 1e-5, verified to scaled
-    gradient norm < 1e-7 s and classified, in one call: s =
-    :func:`_tolerance_scale` of the scan, 1 unless J is nearly flat, which
-    also scales the polar candidate's ``critical`` test.  The equatorial
-    points match :func:`universal_candidates`, which finds them by
-    bisecting the equator instead.
+    candidate, with s = :func:`_tolerance_scale` of the scan, which also
+    scales the polar candidate's ``critical`` test.
     """
     form = bloch.outcome_form(ch, gamma)
     sa = _output_entropy(form)
@@ -651,13 +575,11 @@ def find_stationary_points(ch, gamma):
         def dtheta(theta):
             return _sphere_terms(form, theta, 0.0, "gradient")[1]
 
-        # the scan's meridian, its end cells closed by J''(0) and -J''(pi/2); the equator is a stationary circle too
-        h = np.subtract(*_sphere_terms(form, np.array([0.0, np.pi / 2]), np.zeros(2), "hessian")[3::3])
+        h = _sphere_terms(form, np.array([0.0, np.pi / 2]), np.zeros(2), "hessian")[3]
         fx = np.concatenate([h[:1], gt_scan[1 : SEED_GRID[0] - 1, 0], -h[1:]])
         th, ph = np.append(_bisect_roots(dtheta, th_scan[: SEED_GRID[0], 0], fx), np.pi / 2), 0.0
     else:
         th, ph = _landscape_seeds(th_scan, ph_scan, (gt_scan, gph_scan))
-        # the best sample starts too on the first two theta rows, or with no seed a grid step from it (phi wraps)
         i, j = divmod(int(np.argmin(ce_scan)), SEED_GRID[1])
         dp = np.abs(ph - ph_scan[i, j])
         near = (np.abs(th - th_scan[i, j]) <= th_scan[1, 0]) & (np.minimum(dp, 2 * np.pi - dp) <= ph_scan[0, 1])
@@ -683,30 +605,23 @@ def check_oracle_resolution(*grid):
 def grid_oracle(rho, n_theta=64, n_phi=128):
     """Brute-force maximization of J over the measurement angles.
 
-    Reads the state's :func:`_pauli_table` once and evaluates
-    :func:`_direct_entropy` on an n_theta x n_phi grid (theta in [0, pi],
-    phi in [0, 2 pi)), in blocks of whole rows holding at most 64 x 128
-    (outcome, point) values (ORACLE_MIN_GRID: 32 rows of the default grid;
-    one row at least), so memory stays bounded; then it zooms in: each
-    round evaluates a ZOOM_POINTS x ZOOM_POINTS (13 x 13) patch around the
-    incumbent, one grid cell wide at first, clipped to theta in [0, pi].
-    The patch shrinks to the spacing of its own points (6x) while the
-    incumbent stays inside it, and only moves with the incumbent when that
-    lands on its edge, where the maximum may lie beyond.  The zoom ends
-    after ZOOM_ROUNDS (15) rounds, or at the first round that would shrink
-    the patch when its values span no more than 16 eps, the evaluator's
-    rounding: over patches narrower than 1e-9 the span has a median of
-    4 eps and reaches 11 eps on the bench's random mixed states.
+    Evaluates :func:`_direct_entropy` on an n_theta x n_phi grid (theta in
+    [0, pi], phi in [0, 2 pi)), in blocks of whole rows of at most 64 x 128
+    (outcome, point) values, one row at least, which keeps every temporary
+    under glibc's 128 KiB mmap threshold; then zooms in.  Each round
+    evaluates a ZOOM_POINTS x ZOOM_POINTS patch around the incumbent, one
+    grid cell wide at first, clipped to theta in [0, pi].  The patch shrinks
+    to the spacing of its own points while the incumbent stays inside it,
+    and moves with the incumbent when that lands on its edge, where the
+    maximum may lie beyond.  The zoom ends after ZOOM_ROUNDS rounds, or at
+    a round that would shrink a patch whose values span no more than
+    16 eps: a heuristic stop, measured on the bench's bases, not a bound on
+    the evaluator's rounding, which some states exceed in every round.
     Deterministic, and never below the grid maximum; ties resolve to the
     smallest theta, then the smallest phi.  ``rho`` may be a
-    :class:`qdiscord.qmat.DensityState`; only its matrix and rho_a's
-    spectrum, which gives S(rho_a), are read.
-
-    Returns
-    -------
-    (C, (theta, phi))
-        The classical correlation and the optimal angles in the original
-        basis, canonically folded.
+    :class:`qdiscord.qmat.DensityState`.  Returns (C, (theta, phi)): the
+    classical correlation and the optimal angles in the original basis,
+    canonically folded.
     """
     check_oracle_resolution(n_theta, n_phi)
     state = density_state(rho)
@@ -733,7 +648,6 @@ def grid_oracle(rho, n_theta=64, n_phi=128):
             t, p, fv = float(pt[i]), float(pq[j]), float(ce[i, j])
             if j in (0, ZOOM_POINTS - 1) or (i in (0, ZOOM_POINTS - 1) and 0.0 < t < np.pi):
                 continue
-        # a patch spanning no more than 16 eps is flat to the evaluator's rounding
         if np.ptp(ce) <= 16 * np.finfo(float).eps:
             break
         wt, wp = wt * ZOOM_SHRINK, wp * ZOOM_SHRINK
@@ -767,31 +681,19 @@ def report_from_points(info, points, basis_rotation, method):
 def discord(rho, method="stationary", oracle_resolution=(64, 128)):
     """Mutual information, classical correlation and discord of a state.
 
-    Parameters
-    ----------
-    rho : array_like or DensityState
-        Two-qubit density matrix.
-    method : str
-        ``"stationary"`` (channel decomposition + stationary-point search),
-        ``"oracle"`` (direct grid maximization) or ``"xstate_analytic"``
-        (closed form; raises ``NotApplicableError`` off its domain).
-    oracle_resolution : tuple
-        Grid used when ``method="oracle"``.
+    ``rho`` is a two-qubit density matrix or a
+    :class:`qdiscord.qmat.DensityState`.  ``method`` is ``"stationary"``
+    (channel decomposition + stationary-point search), ``"oracle"`` (direct
+    grid maximization on ``oracle_resolution``) or ``"xstate_analytic"``
+    (closed form; raises ``NotApplicableError`` off its domain).
 
-    Notes
-    -----
     Both channel-path methods pick the optimum by the one rule of
     :func:`report_from_points` (ties within 1e-14), so tied optima, such as
     the polar and equatorial settings of a Bell-diagonal state with two
-    equal largest |c_i|, resolve alike whichever method found them.
-
-    A state whose b marginal is numerically pure is a product state with
-    zero correlations; once the method and the oracle resolution are
-    checked, it short-circuits to C = I and Q = 0 without a decomposition.
-
-    ``rho`` is validated once, as a :class:`qdiscord.qmat.DensityState`
-    (which may be passed in its place), whose spectra every later layer
-    reads (see the module docstring).
+    equal largest |c_i|, resolve alike whichever method found them.  A
+    state whose b marginal is numerically pure is a product state with zero
+    correlations; once the method and the oracle resolution are checked, it
+    short-circuits to C = I and Q = 0 without a decomposition.
     """
     if method not in ("stationary", "oracle", "xstate_analytic"):
         raise ValueError(f"unknown method {method!r}")

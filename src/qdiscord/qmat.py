@@ -3,8 +3,6 @@
 Everything here works on plain numpy arrays: 2x2 and 4x4 complex matrices,
 row-major, with the two-qubit basis ordered |00>, |01>, |10>, |11> (first
 factor = subsystem a, second = subsystem b).  All entropies are in bits.
-A :class:`DensityState` is a two-qubit state validated once, carrying the
-spectra that later layers read instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -52,10 +50,8 @@ def check_density_matrix(rho):
 
 def _validated(rho):
     """(rho as complex ndarray, the eigenvalues of its Hermitian part
-    ascending): the checks of :func:`check_density_matrix`, which keep the
-    spectrum the positivity check computes.  Around the one LAPACK call it
-    makes array methods and in-place arithmetic only, whose bits are those
-    of the numpy functions they stand for."""
+    ascending): the checks of :func:`check_density_matrix`, whose in-place
+    arithmetic gives the bits of the numpy functions it stands for."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
@@ -83,15 +79,10 @@ class DensityState:
     (ValueError as there) and keeps these arrays, read-only:
 
     * ``rho``, a copy of the matrix, dtype complex;
-    * ``spectrum``, the eigenvalues of its Hermitian part, ascending: the
-      ones the positivity check computes, and those of S(rho);
-    * ``a_vals``, the eigenvalues of the Hermitian part of the a marginal
-      rho_a, ascending, computed as :func:`von_neumann_entropy` computes
-      them, on first read: S(rho_a) of the mutual information and of the
-      grid oracle (:func:`qdiscord.choi.decompose` never reads them);
-    * ``b_vals`` and ``b_vecs``, the :func:`herm_eig` of the b marginal
-      rho_b: its rank test, S(rho_b) and the channel decomposition's basis
-      rotation all read this one eigendecomposition.
+    * ``spectrum``, the eigenvalues of its Hermitian part, ascending;
+    * ``a_vals``, those of the a marginal rho_a, computed on first read as
+      :func:`von_neumann_entropy` computes them;
+    * ``b_vals`` and ``b_vecs``, the :func:`herm_eig` of the b marginal.
 
     ``discord``, ``mutual_information``, ``grid_oracle``,
     ``conditional_entropy_direct``, ``decompose`` and

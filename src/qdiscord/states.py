@@ -9,6 +9,7 @@ renormalized with a warning; larger deviations are rejected.
 
 from __future__ import annotations
 
+import inspect
 import re
 import warnings
 
@@ -44,8 +45,7 @@ _TOKEN_RE = re.compile(
 def lu_state():
     """The X state whose optimal measurement sits at an interior angle.
 
-    Diagonal (0.0783, 0.1250, 0.1250, 0.6717) with inner cross terms 0.1:
-    the objective has exactly three stationary-point classes (polar,
+    The objective has exactly three stationary-point classes (polar,
     equatorial, and one near 0.155 pi) and the interior one wins, so the
     two universal candidates alone understate the classical correlation.
     """
@@ -208,31 +208,45 @@ def resolve(text):
     """Build a catalog state from a ``family:params`` string.
 
     Families: ``lu``, ``bell-diag:ex,ey,ez``, ``werner:p``,
-    ``x:r11,r22,r33,r44,r14,r23`` and ``random:seed[,rank]``.
+    ``x:r11,r22,r33,r44,r14,r23`` and ``random:seed[,rank]``.  A parameter
+    that does not parse raises ValueError naming the family's builder, the
+    parameter and the token.
     """
     name, _, tail = text.partition(":")
     name = name.strip().lower()
-    params = [s for s in tail.split(",") if s.strip()] if tail else []
+    params = [s.strip() for s in tail.split(",") if s.strip()] if tail else []
 
-    def floats(n):
+    def read(build, kind=float, what="a number"):
+        values = []
+        for key, s in zip(inspect.signature(build).parameters, params):
+            try:
+                values.append(kind(s))
+            except ValueError:
+                raise ValueError(f"{build.__name__} parameter {key} = {s!r} is not {what}") from None
+        return build(*values)
+
+    def floats(build, n):
         if len(params) != n:
             raise ValueError(f"family {name!r} takes {n} parameter(s), got {len(params)}")
-        return [float(s) for s in params]
+        return read(build)
+
+    def natural(s):
+        if int(s) < 0:
+            raise ValueError(s)
+        return int(s)
 
     if name == "lu":
         if params:
             raise ValueError("family 'lu' takes no parameters")
         return lu_state()
     if name in ("bell-diag", "bell_diag"):
-        return bell_diagonal(*floats(3))
+        return floats(bell_diagonal, 3)
     if name == "werner":
-        return werner(*floats(1))
+        return floats(werner, 1)
     if name == "x":
-        return x_state(*floats(6))
+        return floats(x_state, 6)
     if name == "random":
-        if len(params) == 1:
-            return random_state(int(params[0]))
-        if len(params) == 2:
-            return random_state(int(params[0]), int(params[1]))
-        raise ValueError("family 'random' takes seed[,rank]")
+        if len(params) not in (1, 2):
+            raise ValueError("family 'random' takes seed[,rank]")
+        return read(random_state, natural, "a non-negative integer")
     raise ValueError(f"unknown state family {name!r}")

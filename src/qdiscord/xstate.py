@@ -10,10 +10,8 @@ maximally mixed the conditional purities at the best azimuth are
 with eta_perp^2 the block's top squared stretch (:func:`maximize_f`).  A
 single shape parameter k = c / (b^2 - c a), from the expansion
 s'^2 = a + 2 b cos(theta) + c cos(theta)^2, decides whether the polar and
-equatorial settings are the only stationary points.  Inside that range the
-discord is a comparison of two closed-form candidates; outside it (and for
-any state with a non-maximally-mixed marginal) callers must fall back to
-the general solver.
+equatorial settings are the only stationary points
+(:func:`universal_sufficient`), whose comparison is then the discord.
 """
 
 from __future__ import annotations
@@ -77,11 +75,8 @@ def maximize_f(ch):
     With G = M^T M for the upper-left block M, f(phi) = F + H cos(2 phi)
     + g01 sin(2 phi), F = (g00 + g11) / 2 and H = (g00 - g11) / 2, so the
     maximum is F + R, R = hypot(H, g01), at phi* = atan2(g01, H) / 2 mod pi.
-    The isotropic case (2 R below 1e-14) reports azimuth 0.
-
-    Returns
-    -------
-    (eta_perp_sq, phi_star)
+    The isotropic case (2 R below 1e-14) reports azimuth 0.  Returns
+    (eta_perp_sq, phi_star).
     """
     _require_block_form(ch)
     m = ch.eta[:2, :2]
@@ -175,20 +170,13 @@ def analytic_discord_x(rho):
     * equatorial: s' = t' = sqrt(a) at theta = pi/2, the best azimuth;
     * polar: s' = |c_z + eta_zz|, t' = |c_z - eta_zz| at theta = 0.
 
-    Both candidates are stationary by construction, so each is reported
-    ``critical`` with ``grad_norm`` 0.0, in the decomposition frame:
-
-    * pole: the X block form gives J(theta, phi + pi) = J(theta, phi), so the
-      gradient vanishes at theta = 0;
-    * equator: an I/2 b marginal (cos gamma = 0) makes the outcome swap
-      theta -> pi - theta a symmetry, so dJ/dtheta = 0 at theta = pi/2, and
-      the reflected f-maximizing azimuth maximizes J along the equator, so
-      dJ/dphi = 0 there.
-
-    Tied candidates resolve as in :func:`qdiscord.correlations.discord`: to
-    the polar one, the smaller theta.  ``rho`` may be a
-    :class:`qdiscord.qmat.DensityState`, whose b-marginal spectrum the I/2
-    test reads and which the decomposition and I(rho) share.
+    Both are reported ``critical`` with ``grad_norm`` 0.0, in the
+    decomposition frame, as stationary by symmetry: at the pole, the X block
+    form gives J(theta, phi + pi) = J(theta, phi); on the equator, the I/2
+    b marginal makes theta -> pi - theta a symmetry, and the azimuth
+    maximizes J along the equator.  Ties resolve as in
+    :func:`qdiscord.correlations.discord`.  ``rho`` may be a
+    :class:`qdiscord.qmat.DensityState`.
     """
     state = density_state(rho)
     if not is_x_state(state.rho):

@@ -1,5 +1,5 @@
 """Error paths of the command line: a method off its domain, a malformed
-option value and a state parameter that is not finite."""
+option value and a state parameter that is not finite or does not parse."""
 
 import pytest
 
@@ -39,8 +39,13 @@ def test_non_numeric_grid_is_usage_error(capsys, grid):
     [
         ("bell-diag:nan,0,0", "bell_diagonal parameter ex = nan"),
         ("x:0.25,0.25,0.25,0.25,inf,0", "x_state parameter r14 = inf"),
+        # a token that does not parse is named the same way
+        ("x:1,2,3,4,5,six", "x_state parameter r23 = 'six' is not a number"),
+        ("random:1.5", "random_state parameter seed = '1.5' is not a non-negative integer"),
+        ("random:-1", "random_state parameter seed = '-1' is not a non-negative integer"),
+        ("random:7,two", "random_state parameter rank = 'two' is not a non-negative integer"),
     ],
-    ids=["bell-diag-nan", "x-inf"],
+    ids=["bell-diag-nan", "x-inf", "x-word", "random-fraction", "random-negative", "random-rank-word"],
 )
 def test_non_finite_state_parameter_exits_2_and_names_it(capsys, state, named):
     code = main(["discord", "--state", state])

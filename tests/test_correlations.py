@@ -3,6 +3,7 @@ import builtins
 import functools
 import inspect
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -545,7 +546,9 @@ def test_report_prefers_a_critical_point_to_a_tied_polar_candidate():
     "rho",
     [lu_state(), random_state(3), bell_diagonal(0.7, -0.5, 0.3), near_singular_state(1e-4)]
     # zoomed all ZOOM_ROUNDS rounds under a 4-eps stop rule
-    + [random_state(s) for s in (9, 15, 18)],
+    + [random_state(s) for s in (9, 15, 18)]
+    # zoomed all ZOOM_ROUNDS rounds under the 16-eps stop, a heuristic and no bound
+    + [random_state(s, 2 + s % 3) for s in (15, 159, 292)],
 )
 def test_grid_oracle_value_at_returned_angles(rho):
     corr, (th, ph) = grid_oracle(rho)
@@ -1530,11 +1533,11 @@ def test_closed_form_hessian_matches_second_differences_on_great_circles(rho):
     rng = np.random.default_rng(5)
     theta = np.concatenate([rng.uniform(0.05, np.pi - 0.05, 6), [1e-3, 4e-4, 0.0, 0.0]])
     phi = rng.uniform(0.0, 2 * np.pi, theta.size)
-    _, _, _, htt, htp, hpp, ng = correlations._sphere_terms(
+    _, _, _, htt, htp, hpp, _ = correlations._sphere_terms(
         bloch.outcome_form(ch, gamma), theta, phi, "hessian"
     )
     for d in ([1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]):
-        want = d[0] ** 2 * htt + 2.0 * d[0] * d[1] * htp + d[1] ** 2 * hpp - ng
+        want = d[0] ** 2 * htt + 2.0 * d[0] * d[1] * htp + d[1] ** 2 * hpp
         coarse = np.abs(great_circle_second_difference(ch, gamma, theta, phi, d, 1e-2) - want)
         fine = np.abs(great_circle_second_difference(ch, gamma, theta, phi, d, 1e-3) - want)
         assert np.all(coarse < 1e-3)
@@ -1663,7 +1666,7 @@ def test_bisect_roots_matches_one_step_bisection(rho, grid):
     fx = f(x)
     if grid == "closed scan meridian dJ/dtheta":
         terms = correlations._sphere_terms(bloch.outcome_form(ch, gamma), x[[0, -1]], np.zeros(2), "hessian")
-        fx[[0, -1]] = (terms[3] - terms[6]) * (1.0, -1.0)
+        fx[[0, -1]] = terms[3] * (1.0, -1.0)
     got = correlations._bisect_roots(counted, x, fx)
     assert got.tobytes() == one_step_bisect_roots(f, x, fx).tobytes()
     assert len(calls) <= 10
@@ -1733,6 +1736,23 @@ def test_kernel_bits_do_not_depend_on_the_call():
         scan = correlations._sphere_terms(form, th_scan[:, :1], ph_scan[:1], "entropy")
         flat = correlations._sphere_terms(form, th_scan.ravel(), ph_scan.ravel(), "entropy")
         assert all(a.tobytes() == b.tobytes() for a, b in zip(scan, flat)), s
+
+
+def test_log_ratio_over_x_series_branch_matches_arctanh():
+    # below x = 1e-6 the kernel's l(r) is the series (1 + x**2 / 3) / ln 2 of
+    # arctanh(x) / (x ln 2), above it the log form: both match arctanh to
+    # 1e-10 relative across the switch, x = 0 gives 1 / ln 2, an array mixing
+    # both branches gives each point's own bits, and nothing warns
+    xs = np.array([1e-9, 5e-7, 1e-6 - 1e-9, 1e-6 + 1e-9, 2e-6, 1e-3])
+    want = np.arctanh(xs) / (xs * np.log(2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = np.concatenate([correlations._log_ratio_over_x(np.array([x])) for x in xs])
+        mixed = correlations._log_ratio_over_x(np.append(0.0, xs))
+        zero = correlations._log_ratio_over_x(np.zeros(1))
+    assert np.all(np.abs(alone - want) <= 1e-10 * want)
+    assert mixed[1:].tobytes() == alone.tobytes()
+    assert zero[0] == mixed[0] == 1.0 / np.log(2.0)
 
 
 #: The direct path's functions in correlations.py, and the only globals they
