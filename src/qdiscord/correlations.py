@@ -44,7 +44,7 @@ SEED_GRID = (25, 49)
 NEWTON_MAX_ITER = 100
 #: The signs of T n in the two outcomes' p v = (a +- T n) / 2, one per row.
 _OUTCOME_SIGNS = np.array([[1.0], [-1.0]])
-#: Bisection steps per gradient call, which evaluates each bracket's 2**8 - 1 interior dyadic edges.
+#: Bisection steps per gradient call: it evaluates 2**8 - 1 evenly spaced interior points of each bracket.
 BISECT_LEVELS = 8
 #: Stationary points closer than this (measurement angle) are merged.
 MERGE_TOL = 1e-5
@@ -264,32 +264,27 @@ def _direct_entropy(c, theta, phi):
 
 def _bisect_roots(f, x, fx):
     """Roots of f on the grid x, where fx = f(x), sorted: every sign change
-    between neighbours, all bisected at once to machine precision (64 steps
-    at most), and every grid point but the last where f is exactly zero.
+    between neighbours, each bracketed down to machine precision, and every
+    grid point but the last where f is exactly zero.
 
-    One call of f serves BISECT_LEVELS steps of every bracket: it evaluates
-    the interior of a table of each bracket's dyadic edges, filled level by
-    level with the midpoints the steps take, and the steps then halve each
-    bracket by edge index.  Bisection stops once no step can move a
-    bracket: every edge equals one of its bracket's ends."""
+    Each call of f evaluates 2**BISECT_LEVELS - 1 evenly spaced interior
+    points of every bracket, which then moves to the first of the cells
+    between them whose ends change sign or hold a zero of f.  The search
+    stops once no interior point differs from its bracket's ends, or after
+    64 // BISECT_LEVELS calls; a root is its last bracket's midpoint."""
     exact = x[:-1][fx[:-1] == 0.0]
     k = np.flatnonzero(fx[:-1] * fx[1:] < 0.0)
-    n, cols = 2**BISECT_LEVELS, np.arange(k.size)
-    e, fe = np.empty((n + 1, k.size)), np.empty((n + 1, k.size))
-    e[0], e[n], fe[0] = x[k], x[k + 1], fx[k]
+    lo, hi, s = x[k], x[k + 1], np.sign(fx[k])
+    u = np.arange(2**BISECT_LEVELS)[:, None] / 2**BISECT_LEVELS
     for _ in range(64 // BISECT_LEVELS):
-        for h in n >> np.arange(1, BISECT_LEVELS + 1):
-            e[h :: 2 * h] = 0.5 * (e[: -h : 2 * h] + e[2 * h :: 2 * h])
-        if np.all((e == e[0]) | (e == e[n])):
+        e = np.vstack([lo + u * (hi - lo), hi])
+        if np.all((e == lo) | (e == hi)):
             break
-        fe[1:n] = f(e[1:n].ravel()).reshape(n - 1, k.size)
-        i, j = np.zeros(k.size, int), np.full(k.size, n)
-        for _ in range(BISECT_LEVELS):
-            m = (i + j) // 2
-            left = fe[i, cols] * fe[m, cols] <= 0.0
-            i, j = np.where(left, i, m), np.where(left, m, j)
-        e[0], e[n], fe[0] = e[i, cols], e[j, cols], fe[i, cols]
-    return np.sort(np.concatenate([exact, 0.5 * (e[0] + e[n])]))
+        # f keeps the sign s at lo, and -s stands for f at hi
+        fe = np.vstack([f(e[1:-1].ravel()).reshape(-1, lo.size), -s])
+        i = np.argmax(s * fe <= 0.0, axis=0)
+        lo, hi = e[[i, i + 1], np.arange(lo.size)]
+    return np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
 
 
 def _point_key(q):

@@ -108,10 +108,13 @@ def x_state(r11, r22, r33, r44, r14, r23):
 def random_state(seed, rank=4):
     """Random density matrix G G^+ / Tr(G G^+) with a 4 x rank Gaussian G.
 
-    Uses numpy's seeded PCG64 generator, so a given (seed, rank) always
-    yields the same matrix.  Draws are rejected (up to 10 times) until the
-    b marginal is comfortably full rank; persistent failure is an error.
+    Uses numpy's PCG64 generator seeded by ``seed``, a non-negative
+    integer, so a given (seed, rank) always yields the same matrix.  Draws
+    are rejected (up to 10 times) until the b marginal is comfortably full
+    rank; persistent failure is an error.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)) or rank not in (1, 2, 3, 4):
         raise ValueError(f"rank must be an integer 1..4, got {rank!r}")
     rng = np.random.default_rng(seed)

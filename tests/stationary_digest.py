@@ -37,7 +37,9 @@ slowest ``discord`` call, each state's call timed best of three; then the
 channel-path kernel calls (``util.count_gradient_calls``) of one
 ``random_state`` solve, median, 90th percentile and largest; then those of
 one ``universal_candidates`` call, which bisects, in total, median and
-largest; then the total run time.
+largest, with that group's median call time; then ``lu_state``'s
+``discord`` time by the stationary method and by the oracle, each best
+of five, and their ratio; then the total run time.
 
 The name does not start with ``test_``, so pytest does not collect it.
 """
@@ -143,7 +145,7 @@ def main():
         elif name == "random_state":
             per_solve = np.array(costs)[:, 2]
         elif name == "universal_candidates":
-            per_scan = np.array(costs)[:, 2]
+            _, scan_seconds, per_scan = np.array(costs).T
     sys.stdout.flush()
     print(
         f"near_singular_band points median {np.median(points):g} largest {points.max():g}, "
@@ -157,7 +159,12 @@ def main():
     )
     print(
         f"universal_candidates kernel calls total {per_scan.sum():g} median {np.median(per_scan):g} "
-        f"largest {per_scan.max():g}",
+        f"largest {per_scan.max():g}, call median {1e3 * np.median(scan_seconds):.2f} ms",
+        file=sys.stderr,
+    )
+    lu = [min(solve_record(lu_state(), method, kernel)[2] for _ in range(5)) for method in ("stationary", "oracle")]
+    print(
+        f"lu discord stationary {1e3 * lu[0]:.2f} ms oracle {1e3 * lu[1]:.2f} ms ratio {lu[0] / lu[1]:.2f}",
         file=sys.stderr,
     )
     print(f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)

@@ -1619,7 +1619,7 @@ def test_x_states_report_no_state_dependent_point_at_the_pole():
 
 
 def one_step_bisect_roots(f, x, fx):
-    """The bisection _bisect_roots replays: one midpoint per bracket per call."""
+    """Plain bisection, one midpoint per bracket per call: the reference _bisect_roots is held to."""
     exact = x[:-1][fx[:-1] == 0.0]
     k = np.flatnonzero(fx[:-1] * fx[1:] < 0.0)
     lo, hi, flo = x[k], x[k + 1], fx[k]
@@ -1667,9 +1667,41 @@ def test_bisect_roots_matches_one_step_bisection(rho, grid):
     if grid == "closed scan meridian dJ/dtheta":
         terms = correlations._sphere_terms(bloch.outcome_form(ch, gamma), x[[0, -1]], np.zeros(2), "hessian")
         fx[[0, -1]] = terms[3] * (1.0, -1.0)
-    got = correlations._bisect_roots(counted, x, fx)
-    assert got.tobytes() == one_step_bisect_roots(f, x, fx).tobytes()
+    got, want = correlations._bisect_roots(counted, x, fx), one_step_bisect_roots(f, x, fx)
+    # at f's rounding floor a bracket can hold several sign changes, and
+    # each search may settle on a different one
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
     assert len(calls) <= 10
+
+
+# 3/8 is one of the points the first call evaluates, where f is exactly zero
+@pytest.mark.parametrize("r", [0.3137, np.pi / 10, 0.7, 0.375])
+def test_bisect_roots_of_a_line_land_within_an_ulp(r):
+    x = np.array([0.0, 0.5, 1.0])
+    got = correlations._bisect_roots(lambda v: v - r, x, x - r)
+    assert got.shape == (1,)
+    assert abs(got[0] - r) <= np.spacing(r)
+
+
+def test_bisect_roots_of_a_cell_with_three_sign_changes_give_one_root():
+    x, roots = np.array([-1.0, 0.0, 1.0, 2.0]), np.array([0.2, 0.5, 0.8])
+
+    def f(v):
+        return np.prod(np.subtract.outer(v, roots), axis=-1)
+
+    got = correlations._bisect_roots(f, x, f(x))
+    assert got.shape == (1,)
+    assert 0.0 < got[0] < 1.0
+    assert np.min(np.abs(got[0] - roots)) <= 1e-15
+
+
+@pytest.mark.parametrize("fx, want", [([1.0, 2.0, 0.5, 3.0], []), ([-1.0, 0.0, -2.0, -1.0], [1.0])])
+def test_bisect_roots_without_a_bracket_never_call_f(fx, want):
+    def f(v):
+        raise AssertionError("f called")
+
+    assert correlations._bisect_roots(f, np.arange(4.0), np.array(fx)).tolist() == want
 
 
 def density(*amplitudes):

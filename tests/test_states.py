@@ -111,6 +111,14 @@ def test_random_state_rank_validation():
             random_state(0, rank=rank)
 
 
+def test_random_state_seed_validation():
+    # None would draw an unseeded state, and bool is an int, but not a seed
+    for seed in (-1, 1.5, "7", None, True, np.int64(-3)):
+        with pytest.raises(ValueError, match="seed"):
+            random_state(seed)
+    assert_allclose(random_state(np.int64(7)), random_state(7))
+
+
 def test_parse_identity_example():
     text = "\n".join(
         [
