@@ -385,12 +385,6 @@ def _newton_batch(form, th0, ph0, scale=1.0):
     :func:`_merge` verifies the point.  A start also stops on a singular or
     non-finite Hessian, on a trial equal to its point, and after
     NEWTON_MAX_ITER iterations; it is a root if its norm is then below tol.
-
-    A start above tol also stops, as no root, once it has left its seed's
-    :func:`_landscape_cell` while another start has converged in that cell:
-    left on, it can crawl to a root found elsewhere, one kernel call a step.
-    The rule runs only when every live start is above tol, so starts that
-    converge together never pay for it.
     """
     th, ph, tol = np.asarray(th0, float), np.asarray(ph0, float), NEWTON_TOL * scale
     # one column per start: theta, phi, the gradient norm, the kernel's terms and the step factor alpha
@@ -423,10 +417,6 @@ def _newton_batch(form, th0, ph0, scale=1.0):
         state[8, live] = 0.5 * a
         state[:, live[lower]] = trial[:, lower]
         live = live[lower | (norm >= tol)]
-        done = state[2] < tol
-        if live.size and done.any() and not done[live].any():
-            seed, now = _landscape_cell(np.stack((th, state[0])), np.stack((ph, state[1])))
-            live = live[(now[live] == seed[live]) | ~np.isin(seed[live], now[done])]
 
     root = state[2] < tol
     return state[0, root], state[1, root]
@@ -469,16 +459,6 @@ def _landscape_grid():
     return np.broadcast_to(th[:, None], shape), np.broadcast_to(ph, shape)
 
 
-def _landscape_cell(theta, phi):
-    """The landscape cell that holds each point (theta, phi), row-major over the SEED_GRID's cells, after
-    :func:`bloch.normalize_angles`, the one outcome fold: a point and its swapped label share a cell, and
-    the extra row past the equator is row SEED_GRID[0] - 2 at phi + pi."""
-    rows, cols = SEED_GRID[0] - 1, SEED_GRID[1] - 1
-    theta, phi = bloch.normalize_angles(theta, phi)
-    i = np.minimum((theta * (rows / (np.pi / 2))).astype(int), rows - 1)
-    return i * cols + np.minimum((phi * (cols / (2 * np.pi))).astype(int), cols - 1)
-
-
 def _landscape_seeds(th, ph, grad):
     """Newton starts from the gradient scan ``grad`` = (dJ/dtheta, dJ/dphi)
     on the landscape grid (th, ph): every common zero of the two components'
@@ -497,9 +477,7 @@ def _landscape_seeds(th, ph, grad):
 
     Zeros at theta = 0, where dJ/dphi vanishes along the cell edge, are
     dropped: the pole is the polar candidate's.  Zeros on the equator or
-    past it are kept: Newton converges them, and the merge folds them.
-    Each start lies in the :func:`_landscape_cell` that seeded it (a zero on
-    the cell's far edge counts in the cell past it)."""
+    past it are kept: Newton converges them, and the merge folds them."""
     g = np.stack(grad)
     # a corner <= 0, then a corner >= 0, of each component: any along theta, then along phi
     s = np.concatenate((g <= 0.0, g >= 0.0))
@@ -526,7 +504,10 @@ def _landscape_seeds(th, ph, grad):
 
 def _tolerance_scale(th, gt, g_ph):
     """min(1, G / GRAD_REF), G the largest :func:`_merge` gradient norm of a scan at theta ``th``: ``gt`` is
-    dJ/dtheta, ``g_ph`` dJ/dphi, sin theta times the kernel's third term."""
+    dJ/dtheta, ``g_ph`` dJ/dphi, sin theta times the kernel's third term.  It is 1 without the norms once
+    some |dJ/dtheta|, a lower bound of its point's norm, reaches GRAD_REF, as on general landscapes."""
+    if np.max(np.abs(gt)) >= GRAD_REF:
+        return 1.0
     return min(1.0, float(np.max(np.hypot(gt, np.sin(th) * g_ph))) / GRAD_REF)
 
 
@@ -539,10 +520,14 @@ def find_stationary_points(ch, gamma):
     channel) reports the single canonical point (pi/2, 0).  Otherwise:
 
     * in general, one :func:`_newton_batch` from the :func:`_landscape_seeds`
-      and from the scan's best sample when it lies on the first two theta
-      rows (the narrow maximum beside the pole when rho_b is near rank one)
-      or no seed lies within a grid step of it: it reaches maxima no cell
-      seeds, while beside a seed it would only repeat that seed's root;
+      and from the scan's best sample when no seed lies within a grid step
+      of it: it reaches maxima no cell seeds, while beside a seed it would
+      only repeat that seed's root.  A seed of the first row of cells starts
+      at the pole, with its own phi: that row's cells are wedges, whose
+      bilinear zeros land far from the roots beside the pole (the narrow
+      maximum at theta ~ 1e-3 or less when rho_b is near rank one), and
+      would crawl to them one call a step, while Newton on the sphere steps
+      from the pole like from any other point;
     * on a phi-independent objective (xy-isotropic channel: no theta row of
       the scan varies by 1e-11 s or more), whose stationary points form
       circles about z that Newton cannot converge along, bisection of
@@ -575,10 +560,11 @@ def find_stationary_points(ch, gamma):
         th, ph = np.append(_bisect_roots(dtheta, th_scan[: SEED_GRID[0], 0], fx), np.pi / 2), 0.0
     else:
         th, ph = _landscape_seeds(th_scan, ph_scan, (gt_scan, gph_scan))
+        th = np.where(th < th_scan[1, 0], 0.0, th)
         i, j = divmod(int(np.argmin(ce_scan)), SEED_GRID[1])
         dp = np.abs(ph - ph_scan[i, j])
         near = (np.abs(th - th_scan[i, j]) <= th_scan[1, 0]) & (np.minimum(dp, 2 * np.pi - dp) <= ph_scan[0, 1])
-        if i < 2 or not near.any():
+        if not near.any():
             th, ph = np.append(th, th_scan[i, j]), np.append(ph, ph_scan[i, j])
         th, ph = _newton_batch(form, th, ph, scale)
     polar = _polar_candidate(sa, (ce_scan[0, 0], gt_scan[0, 0], gp_scan[0, 0]), STATIONARY_TOL * scale)

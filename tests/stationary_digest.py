@@ -30,16 +30,18 @@ fails there when the output differs:
 A change that moves answers rewrites that file, and CHANGES.md says which
 lines moved and why.
 
-After the digest lines, standard error gets the cost of the
-``near_singular_band`` group, which varies from run to run: the median and
-largest number of stationary points a state reports, and the median and
-slowest ``discord`` call, each state's call timed best of three; then the
-channel-path kernel calls (``util.count_gradient_calls``) of one
-``random_state`` solve, median, 90th percentile and largest; then those of
-one ``universal_candidates`` call, which bisects, in total, median and
-largest, with that group's median call time; then ``lu_state``'s
-``discord`` time by the stationary method and by the oracle, each best
-of five, and their ratio; then the total run time.
+After the digest lines comes the work ledger: one line for each group
+whose states make channel-path kernel calls (``util.count_gradient_calls``),
+with the calls one state's call makes, median, 90th percentile and largest.
+The calls do not depend on timing, so the diff gates the work as it gates
+the answers: a change that cuts or adds calls rewrites those lines too.
+
+Standard error gets the timings, which vary from run to run: for the
+``near_singular_band`` group, the median and largest number of stationary
+points a state reports and the median and slowest ``discord`` call, each
+state's call timed best of three; then the median ``universal_candidates``
+call; then ``lu_state``'s ``discord`` time by the stationary method and by
+the oracle, each best of five, and their ratio; then the total run time.
 
 The name does not start with ``test_``, so pytest does not collect it.
 """
@@ -132,6 +134,7 @@ def main():
     t0 = time.perf_counter()
     # counts every kernel call of the run: the counter's patch is never undone
     kernel = count_gradient_calls(SimpleNamespace(setattr=setattr))
+    ledger = []
     for name, method, states in corpus():
         digest, costs = hashlib.sha256(), []
         for rho in states:
@@ -140,28 +143,24 @@ def main():
             digest.update(text.encode())
             costs.append((count, min(run[2] for run in runs), calls))
         print(f"{name:<20} {len(states):4d} {digest.hexdigest()}")
+        points, seconds, calls = np.array(costs).T
+        if calls.any():
+            ledger.append(
+                f"{name:<20} kernel calls per state median {np.median(calls):g} "
+                f"p90 {np.percentile(calls, 90):g} largest {calls.max():g}"
+            )
         if name == "near_singular_band":
-            points, seconds, _ = np.array(costs).T
-        elif name == "random_state":
-            per_solve = np.array(costs)[:, 2]
+            band_points, band_seconds = points, seconds
         elif name == "universal_candidates":
-            _, scan_seconds, per_scan = np.array(costs).T
+            scan_seconds = seconds
+    print("\n".join(ledger))
     sys.stdout.flush()
     print(
-        f"near_singular_band points median {np.median(points):g} largest {points.max():g}, "
-        f"solve median {1e3 * np.median(seconds):.1f} ms slowest {1e3 * seconds.max():.1f} ms",
+        f"near_singular_band points median {np.median(band_points):g} largest {band_points.max():g}, "
+        f"solve median {1e3 * np.median(band_seconds):.1f} ms slowest {1e3 * band_seconds.max():.1f} ms",
         file=sys.stderr,
     )
-    print(
-        f"random_state kernel calls per solve median {np.median(per_solve):g} "
-        f"p90 {np.percentile(per_solve, 90):g} largest {per_solve.max():g}",
-        file=sys.stderr,
-    )
-    print(
-        f"universal_candidates kernel calls total {per_scan.sum():g} median {np.median(per_scan):g} "
-        f"largest {per_scan.max():g}, call median {1e3 * np.median(scan_seconds):.2f} ms",
-        file=sys.stderr,
-    )
+    print(f"universal_candidates call median {1e3 * np.median(scan_seconds):.2f} ms", file=sys.stderr)
     lu = [min(solve_record(lu_state(), method, kernel)[2] for _ in range(5)) for method in ("stationary", "oracle")]
     print(
         f"lu discord stationary {1e3 * lu[0]:.2f} ms oracle {1e3 * lu[1]:.2f} ms ratio {lu[0] / lu[1]:.2f}",

@@ -4,21 +4,16 @@ channel-path call counter.
 The oracles here are deliberately written from the definitions (explicit
 projectors, eigenvalue sums, finite differences) and never call back into
 the code paths they are used to check.  One helper does:
-:func:`unretired_newton_batch` is a variant of the solver's Newton batch,
-not an oracle, and runs that batch itself, so a change to Newton reaches
-both sides of the comparison it serves and only the retirement rule differs.
+:func:`unmoved_seed_stationary_points` is a variant of the solver's search,
+not an oracle, and runs the solver's own scan, seeds, Newton batch and
+merge, so a change to any of them reaches both sides of the comparison it
+serves and only the starts differ.
 """
 
 import numpy as np
-import pytest
 
 from qdiscord import bloch, correlations
 from qdiscord.qmat import binary_entropy_arr, check_density_matrix
-
-#: The solver's Newton batch as imported: a test that patches
-#: ``correlations._newton_batch`` with :func:`unretired_newton_batch` would
-#: otherwise make that helper call itself.
-_newton_batch = correlations._newton_batch
 
 
 def count_gradient_calls(monkeypatch):
@@ -128,14 +123,28 @@ def two_pass_direct_entropy(c, theta, phi):
     return total
 
 
-def unretired_newton_batch(form, th0, ph0, scale=1.0):
-    """``correlations._newton_batch`` without the retirement of starts: every
-    start iterates until it stops on its own, whatever the other starts have
-    found.  It runs the solver's own batch with ``_landscape_cell`` putting
-    every point in one cell, so no start ever leaves its seed's cell."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(correlations, "_landscape_cell", lambda theta, phi: np.zeros(np.shape(theta), int))
-        return _newton_batch(form, th0, ph0, scale)
+def unmoved_seed_stationary_points(ch, gamma):
+    """``correlations.find_stationary_points`` on a phi-dependent landscape
+    with every start where its bilinear zero lies: the seeds of the first
+    row of cells stay beside the pole instead of starting at it, and the
+    scan's best sample starts Newton too when it lies on the first two theta
+    rows (the narrow maximum beside the pole) or no seed lies within a grid
+    step of it.  Every start runs to its own end."""
+    form = bloch.outcome_form(ch, gamma)
+    sa = correlations.output_marginal_entropy(ch, gamma)
+    th, ph = correlations._landscape_grid()
+    ce, gt, gp = correlations._sphere_terms(form, th[:, :1], ph[:1], "entropy")
+    gph = np.sin(th[:, :1]) * gp
+    scale = correlations._tolerance_scale(th[:, :1], gt, gph)
+    t, p = correlations._landscape_seeds(th, ph, (gt, gph))
+    i, j = divmod(int(np.argmin(ce)), th.shape[1])
+    dp = np.abs(p - ph[i, j])
+    near = (np.abs(t - th[i, j]) <= th[1, 0]) & (np.minimum(dp, 2 * np.pi - dp) <= ph[0, 1])
+    if i < 2 or not near.any():
+        t, p = np.append(t, th[i, j]), np.append(p, ph[i, j])
+    t, p = correlations._newton_batch(form, t, p, scale)
+    polar = correlations._polar_candidate(sa, (ce[0, 0], gt[0, 0], gp[0, 0]), correlations.STATIONARY_TOL * scale)
+    return sorted(correlations._merge(form, sa, t, p, [polar], scale), key=correlations._point_key)
 
 
 def all_cells_landscape_seeds(th, ph, grad):
