@@ -521,13 +521,13 @@ def find_stationary_points(ch, gamma):
 
     * in general, one :func:`_newton_batch` from the :func:`_landscape_seeds`
       and from the scan's best sample when no seed lies within a grid step
-      of it: it reaches maxima no cell seeds, while beside a seed it would
-      only repeat that seed's root.  A seed of the first row of cells starts
-      at the pole, with its own phi: that row's cells are wedges, whose
-      bilinear zeros land far from the roots beside the pole (the narrow
-      maximum at theta ~ 1e-3 or less when rho_b is near rank one), and
-      would crawl to them one call a step, while Newton on the sphere steps
-      from the pole like from any other point;
+      of it: it reaches maxima too narrow for the scan to seed, while beside
+      a seed it would only repeat that seed's root.  The first row of cells
+      starts once, at the pole with its first start's phi: those cells are
+      wedges, whose bilinear zeros land far from the roots beside the pole
+      (the narrow maximum at theta ~ 1e-3 or less when rho_b is near rank
+      one) and would crawl to them one call a step, while Newton on the
+      sphere steps from the pole as from any other point;
     * on a phi-independent objective (xy-isotropic channel: no theta row of
       the scan varies by 1e-11 s or more), whose stationary points form
       circles about z that Newton cannot converge along, bisection of
@@ -560,13 +560,14 @@ def find_stationary_points(ch, gamma):
         th, ph = np.append(_bisect_roots(dtheta, th_scan[: SEED_GRID[0], 0], fx), np.pi / 2), 0.0
     else:
         th, ph = _landscape_seeds(th_scan, ph_scan, (gt_scan, gph_scan))
-        th = np.where(th < th_scan[1, 0], 0.0, th)
         i, j = divmod(int(np.argmin(ce_scan)), SEED_GRID[1])
         dp = np.abs(ph - ph_scan[i, j])
         near = (np.abs(th - th_scan[i, j]) <= th_scan[1, 0]) & (np.minimum(dp, 2 * np.pi - dp) <= ph_scan[0, 1])
         if not near.any():
             th, ph = np.append(th, th_scan[i, j]), np.append(ph, ph_scan[i, j])
-        th, ph = _newton_batch(form, th, ph, scale)
+        cap = th < th_scan[1, 0]
+        keep = ~cap | (np.cumsum(cap) == 1)
+        th, ph = _newton_batch(form, np.where(cap, 0.0, th)[keep], ph[keep], scale)
     polar = _polar_candidate(sa, (ce_scan[0, 0], gt_scan[0, 0], gp_scan[0, 0]), STATIONARY_TOL * scale)
     return sorted(_merge(form, sa, th, ph, [polar], scale), key=_point_key)
 

@@ -32,9 +32,12 @@ lines moved and why.
 
 After the digest lines comes the work ledger: one line for each group
 whose states make channel-path kernel calls (``util.count_gradient_calls``),
-with the calls one state's call makes, median, 90th percentile and largest.
-The calls do not depend on timing, so the diff gates the work as it gates
-the answers: a change that cuts or adds calls rewrites those lines too.
+with the calls one state's call makes, median, 90th percentile and largest;
+then one line for each group whose states start Newton
+(``util.record_newton_starts``), with the starts one state's call hands
+``_newton_batch``, the same three figures.  The counts do not depend on
+timing, so the diff gates the work as it gates the answers: a change that
+cuts or adds calls or starts rewrites those lines too.
 
 Standard error gets the timings, which vary from run to run: for the
 ``near_singular_band`` group, the median and largest number of stationary
@@ -52,7 +55,13 @@ import time
 from types import SimpleNamespace
 
 import numpy as np
-from util import count_gradient_calls, feasible_bell_triple, random_unitary, random_x_maximally_mixed
+from util import (
+    count_gradient_calls,
+    feasible_bell_triple,
+    random_unitary,
+    random_x_maximally_mixed,
+    record_newton_starts,
+)
 
 from qdiscord import affine_from_kraus, decompose, discord
 from qdiscord.correlations import conditional_entropy_direct, index_sum, universal_candidates
@@ -101,59 +110,64 @@ def point_rows(points):
     return [repr((q.kind, q.critical, q.theta, q.phi, q.objective, q.grad_norm)) for q in points]
 
 
-def solve_record(rho, method, kernel):
+def solve_record(rho, method, kernel, starts):
     """The text of one state's report, stationary points and index sum (or,
     for the method "universal_candidates", of that function's points), the
-    number of its points, the seconds its call took and the entries that
-    call added to ``kernel``, a list of :func:`util.count_gradient_calls`.
-    For the method "direct_entropy" the text holds the values on
-    DIRECT_GRID."""
-    t0, k0 = time.perf_counter(), len(kernel)
+    number of its points, the seconds its call took, the entries that call
+    added to ``kernel``, a list of :func:`util.count_gradient_calls`, and the
+    Newton starts it added to ``starts``, a list of
+    :func:`util.record_newton_starts`.  For the method "direct_entropy" the
+    text holds the values on DIRECT_GRID."""
+    t0, k0, s0 = time.perf_counter(), len(kernel), len(starts)
+
+    def spent():
+        return time.perf_counter() - t0, len(kernel) - k0, sum(s.shape[1] for s in starts[s0:])
+
     try:
         if method == "direct_entropy":
-            values = conditional_entropy_direct(rho, *DIRECT_GRID)
-            return repr(values.tolist()) + "\n", 0, time.perf_counter() - t0, len(kernel) - k0
+            return repr(conditional_entropy_direct(rho, *DIRECT_GRID).tolist()) + "\n", 0, *spent()
         if method == "universal_candidates":
             d = decompose(rho)
             rows = point_rows(universal_candidates(affine_from_kraus(d.kraus), d.gamma))
-            return "\n".join(rows) + "\n", len(rows), time.perf_counter() - t0, len(kernel) - k0
+            return "\n".join(rows) + "\n", len(rows), *spent()
         rep = discord(rho, method=method)
     except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}\n", 0, time.perf_counter() - t0, len(kernel) - k0
-    seconds, calls = time.perf_counter() - t0, len(kernel) - k0
+        return f"{type(exc).__name__}: {exc}\n", 0, *spent()
+    # the solve's own work, before index_sum's kernel call
+    work = spent()
     head = (rep.mutual_info, rep.classical_corr, rep.discord, rep.theta, rep.phi, rep.method)
     rows = point_rows(rep.stationary_points)
     total = None
     if rep.stationary_points and method == "stationary":
         d = decompose(rho)
         total = index_sum(affine_from_kraus(d.kraus), d.gamma, rep.stationary_points)
-    return "\n".join([repr(head), *rows, repr(total)]) + "\n", len(rows), seconds, calls
+    return "\n".join([repr(head), *rows, repr(total)]) + "\n", len(rows), *work
 
 
 def main():
     t0 = time.perf_counter()
-    # counts every kernel call of the run: the counter's patch is never undone
-    kernel = count_gradient_calls(SimpleNamespace(setattr=setattr))
-    ledger = []
+    # counts every kernel call and Newton start of the run: the patches are never undone
+    patch = SimpleNamespace(setattr=setattr)
+    work = count_gradient_calls(patch), record_newton_starts(patch)
+    ledger = {"kernel calls": [], "newton starts": []}
     for name, method, states in corpus():
         digest, costs = hashlib.sha256(), []
         for rho in states:
-            runs = [solve_record(rho, method, kernel) for _ in range(3 if name == "near_singular_band" else 1)]
-            text, count, _, calls = runs[0]
+            runs = [solve_record(rho, method, *work) for _ in range(3 if name == "near_singular_band" else 1)]
+            text, count, _, *counts = runs[0]
             digest.update(text.encode())
-            costs.append((count, min(run[2] for run in runs), calls))
+            costs.append((count, min(run[2] for run in runs), *counts))
         print(f"{name:<20} {len(states):4d} {digest.hexdigest()}")
-        points, seconds, calls = np.array(costs).T
-        if calls.any():
-            ledger.append(
-                f"{name:<20} kernel calls per state median {np.median(calls):g} "
-                f"p90 {np.percentile(calls, 90):g} largest {calls.max():g}"
-            )
+        points, seconds, *counts = np.array(costs).T
+        for (what, lines), n in zip(ledger.items(), counts):
+            if n.any():
+                figures = f"median {np.median(n):g} p90 {np.percentile(n, 90):g} largest {n.max():g}"
+                lines.append(f"{name:<20} {what} per state {figures}")
         if name == "near_singular_band":
             band_points, band_seconds = points, seconds
         elif name == "universal_candidates":
             scan_seconds = seconds
-    print("\n".join(ledger))
+    print("\n".join(ledger["kernel calls"] + ledger["newton starts"]))
     sys.stdout.flush()
     print(
         f"near_singular_band points median {np.median(band_points):g} largest {band_points.max():g}, "
@@ -161,7 +175,7 @@ def main():
         file=sys.stderr,
     )
     print(f"universal_candidates call median {1e3 * np.median(scan_seconds):.2f} ms", file=sys.stderr)
-    lu = [min(solve_record(lu_state(), method, kernel)[2] for _ in range(5)) for method in ("stationary", "oracle")]
+    lu = [min(solve_record(lu_state(), method, *work)[2] for _ in range(5)) for method in ("stationary", "oracle")]
     print(
         f"lu discord stationary {1e3 * lu[0]:.2f} ms oracle {1e3 * lu[1]:.2f} ms ratio {lu[0] / lu[1]:.2f}",
         file=sys.stderr,

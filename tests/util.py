@@ -1,5 +1,5 @@
-"""Shared test helpers: independent oracles, random-input generators and a
-channel-path call counter.
+"""Shared test helpers: independent oracles, random-input generators, a
+channel-path call counter and a Newton start recorder.
 
 The oracles here are deliberately written from the definitions (explicit
 projectors, eigenvalue sums, finite differences) and never call back into
@@ -30,6 +30,21 @@ def count_gradient_calls(monkeypatch):
 
     monkeypatch.setattr(correlations, "_sphere_terms", counted)
     return calls
+
+
+def record_newton_starts(monkeypatch):
+    """A list that grows by one entry per call of ``correlations._newton_batch``,
+    the multistart behind every state-dependent root off the pole's own
+    candidate.  Each entry is the call's starts, a 2 x n array of (theta, phi)."""
+    starts = []
+    newton = correlations._newton_batch
+
+    def recorded(form, th0, ph0, *args):
+        starts.append(np.array((th0, ph0), dtype=float))
+        return newton(form, th0, ph0, *args)
+
+    monkeypatch.setattr(correlations, "_newton_batch", recorded)
+    return starts
 
 
 def masked_binary_entropy(p):
@@ -233,16 +248,30 @@ def random_unitary(rng, n=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def x_matrix(d, r14, r23):
+    """The X state with diagonal ``d`` and complex cross terms r14, r23."""
+    m = np.diag(np.asarray(d, dtype=complex))
+    m[0, 3], m[3, 0] = r14, np.conj(r14)
+    m[1, 2], m[2, 1] = r23, np.conj(r23)
+    return check_density_matrix(m)
+
+
 def random_x_maximally_mixed(rng):
     """Random X state whose b marginal is exactly I/2."""
     u, v = rng.uniform(0.05, 0.95, 2)
     d = np.array([u / 2, v / 2, (1 - u) / 2, (1 - v) / 2])
     r14 = rng.uniform(0, 0.95) * np.sqrt(d[0] * d[3]) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     r23 = rng.uniform(0, 0.95) * np.sqrt(d[1] * d[2]) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    m = np.diag(d.astype(complex))
-    m[0, 3], m[3, 0] = r14, np.conj(r14)
-    m[1, 2], m[2, 1] = r23, np.conj(r23)
-    return check_density_matrix(m)
+    return x_matrix(d, r14, r23)
+
+
+def random_x_state(rng, real):
+    """Random X state: a Dirichlet diagonal and cross terms up to 0.95 of
+    their positivity bound, ``real`` with a random sign, else with a random
+    phase."""
+    d = rng.dirichlet(np.ones(4))
+    r = rng.uniform(0, 0.95, 2) * np.sqrt(d[[0, 1]] * d[[3, 2]])
+    return x_matrix(d, *r * (rng.choice((-1.0, 1.0), 2) if real else np.exp(2j * np.pi * rng.uniform(size=2))))
 
 
 def feasible_bell_triple(rng):
