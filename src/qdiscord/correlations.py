@@ -377,13 +377,13 @@ def _newton_batch(form, th0, ph0, scale=1.0):
     xi the Newton step of the kernel's Hessian on the sphere and alpha a step
     factor per start, in one :func:`_sphere_terms` call.  A trial that lowers
     the gradient norm is taken and resets alpha to 1; otherwise alpha halves
-    (backtracking, Nocedal & Wright, Numerical Optimization, 2006, sec. 3.1),
-    or the start stops once its norm is below tol = NEWTON_TOL * ``scale``.
-    A start below tol whose step xi is shorter than MERGE_TOL (a flat floor
-    of J, whose Hessian is rounding noise, gives longer ones) moves by xi
-    unevaluated and stops: Newton converges quadratically (sec. 3.3), and
-    :func:`_merge` verifies the point.  A start also stops on a singular or
-    non-finite Hessian, on a trial equal to its point, and after
+    (backtracking, Nocedal & Wright, Numerical Optimization, 2006, sec. 3.1).
+    A start stops in the pass that sees its norm below tol = NEWTON_TOL *
+    ``scale``, moving by xi unevaluated when xi is shorter than MERGE_TOL:
+    Newton converges quadratically (sec. 3.3), and :func:`_merge` verifies
+    the point.  A longer step (a circle or flat floor of J, whose Hessian is
+    rounding noise there) leaves it where it is.  A start also stops on a
+    singular or non-finite Hessian, on a trial equal to its point, and after
     NEWTON_MAX_ITER iterations; it is a root if its norm is then below tol.
     """
     th, ph, tol = np.asarray(th0, float), np.asarray(ph0, float), NEWTON_TOL * scale
@@ -398,15 +398,15 @@ def _newton_batch(form, th0, ph0, scale=1.0):
         xt = (htp * gp - hpp * gt) / safe
         xp = (htp * gt - htt * gp) / safe
         last = regular & (norm < tol) & (np.hypot(xt, xp) < MERGE_TOL)
-        a, st, ct = np.where(last, 1.0, alpha), np.sin(t0), np.cos(t0)
+        st, ct = np.sin(t0), np.cos(t0)
 
         # n + alpha xi along (cos phi, sin phi, 0), e_phi and z; atan2 keeps theta accurate at the pole
-        out, across = st + a * (xt * ct), a * xp
-        tt = np.arctan2(np.hypot(out, across), ct - a * (xt * st))
+        out, across = st + alpha * (xt * ct), alpha * xp
+        tt = np.arctan2(np.hypot(out, across), ct - alpha * (xt * st))
         pp = p0 + np.arctan2(across, out)
         state[:2, live[last]] = tt[last], pp[last]
-        moves = regular & ~last & ((tt != t0) | (pp != p0))
-        live, tt, pp, a, norm = live[moves], tt[moves], pp[moves], a[moves], norm[moves]
+        moves = regular & (norm >= tol) & ((tt != t0) | (pp != p0))
+        live, tt, pp, alpha, norm = live[moves], tt[moves], pp[moves], alpha[moves], norm[moves]
         if not live.size:
             break
 
@@ -414,9 +414,8 @@ def _newton_batch(form, th0, ph0, scale=1.0):
         trial[2] = np.hypot(trial[3], trial[4])
         # a norm that is not finite is never lower; alpha halves, or resets to 1 with the trial taken
         lower = trial[2] < norm
-        state[8, live] = 0.5 * a
+        state[8, live] = 0.5 * alpha
         state[:, live[lower]] = trial[:, lower]
-        live = live[lower | (norm >= tol)]
 
     root = state[2] < tol
     return state[0, root], state[1, root]
