@@ -56,9 +56,8 @@ def is_x_state(rho):
 
 
 def _require_block_form(ch):
-    eta, c = ch.eta, ch.c
-    off = [eta[0, 2], eta[1, 2], eta[2, 0], eta[2, 1], c[0], c[1]]
-    if max(abs(v) for v in off) >= BLOCK_TOL:
+    off = np.concatenate((ch.eta[:2, 2], ch.eta[2, :2], ch.c[:2]))
+    if np.abs(off).max() >= BLOCK_TOL:
         raise NotApplicableError("channel is not in X block form")
 
 

@@ -1433,15 +1433,33 @@ X_SEEDLESS_MAXIMA = [
     ),
 ]
 
+#: A complex X state whose maximum, a pair of twins at theta 0.2041, lies on
+#: a ridge almost flat along theta (Hessian eigenvalues -0.26 and -2.5e-3).
+#: Its only seeds, at theta 0.141, take full Newton steps of 0.145 rad that
+#: overshoot the maximum
+X_FLAT_RIDGE = x_matrix(
+    [0.03215099802632819, 0.04939103143599872, 0.8660581722950565, 0.05239979824261652],
+    0.03296205326917324 - 0.00132770684266107j, -0.06109523332726671 + 0.10410745004795798j,
+)
+
 
 def test_x_states_reach_the_oracle_maximum():
     # X states put critical points on the scan's grid lines and nodes; real
     # cross terms pin them to the meridians phi = k pi/2, complex ones turn
     # them.  C must be the oracle's on either
     rng = np.random.default_rng(5)
-    states = X_SEEDLESS_MAXIMA + [random_x_state(rng, real=k % 2 == 0) for k in range(300)]
+    states = X_SEEDLESS_MAXIMA + [X_FLAT_RIDGE] + [random_x_state(rng, real=k % 2 == 0) for k in range(300)]
     for k, rho in enumerate(states):
         assert abs(discord(rho).classical_corr - discord(rho, method="oracle").classical_corr) < 1e-12, k
+
+
+def test_newton_halves_a_step_that_overshoots_a_flat_ridge_maximum():
+    # the full step raises the gradient norm (1.0e-4 -> 2.9e-4) and the
+    # halved one lowers it; with full steps alone the seed finds no root and
+    # no other start reaches the maximum (test_x_states_reach_the_oracle_maximum)
+    ch, gamma = channel_of(X_FLAT_RIDGE)
+    th, ph = correlations._newton_batch(bloch.outcome_form(ch, gamma), [0.14098586444811387], [1.071017507437255])
+    assert th.size == 1 and abs(th[0] - 0.2040792480492) < 1e-9
 
 
 @pytest.mark.parametrize("eps", NEAR_SINGULAR_EPS[1:], ids=lambda eps: f"eps{eps:.0e}")
