@@ -70,6 +70,8 @@ def affine_from_kraus(kraus):
 
 def conditional_probabilities(gamma, theta):
     """Outcome probabilities ((1+cos th cos g)/2, (1-cos th cos g)/2); ValueError on a non-finite angle."""
+    if not np.isfinite(gamma).all():
+        raise ValueError("the reference angle gamma must be finite")
     x = np.cos(finite_angles(theta, 0.0)[0]) * np.cos(gamma)
     return 0.5 * (1.0 + x), 0.5 * (1.0 - x)
 
@@ -82,7 +84,10 @@ def outcome_form(ch, gamma):
     + c is the Bloch vector of rho_a and T = eta diag(sin gamma,
     -sin gamma, 1) + cos(gamma) c e_z^T.  The -sin gamma holds because the
     conditional amplitudes carry exp(-i phi), which keeps the channel path
-    equal to the direct projection."""
+    equal to the direct projection.  ValueError unless gamma and the
+    channel's eta and c are finite."""
+    if not (np.isfinite(gamma).all() and np.isfinite(ch.eta).all() and np.isfinite(ch.c).all()):
+        raise ValueError("the reference angle gamma and the channel's eta and c must be finite")
     sg, cg = np.sin(gamma), np.cos(gamma)
     a, t = cg * ch.eta[:, 2] + ch.c, ch.eta * np.array([sg, -sg, 1.0])
     t[:, 2] += cg * ch.c

@@ -40,7 +40,7 @@ GRAD_REF = 1e-2
 #: Landscape scan grid, points per axis: theta in [0, pi/2] and phi in [0, 2 pi], ends included, plus
 #: one theta row past the equator, the mirror of the row below it.
 SEED_GRID = (25, 49)
-#: Newton iterations per start, step halvings included.
+#: Newton iterations per start, half steps included.
 NEWTON_MAX_ITER = 100
 #: The signs of T n in the two outcomes' p v = (a +- T n) / 2, one per row.
 _OUTCOME_SIGNS = np.array([[1.0], [-1.0]])
@@ -376,15 +376,15 @@ def _newton_batch(form, th0, ph0, scale=1.0):
     Each iteration evaluates the trial points (n + alpha xi) / |n + alpha xi|,
     xi the Newton step of the kernel's Hessian on the sphere and alpha a step
     factor per start, in one :func:`_sphere_terms` call.  A trial that lowers
-    the gradient norm is taken and resets alpha to 1; otherwise alpha halves
-    (backtracking, Nocedal & Wright, Numerical Optimization, 2006, sec. 3.1).
-    A start stops in the pass that sees its norm below tol = NEWTON_TOL *
-    ``scale``, moving by xi unevaluated when xi is shorter than MERGE_TOL:
-    Newton converges quadratically (sec. 3.3), and :func:`_merge` verifies
-    the point.  A longer step (a circle or flat floor of J, whose Hessian is
-    rounding noise there) leaves it where it is.  A start also stops on a
-    singular or non-finite Hessian, on a trial equal to its point, and after
-    NEWTON_MAX_ITER iterations; it is a root if its norm is then below tol.
+    the gradient norm is taken and resets alpha to 1; backtracking (Nocedal &
+    Wright, Numerical Optimization, 2006, sec. 3.1) retries a rejected full
+    step at alpha = 1/2, and a rejected half step ends the start.  It stops in
+    the pass that sees its norm below tol = NEWTON_TOL * ``scale``, moving by
+    xi unevaluated when xi is shorter than MERGE_TOL: Newton converges
+    quadratically (sec. 3.3), and :func:`_merge` verifies the point; a longer
+    xi (on a circle or flat floor of J, whose Hessian is rounding noise) leaves
+    it in place.  A singular or non-finite Hessian and NEWTON_MAX_ITER
+    iterations end it too; it is a root if its norm is then below tol.
     """
     th, ph, tol = np.asarray(th0, float), np.asarray(ph0, float), NEWTON_TOL * scale
     # one column per start: theta, phi, the gradient norm, the kernel's terms and the step factor alpha
@@ -405,7 +405,7 @@ def _newton_batch(form, th0, ph0, scale=1.0):
         tt = np.arctan2(np.hypot(out, across), ct - alpha * (xt * st))
         pp = p0 + np.arctan2(across, out)
         state[:2, live[last]] = tt[last], pp[last]
-        moves = regular & (norm >= tol) & ((tt != t0) | (pp != p0))
+        moves = regular & (norm >= tol) & (alpha > 0.25)
         live, tt, pp, alpha, norm = live[moves], tt[moves], pp[moves], alpha[moves], norm[moves]
         if not live.size:
             break

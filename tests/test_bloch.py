@@ -254,9 +254,11 @@ def test_conditional_states_refuse_non_finite_angles(theta, phi):
     ch = affine_from_kraus(decompose(lu_state()).kraus)
     with pytest.raises(ValueError, match="finite"):
         conditional_purities(ch, 0.5, theta, phi)
-    # the probabilities take theta only; theta + phi is finite only when both are
+    # the probabilities take gamma and theta only; theta + phi is finite only when both are
     with pytest.raises(ValueError, match="finite"):
         conditional_probabilities(0.5, theta + phi)
+    with pytest.raises(ValueError, match="finite"):
+        conditional_probabilities(theta + phi, 0.5)
 
 
 def test_normalize_angles_folds_hemisphere():
