@@ -135,8 +135,9 @@ def conditional_entropy_channel(ch, gamma, theta, phi):
 
 
 def objective_channel(ch, gamma, theta, phi):
-    """J(theta, phi) on the channel path."""
-    return output_marginal_entropy(ch, gamma) - conditional_entropy_channel(ch, gamma, theta, phi)
+    """J(theta, phi) on the channel path, from one :func:`bloch.outcome_form`."""
+    form, (th, ph) = bloch.outcome_form(ch, gamma), bloch.finite_angles(theta, phi)
+    return scalar_or_array(_output_entropy(form) - _sphere_terms(form, th, ph, "entropy")[0])
 
 
 def _log_ratio_over_x(x):

@@ -26,10 +26,9 @@ from .correlations import (
     SYMMETRIC,
     StationaryPoint,
     mutual_information,
-    output_marginal_entropy,
     report_from_points,
 )
-from .qmat import binary_entropy_arr, density_state
+from .qmat import I2, PAULIS, binary_entropy_arr, dagger, density_state
 
 #: Absolute magnitude below which an off-pattern entry still counts as zero.
 X_PATTERN_TOL = 1e-10
@@ -40,6 +39,10 @@ SHAPE_DEGENERATE_TOL = 1e-12
 
 # entries that must vanish for the X pattern: all but both diagonals
 _OFF_PATTERN = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+# row (m, k) = Tr(sigma_m eps(s_k)) / 2, s = (I, sigma_x, sigma_y, sigma_z), on eps(|i><j|)[a, a'] at (2a+i, 2a'+j):
+# eta's rows (k > 0), then c's (k = 0); conjugated and viewed as floats, so a real matmul with the blocks takes Re
+_CJ = np.einsum("kij,mba->mkaibj", np.concatenate([I2[None], PAULIS]), PAULIS).reshape(3, 4, 16).conj() / 2
+_CJ_TABLE = np.concatenate([_CJ[:, 1:].reshape(9, 16), _CJ[:, 0]]).view(float)
 
 
 class NotApplicableError(ValueError):
@@ -104,8 +107,7 @@ def x_params(ch):
     """Extract :class:`XStateParams` from an X-block affine channel."""
     eta_perp_sq, phi_star = maximize_f(ch)
     eta_perp = np.sqrt(eta_perp_sq)
-    c_z = float(ch.c[2])
-    eta_zz = float(ch.eta[2, 2])
+    c_z, eta_zz = float(ch.c[2]), float(ch.eta[2, 2])
     a = eta_perp_sq + c_z**2
     b = eta_zz * c_z
     c = eta_zz**2 - eta_perp_sq
@@ -164,7 +166,10 @@ def analytic_discord_x(rho):
     Requires the X entry pattern, a maximally mixed b marginal and
     :func:`universal_sufficient`; otherwise raises
     :class:`NotApplicableError` and the caller should use the stationary
-    solver.  The classical correlation is the better of the two candidates:
+    solver.  Its channel comes off rho's four 2x2 blocks by the paper's
+    Choi-Jamiolkowski map, with no Kraus set; the stationary path keeps
+    :func:`qdiscord.choi.decompose`, as w_1 -> 0 amplifies the map's
+    rounding.  The classical correlation is the better of the two candidates:
 
     * equatorial: s' = t' = sqrt(a) at theta = pi/2, the best azimuth;
     * polar: s' = |c_z + eta_zz|, t' = |c_z - eta_zz| at theta = 0.
@@ -183,28 +188,26 @@ def analytic_discord_x(rho):
     if abs(state.b_vals[0] - state.b_vals[1]) >= 1e-10:
         raise NotApplicableError("b marginal is not maximally mixed")
 
-    d = choi.decompose(state)
-    ch = bloch.affine_from_kraus(d.kraus)
+    # the paper's Choi-Jamiolkowski map, in choi.decompose's frame: rho_rot = sum_ij w_i w_j eps(|i><j|) (x) |i><j|
+    v, half = dagger(state.b_vecs), np.arccos(min(1.0, np.sqrt(state.b_vals[0])))
+    w = np.array([np.cos(half), np.sin(half)] * 2)
+    r = _CJ_TABLE @ (choi.rotate_b(state.rho, v) / np.outer(w, w)).reshape(16).view(float)
+    ch, gamma = bloch.AffineChannel(r[:9].reshape(3, 3), r[9:]), float(2.0 * half)
     params = x_params(ch)
     if not universal_sufficient(params):
-        raise NotApplicableError(
-            f"shape parameter k = {params.k:.6f} lies in the gap (-1, -2/3)"
-        )
+        raise NotApplicableError(f"shape parameter k = {params.k:.6f} lies in the gap (-1, -2/3)")
 
     info = mutual_information(state)
-    sa = output_marginal_entropy(ch, d.gamma)
-
-    # the equatorial purity s' = t', then the polar s' and t'
-    purities = np.array([closed_form_purities(params, np.pi / 2)[0], *closed_form_purities(params, 0.0)])
-    h_eq, h_s, h_t = binary_entropy_arr((1.0 + purities) / 2.0).tolist()
-    obj_eq = sa - h_eq
-    obj_pol = sa - 0.5 * (h_s + h_t)
+    # S(rho_a) from the length of rho_a's Bloch vector, the equatorial purity s' = t', then the polar s' and t'
+    len_a = np.linalg.norm(bloch.outcome_form(ch, gamma)[1])
+    purities = np.array([len_a, closed_form_purities(params, np.pi / 2)[0], *closed_form_purities(params, 0.0)])
+    sa, h_eq, h_s, h_t = binary_entropy_arr((1.0 + purities) / 2.0).tolist()
 
     # the conditional direction rotates against the measurement azimuth, so
     # the objective peaks at the reflection of the f-maximizing azimuth
     phi_eq = (-params.phi_star) % np.pi
     candidates = [
-        StationaryPoint(np.pi / 2, phi_eq, obj_eq, 0.0, SYMMETRIC),
-        StationaryPoint(0.0, 0.0, obj_pol, 0.0, ASYMMETRIC),
+        StationaryPoint(np.pi / 2, phi_eq, sa - h_eq, 0.0, SYMMETRIC),
+        StationaryPoint(0.0, 0.0, sa - 0.5 * (h_s + h_t), 0.0, ASYMMETRIC),
     ]
-    return report_from_points(info, candidates, d.basis_rotation, "xstate_analytic")
+    return report_from_points(info, candidates, v, "xstate_analytic")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qdiscord import bloch, choi
 from qdiscord.bloch import AffineChannel, affine_from_kraus, conditional_purities, measurement_distance
 from qdiscord.choi import decompose
 from qdiscord.correlations import ASYMMETRIC, SYMMETRIC, discord, grad_objective, grid_oracle
@@ -228,6 +229,25 @@ def test_analytic_maximally_mixed():
     rep = analytic_discord_x(np.array(I4) / 4)
     assert abs(rep.classical_corr) < 1e-12
     assert abs(rep.discord) < 1e-12
+
+
+@pytest.mark.parametrize("rho", [random_x_maximally_mixed(np.random.default_rng(3)), bell_diagonal(0.7, -0.5, 0.3)])
+def test_closed_form_reads_its_channel_off_the_blocks_without_a_kraus_set(rho, monkeypatch):
+    # the channel comes from rho's blocks by the Choi-Jamiolkowski map: no
+    # second eigendecomposition of rho, no Kraus operators
+    expected = discord(rho, method="xstate_analytic")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form built a Kraus set")
+
+    monkeypatch.setattr(choi, "decompose", refuse)
+    monkeypatch.setattr(bloch, "affine_from_kraus", refuse)
+    assert discord(rho, method="xstate_analytic") == expected
+
+
+def test_closed_form_keeps_a_bell_state_at_one_bit():
+    # C = 1 exactly; the Kraus route read 5.9e-15 below it, the block read 3.0e-15
+    assert abs(analytic_discord_x(bell_diagonal(1, -1, 1)).classical_corr - 1.0) <= 4e-15
 
 
 def test_analytic_matches_oracle_on_random_x_states():
