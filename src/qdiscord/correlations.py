@@ -247,14 +247,14 @@ def _direct_entropy(c, theta, phi):
     along n with the effects (I + s n . sigma) / 2, s = +-1, gives 2 p = 1 + s b . n and conditional Bloch
     vectors (a + s R n) / (2 p) (Luo, PRA 77, 042303 (2008)); an outcome with p <= DEGENERATE_TOL adds no
     entropy.  Both outcomes in one pass, stacked along a leading axis: c + (-1) y rounds as c - y."""
-    st = np.sin(theta)
+    c, st = c.tolist(), np.sin(theta)
     n = st * np.cos(phi), st * np.sin(phi), np.cos(theta)
     # b . n, then R n: row i of c against n
-    y = [c[i, 1] * n[0] + c[i, 2] * n[1] + c[i, 3] * n[2] for i in range(4)]
+    y = [c[i][1] * n[0] + c[i][2] * n[1] + c[i][3] * n[2] for i in range(4)]
     s = np.array([1.0, -1.0]).reshape(2, *[1] * np.ndim(y[0]))
-    p = 0.5 * (c[0, 0] + s * y[0])
+    p = 0.5 * (c[0][0] + s * y[0])
     live = p > bloch.DEGENERATE_TOL
-    q = np.sqrt((c[1, 0] + s * y[1]) ** 2 + (c[2, 0] + s * y[2]) ** 2 + (c[3, 0] + s * y[3]) ** 2)
+    q = np.sqrt((c[1][0] + s * y[1]) ** 2 + (c[2][0] + s * y[2]) ** 2 + (c[3][0] + s * y[3]) ** 2)
     e = np.where(live, p * binary_entropy_arr((1.0 + q / np.where(live, 2.0 * p, 1.0)) / 2.0), 0.0)
     return e[0] + e[1]
 
@@ -433,9 +433,10 @@ def index_sum(ch, gamma, points):
     cancels.  Points that are not ``critical`` do not count.
 
     Returns None when some determinant is below (1e-4 s)**2, s the largest
-    Hessian entry, or below (eps t)**2, t the largest of the Hessian entries
-    and n . grad J, their rounding floor: a degenerate point (flat and
-    phi-independent landscapes, stationary circles) has no index.
+    Hessian entry, or below (64 eps t)**2, t the largest of the Hessian
+    entries and n . grad J (det's rounding on flat pure-state landscapes
+    reaches (21 eps t)**2): a degenerate point (flat and phi-independent
+    landscapes, stationary circles) has no index.
     """
     crit = [q for q in points if q.critical]
     if not crit:
@@ -443,7 +444,7 @@ def index_sum(ch, gamma, points):
     t, p = np.array([[q.theta, q.phi] for q in crit]).T
     terms = np.array(_sphere_terms(bloch.outcome_form(ch, gamma), t, p, "hessian")[3:])
     det = terms[0] * terms[2] - terms[1] ** 2
-    floor = max(1e-4 * np.max(np.abs(terms[:3])), np.finfo(float).eps * np.max(np.abs(terms)))
+    floor = max(1e-4 * np.max(np.abs(terms[:3])), 64 * np.finfo(float).eps * np.max(np.abs(terms)))
     if np.any(np.abs(det) < floor**2):
         return None
     return int(np.sum(np.sign(det)))
@@ -587,50 +588,50 @@ def check_oracle_resolution(*grid):
 def grid_oracle(rho, n_theta=64, n_phi=128):
     """Brute-force maximization of J over the measurement angles.
 
-    Evaluates :func:`_direct_entropy` on an n_theta x n_phi grid (theta in
-    [0, pi], phi in [0, 2 pi)), in blocks of whole rows of at most 64 x 128
-    (outcome, point) values, one row at least, which keeps every temporary
-    under glibc's 128 KiB mmap threshold; then zooms in.  Each round
-    evaluates a ZOOM_POINTS x ZOOM_POINTS patch around the incumbent, one
-    grid cell wide at first, clipped to theta in [0, pi].  The patch shrinks
-    to the spacing of its own points while the incumbent stays inside it,
-    and moves with the incumbent when that lands on its edge, where the
-    maximum may lie beyond.  The zoom ends after ZOOM_ROUNDS rounds, or at
-    a round that would shrink a patch whose values span no more than
-    16 eps: a heuristic stop, measured on the bench's bases, not a bound on
-    the evaluator's rounding, which some states exceed in every round.
-    Deterministic, and never below the grid maximum; ties resolve to the
-    smallest theta, then the smallest phi.  ``rho`` may be a
-    :class:`qdiscord.qmat.DensityState`.  Returns (C, (theta, phi)): the
-    classical correlation and the optimal angles in the original basis,
-    canonically folded.
+    J(n) = J(-n) (the outcomes swap), so of the n_theta x n_phi grid (theta in
+    [0, pi], phi in [0, 2 pi)) only the rows with theta <= pi/2 go to
+    :func:`_direct_entropy`: for even n_phi they hold every measurement of the
+    grid, for odd n_phi they sample the hemisphere at the same spacing.  They
+    go in blocks of whole rows of at most 64 x 128 (outcome, point) values,
+    one row at least (the default grid is one block), keeping every temporary
+    under glibc's 128 KiB mmap threshold; then the zoom.  Each round evaluates
+    a ZOOM_POINTS x ZOOM_POINTS patch around the incumbent, one grid cell wide
+    at first, clipped to theta in [0, pi].  The patch shrinks to the spacing
+    of its own points while the incumbent stays inside it, and moves with the
+    incumbent when that lands on its edge, where the maximum may lie beyond.
+    The zoom ends after ZOOM_ROUNDS rounds, or at a round that would shrink a
+    patch whose values span no more than 16 eps: a heuristic stop, not a bound
+    on the evaluator's rounding.  Never below the maximum over those rows;
+    ties resolve to the smallest theta, then the smallest phi.  ``rho`` may be
+    a :class:`qdiscord.qmat.DensityState`.  Returns (C, (theta, phi)): C and
+    the optimal angles in the original basis, canonically folded.
     """
     check_oracle_resolution(n_theta, n_phi)
     state = density_state(rho)
     sa = spectrum_entropy(state.a_vals)
 
     c = _pauli_table(state.rho)
-    th = np.linspace(0.0, np.pi, n_theta)
+    th = np.linspace(0.0, np.pi, n_theta)[: (n_theta + 1) // 2]
     ph = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     rows, fv = max(1, ORACLE_MIN_GRID[0] * ORACLE_MIN_GRID[1] // (2 * n_phi)), np.inf
-    for k in range(0, n_theta, rows):
+    for k in range(0, th.size, rows):
         ce = _direct_entropy(c, th[k : k + rows, None], ph)
-        i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
+        i, j = divmod(int(ce.argmin()), ce.shape[1])
         if ce[i, j] < fv:
             t, p, fv = float(th[k + i]), float(ph[j]), float(ce[i, j])
 
     wt, wp = np.pi / (n_theta - 1), 2 * np.pi / n_phi
     steps = np.linspace(-1.0, 1.0, ZOOM_POINTS)
     for _ in range(ZOOM_ROUNDS):
-        pt = np.clip(t + wt * steps, 0.0, np.pi)
+        pt = np.minimum(np.maximum(t + wt * steps, 0.0), np.pi)
         pq = p + wp * steps
         ce = _direct_entropy(c, pt[:, None], pq)
-        i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
+        i, j = divmod(int(ce.argmin()), ce.shape[1])
         if ce[i, j] < fv:
             t, p, fv = float(pt[i]), float(pq[j]), float(ce[i, j])
             if j in (0, ZOOM_POINTS - 1) or (i in (0, ZOOM_POINTS - 1) and 0.0 < t < np.pi):
                 continue
-        if np.ptp(ce) <= 16 * np.finfo(float).eps:
+        if ce.max() - ce.min() <= 16 * np.finfo(float).eps:
             break
         wt, wp = wt * ZOOM_SHRINK, wp * ZOOM_SHRINK
 

@@ -146,9 +146,9 @@ def test_stationary_critical_column_and_index_sum(capsys):
     assert grab(r"index sum: (\S+)", out).group(1) == "1"
 
 
-@pytest.mark.parametrize("state", ["werner:1", "werner:0.8", "werner:0.3", "lu"])
+@pytest.mark.parametrize("state", ["werner:1", "werner:0.8", "werner:0.3", "lu", "random:2,1"])
 def test_stationary_index_sum_not_applicable(capsys, state):
-    # flat and phi-independent landscapes have no isolated critical points
+    # flat (Werner, pure) and phi-independent landscapes have no isolated critical points
     code, out, _ = run(capsys, "stationary", "--state", state)
     assert code == 0
     assert "index sum: n/a" in out

@@ -569,9 +569,10 @@ def test_grid_oracle_value_at_returned_angles(rho):
 
 @pytest.mark.parametrize("grid", [(64, 128), (100, 200)])
 def test_grid_oracle_blocks_give_the_whole_grid_result(monkeypatch, grid):
-    # the grid is evaluated in blocks of rows only to bound memory, keeping
-    # the best point so far; the result, ties included, is bitwise that of
-    # one call on the whole grid (one block holding both outcomes of every point)
+    # the grid's rows with theta <= pi/2 are evaluated in blocks of rows only
+    # to bound memory, keeping the best point so far; the result, ties
+    # included, is bitwise that of one call on all of those rows (one block
+    # holding both outcomes of every point)
     states = [lu_state(), random_state(5), bell_diagonal(0.5, -0.2, 0.5)]
     blocked = [grid_oracle(rho, *grid) for rho in states]
     calls = []
@@ -585,41 +586,46 @@ def test_grid_oracle_blocks_give_the_whole_grid_result(monkeypatch, grid):
     monkeypatch.setattr(correlations, "ORACLE_MIN_GRID", (2 * grid[0], grid[1]))
     monkeypatch.setattr(correlations, "check_oracle_resolution", lambda *_: None)
     assert blocked == [grid_oracle(rho, *grid) for rho in states]
-    assert [shape for shape in calls if shape[1] == grid[1]] == len(states) * [grid]
+    assert [shape for shape in calls if shape[1] == grid[1]] == len(states) * [((grid[0] + 1) // 2, grid[1])]
 
 
 def test_grid_oracle_call_budget(monkeypatch):
     # the Pauli table is read once, and one evaluator serves the grid and the
     # zoom: the grid's calls, then at most ZOOM_ROUNDS zoom rounds; a flat
     # landscape stops after its first zoom round
-    calls = []
+    calls, grid_thetas = [], []
     direct = correlations._direct_entropy
 
     def counted(c, theta, phi):
         calls.append(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+        if np.size(phi) > correlations.ZOOM_POINTS:
+            grid_thetas.append(np.max(theta))
         return direct(c, theta, phi)
 
     monkeypatch.setattr(correlations, "_direct_entropy", counted)
-    # the default grid goes in two blocks of 64 x 128 (outcome, point) values
+    # J(n) = J(-n): the default grid's 32 rows with theta <= pi/2 go in one
+    # block of 64 x 128 (outcome, point) values
     for rho in [lu_state(), random_state(3), bell_diagonal(0.7, -0.5, 0.3), near_singular_state(1e-4)]:
         calls.clear()
         grid_oracle(rho)
-        assert calls[:2] == [(32, 128), (32, 128)]
-        assert 2 < len(calls) <= 2 + correlations.ZOOM_ROUNDS
+        assert calls[:1] == [(32, 128)]
+        assert 1 < len(calls) <= 1 + correlations.ZOOM_ROUNDS
     calls.clear()
     grid_oracle(product_state())
-    assert calls == [(32, 128), (32, 128), (correlations.ZOOM_POINTS, correlations.ZOOM_POINTS)]
+    assert calls == [(32, 128), (correlations.ZOOM_POINTS, correlations.ZOOM_POINTS)]
     # a patch flat to the evaluator's rounding ends the zoom before its last round
     for s in range(100):
         calls.clear()
         grid_oracle(random_state(s))
-        assert len(calls) < 2 + correlations.ZOOM_ROUNDS, s
-    # a larger grid goes in blocks of whole rows, none larger than the default grid
+        assert len(calls) < 1 + correlations.ZOOM_ROUNDS, s
+    # a larger grid goes in blocks of whole rows of its hemisphere, none larger than the default grid
     calls.clear()
     grid_oracle(lu_state(), 512, 1024)
     grid = [shape for shape in calls if shape[1] == 1024]
-    assert sum(shape[0] for shape in grid) == 512
+    assert sum(shape[0] for shape in grid) == 256
     assert max(np.prod(shape) for shape in calls) <= 64 * 128
+    # no grid call reaches past the equator, on the default grid or the larger one
+    assert max(grid_thetas) <= np.pi / 2
 
 
 @pytest.mark.parametrize(
@@ -1724,6 +1730,14 @@ def test_index_sum_flags_a_dropped_root():
     pts = find_stationary_points(ch, gamma)
     assert_allclose(pts[2].as_row()[1:4], PINNED_POINTS["random_state(1003)"][2][1:], rtol=0, atol=1e-15)
     assert index_sum(ch, gamma, pts[:2] + pts[3:]) != 1
+
+
+def test_index_sum_is_none_on_flat_pure_state_landscapes():
+    # a pure state's landscape is flat, so its Hessian entries are rounding
+    # noise, and so is the sign of their determinant
+    for s in range(200):
+        ch, gamma = channel_of(random_state(s, 1))
+        assert index_sum(ch, gamma, find_stationary_points(ch, gamma)) is None, s
 
 
 def test_index_sum_of_no_critical_point_is_none():
