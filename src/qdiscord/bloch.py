@@ -13,13 +13,14 @@ channel's image of the reference state's conditional state, and
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from math import isfinite, pi
+from math import atan2, cos, isfinite, pi, sin
 
 import numpy as np
 
 from .choi import apply_channel
-from .qmat import I2, PAULIS, dagger, scalar_or_array
+from .qmat import I2, PAULIS, scalar_or_array
 
 #: Outcome probabilities below this are degenerate, in both discord paths:
 #: scalar APIs raise, vector paths zero the branch.
@@ -131,11 +132,16 @@ def fold_angles(v, theta, phi):
 
     The spinor psi = (cos th/2, e^{i ph} sin th/2) goes through v^+ itself,
     and atan2 reads th' back: arccos of a Bloch z component would round
-    every th' below 1.3e-8 to 0.  A non-finite angle raises ValueError.
+    every th' below 1.3e-8 to 0.  One angle pair, folded on Python scalars;
+    a non-finite angle raises ValueError.
     """
-    theta, phi = finite_angles(theta, phi)
-    u0, u1 = dagger(v) @ np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-    return normalize_angles(2.0 * np.arctan2(abs(u1), abs(u0)), np.angle(u1 * np.conj(u0)))
+    theta, phi = float(theta), float(phi)
+    if not (isfinite(theta) and isfinite(phi)):
+        raise ValueError("measurement angles must be finite")
+    (v00, v01), (v10, v11) = v.tolist()
+    c, s = cos(theta / 2), cmath.exp(1j * phi) * sin(theta / 2)
+    u0, u1 = v00.conjugate() * c + v10.conjugate() * s, v01.conjugate() * c + v11.conjugate() * s
+    return normalize_angles(2.0 * atan2(abs(u1), abs(u0)), cmath.phase(u1 * u0.conjugate()))
 
 
 def normalize_angles(theta, phi):

@@ -130,14 +130,7 @@ def decompose(rho):
     gamma_ops = psis.T.reshape(4, 2, 2)
     keep = lambdas >= KRAUS_DROP_TOL
     kraus = KrausSet(np.sqrt(lambdas[keep])[:, None, None] * gamma_ops[keep] @ omega_inv)
-    return CJDecomposition(
-        gamma=float(gamma),
-        basis_rotation=v,
-        lambdas=lambdas,
-        gamma_ops=gamma_ops,
-        kraus=kraus,
-        omega=omega,
-    )
+    return CJDecomposition(float(gamma), v, lambdas, gamma_ops, kraus, omega)
 
 
 def reconstruct(d):

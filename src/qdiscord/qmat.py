@@ -7,8 +7,6 @@ factor = subsystem a, second = subsystem b).  All entropies are in bits.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -80,7 +78,7 @@ class DensityState:
 
     * ``rho``, a copy of the matrix, dtype complex;
     * ``spectrum``, the eigenvalues of its Hermitian part, ascending;
-    * ``a_vals``, those of the a marginal rho_a, computed on first read as
+    * ``a_vals``, those of the a marginal rho_a, ascending, as
       :func:`von_neumann_entropy` computes them;
     * ``b_vals`` and ``b_vecs``, the :func:`herm_eig` of the b marginal.
 
@@ -93,16 +91,21 @@ class DensityState:
     def __init__(self, rho):
         rho, self.spectrum = _validated(rho)
         self.rho = rho.copy()
-        self.b_vals, self.b_vecs = herm_eig(partial_trace_a(self.rho))
-        for arr in (self.rho, self.spectrum, self.b_vals, self.b_vecs):
+        # rho_a and rho_b in one eigh call: rho's validation keeps their residuals below herm_eig's EIG_HERM_TOL
+        m = np.array([partial_trace_b(self.rho), partial_trace_a(self.rho)])
+        vals, vecs = np.linalg.eigh((m + m.conj().swapaxes(1, 2)) / 2)
+        order = (-vals[1]).argsort(kind="stable")
+        self.a_vals, self.b_vals, self.b_vecs = vals[0], vals[1, order], vecs[1][:, order]
+        for arr in (self.rho, self.spectrum, self.a_vals, self.b_vals, self.b_vecs):
             arr.flags.writeable = False
 
-    @functools.cached_property
-    def a_vals(self):
-        rho_a = partial_trace_b(self.rho)
-        vals = np.linalg.eigvalsh((rho_a + dagger(rho_a)) / 2)
-        vals.flags.writeable = False
-        return vals
+    def entropies(self, *probabilities):
+        """[S(rho_a), S(rho_b), S(rho), then H2(p) of each probability p] in bits, from one :func:`spectrum_entropy`
+        call on the three spectra and the rows (p, 1 - p); a p above 1 by rounding counts as 1."""
+        p = np.minimum(probabilities, 1.0)
+        rows = np.zeros((3 + p.size, 4))
+        rows[:2, :2], rows[2], rows[3:, 0], rows[3:, 1] = (self.a_vals, self.b_vals), self.spectrum, p, 1.0 - p
+        return spectrum_entropy(rows).tolist()
 
 
 def density_state(rho):
@@ -154,14 +157,13 @@ def von_neumann_entropy(rho):
 
 
 def spectrum_entropy(vals):
-    """-sum v log2 v over the eigenvalues ``vals`` of a density matrix, in
-    bits, clamped and checked as in :func:`von_neumann_entropy`."""
+    """-sum v log2 v over the last axis of ``vals`` in bits, a v <= 0 adding +0.0: the entropy of the eigenvalues
+    of a density matrix, or of each zero-padded row of a stack of them, checked as in :func:`von_neumann_entropy`."""
     vals = np.asarray(vals, dtype=float)
     if not vals.min() >= PSD_TOL:
         raise ValueError(f"smallest eigenvalue {vals.min():.3e} is NaN or a negative eigenvalue below tolerance")
-    vals = np.clip(vals, 0.0, None)
-    nz = vals[vals > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    vals = np.where(vals > 0.0, vals, 1.0)
+    return scalar_or_array(-np.sum(vals * np.log2(vals), axis=-1))
 
 
 def scalar_or_array(x):

@@ -16,19 +16,14 @@ equatorial settings are the only stationary points
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bloch, choi
-from .correlations import (
-    ASYMMETRIC,
-    SYMMETRIC,
-    StationaryPoint,
-    mutual_information,
-    report_from_points,
-)
-from .qmat import I2, PAULIS, binary_entropy_arr, dagger, density_state
+from .correlations import ASYMMETRIC, SYMMETRIC, StationaryPoint, report_from_points
+from .qmat import I2, PAULIS, dagger, density_state
 
 #: Absolute magnitude below which an off-pattern entry still counts as zero.
 X_PATTERN_TOL = 1e-10
@@ -59,16 +54,21 @@ def is_x_state(rho):
 
 
 def _require_block_form(ch):
-    off = np.concatenate((ch.eta[:2, 2], ch.eta[2, :2], ch.c[:2]))
-    if np.abs(off).max() >= BLOCK_TOL:
+    """The entries of eta's xy block, as floats; ValueError unless eta and c
+    are finite, NotApplicableError off the X block form."""
+    (m00, m01, ex), (m10, m11, ey), (zx, zy, zz), (cx, cy, cz) = ch.eta.tolist() + [ch.c.tolist()]
+    if not all(map(math.isfinite, (m00, m01, ex, m10, m11, ey, zx, zy, zz, cx, cy, cz))):
+        raise ValueError("the channel's eta and c must be finite")
+    if max(abs(ex), abs(ey), abs(zx), abs(zy), abs(cx), abs(cy)) >= BLOCK_TOL:
         raise NotApplicableError("channel is not in X block form")
+    return m00, m01, m10, m11
 
 
 def f_phi(ch, phi):
-    """Squared xy-plane stretch of the channel along azimuth ``phi``."""
+    """Squared xy-plane stretch of the channel along azimuth ``phi``; a
+    non-finite ``phi`` raises ValueError."""
     _require_block_form(ch)
-    u = np.array([np.cos(phi), np.sin(phi)])
-    return float(np.sum((ch.eta[:2, :2] @ u) ** 2))
+    return float(np.sum((ch.eta[:2, :2] @ bloch.angles_to_direction(np.pi / 2, phi)[:2]) ** 2))
 
 
 def maximize_f(ch):
@@ -80,13 +80,12 @@ def maximize_f(ch):
     The isotropic case (2 R below 1e-14) reports azimuth 0.  Returns
     (eta_perp_sq, phi_star).
     """
-    _require_block_form(ch)
-    m = ch.eta[:2, :2]
-    (g00, g01), (_, g11) = m.T @ m
+    m00, m01, m10, m11 = _require_block_form(ch)
+    g00, g01, g11 = m00 * m00 + m10 * m10, m00 * m01 + m10 * m11, m01 * m01 + m11 * m11
     h = (g00 - g11) / 2
-    r = np.hypot(h, g01)
-    phi_star = 0.0 if 2 * r < 1e-14 else float(np.arctan2(g01, h) / 2) % np.pi
-    return float((g00 + g11) / 2 + r), phi_star
+    r = math.hypot(h, g01)
+    phi_star = 0.0 if 2 * r < 1e-14 else math.atan2(g01, h) / 2 % math.pi
+    return (g00 + g11) / 2 + r, phi_star
 
 
 @dataclass
@@ -104,16 +103,13 @@ class XStateParams:
 
 
 def x_params(ch):
-    """Extract :class:`XStateParams` from an X-block affine channel."""
+    """Extract :class:`XStateParams` from an X-block affine channel; ValueError unless it is finite."""
     eta_perp_sq, phi_star = maximize_f(ch)
-    eta_perp = np.sqrt(eta_perp_sq)
     c_z, eta_zz = float(ch.c[2]), float(ch.eta[2, 2])
-    a = eta_perp_sq + c_z**2
-    b = eta_zz * c_z
-    c = eta_zz**2 - eta_perp_sq
+    a, b, c = eta_perp_sq + c_z**2, eta_zz * c_z, eta_zz**2 - eta_perp_sq
     denom = b * b - c * a
     k = None if abs(denom) < SHAPE_DEGENERATE_TOL else c / denom
-    return XStateParams(eta_perp, c_z, eta_zz, a, b, c, k, phi_star)
+    return XStateParams(math.sqrt(eta_perp_sq), c_z, eta_zz, a, b, c, k, phi_star)
 
 
 def universal_sufficient(p):
@@ -123,9 +119,7 @@ def universal_sufficient(p):
     The degenerate case (k undefined because b^2 = c a) is accepted: there
     the optimum is a direct comparison of the same two candidates.
     """
-    if p.k is None:
-        return True
-    return p.k >= -2.0 / 3.0 - 1e-12 or p.k <= -1.0 + 1e-12
+    return p.k is None or p.k >= -2.0 / 3.0 - 1e-12 or p.k <= -1.0 + 1e-12
 
 
 def H_func(x, k):
@@ -156,8 +150,8 @@ def closed_form_purities(p, theta):
     """(s', t') = hypot(eta_perp sin(theta), c_z +- eta_zz cos(theta)) at the
     optimal azimuth: sqrt(a +- 2 b cos(theta) + c cos(theta)^2) without its
     cancellation near a zero purity, and exactly |c_z +- eta_zz| at theta = 0."""
-    st, ct = p.eta_perp * np.sin(theta), p.eta_zz * np.cos(theta)
-    return float(np.hypot(st, p.c_z + ct)), float(np.hypot(st, p.c_z - ct))
+    st, ct = p.eta_perp * math.sin(theta), p.eta_zz * math.cos(theta)
+    return math.hypot(st, p.c_z + ct), math.hypot(st, p.c_z - ct)
 
 
 def analytic_discord_x(rho):
@@ -185,29 +179,27 @@ def analytic_discord_x(rho):
     state = density_state(rho)
     if not is_x_state(state.rho):
         raise NotApplicableError("state does not have the X entry pattern")
-    if abs(state.b_vals[0] - state.b_vals[1]) >= 1e-10:
+    b0, b1 = state.b_vals.tolist()
+    if abs(b0 - b1) >= 1e-10:
         raise NotApplicableError("b marginal is not maximally mixed")
 
     # the paper's Choi-Jamiolkowski map, in choi.decompose's frame: rho_rot = sum_ij w_i w_j eps(|i><j|) (x) |i><j|
-    v, half = dagger(state.b_vecs), np.arccos(min(1.0, np.sqrt(state.b_vals[0])))
-    w = np.array([np.cos(half), np.sin(half)] * 2)
+    v, half = dagger(state.b_vecs), math.acos(min(1.0, math.sqrt(b0)))
+    w = np.array([math.cos(half), math.sin(half)] * 2)
     r = _CJ_TABLE @ (choi.rotate_b(state.rho, v) / np.outer(w, w)).reshape(16).view(float)
-    ch, gamma = bloch.AffineChannel(r[:9].reshape(3, 3), r[9:]), float(2.0 * half)
-    params = x_params(ch)
+    params = x_params(bloch.AffineChannel(r[:9].reshape(3, 3), r[9:]))
     if not universal_sufficient(params):
         raise NotApplicableError(f"shape parameter k = {params.k:.6f} lies in the gap (-1, -2/3)")
 
-    info = mutual_information(state)
-    # S(rho_a) from the length of rho_a's Bloch vector, the equatorial purity s' = t', then the polar s' and t'
-    len_a = np.linalg.norm(bloch.outcome_form(ch, gamma)[1])
-    purities = np.array([len_a, closed_form_purities(params, np.pi / 2)[0], *closed_form_purities(params, 0.0)])
-    sa, h_eq, h_s, h_t = binary_entropy_arr((1.0 + purities) / 2.0).tolist()
+    # I's spectra and the binary entropies of the equatorial s' = t' and of the polar s' and t', in one call
+    purities = (closed_form_purities(params, math.pi / 2)[0], *closed_form_purities(params, 0.0))
+    sa, sb, sab, h_eq, h_s, h_t = state.entropies(*((1.0 + q) / 2.0 for q in purities))
 
     # the conditional direction rotates against the measurement azimuth, so
     # the objective peaks at the reflection of the f-maximizing azimuth
-    phi_eq = (-params.phi_star) % np.pi
+    phi_eq = -params.phi_star % math.pi
     candidates = [
-        StationaryPoint(np.pi / 2, phi_eq, sa - h_eq, 0.0, SYMMETRIC),
+        StationaryPoint(math.pi / 2, phi_eq, sa - h_eq, 0.0, SYMMETRIC),
         StationaryPoint(0.0, 0.0, sa - 0.5 * (h_s + h_t), 0.0, ASYMMETRIC),
     ]
-    return report_from_points(info, candidates, v, "xstate_analytic")
+    return report_from_points(sa + sb - sab, candidates, v, "xstate_analytic")

@@ -240,6 +240,13 @@ def test_normalize_angles_refuses_non_finite_angles(theta, phi):
         normalize_angles(theta, phi)
 
 
+@pytest.mark.parametrize("theta, phi", NON_FINITE_ANGLES[:3])
+def test_fold_angles_refuses_non_finite_angles(theta, phi):
+    # one angle pair, folded on Python scalars
+    with pytest.raises(ValueError, match="finite"):
+        fold_angles(I2, theta, phi)
+
+
 @pytest.mark.parametrize("theta, phi", NON_FINITE_ANGLES)
 def test_measurement_distance_refuses_non_finite_angles(theta, phi):
     with pytest.raises(ValueError, match="finite"):

@@ -402,17 +402,18 @@ def test_discord_short_circuits_a_marginal_at_the_rank_tolerance():
 
 
 #: Validations of rho, eigvalsh calls and eigh calls one discord() call may
-#: make.  One validation gives the spectrum of S(rho) and one herm_eig of
-#: rho_b serves the rank test, S(rho_b) and the basis rotation; eigvalsh's
-#: other call is rho_a's spectrum, which I and the oracle both read, and
-#: eigh's the rotated state of the decomposition.
+#: make.  One validation's eigvalsh gives the spectrum of S(rho), and one
+#: stacked eigh of rho_a and rho_b gives rho_a's spectrum, which I and the
+#: oracle both read, and rho_b's, which serves the rank test, S(rho_b) and
+#: the basis rotation; the stationary path's other eigh is the rotated state
+#: of the decomposition.
 @pytest.mark.parametrize(
     "method, rho, budget",
     [
-        ("stationary", lu_state(), (1, 2, 2)),
-        ("oracle", lu_state(), (1, 2, 1)),
-        ("xstate_analytic", bell_diagonal(0.7, -0.5, 0.3), (1, 2, 2)),
-        ("stationary", SINGULAR_B_MARGINAL, (1, 2, 1)),
+        ("stationary", lu_state(), (1, 1, 2)),
+        ("oracle", lu_state(), (1, 1, 1)),
+        ("xstate_analytic", bell_diagonal(0.7, -0.5, 0.3), (1, 1, 1)),
+        ("stationary", SINGULAR_B_MARGINAL, (1, 1, 1)),
     ],
     ids=["stationary", "oracle", "xstate_analytic", "singular"],
 )

@@ -13,6 +13,7 @@ from qdiscord.correlations import conditional_entropy_direct, discord, grid_orac
 from qdiscord.qmat import (
     I4,
     DensityState,
+    binary_entropy,
     density_state,
     herm_eig,
     partial_trace_a,
@@ -81,21 +82,27 @@ def test_density_state_keeps_rho_a_spectrum_as_von_neumann_entropy_reads_it():
     assert mutual_information(state) == want
 
 
-def test_density_state_diagonalises_rho_a_on_first_read_only(monkeypatch):
-    # the channel decomposition of a raw matrix and a refused closed form
-    # never read S(rho_a), so they skip its eigvalsh; the first read of
-    # a_vals makes it, once, and keeps the spectrum read-only
-    rho, calls = lu_state(), []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
-    decompose(rho)
-    with pytest.raises(ValueError):
-        analytic_discord_x(rho)
-    # one each: the validation's spectrum
-    assert len(calls) == 2
-    state = density_state(rho)
-    first = state.a_vals
-    assert len(calls) == 4 and state.a_vals is first and not first.flags.writeable
+def test_density_state_makes_one_eigvalsh_and_one_eigh_call(monkeypatch):
+    # the validation's eigvalsh gives rho's spectrum, and one stacked eigh
+    # diagonalises both marginals, rho_a and rho_b
+    rho, calls = lu_state(), {"eigvalsh": 0, "eigh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    state = DensityState(rho)
+    assert calls == {"eigvalsh": 1, "eigh": 1}
+    # reading the spectra and their entropies diagonalises nothing more; a
+    # probability joins them as the row (p, 1 - p), one above 1 by rounding as 1
+    sa, sb, sab, h, h_one = state.entropies(0.7, 1.0 + 2e-16)
+    assert sa + sb - sab == mutual_information(state) and (h, h_one) == (binary_entropy(0.7), 0.0)
+    assert calls == {"eigvalsh": 1, "eigh": 1} and not state.a_vals.flags.writeable
 
 
 @pytest.mark.parametrize("rho", [lu_state(), bell_diagonal(0.7, -0.5, 0.3)], ids=["lu", "bell_diagonal"])

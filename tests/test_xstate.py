@@ -109,6 +109,26 @@ def test_f_phi_rejects_non_block_channel():
         f_phi(AffineChannel(eta=eta, c=np.zeros(3)), 0.0)
 
 
+@pytest.mark.parametrize("entry", [(0, 2), (2, 2)], ids=["off_block", "in_block"])
+def test_x_params_refuses_a_non_finite_channel(entry):
+    # NaN >= BLOCK_TOL is False: an off-block NaN once passed as 0, giving
+    # eta_perp 0.5 and k = -4, and an in-block NaN gave k = nan, which the
+    # closed form reported as lying in the gap
+    eta = np.diag([0.5, 0.4, 0.3])
+    eta[entry] = np.nan
+    ch = AffineChannel(eta=eta, c=np.zeros(3))
+    for fn in (x_params, maximize_f, lambda ch: f_phi(ch, 0.3)):
+        with pytest.raises(ValueError, match="finite") as err:
+            fn(ch)
+        assert not isinstance(err.value, NotApplicableError)
+
+
+@pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+def test_f_phi_refuses_a_non_finite_azimuth(phi):
+    with pytest.raises(ValueError, match="finite"):
+        f_phi(_diag_channel(0.5, 0.4, 0.3), phi)
+
+
 def test_x_params_consistency():
     ch = affine_from_kraus(decompose(random_x_maximally_mixed(np.random.default_rng(3))).kraus)
     p = x_params(ch)
@@ -242,6 +262,19 @@ def test_closed_form_reads_its_channel_off_the_blocks_without_a_kraus_set(rho, m
 
     monkeypatch.setattr(choi, "decompose", refuse)
     monkeypatch.setattr(bloch, "affine_from_kraus", refuse)
+    assert discord(rho, method="xstate_analytic") == expected
+
+
+@pytest.mark.parametrize("rho", [random_x_maximally_mixed(np.random.default_rng(3)), bell_diagonal(0.7, -0.5, 0.3)])
+def test_closed_form_builds_no_outcome_form(rho, monkeypatch):
+    # S(rho_a) comes from rho_a's spectrum, which I reads too, and the
+    # purities from the reduced parameters: no Bloch vector of rho_a
+    expected = discord(rho, method="xstate_analytic")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form built an outcome form")
+
+    monkeypatch.setattr(bloch, "outcome_form", refuse)
     assert discord(rho, method="xstate_analytic") == expected
 
 
